@@ -136,29 +136,6 @@ Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
   return outcomes;
 }
 
-Result<WireServiceStats> InProcBackend::Stats() {
-  const ServiceStatsSnapshot s = service_.Stats();
-  WireServiceStats w;
-  w.global_cache_budget = s.global_cache_budget;
-  w.batches_submitted = s.batches_submitted;
-  w.batches_completed = s.batches_completed;
-  w.batches_rejected = s.batches_rejected;
-  w.tenants.reserve(s.tenants.size());
-  for (const TenantStatsSnapshot& t : s.tenants) {
-    WireTenantStats wt;
-    wt.name = t.name;
-    wt.cache_budget = t.cache_budget;
-    wt.batches_submitted = t.batches_submitted;
-    wt.admitted = t.admitted;
-    wt.admission_rejected = t.admission_rejected;
-    wt.queued = t.queued;
-    wt.running = t.running;
-    wt.engine_text = t.engine.ToString();
-    w.tenants.push_back(std::move(wt));
-  }
-  return w;
-}
-
 Result<std::string> InProcBackend::Metrics() {
   return service_.RenderMetricsText();
 }
@@ -218,11 +195,6 @@ Result<std::vector<BatchResult>> RemoteBackend::SubmitBatches(
 Result<std::vector<obs::SpanRecord>> RemoteBackend::TraceDump() {
   CFDPROP_RETURN_NOT_OK(EnsureConnected());
   return client_.TraceDump();
-}
-
-Result<WireServiceStats> RemoteBackend::Stats() {
-  CFDPROP_RETURN_NOT_OK(EnsureConnected());
-  return client_.Stats();
 }
 
 Result<std::string> RemoteBackend::Metrics() {

@@ -6,7 +6,7 @@
 // CoverClient::SubmitBatch (blocking, wire) — and every caller that
 // wanted to serve "either way" (the workload runner, the CLI) carried
 // hand-rolled inproc|tcp branching. CoverBackend collapses that:
-// OpenCatalog / SubmitBatch(es) / Stats / Metrics / DropCatalog, all
+// OpenCatalog / SubmitBatch(es) / Metrics / DropCatalog, all
 // returning the typed Result<>s whose StatusCodes survive the wire, so
 // a caller programs against one surface and an injection decides where
 // the covers come from.
@@ -79,9 +79,8 @@ class CoverBackend {
                                   const std::vector<std::string>& views,
                                   ValuePool& pool);
 
-  virtual Result<WireServiceStats> Stats() = 0;
-
-  /// The full Prometheus-style text exposition.
+  /// The full Prometheus-style text exposition — the one stats surface
+  /// (parse it with obs::ParseMetricsText).
   virtual Result<std::string> Metrics() = 0;
 
   virtual Status DropCatalog(const std::string& tenant) = 0;
@@ -109,7 +108,6 @@ class InProcBackend : public CoverBackend {
       const std::vector<std::vector<std::string>>& batches,
       ValuePool& pool) override;
 
-  Result<WireServiceStats> Stats() override;
   Result<std::string> Metrics() override;
   Status DropCatalog(const std::string& tenant) override;
 
@@ -148,7 +146,6 @@ class RemoteBackend : public CoverBackend {
       const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
       const obs::TraceContext& trace);
 
-  Result<WireServiceStats> Stats() override;
   Result<std::string> Metrics() override;
   Status DropCatalog(const std::string& tenant) override;
 

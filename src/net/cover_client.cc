@@ -257,13 +257,6 @@ Result<std::vector<WireBatchResult>> CoverClient::SubmitBatchesTraced(
   return decoded;
 }
 
-Result<WireServiceStats> CoverClient::Stats() {
-  CFDPROP_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(FrameType::kStats, "", FrameType::kStatsReply));
-  return DecodeStatsReply(payload);
-}
-
 Result<std::string> CoverClient::Metrics() {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,

@@ -98,8 +98,6 @@ class CoverClient {
       const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
       const obs::TraceContext& trace);
 
-  Result<WireServiceStats> Stats();
-
   /// Scrapes the server's metrics: the full Prometheus-style text
   /// exposition (src/obs), every layer in one fetch.
   Result<std::string> Metrics();

@@ -139,29 +139,6 @@ Result<std::vector<BatchResult>> CoverRouter::SubmitBatches(
   return result;
 }
 
-Result<WireServiceStats> CoverRouter::Stats() {
-  WireServiceStats aggregate;
-  for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    auto stats = WithShard(shard, [](RemoteBackend& backend) {
-      return backend.Stats();
-    });
-    if (!stats.ok()) return stats.status();
-    aggregate.global_cache_budget += stats->global_cache_budget;
-    aggregate.batches_submitted += stats->batches_submitted;
-    aggregate.batches_completed += stats->batches_completed;
-    aggregate.batches_rejected += stats->batches_rejected;
-    for (WireTenantStats& t : stats->tenants) {
-      aggregate.tenants.push_back(std::move(t));
-    }
-  }
-  // Tenant-name order, as one fat server would report the same set.
-  std::sort(aggregate.tenants.begin(), aggregate.tenants.end(),
-            [](const WireTenantStats& a, const WireTenantStats& b) {
-              return a.name < b.name;
-            });
-  return aggregate;
-}
-
 Result<std::string> CoverRouter::Metrics() {
   // Merge the shard scrapes into ONE family set: a family appearing on
   // several shards renders a single # HELP/# TYPE header (first shard's

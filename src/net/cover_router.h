@@ -28,7 +28,7 @@
 // Thread-safety: unlike the single-conversation backends, the router IS
 // safe for concurrent callers — route state lives under one mutex and
 // each shard's RemoteBackend (one conversation) is serialized by its
-// own lock. Stats()/Metrics() aggregate across every shard.
+// own lock. Metrics() merges every shard's scrape.
 
 #ifndef CFDPROP_NET_COVER_ROUTER_H_
 #define CFDPROP_NET_COVER_ROUTER_H_
@@ -85,11 +85,6 @@ class CoverRouter : public CoverBackend {
       const std::vector<std::vector<std::string>>& batches,
       ValuePool& pool) override;
 
-  /// Cluster-wide aggregate: counters summed over shards, tenant rows
-  /// concatenated (re-sorted by name, as a single fat server would
-  /// report them).
-  Result<WireServiceStats> Stats() override;
-
   /// One merged exposition: every shard's families are folded into a
   /// single family set with a `shard="N"` label injected as each
   /// series' first label (family help/type text comes from the first
@@ -102,7 +97,7 @@ class CoverRouter : public CoverBackend {
 
   /// One shard's span rings (see RemoteBackend::TraceDump), each record
   /// stamped with the shard index it came from — the raw material the
-  /// route CLI stitches into cross-shard trees.
+  /// client CLI stitches into cross-shard trees.
   Result<std::vector<obs::SpanRecord>> TraceDumpFrom(size_t shard);
 
   Status DropCatalog(const std::string& tenant) override;

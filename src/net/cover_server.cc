@@ -326,9 +326,6 @@ bool CoverServer::HandleFrame(FrameType type, std::string_view payload,
       *reply = frame(FrameType::kSubmitBatchReply,
                      HandleSubmitBatch(payload, trace));
       return true;
-    case FrameType::kStats:
-      *reply = frame(FrameType::kStatsReply, HandleStats());
-      return true;
     case FrameType::kMetrics:
       *reply = frame(FrameType::kMetricsReply, HandleMetrics());
       return true;
@@ -558,29 +555,6 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
   }
   return EncodeSubmitBatchReply(Status::OK(), outcomes,
                                 handle.value()->engine().catalog().pool());
-}
-
-std::string CoverServer::HandleStats() {
-  const ServiceStatsSnapshot s = service_.Stats();
-  WireServiceStats w;
-  w.global_cache_budget = s.global_cache_budget;
-  w.batches_submitted = s.batches_submitted;
-  w.batches_completed = s.batches_completed;
-  w.batches_rejected = s.batches_rejected;
-  w.tenants.reserve(s.tenants.size());
-  for (const TenantStatsSnapshot& t : s.tenants) {
-    WireTenantStats wt;
-    wt.name = t.name;
-    wt.cache_budget = t.cache_budget;
-    wt.batches_submitted = t.batches_submitted;
-    wt.admitted = t.admitted;
-    wt.admission_rejected = t.admission_rejected;
-    wt.queued = t.queued;
-    wt.running = t.running;
-    wt.engine_text = t.engine.ToString();
-    w.tenants.push_back(std::move(wt));
-  }
-  return EncodeStatsReply(Status::OK(), w);
 }
 
 std::string CoverServer::HandleMetrics() {

@@ -171,7 +171,6 @@ class CoverServer {
                    std::string* reply, FrameTrace* trace);
   std::string HandleOpenCatalog(std::string_view payload);
   std::string HandleSubmitBatch(std::string_view payload, FrameTrace* trace);
-  std::string HandleStats();
   std::string HandleDropCatalog(std::string_view payload);
   std::string HandleMetrics();
   std::string HandleTraceDump(std::string_view payload);

@@ -23,10 +23,14 @@ Status Malformed(const std::string& what) {
   return Status::InvalidArgument("wire frame rejected: " + what);
 }
 
+/// Type 3 carried STATS before v5; it stays unassigned.
+constexpr uint8_t kRetiredStatsType = 3;
+
 bool KnownFrameType(uint8_t t) {
   const uint8_t base = t & ~kReplyBit;
   return base >= static_cast<uint8_t>(FrameType::kOpenCatalog) &&
-         base <= static_cast<uint8_t>(FrameType::kTraceDump);
+         base <= static_cast<uint8_t>(FrameType::kTraceDump) &&
+         base != kRetiredStatsType;
 }
 
 /// Strings travel as u32 length + raw bytes; the length is checked
@@ -497,64 +501,6 @@ Status DecodeStatusReply(std::string_view payload) {
     return Malformed("trailing bytes after status reply");
   }
   return status;
-}
-
-std::string EncodeStatsReply(const Status& status,
-                             const WireServiceStats& stats) {
-  std::string out;
-  EncodeStatus(out, status);
-  wire::PutU64(out, stats.global_cache_budget);
-  wire::PutU64(out, stats.batches_submitted);
-  wire::PutU64(out, stats.batches_completed);
-  wire::PutU64(out, stats.batches_rejected);
-  wire::PutU64(out, stats.tenants.size());
-  for (const WireTenantStats& t : stats.tenants) {
-    PutString(out, t.name);
-    wire::PutU64(out, t.cache_budget);
-    wire::PutU64(out, t.batches_submitted);
-    wire::PutU64(out, t.admitted);
-    wire::PutU64(out, t.admission_rejected);
-    wire::PutU64(out, t.queued);
-    wire::PutU64(out, t.running);
-    PutString(out, t.engine_text);
-  }
-  return out;
-}
-
-Result<WireServiceStats> DecodeStatsReply(std::string_view payload) {
-  size_t pos = 0;
-  Status status;
-  CFDPROP_RETURN_NOT_OK(DecodeStatusAt(payload, &pos, &status));
-  CFDPROP_RETURN_NOT_OK(status);
-  WireServiceStats stats;
-  uint64_t num_tenants = 0;
-  if (!wire::GetU64(payload, &pos, &stats.global_cache_budget) ||
-      !wire::GetU64(payload, &pos, &stats.batches_submitted) ||
-      !wire::GetU64(payload, &pos, &stats.batches_completed) ||
-      !wire::GetU64(payload, &pos, &stats.batches_rejected) ||
-      !wire::GetU64(payload, &pos, &num_tenants) ||
-      num_tenants > (payload.size() - pos)) {
-    return Malformed("stats reply truncated");
-  }
-  stats.tenants.reserve(num_tenants);
-  for (uint64_t i = 0; i < num_tenants; ++i) {
-    WireTenantStats t;
-    if (!GetString(payload, &pos, &t.name) ||
-        !wire::GetU64(payload, &pos, &t.cache_budget) ||
-        !wire::GetU64(payload, &pos, &t.batches_submitted) ||
-        !wire::GetU64(payload, &pos, &t.admitted) ||
-        !wire::GetU64(payload, &pos, &t.admission_rejected) ||
-        !wire::GetU64(payload, &pos, &t.queued) ||
-        !wire::GetU64(payload, &pos, &t.running) ||
-        !GetString(payload, &pos, &t.engine_text)) {
-      return Malformed("stats reply truncated");
-    }
-    stats.tenants.push_back(std::move(t));
-  }
-  if (pos != payload.size()) {
-    return Malformed("trailing bytes after stats reply");
-  }
-  return stats;
 }
 
 std::string EncodeMetricsReply(const Status& status, std::string_view text) {

@@ -64,7 +64,10 @@ inline constexpr char kWireMagic[4] = {'C', 'F', 'D', 'W'};
 /// v4: submit-batch requests carry an optional trace block (trace id +
 /// parent span id + sampled flag) and the TRACE_DUMP frame reads a
 /// process's span rings back.
-inline constexpr uint32_t kWireVersion = 4;
+/// v5: the STATS frame (type 3) is gone — every stats number travels in
+/// the METRICS exposition. Type 3 stays unassigned and is refused as an
+/// unknown frame type.
+inline constexpr uint32_t kWireVersion = 5;
 
 /// magic + version + type + payload length.
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 1 + 4;
@@ -80,7 +83,6 @@ inline constexpr uint8_t kReplyBit = 0x80;
 enum class FrameType : uint8_t {
   kOpenCatalog = 1,
   kSubmitBatch = 2,
-  kStats = 3,
   kDropCatalog = 4,
   kShutdown = 5,
   /// Scrape: empty request payload; the reply carries the server's
@@ -98,7 +100,6 @@ enum class FrameType : uint8_t {
 
   kOpenCatalogReply = kOpenCatalog | kReplyBit,
   kSubmitBatchReply = kSubmitBatch | kReplyBit,
-  kStatsReply = kStats | kReplyBit,
   kDropCatalogReply = kDropCatalog | kReplyBit,
   kShutdownReply = kShutdown | kReplyBit,
   kMetricsReply = kMetrics | kReplyBit,
@@ -167,27 +168,6 @@ struct SubmitBatchRequest {
 /// cross the inproc/wire boundary without conversion.
 using WireBatchResult = ::cfdprop::BatchResult;
 
-struct WireTenantStats {
-  std::string name;
-  uint64_t cache_budget = 0;
-  uint64_t batches_submitted = 0;
-  uint64_t admitted = 0;
-  uint64_t admission_rejected = 0;
-  uint64_t queued = 0;
-  uint64_t running = 0;
-  /// The engine's EngineStatsSnapshot::ToString() line — the CLI prints
-  /// it verbatim, so network and in-process serving grep identically.
-  std::string engine_text;
-};
-
-struct WireServiceStats {
-  uint64_t global_cache_budget = 0;
-  uint64_t batches_submitted = 0;
-  uint64_t batches_completed = 0;
-  uint64_t batches_rejected = 0;
-  std::vector<WireTenantStats> tenants;
-};
-
 void EncodeStatus(std::string& out, const Status& status);
 /// Bounds-checked; decodes the StatusCode back to the typed Status.
 bool DecodeStatus(std::string_view in, size_t* pos, Status* status);
@@ -246,10 +226,6 @@ Result<OpenFromSnapshotRequest> DecodeOpenFromSnapshotRequest(
 
 std::string EncodeStatusReply(const Status& status);
 Status DecodeStatusReply(std::string_view payload);
-
-std::string EncodeStatsReply(const Status& status,
-                             const WireServiceStats& stats);
-Result<WireServiceStats> DecodeStatsReply(std::string_view payload);
 
 /// METRICS reply: Status + the exposition text. Oversized scrapes (past
 /// kMaxFramePayload once framed) must be degraded by the caller like

@@ -36,7 +36,28 @@ size_t KeyEnd(std::string_view line) {
   return line.size();
 }
 
+/// "line N: <text>" — what every parse error names.
+std::string LineRef(size_t line_no, std::string_view line) {
+  return "line " + std::to_string(line_no) + ": '" + std::string(line) + "'";
+}
+
 }  // namespace
+
+double ParsedMetrics::Sum(std::string_view family) const {
+  double sum = 0.0;
+  // Every series of `family` is among the contiguous keys that start
+  // with it; longer names sharing the prefix ("family_count") are
+  // skipped, not summed.
+  for (auto it = values.lower_bound(std::string(family)); it != values.end();
+       ++it) {
+    const std::string& key = it->first;
+    if (key.compare(0, family.size(), family) != 0) break;
+    if (key.size() == family.size() || key[family.size()] == '{') {
+      sum += it->second;
+    }
+  }
+  return sum;
+}
 
 Result<ParsedMetrics> ParseMetricsText(std::string_view text) {
   ParsedMetrics out;
@@ -72,11 +93,14 @@ Result<ParsedMetrics> ParseMetricsText(std::string_view text) {
     const std::string value_text(line.substr(key_end + 1));
     char* end = nullptr;
     const double value = std::strtod(value_text.c_str(), &end);
-    if (end == value_text.c_str()) {
-      return Status::InvalidArgument("unparseable value at line " +
-                                     std::to_string(line_no));
+    if (value_text.empty() || end != value_text.c_str() + value_text.size()) {
+      return Status::InvalidArgument("unparseable value at " +
+                                     LineRef(line_no, line));
     }
-    out.values[key] = value;
+    if (!out.values.emplace(key, value).second) {
+      return Status::InvalidArgument("duplicate series at " +
+                                     LineRef(line_no, line));
+    }
   }
   return out;
 }

@@ -34,11 +34,16 @@ struct ParsedMetrics {
   bool Has(std::string_view series) const {
     return values.count(std::string(series)) > 0;
   }
+  /// Sum over every series of `family` whatever its labels (tenant,
+  /// shard, ...): `Sum("cfdprop_admitted_total")` is the cluster-wide
+  /// admitted count. 0.0 when the family has no series.
+  double Sum(std::string_view family) const;
 };
 
 /// Parses text exposition as produced by RenderMetricsText. Unknown
-/// comment lines are skipped; a malformed series line is an
-/// InvalidArgument naming the line.
+/// comment lines are skipped; a malformed series line — including a
+/// value with trailing bytes ("12abc") and a series key seen twice — is
+/// an InvalidArgument naming the line.
 Result<ParsedMetrics> ParseMetricsText(std::string_view text);
 
 }  // namespace obs

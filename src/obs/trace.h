@@ -98,7 +98,7 @@ struct TraceContext {
 
 /// One recorded span, as read back out of a ring (slot fields widened
 /// back into strings). `shard` is -1 when the recording site had no
-/// shard identity; the stitching side may fill it in (the route CLI
+/// shard identity; the stitching side may fill it in (the client CLI
 /// labels each shard's dump with the shard it was fetched from).
 struct SpanRecord {
   uint64_t trace_id = 0;

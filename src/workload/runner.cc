@@ -18,6 +18,7 @@
 #include "src/net/cover_backend.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
+#include "src/obs/exporter.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/service/catalog_service.h"
@@ -53,6 +54,11 @@ struct PathRuntime {
   std::vector<std::unique_ptr<net::CoverServer>> servers;
   std::unique_ptr<net::InProcBackend> inproc;
   std::unique_ptr<net::CoverRouter> router;
+  /// tcp only: the runner's own connection for the end-of-run scrape
+  /// (every worker holds another).
+  std::unique_ptr<net::RemoteBackend> remote;
+  /// The path's backend for whole-run reads: inproc, router or remote.
+  net::CoverBackend* backend = nullptr;
 
   /// The shard owning `tenant`: the router's placement on routed, 0
   /// everywhere else.
@@ -400,6 +406,14 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   }
   if (options.path == RunnerPath::kInproc) {
     rt.inproc = std::make_unique<net::InProcBackend>(*rt.services[0]);
+    rt.backend = rt.inproc.get();
+  }
+  if (options.path == RunnerPath::kTcp) {
+    net::CoverClientOptions copts;
+    copts.port = rt.servers[0]->port();
+    copts.connect_timeout = std::chrono::milliseconds(10000);
+    rt.remote = std::make_unique<net::RemoteBackend>(copts);
+    rt.backend = rt.remote.get();
   }
   if (options.path == RunnerPath::kRouted) {
     net::CoverRouterOptions ropts;
@@ -411,6 +425,7 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
       ropts.shards.push_back(copts);
     }
     rt.router = std::make_unique<net::CoverRouter>(std::move(ropts));
+    rt.backend = rt.router.get();
   }
 
   // Open every tenant on its owning shard (the ring decides on routed;
@@ -476,50 +491,22 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   report.p99_us = snap.Quantile(0.99);
   for (const auto& w : workers) report.admit_pattern += w->pattern();
 
-  // Admission totals through the path under test: the stats wire frame
-  // on tcp, the router's cross-shard aggregate on routed, Stats() in
-  // process — so the determinism suite compares what a real remote
-  // client would see.
-  if (options.path == RunnerPath::kTcp) {
-    net::CoverClientOptions copts;
-    copts.port = rt.servers[0]->port();
-    copts.connect_timeout = std::chrono::milliseconds(10000);
-    net::CoverClient stats_client(copts);
-    CFDPROP_RETURN_NOT_OK(stats_client.Connect());
-    CFDPROP_ASSIGN_OR_RETURN(net::WireServiceStats wire,
-                             stats_client.Stats());
-    for (const net::WireTenantStats& t : wire.tenants) {
-      report.admitted += t.admitted;
-      report.rejected += t.admission_rejected;
-    }
-  } else if (options.path == RunnerPath::kRouted) {
-    CFDPROP_ASSIGN_OR_RETURN(net::WireServiceStats wire, rt.router->Stats());
-    for (const net::WireTenantStats& t : wire.tenants) {
-      report.admitted += t.admitted;
-      report.rejected += t.admission_rejected;
-    }
-  } else {
-    const ServiceStatsSnapshot stats = rt.services[0]->Stats();
-    for (const TenantStatsSnapshot& t : stats.tenants) {
-      report.admitted += t.admitted;
-      report.rejected += t.admission_rejected;
-    }
-  }
+  // Admission totals and hit rate through the path under test: one
+  // METRICS scrape of its backend (merged across shards on routed),
+  // summed over every tenant and shard label — so the determinism suite
+  // compares what a real remote client would see.
   {
-    // Hit rate always from the in-process snapshots (the wire stats
-    // ship the engine line as rendered text, not numbers).
-    uint64_t hits = 0, misses = 0;
-    for (auto& service : rt.services) {
-      const ServiceStatsSnapshot stats = service->Stats();
-      for (const TenantStatsSnapshot& t : stats.tenants) {
-        hits += t.engine.cache.hits;
-        misses += t.engine.cache.misses;
-      }
-    }
-    report.hit_rate_pct =
-        hits + misses > 0 ? 100.0 * static_cast<double>(hits) /
-                                static_cast<double>(hits + misses)
-                          : 0;
+    CFDPROP_ASSIGN_OR_RETURN(std::string text, rt.backend->Metrics());
+    CFDPROP_ASSIGN_OR_RETURN(obs::ParsedMetrics scrape,
+                             obs::ParseMetricsText(text));
+    report.admitted =
+        static_cast<uint64_t>(scrape.Sum("cfdprop_admitted_total"));
+    report.rejected =
+        static_cast<uint64_t>(scrape.Sum("cfdprop_admission_rejected_total"));
+    const double hits = scrape.Sum("cfdprop_cache_hits_total");
+    const double misses = scrape.Sum("cfdprop_cache_misses_total");
+    report.hit_rate_pct = hits + misses > 0 ? 100.0 * hits / (hits + misses)
+                                            : 0;
   }
 
   // Routed epilogue, after every counter above is read (a migration

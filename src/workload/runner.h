@@ -102,8 +102,8 @@ struct WorkloadReport {
   /// mean the paths served byte-identical covers.
   uint64_t cover_fingerprint = 0;
 
-  /// Admission totals as reported by the path under test (stats frame
-  /// on tcp, router aggregate on routed, Stats() in process).
+  /// Admission totals as reported by the path under test: its backend's
+  /// METRICS scrape, summed over tenants (and shards on routed).
   uint64_t admitted = 0;
   uint64_t rejected = 0;
   /// Concatenated per-burst patterns in client order ('A'/'R'/'E').

@@ -3,7 +3,7 @@
 // CatalogService::SubmitBatch serving of the same spec — cold and warm —
 // and per-tenant admission control must reject a pipelined burst's
 // over-limit batches deterministically, with the counters visible in
-// service stats.
+// the METRICS scrape.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
+#include "src/obs/exporter.h"
 #include "src/parser/parser.h"
 #include "src/service/catalog_service.h"
 
@@ -48,6 +49,16 @@ ServiceOptions DeterministicOptions() {
   ServiceOptions options;
   options.engine.num_threads = 1;
   return options;
+}
+
+/// Scrapes the server through the METRICS frame and parses the
+/// exposition — the one stats surface a remote caller has.
+obs::ParsedMetrics Scrape(CoverClient& client) {
+  auto text = client.Metrics();
+  EXPECT_TRUE(text.ok()) << text.status();
+  auto parsed = obs::ParseMetricsText(text.ok() ? *text : std::string());
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  return parsed.ok() ? std::move(parsed).value() : obs::ParsedMetrics{};
 }
 
 /// The direct-serving side of the differential: one SubmitBatch on a
@@ -143,12 +154,15 @@ TEST(NetLoopbackTest, NetworkCoversAreByteIdenticalToDirectServing) {
   // Server-side hit pattern equals the in-process one: 5-view round
   // with one repeat and a fused union = 4 misses cold, then 5+5 hits
   // across the two passes (the fused union line hits warm).
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].batches_submitted, 2u);
-  EXPECT_EQ(stats->tenants[0].admitted, 2u);
-  EXPECT_EQ(stats->tenants[0].admission_rejected, 0u);
+  // Per-tenant batches_submitted has no series of its own; with one
+  // tenant it equals the service-wide count.
+  const obs::ParsedMetrics stats = Scrape(client);
+  EXPECT_EQ(stats.Value("cfdprop_tenants"), 1.0);
+  EXPECT_EQ(stats.Value("cfdprop_batches_submitted_total"), 2.0);
+  EXPECT_EQ(stats.Value("cfdprop_admitted_total{tenant=\"eu\"}"), 2.0);
+  ASSERT_TRUE(stats.Has("cfdprop_admission_rejected_total{tenant=\"eu\"}"));
+  EXPECT_EQ(stats.Value("cfdprop_admission_rejected_total{tenant=\"eu\"}"),
+            0.0);
 
   server.Stop();
 }
@@ -208,15 +222,16 @@ TEST(NetLoopbackTest, BurstOverInflightCapIsRejectedDeterministically) {
 
   // Counters through the wire: 4 admitted, 4 rejected, nothing left in
   // the service (both bursts' replies are back).
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].admitted, 4u);
-  EXPECT_EQ(stats->tenants[0].admission_rejected, 4u);
-  EXPECT_EQ(stats->tenants[0].queued, 0u);
-  EXPECT_EQ(stats->batches_rejected, 4u);
-  EXPECT_EQ(stats->batches_submitted, 4u);
-  EXPECT_EQ(stats->batches_completed, 4u);
+  const obs::ParsedMetrics stats = Scrape(client);
+  EXPECT_EQ(stats.Value("cfdprop_tenants"), 1.0);
+  EXPECT_EQ(stats.Value("cfdprop_admitted_total{tenant=\"eu\"}"), 4.0);
+  EXPECT_EQ(stats.Value("cfdprop_admission_rejected_total{tenant=\"eu\"}"),
+            4.0);
+  ASSERT_TRUE(stats.Has("cfdprop_queued_batches{tenant=\"eu\"}"));
+  EXPECT_EQ(stats.Value("cfdprop_queued_batches{tenant=\"eu\"}"), 0.0);
+  EXPECT_EQ(stats.Value("cfdprop_batches_rejected_total"), 4.0);
+  EXPECT_EQ(stats.Value("cfdprop_batches_submitted_total"), 4.0);
+  EXPECT_EQ(stats.Value("cfdprop_batches_completed_total"), 4.0);
 
   server.Stop();
 }

@@ -22,6 +22,7 @@
 #include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
 #include "src/net/socket_io.h"
+#include "src/obs/exporter.h"
 #include "src/parser/parser.h"
 
 namespace cfdprop {
@@ -40,20 +41,20 @@ view GoldReps = pi("g" as tag, 0.cust as cust, 0.rep as rep) sigma(0.tier = "gol
 
 TEST(WireProtocolTest, FrameRoundTrip) {
   const std::string payload = "hello, covers";
-  std::string frame = EncodeFrame(FrameType::kStats, payload);
+  std::string frame = EncodeFrame(FrameType::kMetrics, payload);
   EXPECT_EQ(frame.size(),
             kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
 
   auto header = DecodeFrameHeader(frame);
   ASSERT_TRUE(header.ok()) << header.status();
-  EXPECT_EQ(header->type, FrameType::kStats);
+  EXPECT_EQ(header->type, FrameType::kMetrics);
   EXPECT_EQ(header->payload_len, payload.size());
 
   auto verified = VerifyFrame(frame);
   ASSERT_TRUE(verified.ok()) << verified.status();
   EXPECT_EQ(*verified, payload);
 
-  // An empty payload is a legal frame (stats/shutdown requests).
+  // An empty payload is a legal frame (metrics/shutdown requests).
   auto empty = VerifyFrame(EncodeFrame(FrameType::kShutdown, ""));
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
@@ -174,27 +175,6 @@ TEST(WireProtocolTest, RequestCodecsRoundTrip) {
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(DecodeSubmitBatchRequest(bytes.substr(0, cut)).ok());
   }
-
-  WireServiceStats stats;
-  stats.global_cache_budget = 4096;
-  stats.batches_submitted = 7;
-  stats.batches_completed = 6;
-  stats.batches_rejected = 2;
-  stats.tenants.push_back(
-      {"eu", 128, 7, 5, 2, 1, 1, "requests=7 errors=0"});
-  auto stats2 = DecodeStatsReply(EncodeStatsReply(Status::OK(), stats));
-  ASSERT_TRUE(stats2.ok());
-  ASSERT_EQ(stats2->tenants.size(), 1u);
-  EXPECT_EQ(stats2->tenants[0].name, "eu");
-  EXPECT_EQ(stats2->tenants[0].admission_rejected, 2u);
-  EXPECT_EQ(stats2->tenants[0].engine_text, "requests=7 errors=0");
-  EXPECT_EQ(stats2->batches_rejected, 2u);
-
-  // A non-OK stats reply decodes to its typed status.
-  auto failed = DecodeStatsReply(
-      EncodeStatsReply(Status::Unsupported("no stats"), {}));
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kUnsupported);
 }
 
 TEST(WireProtocolTest, TraceBlockRoundTripsThroughSubmitRequests) {
@@ -437,9 +417,10 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
   ASSERT_TRUE(server.OpenSpec("eu", kSpecText).ok());
 
   // Garbage, bad magic, a tampered checksum, an oversized length
-  // prefix, a mid-frame hangup: each connection dies quietly...
+  // prefix, a mid-frame hangup, the retired STATS type: each connection
+  // dies quietly...
   EXPECT_TRUE(ServerClosesOn(server.port(), "GET / HTTP/1.1\r\n\r\n"));
-  std::string frame = EncodeFrame(FrameType::kStats, "");
+  std::string frame = EncodeFrame(FrameType::kMetrics, "");
   std::string bad_magic = frame;
   bad_magic[0] = 'X';
   EXPECT_TRUE(ServerClosesOn(server.port(), bad_magic));
@@ -451,20 +432,32 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
   EXPECT_TRUE(ServerClosesOn(server.port(), huge));
   EXPECT_TRUE(
       ServerClosesOn(server.port(), frame.substr(0, frame.size() - 3)));
+  // Type 3 carried STATS before wire v5 and stays unassigned: a v5 peer
+  // sending it is refused like any unknown type, not misread.
+  const std::string retired_stats =
+      EncodeFrame(static_cast<FrameType>(3), "");
+  auto retired = DecodeFrameHeader(retired_stats);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_NE(retired.status().message().find("unknown frame type 3"),
+            std::string::npos)
+      << retired.status();
+  EXPECT_TRUE(ServerClosesOn(server.port(), retired_stats));
 
   // ...while the server keeps serving well-formed clients.
   CoverClientOptions client_options;
   client_options.port = server.port();
   CoverClient client(client_options);
   ASSERT_TRUE(client.Connect().ok());
-  auto stats = client.Stats();
+  auto metrics = client.Metrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  auto stats = obs::ParseMetricsText(*metrics);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  ASSERT_EQ(stats->tenants.size(), 1u);
-  EXPECT_EQ(stats->tenants[0].name, "eu");
+  EXPECT_EQ(stats->Value("cfdprop_tenants"), 1.0);
+  EXPECT_TRUE(stats->Has("cfdprop_cache_budget{tenant=\"eu\"}"));
 
   CoverServerStats net = server.Stats();
-  EXPECT_EQ(net.decode_errors, 5u);
-  EXPECT_GE(net.connections_accepted, 6u);
+  EXPECT_EQ(net.decode_errors, 6u);
+  EXPECT_GE(net.connections_accepted, 7u);
   server.Stop();
 }
 
@@ -555,7 +548,7 @@ TEST(CoverServerDeadlineTest, HungSenderMidFrameTripsTheReadDeadline) {
   // Five header bytes, then silence — no close, no shutdown: the
   // classic hung peer. Without SO_RCVTIMEO this parked the connection
   // thread in recv() forever.
-  const std::string frame = EncodeFrame(FrameType::kStats, "");
+  const std::string frame = EncodeFrame(FrameType::kMetrics, "");
   int fd = RawConnect(server.port());
   ASSERT_TRUE(WriteAll(fd, frame.substr(0, 5)).ok());
   EXPECT_TRUE(WaitForDeadlines(server, 1));
@@ -573,7 +566,7 @@ TEST(CoverServerDeadlineTest, HungSenderMidFrameTripsTheReadDeadline) {
   client_options.port = server.port();
   CoverClient client(client_options);
   ASSERT_TRUE(client.Connect().ok());
-  EXPECT_TRUE(client.Stats().ok());
+  EXPECT_TRUE(client.Metrics().ok());
   server.Stop();
 }
 
@@ -648,9 +641,9 @@ TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   options.io_timeout = std::chrono::milliseconds(200);
   CoverClient client(options);
   ASSERT_TRUE(client.Connect().ok());
-  auto stats = client.Stats();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kDeadlineExceeded);
+  auto scraped = client.Metrics();
+  ASSERT_FALSE(scraped.ok());
+  EXPECT_EQ(scraped.status().code(), StatusCode::kDeadlineExceeded);
   // The stream has no resync point: the client dropped the connection.
   EXPECT_FALSE(client.connected());
   ::close(lfd);

@@ -203,6 +203,36 @@ TEST(MetricsRegistryTest, RenderParseRoundTrip) {
                        "cfdprop_lat_us_bucket{tenant=\"hq\",le=\"+Inf\"}"));
   EXPECT_NEAR(parsed->Value("cfdprop_lat_us_sum{tenant=\"hq\"}"),
               1.0 + 3.0 + 1e9, 1.0);
+
+  // Sum folds a family across its labels and nothing else: the _bucket
+  // and _count series are families of their own, and a name that only
+  // shares a prefix never joins.
+  auto summed = ParseMetricsText(
+      "a_total{shard=\"0\",tenant=\"hq\"} 5\n"
+      "a_total{shard=\"1\",tenant=\"eu\"} 7\n"
+      "a_total 1\n"
+      "a_total_extra 100\n"
+      "a_totals{tenant=\"hq\"} 1000\n");
+  ASSERT_TRUE(summed.ok()) << summed.status();
+  EXPECT_DOUBLE_EQ(summed->Sum("a_total"), 13.0);
+  EXPECT_DOUBLE_EQ(summed->Sum("a_total_extra"), 100.0);
+  EXPECT_DOUBLE_EQ(summed->Sum("missing_total"), 0.0);
+  EXPECT_DOUBLE_EQ(parsed->Sum("cfdprop_lat_us_count"), 3.0);
+
+  // Malformed inputs are refused with the offending line named: trailing
+  // bytes after a value, and the same series key twice (the second
+  // would otherwise silently overwrite the first).
+  for (const char* bad : {"ok_total 1\nname 12abc\n",
+                          "ok_total 1\nname{t=\"a\"} 3 \n",
+                          "ok_total 1\nname{t=\"a\"} 3\nname{t=\"a\"} 4\n"}) {
+    auto refused = ParseMetricsText(bad);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.status().message().find("line "), std::string::npos)
+        << refused.status();
+    EXPECT_NE(refused.status().message().find("name"), std::string::npos)
+        << refused.status();
+  }
 }
 
 TEST(MetricsRegistryTest, LabelValuesAreEscaped) {

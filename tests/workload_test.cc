@@ -7,8 +7,8 @@
 //  2. Path equivalence — burst-reject produces the *same* admit/reject
 //     pattern and admission totals whether the stream is served through
 //     the in-process CatalogService, the TCP wire, or the 3-shard
-//     routed tier (the wire paths' totals are read back through the
-//     stats frame / router aggregate, as a remote client would), and
+//     routed tier (every path's totals are read back through its
+//     backend's METRICS scrape, as a remote client would), and
 //     churn-free scenarios serve byte-identical covers on every path
 //     (the order-independent cover_fingerprint compares equal).
 

@@ -73,64 +73,45 @@
 //                                    makes the span ids — and thus the
 //                                    dump bytes — deterministic.
 //
-//   cfdprop_cli client [--host H] [--port N] --tenant NAME=SPEC [...]
-//               [--rounds K] [--burst N] [--connect-timeout MS]
-//               [--io-timeout MS] [--no-open] [--quiet]
-//               [--stats] [--metrics] [--trace] [--shutdown]
-//                                    network client mode: opens each
-//                                    --tenant on the server (spec text
-//                                    travels over the wire; --no-open
-//                                    assumes they exist), serves --rounds
-//                                    rounds of each spec's serving round,
-//                                    printing first-round covers exactly
-//                                    like `serve` does (the CI diffs them
-//                                    byte-for-byte). --burst N pipelines
-//                                    N copies of the round in one frame
-//                                    to exercise admission control;
-//                                    --stats prints the server's service
-//                                    stats; --metrics scrapes and prints
-//                                    the server's Prometheus-style text
-//                                    exposition (the METRICS frame);
-//                                    --connect-timeout bounds the whole
-//                                    retrying Connect() and --io-timeout
-//                                    each socket send/recv, both in ms,
-//                                    both surfacing typed
-//                                    DeadlineExceeded (0 = no deadline);
-//                                    --trace samples every request at
-//                                    this edge, fetches the server's
-//                                    span rings afterwards (the
-//                                    TRACE_DUMP frame) and prints the
-//                                    stitched cross-process span trees;
-//                                    --shutdown stops the server.
-//
-//   cfdprop_cli route --backend HOST:PORT [--backend HOST:PORT ...]
-//               [--tenant NAME=SPEC ...] [--rounds K] [--vnodes N]
+//   cfdprop_cli client --backend HOST:PORT [--backend HOST:PORT ...]
+//               [--tenant NAME=SPEC ...] [--rounds K] [--burst N]
 //               [--connect-timeout MS] [--io-timeout MS]
 //               [--migrate TENANT[=SHARD] ...] [--quiet]
-//               [--stats] [--metrics] [--trace] [--shutdown]
-//                                    routing-tier mode: a CoverRouter
+//               [--metrics] [--trace] [--shutdown]
+//                                    network client mode: a CoverRouter
 //                                    (src/net/cover_router.h) consistent-
 //                                    hashes tenants across the given
-//                                    backends (each a `listen` server)
-//                                    and serves exactly like client mode
-//                                    — covers print byte-identically, so
-//                                    scripts can diff a routed cluster
-//                                    against one fat server. --migrate
-//                                    drains, snapshots and moves a
-//                                    tenant to SHARD (default: the next
-//                                    shard clockwise), printing the warm
+//                                    backends (each a `listen` server;
+//                                    one backend is a one-shard router).
+//                                    Opens each --tenant (spec text
+//                                    travels over the wire), serves
+//                                    --rounds rounds of each spec's
+//                                    serving round and prints the
+//                                    first-round covers exactly like
+//                                    `serve` does, so scripts diff a
+//                                    routed cluster, one fat server and
+//                                    in-process serving byte for byte.
+//                                    --burst N pipelines N copies of the
+//                                    round in one frame to exercise
+//                                    admission control. --migrate drains,
+//                                    snapshots and moves a tenant to
+//                                    SHARD (default: the next shard
+//                                    clockwise), printing the warm
 //                                    start's restored=/rejected= line,
 //                                    then re-serves and re-prints that
-//                                    tenant's covers; --stats prints the
-//                                    cross-shard aggregate; --metrics
-//                                    merges every shard's exposition
-//                                    into one scrape (shard="N"
-//                                    labels); --trace samples every
-//                                    request at the router edge,
-//                                    fetches every shard's span rings
-//                                    afterwards and prints the stitched
-//                                    cross-shard span trees; --shutdown
-//                                    stops every backend.
+//                                    tenant's covers. --connect-timeout
+//                                    bounds each backend's retrying
+//                                    connect and --io-timeout each socket
+//                                    send/recv, both in ms (0 = no
+//                                    deadline). --metrics prints every
+//                                    backend's exposition merged into one
+//                                    scrape (shard="N" labels) — the one
+//                                    stats surface; --trace samples every
+//                                    request at this edge, fetches every
+//                                    backend's span rings afterwards and
+//                                    prints the stitched cross-process
+//                                    span trees; --shutdown stops every
+//                                    backend.
 //
 //   cfdprop_cli serve --tenant NAME=SPEC [--tenant NAME=SPEC ...]
 //               [--rounds K] [--threads N] [--dispatchers N]
@@ -169,6 +150,7 @@
 
 #include <cerrno>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "src/cover/propcfd_spc.h"
@@ -342,28 +324,119 @@ int RunValidate(Spec& spec) {
   return 2;
 }
 
-/// `--flag N` parsing shared by the batch and serve modes: digits only
-/// in [0, 2^24] (strtoul would silently wrap '-1' to ULONG_MAX), exits
-/// with a message on misuse. Advances *i past the consumed value.
-bool ParseSizeFlag(int argc, char** argv, int* i, const char* flag,
-                   size_t* out) {
+using TenantArgs = std::vector<std::pair<std::string, std::string>>;
+
+/// Largest value a numeric flag takes.
+constexpr size_t kMaxFlagValue = 1u << 24;
+
+/// Digits only, in [0, max]: strtoul alone would wrap "-1" to ULONG_MAX
+/// and accept "+80" or " 80".
+bool ParseDigits(const char* text, size_t max, size_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  const unsigned long value = std::strtoul(text, &end, 10);
+  if (*end != '\0' || value > max) return false;
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
+/// `--flag VALUE` for text values, shared by every mode: exits with a
+/// message when the value is missing. Advances *i past the value.
+bool ParseStringFlag(int argc, char** argv, int* i, const char* flag,
+                     std::string* out) {
   if (std::strcmp(argv[*i], flag) != 0) return false;
   if (*i + 1 >= argc) {
     std::fprintf(stderr, "error: %s needs a value\n", flag);
     std::exit(1);
   }
-  const char* text = argv[++*i];
-  const size_t kMaxFlagValue = 1u << 24;
-  char* end = nullptr;
-  unsigned long value = std::strtoul(text, &end, 10);
-  if (*text == '\0' || end == text || *end != '\0' || *text == '-' ||
-      *text == '+' || value > kMaxFlagValue) {
+  *out = argv[++*i];
+  return true;
+}
+
+/// `--flag N`: digits only in [0, 2^24], exits with a message on misuse.
+/// Advances *i past the consumed value.
+bool ParseSizeFlag(int argc, char** argv, int* i, const char* flag,
+                   size_t* out) {
+  std::string text;
+  if (!ParseStringFlag(argc, argv, i, flag, &text)) return false;
+  if (!ParseDigits(text.c_str(), kMaxFlagValue, out)) {
     std::fprintf(stderr, "error: %s needs a number in [0, %zu], got '%s'\n",
-                 flag, kMaxFlagValue, text);
+                 flag, kMaxFlagValue, text.c_str());
     std::exit(1);
   }
-  *out = static_cast<size_t>(value);
   return true;
+}
+
+/// A bare `--flag` switch.
+bool ParseBoolFlag(const char* arg, const char* flag, bool* out) {
+  if (std::strcmp(arg, flag) != 0) return false;
+  *out = true;
+  return true;
+}
+
+/// `--tenant NAME=SPEC`, shared by serve, listen and client.
+bool ParseTenantFlag(int argc, char** argv, int* i, TenantArgs* out) {
+  std::string arg;
+  if (!ParseStringFlag(argc, argv, i, "--tenant", &arg)) return false;
+  const size_t eq = arg.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
+    std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
+                 arg.c_str());
+    std::exit(1);
+  }
+  out->emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
+  return true;
+}
+
+/// Prints one served cover the way every serving mode does, so scripts
+/// can diff batch, serve and client output byte for byte: a `view LABEL
+/// (...)` header, then (unless quiet) one `  cfd` line per CFD.
+void PrintCover(const std::string& label, const std::string& view_name,
+                const SPCUView& view, const EngineResult& r,
+                const ValuePool& pool, bool quiet) {
+  std::string union_info;
+  if (r.disjunct_count > 1) {
+    union_info = ", union " + std::to_string(r.disjunct_hits) + "/" +
+                 std::to_string(r.disjunct_count) + " disjunct hits";
+  }
+  std::printf("view %s (%zu CFDs%s%s%s, fp=%016llx):\n", label.c_str(),
+              r.cover->cover.size(),
+              r.cover->always_empty ? ", ALWAYS EMPTY" : "",
+              r.cover->truncated ? ", TRUNCATED" : "", union_info.c_str(),
+              static_cast<unsigned long long>(r.fingerprint));
+  if (quiet) return;
+  for (const CFD& c : r.cover->cover) {
+    std::printf("  %s\n",
+                FormatCFD(c, pool, view_name, ViewAttrNames(view)).c_str());
+  }
+}
+
+/// A tenant round's covers as `view TENANT/VIEW` blocks. Failed requests
+/// are skipped: ReportRequestErrors already named them.
+void PrintTenantCovers(const std::string& tenant,
+                       const std::vector<std::string>& view_names,
+                       const Spec& spec, const ValuePool& pool,
+                       const std::vector<Result<EngineResult>>& results,
+                       bool quiet) {
+  for (size_t i = 0; i < view_names.size() && i < results.size(); ++i) {
+    if (!results[i].ok()) continue;
+    PrintCover(tenant + "/" + view_names[i], view_names[i],
+               spec.views.at(view_names[i]), *results[i], pool, quiet);
+  }
+}
+
+/// Names every failed request of one tenant batch on stderr; false when
+/// any failed.
+bool ReportRequestErrors(const std::string& tenant,
+                         const std::vector<Result<EngineResult>>& results) {
+  bool ok = true;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].ok()) continue;
+    std::fprintf(stderr, "error: tenant %s request %zu: %s\n", tenant.c_str(),
+                 i, results[i].status().ToString().c_str());
+    ok = false;
+  }
+  return ok;
 }
 
 int RunBatch(int argc, char** argv) {
@@ -380,39 +453,22 @@ int RunBatch(int argc, char** argv) {
 
   EngineOptions options;
   size_t repeat = 1;
-  bool quiet = false;
+  bool quiet = false, no_cache = false;
   std::string snapshot_in, snapshot_out;
   for (int i = 3; i < argc; ++i) {
-    auto str_arg = [&](const char* flag, std::string* out) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s needs a path\n", flag);
-        std::exit(1);
-      }
-      *out = argv[++i];
-      return true;
-    };
-    if (str_arg("--snapshot-in", &snapshot_in)) continue;
-    if (str_arg("--snapshot-out", &snapshot_out)) continue;
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (int_arg("--threads", &options.num_threads)) continue;
-    if (int_arg("--repeat", &repeat)) continue;
-    if (int_arg("--cache", &options.cache_capacity)) {
-      if (options.cache_capacity == 0) options.use_cache = false;
+    if (ParseStringFlag(argc, argv, &i, "--snapshot-in", &snapshot_in) ||
+        ParseStringFlag(argc, argv, &i, "--snapshot-out", &snapshot_out) ||
+        ParseSizeFlag(argc, argv, &i, "--threads", &options.num_threads) ||
+        ParseSizeFlag(argc, argv, &i, "--repeat", &repeat) ||
+        ParseSizeFlag(argc, argv, &i, "--cache", &options.cache_capacity) ||
+        ParseBoolFlag(argv[i], "--no-cache", &no_cache) ||
+        ParseBoolFlag(argv[i], "--quiet", &quiet)) {
       continue;
     }
-    if (!std::strcmp(argv[i], "--no-cache")) {
-      options.use_cache = false;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
-    }
+    std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+    return 1;
   }
-
+  if (no_cache || options.cache_capacity == 0) options.use_cache = false;
   Engine engine(std::move(spec->catalog), options);
   auto sigma_id = engine.RegisterSigma(spec->source_cfds);
   if (!sigma_id.ok()) return Fail(sigma_id.status());
@@ -466,26 +522,8 @@ int RunBatch(int argc, char** argv) {
       rc = Fail(r.status());
       return;
     }
-    std::string union_info;
-    if (r->disjunct_count > 1) {
-      union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                   std::to_string(r->disjunct_count) + " disjunct hits";
-    }
-    std::printf("view %s (%zu CFDs%s%s%s, fp=%016llx):\n", name.c_str(),
-                r->cover->cover.size(),
-                r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                r->cover->truncated ? ", TRUNCATED" : "",
-                union_info.c_str(),
-                static_cast<unsigned long long>(r->fingerprint));
-    if (!quiet) {
-      const SPCUView& view = spec->views.at(name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, engine.catalog().pool(), name,
-                              ViewAttrNames(view))
-                        .c_str());
-      }
-    }
+    PrintCover(name, name, spec->views.at(name), *r, engine.catalog().pool(),
+               quiet);
   };
   for (size_t i = 0; i < round.size() && i < results.size(); ++i) {
     print_result(round_names[i], results[i]);
@@ -546,6 +584,56 @@ int RunBatch(int argc, char** argv) {
 // serve mode: many specs as tenants behind one CatalogService
 // ---------------------------------------------------------------------
 
+/// The service flags `serve` and `listen` share.
+struct ServiceFlags {
+  ServiceFlags() { options.engine.num_threads = 1; }
+
+  ServiceOptions options;
+  TenantArgs tenants;
+  size_t interval_ms = 0;
+  size_t dirty = 1;
+  bool dispatchers_set = false;
+  std::string metrics_dump;
+
+  /// Consumes argv[*i] (and its value) when it is a service flag.
+  bool Parse(int argc, char** argv, int* i) {
+    if (ParseSizeFlag(argc, argv, i, "--dispatchers",
+                      &options.dispatcher_threads)) {
+      dispatchers_set = true;
+      return true;
+    }
+    return ParseTenantFlag(argc, argv, i, &tenants) ||
+           ParseStringFlag(argc, argv, i, "--snapshot-dir",
+                           &options.snapshot_dir) ||
+           ParseStringFlag(argc, argv, i, "--metrics-dump", &metrics_dump) ||
+           ParseSizeFlag(argc, argv, i, "--threads",
+                         &options.engine.num_threads) ||
+           ParseSizeFlag(argc, argv, i, "--budget",
+                         &options.global_cache_budget) ||
+           ParseSizeFlag(argc, argv, i, "--interval-ms", &interval_ms) ||
+           ParseSizeFlag(argc, argv, i, "--dirty", &dirty);
+  }
+
+  /// Checks the snapshot dir and applies the snapshot policy and the
+  /// default of one dispatcher per preloaded tenant. False (after a
+  /// message) when the snapshot dir is unusable.
+  bool Finish() {
+    if (!options.snapshot_dir.empty() &&
+        !EnsureSnapshotDir(options.snapshot_dir)) {
+      return false;
+    }
+    // 0 would make serve's settle check unsatisfiable (and the service
+    // clamps the policy threshold to >= 1 anyway).
+    dirty = std::max<size_t>(1, dirty);
+    options.policy.interval = std::chrono::milliseconds(interval_ms);
+    options.policy.dirty_line_threshold = dirty;
+    if (!dispatchers_set && options.dispatcher_threads < tenants.size()) {
+      options.dispatcher_threads = tenants.size();
+    }
+    return true;
+  }
+};
+
 /// One loaded tenant: the spec (its views stay valid after the catalog
 /// moves into the engine), the service handle, and the request round.
 struct TenantCtx {
@@ -568,76 +656,36 @@ int RunServe(int argc, char** argv) {
     return 1;
   };
 
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  ServiceOptions options;
-  options.engine.num_threads = 1;
-  size_t rounds = 2, interval_ms = 0, dirty = 1;
-  bool quiet = false, churn = true, dispatchers_set = false;
-  std::string metrics_dump;
+  ServiceFlags flags;
+  size_t rounds = 2;
+  bool quiet = false, no_churn = false;
   for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--snapshot-dir")) {
-      if (i + 1 >= argc) return usage();
-      options.snapshot_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--metrics-dump")) {
-      if (i + 1 >= argc) return usage();
-      metrics_dump = argv[++i];
-    } else if (int_arg("--dispatchers", &options.dispatcher_threads)) {
-      dispatchers_set = true;
-    } else if (int_arg("--rounds", &rounds) ||
-               int_arg("--threads", &options.engine.num_threads) ||
-               int_arg("--budget", &options.global_cache_budget) ||
-               int_arg("--interval-ms", &interval_ms) ||
-               int_arg("--dirty", &dirty)) {
+    if (flags.Parse(argc, argv, &i) ||
+        ParseSizeFlag(argc, argv, &i, "--rounds", &rounds) ||
+        ParseBoolFlag(argv[i], "--quiet", &quiet) ||
+        ParseBoolFlag(argv[i], "--no-churn", &no_churn)) {
       continue;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--no-churn")) {
-      churn = false;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
     }
-  }
-  if (tenant_args.empty()) return usage();
-  if (!options.snapshot_dir.empty() &&
-      !EnsureSnapshotDir(options.snapshot_dir)) {
+    std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
     return 1;
   }
-  // 0 would make the settle check below unsatisfiable (and the service
-  // clamps the policy threshold to >= 1 anyway).
-  dirty = std::max<size_t>(1, dirty);
-  options.policy.interval = std::chrono::milliseconds(interval_ms);
-  options.policy.dirty_line_threshold = dirty;
-  if (options.dispatcher_threads < tenant_args.size()) {
+  if (flags.tenants.empty()) return usage();
+  if (!flags.Finish()) return 1;
+  ServiceOptions& options = flags.options;
+  if (options.dispatcher_threads < flags.tenants.size()) {
     // One dispatcher per tenant so every tenant's batch of a round can
     // be in flight at once — the async-overlap point of serve mode.
-    // Only warn when this overrides an explicit --dispatchers.
-    if (dispatchers_set) {
-      std::fprintf(stderr,
-                   "note: raising --dispatchers from %zu to %zu (one per "
-                   "tenant)\n",
-                   options.dispatcher_threads, tenant_args.size());
-    }
-    options.dispatcher_threads = tenant_args.size();
+    std::fprintf(stderr,
+                 "note: raising --dispatchers from %zu to %zu (one per "
+                 "tenant)\n",
+                 options.dispatcher_threads, flags.tenants.size());
+    options.dispatcher_threads = flags.tenants.size();
   }
 
   CatalogService service(options);
   std::vector<TenantCtx> tenants;
-  tenants.reserve(tenant_args.size());
-  for (auto& [name, path] : tenant_args) {
+  tenants.reserve(flags.tenants.size());
+  for (auto& [name, path] : flags.tenants) {
     auto spec = LoadSpec(path.c_str());
     if (!spec.ok()) return Fail(spec.status());
     TenantCtx ctx;
@@ -669,35 +717,6 @@ int RunServe(int argc, char** argv) {
   }
 
   int rc = 0;
-  auto print_tenant_covers = [&](const TenantCtx& t,
-                                 const std::vector<Result<EngineResult>>&
-                                     results) {
-    for (size_t i = 0; i < t.round_names.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;  // already reported by the drain loop
-      const std::string& view_name = t.round_names[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.handle->engine().catalog().pool(),
-                              view_name, ViewAttrNames(view))
-                        .c_str());
-      }
-    }
-  };
-
   // One round = one async batch per tenant, all in flight together; the
   // futures are drained in submission order, so output (and each
   // tenant's hit pattern) is deterministic while the serving itself
@@ -718,16 +737,12 @@ int RunServe(int argc, char** argv) {
     }
     for (auto& [idx, future] : inflight) {
       BatchReply reply = future.get();
-      for (size_t i = 0; i < reply.results.size(); ++i) {
-        if (!reply.results[i].ok()) {
-          std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                       tenants[idx].name.c_str(), i,
-                       reply.results[i].status().ToString().c_str());
-          rc = 1;
-        }
-      }
+      const TenantCtx& t = tenants[idx];
+      if (!ReportRequestErrors(t.name, reply.results)) rc = 1;
       if (print_idx == kPrintAll || static_cast<size_t>(print_idx) == idx) {
-        print_tenant_covers(tenants[idx], reply.results);
+        PrintTenantCovers(t.name, t.round_names, t.spec,
+                          t.handle->engine().catalog().pool(),
+                          reply.results, quiet);
       }
     }
   };
@@ -758,7 +773,7 @@ int RunServe(int argc, char** argv) {
   // on: every tenant must drop below the dirty threshold, which on a
   // cold run means the policy thread actually spilled it (a warm-started
   // tenant that only hit was never dirty and settles at 0 spills).
-  if (!options.snapshot_dir.empty() && interval_ms > 0) {
+  if (!options.snapshot_dir.empty() && flags.interval_ms > 0) {
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(30);
     bool settled = false;
@@ -767,7 +782,7 @@ int RunServe(int argc, char** argv) {
       settled = true;
       policy_stats = service.Stats().tenants;
       for (const TenantStatsSnapshot& t : policy_stats) {
-        if (t.dirty_lines >= dirty) settled = false;
+        if (t.dirty_lines >= flags.dirty) settled = false;
       }
       if (!settled) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -792,7 +807,7 @@ int RunServe(int argc, char** argv) {
   // order while EVERY tenant's round stays in flight — the mutated
   // sigma's lines recompute, the other tenants keep hitting their own
   // caches (the isolation claim of the registry).
-  if (churn) {
+  if (!no_churn) {
     for (size_t ti = 0; ti < tenants.size(); ++ti) {
       TenantCtx& t = tenants[ti];
       for (const SigmaMutation& m : t.spec.sigma_mutations) {
@@ -845,107 +860,59 @@ int RunServe(int argc, char** argv) {
               stats.tenants.size(), stats.global_cache_budget,
               static_cast<unsigned long long>(stats.batches_submitted),
               static_cast<unsigned long long>(stats.batches_completed));
-  if (!metrics_dump.empty()) {
-    Status dumped = WriteFileText(metrics_dump,
+  if (!flags.metrics_dump.empty()) {
+    Status dumped = WriteFileText(flags.metrics_dump,
                                   service.RenderMetricsText());
     if (!dumped.ok()) return Fail(dumped);
-    std::printf("metrics dumped to %s\n", metrics_dump.c_str());
+    std::printf("metrics dumped to %s\n", flags.metrics_dump.c_str());
   }
   return rc;
 }
 
 // ---------------------------------------------------------------------
-// listen / client modes: the CatalogService behind a TCP socket
+// listen mode: the CatalogService behind a TCP socket
 // ---------------------------------------------------------------------
 
 int RunListen(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s listen [--host H] [--port N]"
-                 " [--tenant NAME=SPEC ...] [--threads N] [--dispatchers N]"
-                 " [--budget N] [--max-inflight N] [--max-queue N]"
-                 " [--io-timeout MS]"
-                 " [--snapshot-dir DIR] [--interval-ms N] [--dirty N]"
-                 " [--metrics-dump PATH] [--trace-dump PATH]"
-                 " [--trace-shift K] [--slow-threshold-us N]"
-                 " [--trace-seed N]\n",
-                 argv[0]);
-    return 1;
-  };
-
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  ServiceOptions options;
-  options.engine.num_threads = 1;
+  ServiceFlags flags;
   net::CoverServerOptions server_options;
-  size_t port = 0, interval_ms = 0, dirty = 1;
-  size_t max_inflight = 0, max_queue = 0, io_timeout_ms = 0;
+  size_t port = 0, max_inflight = 0, max_queue = 0, io_timeout_ms = 0;
   size_t trace_shift = 0, trace_seed = 0, slow_threshold_us = 0;
-  bool dispatchers_set = false, trace_shift_set = false, slow_set = false;
-  std::string metrics_dump, trace_dump;
+  bool trace_shift_set = false, slow_set = false;
+  std::string trace_dump;
   for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--host")) {
-      if (i + 1 >= argc) return usage();
-      server_options.host = argv[++i];
-    } else if (!std::strcmp(argv[i], "--snapshot-dir")) {
-      if (i + 1 >= argc) return usage();
-      options.snapshot_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--metrics-dump")) {
-      if (i + 1 >= argc) return usage();
-      metrics_dump = argv[++i];
-    } else if (!std::strcmp(argv[i], "--trace-dump")) {
-      if (i + 1 >= argc) return usage();
-      trace_dump = argv[++i];
-    } else if (int_arg("--dispatchers", &options.dispatcher_threads)) {
-      dispatchers_set = true;
-    } else if (int_arg("--trace-shift", &trace_shift)) {
+    if (ParseSizeFlag(argc, argv, &i, "--trace-shift", &trace_shift)) {
       trace_shift_set = true;
-    } else if (int_arg("--slow-threshold-us", &slow_threshold_us)) {
-      slow_set = true;
-    } else if (int_arg("--port", &port) ||
-               int_arg("--threads", &options.engine.num_threads) ||
-               int_arg("--budget", &options.global_cache_budget) ||
-               int_arg("--max-inflight", &max_inflight) ||
-               int_arg("--max-queue", &max_queue) ||
-               int_arg("--io-timeout", &io_timeout_ms) ||
-               int_arg("--interval-ms", &interval_ms) ||
-               int_arg("--trace-seed", &trace_seed) ||
-               int_arg("--dirty", &dirty)) {
       continue;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
     }
+    if (ParseSizeFlag(argc, argv, &i, "--slow-threshold-us",
+                      &slow_threshold_us)) {
+      slow_set = true;
+      continue;
+    }
+    if (flags.Parse(argc, argv, &i) ||
+        ParseStringFlag(argc, argv, &i, "--host", &server_options.host) ||
+        ParseStringFlag(argc, argv, &i, "--trace-dump", &trace_dump) ||
+        ParseSizeFlag(argc, argv, &i, "--port", &port) ||
+        ParseSizeFlag(argc, argv, &i, "--max-inflight", &max_inflight) ||
+        ParseSizeFlag(argc, argv, &i, "--max-queue", &max_queue) ||
+        ParseSizeFlag(argc, argv, &i, "--io-timeout", &io_timeout_ms) ||
+        ParseSizeFlag(argc, argv, &i, "--trace-seed", &trace_seed)) {
+      continue;
+    }
+    std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+    return 1;
   }
   if (port > 65535) {
     std::fprintf(stderr, "error: --port must be <= 65535\n");
     return 1;
   }
+  if (!flags.Finish()) return 1;
   server_options.port = static_cast<uint16_t>(port);
   server_options.io_timeout = std::chrono::milliseconds(io_timeout_ms);
-  if (!options.snapshot_dir.empty() &&
-      !EnsureSnapshotDir(options.snapshot_dir)) {
-    return 1;
-  }
-  options.policy.interval = std::chrono::milliseconds(interval_ms);
-  options.policy.dirty_line_threshold = std::max<size_t>(1, dirty);
+  ServiceOptions& options = flags.options;
   options.admission.max_inflight_batches = max_inflight;
   options.admission.max_queued_batches = max_queue;
-  if (!dispatchers_set && options.dispatcher_threads < tenant_args.size()) {
-    options.dispatcher_threads = tenant_args.size();
-  }
 
   // Tracing arms before the service exists so every dispatcher thread
   // sees the tracer from its first frame — and the scope outlives the
@@ -974,7 +941,7 @@ int RunListen(int argc, char** argv) {
   if (!started.ok()) return Fail(started);
 
   std::printf("== tenants ==\n");
-  for (const auto& [name, path] : tenant_args) {
+  for (const auto& [name, path] : flags.tenants) {
     auto text = ReadFileText(path);
     if (!text.ok()) return Fail(text.status());
     auto opened = server.OpenSpec(name, *text);
@@ -1023,14 +990,14 @@ int RunListen(int argc, char** argv) {
   // The dump renders before Stop(): the server's net-layer collector
   // (connections/frames/decode_errors, net stage histograms) is removed
   // on Stop, and the dump should include every layer.
-  if (!metrics_dump.empty()) {
-    Status dumped = WriteFileText(metrics_dump,
+  if (!flags.metrics_dump.empty()) {
+    Status dumped = WriteFileText(flags.metrics_dump,
                                   service.RenderMetricsText());
     if (!dumped.ok()) {
       server.Stop();
       return Fail(dumped);
     }
-    std::printf("metrics dumped to %s\n", metrics_dump.c_str());
+    std::printf("metrics dumped to %s\n", flags.metrics_dump.c_str());
   }
   if (tracer != nullptr) {
     // The dump file carries the sampled trees (main ring) only; the
@@ -1064,79 +1031,108 @@ int RunListen(int argc, char** argv) {
   return 0;
 }
 
+// ---------------------------------------------------------------------
+// client mode: serving rounds through a CoverRouter over listen servers
+// ---------------------------------------------------------------------
+
+/// `--backend HOST:PORT`, PORT digits only in [1, 65535].
+bool ParseBackendFlag(int argc, char** argv, int* i,
+                      std::vector<net::CoverClientOptions>* out) {
+  std::string arg;
+  if (!ParseStringFlag(argc, argv, i, "--backend", &arg)) return false;
+  const size_t colon = arg.rfind(':');
+  size_t port = 0;
+  if (colon == std::string::npos || colon == 0 ||
+      !ParseDigits(arg.c_str() + colon + 1, 65535, &port) || port == 0) {
+    std::fprintf(stderr,
+                 "error: --backend needs HOST:PORT with PORT in [1, 65535], "
+                 "got '%s'\n",
+                 arg.c_str());
+    std::exit(1);
+  }
+  net::CoverClientOptions backend;
+  backend.host = arg.substr(0, colon);
+  backend.port = static_cast<uint16_t>(port);
+  out->push_back(std::move(backend));
+  return true;
+}
+
+/// Tenant -> target shard; no target means the next shard clockwise.
+using MigrateArgs = std::vector<std::pair<std::string, std::optional<size_t>>>;
+
+/// `--migrate TENANT[=SHARD]`, SHARD digits only.
+bool ParseMigrateFlag(int argc, char** argv, int* i, MigrateArgs* out) {
+  std::string arg;
+  if (!ParseStringFlag(argc, argv, i, "--migrate", &arg)) return false;
+  std::optional<size_t> target;
+  const size_t eq = arg.find('=');
+  size_t shard = 0;
+  if (arg.empty() || eq == 0 ||
+      (eq != std::string::npos &&
+       !ParseDigits(arg.c_str() + eq + 1, kMaxFlagValue, &shard))) {
+    std::fprintf(stderr,
+                 "error: --migrate needs TENANT[=SHARD] with SHARD a number "
+                 "in [0, %zu], got '%s'\n",
+                 kMaxFlagValue, arg.c_str());
+    std::exit(1);
+  }
+  if (eq != std::string::npos) {
+    target = shard;
+    arg.resize(eq);
+  }
+  out->emplace_back(std::move(arg), target);
+  return true;
+}
+
 int RunClient(int argc, char** argv) {
   auto usage = [&] {
     std::fprintf(stderr,
-                 "usage: %s client [--host H] --port N"
-                 " --tenant NAME=SPEC [...] [--rounds K] [--burst N]"
+                 "usage: %s client --backend HOST:PORT [--backend ...]"
+                 " [--tenant NAME=SPEC ...] [--rounds K] [--burst N]"
                  " [--connect-timeout MS] [--io-timeout MS]"
-                 " [--no-open] [--quiet] [--stats] [--metrics]"
+                 " [--migrate TENANT[=SHARD] ...] [--quiet] [--metrics]"
                  " [--trace] [--shutdown]\n",
                  argv[0]);
     return 1;
   };
 
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  net::CoverClientOptions client_options;
-  size_t port = 0, rounds = 2, burst = 0;
-  size_t connect_timeout_ms = 0, client_io_timeout_ms = 0;
-  bool quiet = false, open_tenants = true, want_stats = false;
-  bool want_metrics = false, want_shutdown = false, want_trace = false;
+  TenantArgs tenant_args;
+  MigrateArgs migrations;
+  net::CoverRouterOptions router_options;
+  size_t rounds = 2, burst = 0, connect_timeout_ms = 0, io_timeout_ms = 0;
+  bool quiet = false, want_metrics = false, want_trace = false;
+  bool want_shutdown = false;
   for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--host")) {
-      if (i + 1 >= argc) return usage();
-      client_options.host = argv[++i];
-    } else if (int_arg("--port", &port) || int_arg("--rounds", &rounds) ||
-               int_arg("--burst", &burst) ||
-               int_arg("--connect-timeout", &connect_timeout_ms) ||
-               int_arg("--io-timeout", &client_io_timeout_ms)) {
+    if (ParseBackendFlag(argc, argv, &i, &router_options.shards) ||
+        ParseTenantFlag(argc, argv, &i, &tenant_args) ||
+        ParseMigrateFlag(argc, argv, &i, &migrations) ||
+        ParseSizeFlag(argc, argv, &i, "--rounds", &rounds) ||
+        ParseSizeFlag(argc, argv, &i, "--burst", &burst) ||
+        ParseSizeFlag(argc, argv, &i, "--connect-timeout",
+                      &connect_timeout_ms) ||
+        ParseSizeFlag(argc, argv, &i, "--io-timeout", &io_timeout_ms) ||
+        ParseBoolFlag(argv[i], "--quiet", &quiet) ||
+        ParseBoolFlag(argv[i], "--metrics", &want_metrics) ||
+        ParseBoolFlag(argv[i], "--trace", &want_trace) ||
+        ParseBoolFlag(argv[i], "--shutdown", &want_shutdown)) {
       continue;
-    } else if (!std::strcmp(argv[i], "--no-open")) {
-      open_tenants = false;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      want_metrics = true;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      want_trace = true;
-    } else if (!std::strcmp(argv[i], "--shutdown")) {
-      want_shutdown = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
     }
-  }
-  if (port == 0 || port > 65535) {
-    std::fprintf(stderr, "error: client mode needs --port in [1, 65535]\n");
+    std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
     return 1;
   }
-  if (tenant_args.empty() && !want_stats && !want_metrics &&
+  if (router_options.shards.empty()) return usage();
+  if (tenant_args.empty() && migrations.empty() && !want_metrics &&
       !want_shutdown) {
     return usage();
   }
-  client_options.port = static_cast<uint16_t>(port);
-  client_options.connect_timeout =
-      std::chrono::milliseconds(connect_timeout_ms);
-  client_options.io_timeout = std::chrono::milliseconds(client_io_timeout_ms);
+  for (net::CoverClientOptions& backend : router_options.shards) {
+    backend.connect_timeout = std::chrono::milliseconds(connect_timeout_ms);
+    backend.io_timeout = std::chrono::milliseconds(io_timeout_ms);
+  }
 
-  // --trace makes this client a trace edge that samples every request
-  // (shift 0): each SubmitBatches starts a trace, records the rpc span
-  // locally and ships the context in-band for the server's spans.
+  // --trace makes this client the trace edge, sampling every request:
+  // its route and rpc spans record here, the server-side spans on each
+  // backend.
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
   if (want_trace) {
@@ -1146,101 +1142,64 @@ int RunClient(int argc, char** argv) {
     scoped_tracer = std::make_unique<obs::ScopedProcessTracer>(tracer.get());
   }
 
-  net::CoverClient client(client_options);
-  Status connected = client.Connect();
-  if (!connected.ok()) return Fail(connected);
+  net::CoverRouter router(std::move(router_options));
+  const size_t shards = router.num_shards();
 
   // Each tenant's spec is also parsed locally: the client needs the
   // serving round, the view shapes for attribute names, and a pool to
   // re-intern decoded cover constants into.
   struct ClientTenant {
     std::string name;
-    std::string path;
     Spec spec;
     std::vector<std::string> round;
   };
   std::vector<ClientTenant> tenants;
   tenants.reserve(tenant_args.size());
-  int rc = 0;
   if (!tenant_args.empty()) std::printf("== tenants ==\n");
   for (auto& [name, path] : tenant_args) {
     auto text = ReadFileText(path);
     if (!text.ok()) return Fail(text.status());
     auto spec = ParseSpec(*text);
     if (!spec.ok()) return Fail(spec.status());
-    ClientTenant t;
-    t.name = name;
-    t.path = path;
-    t.spec = std::move(spec).value();
+    auto opened = router.OpenCatalog(name, *text);
+    if (!opened.ok()) return Fail(opened.status());
+    std::printf("tenant %s: opened %s via shard %zu budget=%llu "
+                "restored=%llu rejected=%llu\n",
+                name.c_str(), path.c_str(), router.ShardFor(name),
+                static_cast<unsigned long long>(opened->cache_budget),
+                static_cast<unsigned long long>(opened->restored),
+                static_cast<unsigned long long>(opened->rejected));
+    ClientTenant t{name, std::move(spec).value(), {}};
     t.round = t.spec.ServingRound();
-    if (open_tenants) {
-      auto opened = client.OpenCatalog(name, *text);
-      if (!opened.ok()) return Fail(opened.status());
-      std::printf("tenant %s: opened %s budget=%llu restored=%llu "
-                  "rejected=%llu\n",
-                  name.c_str(), path.c_str(),
-                  static_cast<unsigned long long>(opened->cache_budget),
-                  static_cast<unsigned long long>(opened->restored),
-                  static_cast<unsigned long long>(opened->rejected));
-    }
     tenants.push_back(std::move(t));
   }
 
-  // Round-trip the serving rounds; first-round covers print in exactly
-  // serve mode's format, so scripts can diff network serving against
-  // in-process serving byte for byte.
-  auto print_covers = [&](ClientTenant& t,
-                          const std::vector<Result<EngineResult>>& results) {
-    for (size_t i = 0; i < t.round.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;
-      const std::string& view_name = t.round[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.spec.catalog.pool(), view_name,
-                              ViewAttrNames(view))
-                        .c_str());
-      }
+  // One tenant round; covers print in serve mode's format, so scripts
+  // can diff a routed cluster, one fat server and in-process serving
+  // byte for byte.
+  int rc = 0;
+  auto serve_tenant = [&](ClientTenant& t, size_t round_idx, bool print) {
+    ValuePool& pool = t.spec.catalog.pool();
+    auto reply = router.SubmitBatch(t.name, t.round, pool);
+    if (!reply.ok() || !reply->status.ok()) {
+      const Status& s = reply.ok() ? reply->status : reply.status();
+      std::fprintf(stderr, "error: tenant %s round %zu: %s\n",
+                   t.name.c_str(), round_idx, s.ToString().c_str());
+      rc = 1;
+      return static_cast<size_t>(0);
     }
+    if (!ReportRequestErrors(t.name, reply->results)) rc = 1;
+    if (print) {
+      PrintTenantCovers(t.name, t.round, t.spec, pool, reply->results, quiet);
+    }
+    return reply->results.size();
   };
 
   size_t total_requests = 0;
   auto start = std::chrono::steady_clock::now();
   for (size_t k = 0; k < rounds; ++k) {
     for (ClientTenant& t : tenants) {
-      auto reply = client.SubmitBatch(t.name, t.round,
-                                      t.spec.catalog.pool());
-      if (!reply.ok()) return Fail(reply.status());
-      if (!reply->status.ok()) {
-        std::fprintf(stderr, "error: tenant %s round %zu: %s\n",
-                     t.name.c_str(), k,
-                     reply->status.ToString().c_str());
-        rc = 1;
-        continue;
-      }
-      total_requests += reply->results.size();
-      for (size_t i = 0; i < reply->results.size(); ++i) {
-        if (!reply->results[i].ok()) {
-          std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                       t.name.c_str(), i,
-                       reply->results[i].status().ToString().c_str());
-          rc = 1;
-        }
-      }
-      if (k == 0) print_covers(t, reply->results);
+      total_requests += serve_tenant(t, k, k == 0);
     }
   }
   double elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -1248,10 +1207,10 @@ int RunClient(int argc, char** argv) {
                           .count();
   if (!tenants.empty() && rounds > 0) {
     std::printf("== client rounds ==\n  %zu requests in %.2f ms (%.0f "
-                "covers/sec, %zu tenants, %zu rounds)\n",
+                "covers/sec, %zu tenants, %zu shards, %zu rounds)\n",
                 total_requests, elapsed_ms,
                 elapsed_ms > 0 ? 1000.0 * total_requests / elapsed_ms : 0.0,
-                tenants.size(), rounds);
+                tenants.size(), shards, rounds);
   }
 
   // Pipelined burst: N copies of the round in ONE frame — the server
@@ -1260,11 +1219,11 @@ int RunClient(int argc, char** argv) {
   if (burst > 0) {
     for (ClientTenant& t : tenants) {
       std::vector<std::vector<std::string>> batches(burst, t.round);
-      auto replies = client.SubmitBatches(t.name, batches,
-                                          t.spec.catalog.pool());
+      auto replies =
+          router.SubmitBatches(t.name, batches, t.spec.catalog.pool());
       if (!replies.ok()) return Fail(replies.status());
       size_t admitted = 0, rejected = 0;
-      for (const net::WireBatchResult& b : *replies) {
+      for (const BatchResult& b : *replies) {
         if (b.status.ok()) {
           ++admitted;
         } else if (b.status.code() == StatusCode::kResourceExhausted) {
@@ -1280,370 +1239,57 @@ int RunClient(int argc, char** argv) {
     }
   }
 
-  if (want_stats) {
-    auto stats = client.Stats();
-    if (!stats.ok()) return Fail(stats.status());
-    std::printf("== service stats (remote) ==\n");
-    for (const net::WireTenantStats& t : stats->tenants) {
-      std::printf("tenant %s net: %s\n", t.name.c_str(),
-                  t.engine_text.c_str());
-      std::printf("tenant %s admission: admitted=%llu rejected=%llu "
-                  "queued=%llu running=%llu\n",
-                  t.name.c_str(),
-                  static_cast<unsigned long long>(t.admitted),
-                  static_cast<unsigned long long>(t.admission_rejected),
-                  static_cast<unsigned long long>(t.queued),
-                  static_cast<unsigned long long>(t.running));
-    }
-    std::printf("service: tenants=%zu budget=%llu submitted=%llu "
-                "completed=%llu rejected=%llu\n",
-                stats->tenants.size(),
-                static_cast<unsigned long long>(stats->global_cache_budget),
-                static_cast<unsigned long long>(stats->batches_submitted),
-                static_cast<unsigned long long>(stats->batches_completed),
-                static_cast<unsigned long long>(stats->batches_rejected));
-  }
-
-  // The raw exposition text, unmodified: pipe it to a file and any
-  // Prometheus-format consumer (or tests/obs) can parse it.
-  if (want_metrics) {
-    auto metrics = client.Metrics();
-    if (!metrics.ok()) return Fail(metrics.status());
-    std::printf("== metrics (remote) ==\n");
-    std::fwrite(metrics->data(), 1, metrics->size(), stdout);
-    if (!metrics->empty() && metrics->back() != '\n') std::printf("\n");
-  }
-
-  // Stitched trees: this edge's rpc spans plus the server process's
-  // rings (the TRACE_DUMP frame) — one tree per request, spanning both
-  // processes via the in-band trace ids.
-  if (want_trace) {
-    auto remote = client.TraceDump();
-    if (!remote.ok()) return Fail(remote.status());
-    std::vector<obs::SpanRecord> spans = tracer->Snapshot();
-    spans.insert(spans.end(), remote->begin(), remote->end());
-    std::printf("== trace (stitched, %zu spans) ==\n%s", spans.size(),
-                obs::FormatSpanTrees(spans).c_str());
-  }
-
-  if (want_shutdown) {
-    Status down = client.Shutdown();
-    if (!down.ok()) return Fail(down);
-    std::printf("shutdown sent\n");
-  }
-  return rc;
-}
-
-// ---------------------------------------------------------------------
-// route mode: a CoverRouter over several listen servers
-// ---------------------------------------------------------------------
-
-int RunRoute(int argc, char** argv) {
-  auto usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s route --backend HOST:PORT [--backend ...]"
-                 " [--tenant NAME=SPEC ...] [--rounds K] [--vnodes N]"
-                 " [--connect-timeout MS] [--io-timeout MS]"
-                 " [--migrate TENANT[=SHARD] ...] [--quiet]"
-                 " [--stats] [--metrics] [--trace] [--shutdown]\n",
-                 argv[0]);
-    return 1;
-  };
-
-  std::vector<std::pair<std::string, std::string>> tenant_args;
-  std::vector<std::pair<std::string, uint16_t>> backends;
-  // tenant -> explicit target shard; SIZE_MAX = next shard clockwise.
-  std::vector<std::pair<std::string, size_t>> migrations;
-  size_t rounds = 2, vnodes = 0;
-  size_t connect_timeout_ms = 0, io_timeout_ms = 0;
-  bool quiet = false, want_stats = false, want_metrics = false;
-  bool want_shutdown = false, want_trace = false;
-  for (int i = 2; i < argc; ++i) {
-    auto int_arg = [&](const char* flag, size_t* out) {
-      return ParseSizeFlag(argc, argv, &i, flag, out);
-    };
-    if (!std::strcmp(argv[i], "--backend")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t colon = arg.rfind(':');
-      unsigned long port_value = 0;
-      if (colon != std::string::npos && colon != 0) {
-        char* end = nullptr;
-        const char* text = arg.c_str() + colon + 1;
-        port_value = std::strtoul(text, &end, 10);
-        if (*text == '\0' || end == text || *end != '\0') port_value = 0;
-      }
-      if (port_value == 0 || port_value > 65535) {
-        std::fprintf(stderr,
-                     "error: --backend needs HOST:PORT, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      backends.emplace_back(arg.substr(0, colon),
-                            static_cast<uint16_t>(port_value));
-    } else if (!std::strcmp(argv[i], "--tenant")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
-        std::fprintf(stderr, "error: --tenant needs NAME=SPEC, got '%s'\n",
-                     arg.c_str());
-        return 1;
-      }
-      tenant_args.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (!std::strcmp(argv[i], "--migrate")) {
-      if (i + 1 >= argc) return usage();
-      std::string arg = argv[++i];
-      size_t target = SIZE_MAX;
-      size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        if (eq == 0 || eq + 1 >= arg.size()) {
-          std::fprintf(stderr,
-                       "error: --migrate needs TENANT[=SHARD], got '%s'\n",
-                       arg.c_str());
-          return 1;
-        }
-        char* end = nullptr;
-        const char* text = arg.c_str() + eq + 1;
-        unsigned long value = std::strtoul(text, &end, 10);
-        if (end == text || *end != '\0') {
-          std::fprintf(stderr,
-                       "error: --migrate shard must be a number, got '%s'\n",
-                       text);
-          return 1;
-        }
-        target = static_cast<size_t>(value);
-        arg = arg.substr(0, eq);
-      }
-      migrations.emplace_back(std::move(arg), target);
-    } else if (int_arg("--rounds", &rounds) || int_arg("--vnodes", &vnodes) ||
-               int_arg("--connect-timeout", &connect_timeout_ms) ||
-               int_arg("--io-timeout", &io_timeout_ms)) {
-      continue;
-    } else if (!std::strcmp(argv[i], "--quiet")) {
-      quiet = true;
-    } else if (!std::strcmp(argv[i], "--stats")) {
-      want_stats = true;
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      want_metrics = true;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      want_trace = true;
-    } else if (!std::strcmp(argv[i], "--shutdown")) {
-      want_shutdown = true;
-    } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
-  if (backends.empty()) return usage();
-  if (tenant_args.empty() && migrations.empty() && !want_stats &&
-      !want_metrics && !want_shutdown) {
-    return usage();
-  }
-
-  net::CoverRouterOptions router_options;
-  for (auto& [host, port] : backends) {
-    net::CoverClientOptions copts;
-    copts.host = host;
-    copts.port = port;
-    copts.connect_timeout = std::chrono::milliseconds(connect_timeout_ms);
-    copts.io_timeout = std::chrono::milliseconds(io_timeout_ms);
-    router_options.shards.push_back(std::move(copts));
-  }
-  if (vnodes > 0) router_options.virtual_nodes = vnodes;
-
-  // --trace makes the router the trace edge, sampling every request:
-  // its route spans record here, the rpc/server spans on each shard.
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
-  if (want_trace) {
-    obs::ObsOptions topts;
-    topts.trace_sample_shift = 0;
-    tracer = std::make_unique<obs::Tracer>(topts);
-    scoped_tracer = std::make_unique<obs::ScopedProcessTracer>(tracer.get());
-  }
-
-  net::CoverRouter router(std::move(router_options));
-
-  // Each tenant's spec is also parsed locally, exactly as in client
-  // mode: the serving round, view shapes for names, and a decode pool.
-  struct RoutedTenant {
-    std::string name;
-    std::string path;
-    Spec spec;
-    std::vector<std::string> round;
-  };
-  std::vector<RoutedTenant> tenants;
-  tenants.reserve(tenant_args.size());
-  int rc = 0;
-  if (!tenant_args.empty()) std::printf("== tenants ==\n");
-  for (auto& [name, path] : tenant_args) {
-    auto text = ReadFileText(path);
-    if (!text.ok()) return Fail(text.status());
-    auto spec = ParseSpec(*text);
-    if (!spec.ok()) return Fail(spec.status());
-    RoutedTenant t;
-    t.name = name;
-    t.path = path;
-    t.spec = std::move(spec).value();
-    t.round = t.spec.ServingRound();
-    auto opened = router.OpenCatalog(name, *text);
-    if (!opened.ok()) return Fail(opened.status());
-    std::printf("tenant %s: opened %s via shard %zu budget=%llu "
-                "restored=%llu rejected=%llu\n",
-                name.c_str(), path.c_str(), router.ShardFor(name),
-                static_cast<unsigned long long>(opened->cache_budget),
-                static_cast<unsigned long long>(opened->restored),
-                static_cast<unsigned long long>(opened->rejected));
-    tenants.push_back(std::move(t));
-  }
-
-  // Identical to client mode's cover printing, so `route` output diffs
-  // byte-for-byte against `client` talking to one fat server.
-  auto print_covers = [&](RoutedTenant& t,
-                          const std::vector<Result<EngineResult>>& results) {
-    for (size_t i = 0; i < t.round.size() && i < results.size(); ++i) {
-      const Result<EngineResult>& r = results[i];
-      if (!r.ok()) continue;
-      const std::string& view_name = t.round[i];
-      std::string union_info;
-      if (r->disjunct_count > 1) {
-        union_info = ", union " + std::to_string(r->disjunct_hits) + "/" +
-                     std::to_string(r->disjunct_count) + " disjunct hits";
-      }
-      std::printf("view %s/%s (%zu CFDs%s%s%s, fp=%016llx):\n",
-                  t.name.c_str(), view_name.c_str(), r->cover->cover.size(),
-                  r->cover->always_empty ? ", ALWAYS EMPTY" : "",
-                  r->cover->truncated ? ", TRUNCATED" : "",
-                  union_info.c_str(),
-                  static_cast<unsigned long long>(r->fingerprint));
-      if (quiet) continue;
-      const SPCUView& view = t.spec.views.at(view_name);
-      for (const CFD& c : r->cover->cover) {
-        std::printf("  %s\n",
-                    FormatCFD(c, t.spec.catalog.pool(), view_name,
-                              ViewAttrNames(view))
-                        .c_str());
-      }
-    }
-  };
-
-  auto serve_tenant = [&](RoutedTenant& t, size_t round_idx,
-                          bool print) {
-    auto reply = router.SubmitBatch(t.name, t.round, t.spec.catalog.pool());
-    if (!reply.ok() || !reply->status.ok()) {
-      const Status& s = reply.ok() ? reply->status : reply.status();
-      std::fprintf(stderr, "error: tenant %s round %zu: %s\n",
-                   t.name.c_str(), round_idx, s.ToString().c_str());
-      rc = 1;
-      return static_cast<size_t>(0);
-    }
-    for (size_t i = 0; i < reply->results.size(); ++i) {
-      if (!reply->results[i].ok()) {
-        std::fprintf(stderr, "error: tenant %s request %zu: %s\n",
-                     t.name.c_str(), i,
-                     reply->results[i].status().ToString().c_str());
-        rc = 1;
-      }
-    }
-    if (print) print_covers(t, reply->results);
-    return reply->results.size();
-  };
-
-  size_t total_requests = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (size_t k = 0; k < rounds; ++k) {
-    for (RoutedTenant& t : tenants) {
-      total_requests += serve_tenant(t, k, k == 0);
-    }
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  if (!tenants.empty() && rounds > 0) {
-    std::printf("== routed rounds ==\n  %zu requests in %.2f ms (%.0f "
-                "covers/sec, %zu tenants, %zu shards, %zu rounds)\n",
-                total_requests, elapsed_ms,
-                elapsed_ms > 0 ? 1000.0 * total_requests / elapsed_ms : 0.0,
-                tenants.size(), router.num_shards(), rounds);
-  }
-
   // Live migrations: drain -> snapshot -> warm-start on the target ->
   // flip the route, then re-serve the tenant so its post-move covers
   // print (the diff target for byte-identity across the move).
-  for (auto& [name, explicit_target] : migrations) {
-    const size_t from = router.ShardFor(name);
-    const size_t target = explicit_target == SIZE_MAX
-                              ? (from + 1) % router.num_shards()
-                              : explicit_target;
-    auto report = router.MigrateTenant(name, target);
+  for (auto& [name, target] : migrations) {
+    auto report = router.MigrateTenant(
+        name, target.value_or((router.ShardFor(name) + 1) % shards));
     if (!report.ok()) {
       rc = Fail(report.status());
       continue;
     }
-    std::printf("migrate tenant %s: shard %zu -> %zu snapshot_bytes=%zu "
+    std::printf("migrate tenant %s: shard %zu -> %zu snapshot_bytes=%llu "
                 "restored=%llu rejected=%llu\n",
                 name.c_str(), report->from, report->to,
-                report->snapshot_bytes,
+                static_cast<unsigned long long>(report->snapshot_bytes),
                 static_cast<unsigned long long>(report->restored),
                 static_cast<unsigned long long>(report->rejected));
-    for (RoutedTenant& t : tenants) {
+    for (ClientTenant& t : tenants) {
       if (t.name == name) serve_tenant(t, rounds, /*print=*/true);
     }
   }
 
-  if (want_stats) {
-    auto stats = router.Stats();
-    if (!stats.ok()) return Fail(stats.status());
-    std::printf("== service stats (routed, %zu shards) ==\n",
-                router.num_shards());
-    for (const net::WireTenantStats& t : stats->tenants) {
-      std::printf("tenant %s net: %s\n", t.name.c_str(),
-                  t.engine_text.c_str());
-      std::printf("tenant %s admission: admitted=%llu rejected=%llu "
-                  "queued=%llu running=%llu\n",
-                  t.name.c_str(),
-                  static_cast<unsigned long long>(t.admitted),
-                  static_cast<unsigned long long>(t.admission_rejected),
-                  static_cast<unsigned long long>(t.queued),
-                  static_cast<unsigned long long>(t.running));
-    }
-    std::printf("service: tenants=%zu budget=%llu submitted=%llu "
-                "completed=%llu rejected=%llu\n",
-                stats->tenants.size(),
-                static_cast<unsigned long long>(stats->global_cache_budget),
-                static_cast<unsigned long long>(stats->batches_submitted),
-                static_cast<unsigned long long>(stats->batches_completed),
-                static_cast<unsigned long long>(stats->batches_rejected));
-  }
-
+  // Every shard's exposition merged into one scrape (shard="N" labels),
+  // then the router's own counters: pipe it to a file and any
+  // Prometheus-format consumer (or obs::ParseMetricsText) can parse it.
   if (want_metrics) {
     auto metrics = router.Metrics();
     if (!metrics.ok()) return Fail(metrics.status());
-    std::printf("== metrics (routed) ==\n");
+    std::printf("== metrics (%zu shards) ==\n", shards);
     std::fwrite(metrics->data(), 1, metrics->size(), stdout);
     if (!metrics->empty() && metrics->back() != '\n') std::printf("\n");
   }
 
-  // Stitched cross-shard trees: the router edge's route spans (and the
-  // per-shard rpc spans, recorded in this process) plus every shard
-  // server's rings, each record stamped with its shard index.
+  // Stitched trees: this edge's route and rpc spans plus every backend
+  // process's rings (the TRACE_DUMP frame), each record stamped with its
+  // shard — one tree per request, spanning processes via the in-band
+  // trace ids.
   if (want_trace) {
     std::vector<obs::SpanRecord> spans = tracer->Snapshot();
-    for (size_t s = 0; s < router.num_shards(); ++s) {
+    for (size_t s = 0; s < shards; ++s) {
       auto remote = router.TraceDumpFrom(s);
       if (!remote.ok()) return Fail(remote.status());
       spans.insert(spans.end(), remote->begin(), remote->end());
     }
-    std::printf("== trace (stitched, %zu shards, %zu spans) ==\n%s",
-                router.num_shards(), spans.size(),
-                obs::FormatSpanTrees(spans).c_str());
+    std::printf("== trace (stitched, %zu shards, %zu spans) ==\n%s", shards,
+                spans.size(), obs::FormatSpanTrees(spans).c_str());
   }
 
   if (want_shutdown) {
     Status down = router.ShutdownAll();
     if (!down.ok()) return Fail(down);
-    std::printf("shutdown sent to %zu shards\n", router.num_shards());
+    std::printf("shutdown sent to %zu shards\n", shards);
   }
   return rc;
 }
@@ -1663,19 +1309,24 @@ int main(int argc, char** argv) {
   if (argc >= 2 && !std::strcmp(argv[1], "client")) {
     return RunClient(argc, argv);
   }
-  if (argc >= 2 && !std::strcmp(argv[1], "route")) {
-    return RunRoute(argc, argv);
-  }
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s SPEC [--check|--cover|--emptiness|--validate]"
-                 " [--general]\n",
-                 argv[0]);
+                 " [--general]\n"
+                 "       %s batch|serve|listen|client ...\n",
+                 argv[0], argv[0]);
     return 1;
   }
-  auto spec = LoadSpec(argv[1]);
+  auto text = ReadFileText(argv[1]);
+  if (!text.ok()) {
+    std::fprintf(stderr,
+                 "error: '%s' is neither a mode (batch, serve, listen, "
+                 "client) nor a readable spec file\n",
+                 argv[1]);
+    return 1;
+  }
+  auto spec = ParseSpec(*text);
   if (!spec.ok()) return Fail(spec.status());
-
   bool check = false, cover = false, emptiness = false, validate = false;
   bool general = false;
   for (int i = 2; i < argc; ++i) {
