@@ -22,15 +22,14 @@ CoverCache::CoverCache(size_t capacity, size_t num_shards) {
 
 std::shared_ptr<const CachedCover> CoverCache::Lookup(uint64_t fingerprint,
                                                       uint64_t check,
-                                                      uint64_t tag,
-                                                      uint64_t generation) {
+                                                      SigmaVersion version) {
   Shard& shard = ShardFor(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(fingerprint);
   if (it == shard.index.end() || it->second->check != check ||
-      it->second->tag != tag || it->second->generation != generation) {
+      it->second->version != version) {
     // Absent, a key collision between non-equivalent requests, or a
-    // cover computed against a sigma state that mutated away: miss.
+    // cover computed against other Σ content: miss.
     ++shard.misses;
     return nullptr;
   }
@@ -41,38 +40,25 @@ std::shared_ptr<const CachedCover> CoverCache::Lookup(uint64_t fingerprint,
 
 void CoverCache::Insert(uint64_t fingerprint, uint64_t check,
                         std::shared_ptr<const CachedCover> cover,
-                        uint64_t tag, uint64_t generation) {
+                        SigmaVersion version) {
   Shard& shard = ShardFor(fingerprint);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(fingerprint);
   if (it != shard.index.end()) {
-    if (it->second->check == check && it->second->tag == tag &&
-        it->second->generation == generation) {
-      // Concurrent compute of the same request: keep the first result
-      // (the computation is deterministic, so both are equal).
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
+    // Concurrent compute of the same request keeps the first result
+    // (the computation is deterministic, so both are equal). A key
+    // collision or another Σ version: latest wins, so colliding
+    // requests keep recomputing rather than one permanently shadowing
+    // the other. Either way the cover is correct for its own version.
+    if (it->second->check != check || it->second->version != version) {
+      it->second->check = check;
+      it->second->version = version;
+      it->second->cover = std::move(cover);
     }
-    if (it->second->tag == tag && it->second->generation > generation) {
-      // A slow in-flight compute finishing after a mutation must not
-      // displace the cover already recomputed at the newer generation:
-      // generations are monotone per tag, so the incoming entry is the
-      // stale one. Drop it (it could never be served anyway).
-      return;
-    }
-    // Key collision (different tag/check) or genuinely newer generation:
-    // latest wins. Colliding requests keep recomputing rather than one
-    // permanently shadowing the other; a fresh-generation insert
-    // displaces the stale cover.
-    it->second->check = check;
-    it->second->tag = tag;
-    it->second->generation = generation;
-    it->second->cover = std::move(cover);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{fingerprint, check, tag, generation,
-                             std::move(cover)});
+  shard.lru.push_front(Entry{fingerprint, check, version, std::move(cover)});
   shard.index.emplace(fingerprint, shard.lru.begin());
   ++shard.insertions;
   if (shard.lru.size() > per_shard_capacity_.load(std::memory_order_relaxed)) {
@@ -106,12 +92,12 @@ size_t CoverCache::SetBudget(size_t capacity) {
   return evicted;
 }
 
-size_t CoverCache::EraseTagged(uint64_t tag) {
+size_t CoverCache::EraseVersion(SigmaVersion version) {
   size_t erased = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->tag != tag) {
+      if (it->version != version) {
         ++it;
         continue;
       }

@@ -7,14 +7,13 @@
 // fingerprint's shard is derived from its high bits), keeping the worker
 // pool's lookups from serializing on one mutex.
 //
-// Entries additionally carry a (tag, generation) pair supplied by the
-// engine: the tag is the SigmaId the cover was computed against and the
-// generation is that sigma's mutation counter at compute time. Lookup
-// compares both, so a cover computed against a retracted/extended sigma
-// can never be served, even when a stale in-flight insert lands after
-// the sigma mutated (the stale entry's generation no longer matches and
-// degrades to a miss). EraseTagged drops every line bound to one tag —
-// the selective-invalidation primitive behind AddCfd/RetractCfd, which
+// Entries additionally carry the SigmaVersion — the content version of
+// the minimized Σ — the cover was computed against. Lookup compares it,
+// so a cover is served only for the Σ content it answers: a stale
+// in-flight insert that lands after Σ mutated is a miss for the new
+// content (and ages out by LRU), and Σ sets with equal content share
+// lines. EraseVersion drops every line of one version — the
+// selective-invalidation primitive behind AddCfd/RetractCfd, which
 // never needs a global Clear().
 
 #ifndef CFDPROP_ENGINE_COVER_CACHE_H_
@@ -49,7 +48,7 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  /// Entries dropped by EraseTagged (sigma mutation), not by LRU pressure.
+  /// Entries dropped by EraseVersion (Σ mutation), not by LRU pressure.
   uint64_t invalidations = 0;
   /// Lines restored from / rejected by LoadSnapshot (warm starts).
   uint64_t restored = 0;
@@ -75,27 +74,26 @@ class CoverCache {
   /// Returns the cached cover and refreshes its LRU position, or nullptr
   /// on a miss. An entry whose stored check hash differs from `check`
   /// is a key collision between non-equivalent requests; an entry whose
-  /// (tag, generation) differs was computed against a sigma state that
-  /// no longer exists. Both are treated as misses, so collisions and
-  /// stale covers recompute instead of serving a wrong cover.
-  /// Thread-safe.
+  /// Σ version differs was computed against other Σ content. Both are
+  /// treated as misses, so collisions and stale covers recompute
+  /// instead of serving a wrong cover. Thread-safe.
   std::shared_ptr<const CachedCover> Lookup(uint64_t fingerprint,
-                                            uint64_t check, uint64_t tag = 0,
-                                            uint64_t generation = 0);
+                                            uint64_t check,
+                                            SigmaVersion version = {});
 
   /// Inserts (or refreshes) an entry, evicting the shard's least
   /// recently used cover when the shard is full. An existing entry with
-  /// a different check hash or (tag, generation) is replaced.
+  /// a different check hash or Σ version is replaced (latest wins).
   /// Thread-safe.
   void Insert(uint64_t fingerprint, uint64_t check,
-              std::shared_ptr<const CachedCover> cover, uint64_t tag = 0,
-              uint64_t generation = 0);
+              std::shared_ptr<const CachedCover> cover,
+              SigmaVersion version = {});
 
-  /// Drops every entry bound to `tag` (handed-out covers stay valid);
-  /// returns how many were dropped. All other tags' lines are untouched:
-  /// this is the selective invalidation used when one sigma mutates.
-  /// Thread-safe.
-  size_t EraseTagged(uint64_t tag);
+  /// Drops every entry computed against `version` (handed-out covers
+  /// stay valid); returns how many were dropped. Lines of every other
+  /// version are untouched: this is the selective invalidation used
+  /// when one Σ mutates. Thread-safe.
+  size_t EraseVersion(SigmaVersion version);
 
   /// Resizes the cache to `capacity` total entries (the shard count is
   /// fixed at construction; each shard keeps at least one slot, so the
@@ -115,40 +113,32 @@ class CoverCache {
 
   /// Spills every live line to `path` atomically (write-to-temp +
   /// rename): the snapshot wire format of src/engine/snapshot.h, with
-  /// pattern constants exported as `pool` texts. `sigmas[tag]` supplies
-  /// each sigma's content fingerprint and current generation; lines
-  /// whose tag is unknown or whose generation is stale (an in-flight
-  /// insert that lost to a mutation) are skipped. Returns the number of
-  /// lines written. Thread-safe against concurrent serving.
-  /// Implemented in snapshot.cc.
+  /// pattern constants exported as `pool` texts and each line carrying
+  /// its Σ version. Returns the number of lines written. Thread-safe
+  /// against concurrent serving. Implemented in snapshot.cc.
   Result<uint64_t> SaveSnapshot(const std::string& path,
-                                const ValuePool& pool,
-                                const std::vector<SigmaSnapshotInfo>& sigmas)
-      const;
+                                const ValuePool& pool) const;
 
   /// SaveSnapshot without the file: serializes every live line to the
   /// snapshot wire format in memory (checksum trailer included — the
   /// bytes are exactly what SaveSnapshot would publish). This is what
   /// tenant migration ships over the network. Thread-safe against
   /// concurrent serving. Implemented in snapshot.cc.
-  SerializedSnapshot SerializeSnapshot(
-      const ValuePool& pool,
-      const std::vector<SigmaSnapshotInfo>& sigmas) const;
+  SerializedSnapshot SerializeSnapshot(const ValuePool& pool) const;
 
   /// Restores a snapshot written by SaveSnapshot: validates magic,
   /// version and checksum (any failure rejects the whole file), and
-  /// inserts every line whose sigma still matches — same tag
-  /// registered, same content fingerprint — under that sigma's
-  /// *current* generation from `sigmas`. Restored covers' constants
-  /// are interned into `pool` lazily (remapping process-local Value
-  /// ids); rejected lines never intern, so a mismatched snapshot leaves
-  /// the pool untouched. Mismatched lines count as `rejected` and are
-  /// dropped; they can never serve a stale cover.
+  /// inserts every line whose Σ version is in `live` (the versions the
+  /// loading engine serves). Restored covers' constants are interned
+  /// into `pool` lazily (remapping process-local Value ids); rejected
+  /// lines never intern, so a mismatched snapshot leaves the pool
+  /// untouched. Mismatched lines count as `rejected` and are dropped;
+  /// they can never serve a stale cover.
   /// NOT thread-safe against serving (it interns into the shared pool);
   /// call before traffic. Implemented in snapshot.cc.
-  Result<SnapshotLoadStats> LoadSnapshot(
-      const std::string& path, ValuePool& pool,
-      const std::vector<SigmaSnapshotInfo>& sigmas);
+  Result<SnapshotLoadStats> LoadSnapshot(const std::string& path,
+                                         ValuePool& pool,
+                                         const std::vector<SigmaVersion>& live);
 
   /// LoadSnapshot from bytes already in memory (the receiving side of a
   /// migration): identical validation and acceptance rules, minus the
@@ -156,7 +146,7 @@ class CoverCache {
   /// Implemented in snapshot.cc.
   Result<SnapshotLoadStats> LoadSnapshotBytes(
       std::string_view bytes, ValuePool& pool,
-      const std::vector<SigmaSnapshotInfo>& sigmas);
+      const std::vector<SigmaVersion>& live);
 
   CacheStats Stats() const;
 
@@ -170,8 +160,7 @@ class CoverCache {
   struct Entry {
     uint64_t fingerprint;
     uint64_t check;
-    uint64_t tag;
-    uint64_t generation;
+    SigmaVersion version;
     std::shared_ptr<const CachedCover> cover;
   };
   struct Shard {

@@ -60,11 +60,12 @@ Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
   CFDPROP_ASSIGN_OR_RETURN(
       std::vector<CFD> minimized,
       MinCoverSigma(catalog_, sigma, options_.cover.mincover));
+  const SigmaVersion version = SigmaVersionOf(catalog_.pool(), minimized);
   std::unique_lock<std::shared_mutex> lock(sigma_mu_);
   sigmas_.push_back(SigmaEntry{
       std::move(sigma),
       std::make_shared<const std::vector<CFD>>(std::move(minimized)),
-      /*generation=*/0});
+      version});
   return static_cast<SigmaId>(sigmas_.size() - 1);
 }
 
@@ -75,20 +76,24 @@ Status Engine::MutateSigma(SigmaId id, std::vector<CFD> raw) {
   // must only ever block on the O(1) snapshot swap below.
   auto minimized = MinCoverSigma(catalog_, raw, options_.cover.mincover);
   if (!minimized.ok()) return minimized.status();  // sigma unchanged
+  const SigmaVersion version = SigmaVersionOf(catalog_.pool(), *minimized);
+  SigmaVersion old;
   {
     // Re-index instead of holding a reference across the compute:
     // RegisterSigma may have grown (reallocated) the vector meanwhile.
     std::unique_lock<std::shared_mutex> lock(sigma_mu_);
     SigmaEntry& entry = sigmas_[id];
+    old = entry.version;
     entry.raw = std::move(raw);
     entry.minimized = std::make_shared<const std::vector<CFD>>(
         std::move(minimized).value());
-    ++entry.generation;
+    entry.version = version;
   }
-  // After the generation bump no stale line can be served (lookup checks
-  // the generation), so dropping them outside the lock only reclaims
-  // capacity — and touches nothing registered to other sigma ids.
-  cache_.EraseTagged(id);
+  // Lookups for this set now ask for the new version, so dropping the
+  // old version's lines outside the lock only reclaims capacity — and
+  // touches no line of any other version. Unchanged content keeps its
+  // lines.
+  if (old != version) cache_.EraseVersion(old);
   stats_.RecordMutation();
   return Status::OK();
 }
@@ -146,33 +151,33 @@ std::vector<CFD> Engine::sigma_raw(SigmaId id) const {
   return sigmas_[id].raw;
 }
 
-uint64_t Engine::sigma_generation(SigmaId id) const {
+SigmaVersion Engine::sigma_version(SigmaId id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  return sigmas_[id].generation;
+  return sigmas_[id].version;
 }
 
-Result<std::pair<std::shared_ptr<const std::vector<CFD>>, uint64_t>>
+Result<std::pair<std::shared_ptr<const std::vector<CFD>>, SigmaVersion>>
 Engine::SnapshotSigma(SigmaId sigma_id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
   if (sigma_id >= sigmas_.size()) {
     return Status::InvalidArgument("unknown sigma id");
   }
   return std::make_pair(sigmas_[sigma_id].minimized,
-                        sigmas_[sigma_id].generation);
+                        sigmas_[sigma_id].version);
 }
 
 Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
   CFDPROP_ASSIGN_OR_RETURN(auto snapshot, SnapshotSigma(sigma_id));
-  const auto& [sigma, generation] = snapshot;
+  const auto& [sigma, version] = snapshot;
 
   const auto start = Clock::now();
   EngineResult result;
-  RequestFingerprint fp = FingerprintRequestPair(catalog_, view, sigma_id);
+  RequestFingerprint fp = FingerprintRequestPair(catalog_, view, version.key);
   result.fingerprint = fp.key;
   result.timing.fingerprint_us = MicrosSince(start);
 
   if (options_.use_cache) {
-    if (auto cached = cache_.Lookup(fp.key, fp.check, sigma_id, generation)) {
+    if (auto cached = cache_.Lookup(fp.key, fp.check, version)) {
       result.cover = std::move(cached);
       result.cache_hit = true;
       result.timing.total_us = MicrosSince(start);
@@ -198,11 +203,11 @@ Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
   cached->truncated = computed->truncated;
   if (options_.use_cache && !cached->truncated) {
     // Truncated covers are budget artifacts, not the request's answer;
-    // don't let them shadow a future full computation. The generation
-    // recorded here is the one the compute used: if the sigma mutated
-    // mid-compute, the entry is already stale and lookups at the new
-    // generation will miss it (and replace it on the next insert).
-    cache_.Insert(fp.key, fp.check, cached, sigma_id, generation);
+    // don't let them shadow a future full computation. The version
+    // recorded here is the one the compute used: if Σ mutated
+    // mid-compute, the line still answers that content (and ages out
+    // by LRU unless the content comes back).
+    cache_.Insert(fp.key, fp.check, cached, version);
   }
   result.cover = std::move(cached);
   stats_.Record(result.timing, /*error=*/false);
@@ -215,19 +220,19 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
     return Serve(view.disjuncts.front(), sigma_id);
   }
   CFDPROP_ASSIGN_OR_RETURN(auto snapshot, SnapshotSigma(sigma_id));
-  const auto& [sigma, generation] = snapshot;
+  const auto& [sigma, version] = snapshot;
 
   const auto start = Clock::now();
   EngineResult result;
   result.disjunct_count = view.disjuncts.size();
   UnionFingerprint ufp =
-      FingerprintUnionRequestPair(catalog_, view, sigma_id);
+      FingerprintUnionRequestPair(catalog_, view, version.key);
   result.fingerprint = ufp.fused.key;
   result.timing.fingerprint_us = MicrosSince(start);
 
   if (options_.use_cache) {
-    if (auto cached = cache_.Lookup(ufp.fused.key, ufp.fused.check, sigma_id,
-                                    generation)) {
+    if (auto cached = cache_.Lookup(ufp.fused.key, ufp.fused.check,
+                                    version)) {
       result.cover = std::move(cached);
       result.cache_hit = true;
       result.disjunct_hits = result.disjunct_count;
@@ -254,8 +259,7 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   for (size_t j = 0; j < view.disjuncts.size(); ++j) {
     const RequestFingerprint& dfp = ufp.disjuncts[j];
     if (options_.use_cache) {
-      if (auto hit = cache_.Lookup(dfp.key, dfp.check, sigma_id,
-                                   generation)) {
+      if (auto hit = cache_.Lookup(dfp.key, dfp.check, version)) {
         ++result.disjunct_hits;
         PropCoverResult r;
         r.cover = hit->cover;  // copy: the assembly consumes its inputs
@@ -280,8 +284,7 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
       line->cover = computed->cover;  // copy: the original feeds assembly
       line->always_empty = computed->always_empty;
       line->truncated = computed->truncated;
-      cache_.Insert(dfp.key, dfp.check, std::move(line), sigma_id,
-                    generation);
+      cache_.Insert(dfp.key, dfp.check, std::move(line), version);
     }
     per_disjunct.push_back(std::move(computed).value());
   }
@@ -302,8 +305,7 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   cached->always_empty = assembled->always_empty;
   cached->truncated = assembled->truncated;
   if (options_.use_cache && !cached->truncated) {
-    cache_.Insert(ufp.fused.key, ufp.fused.check, cached, sigma_id,
-                  generation);
+    cache_.Insert(ufp.fused.key, ufp.fused.check, cached, version);
   }
   result.cover = std::move(cached);
   stats_.Record(result.timing, /*error=*/false);
@@ -434,32 +436,27 @@ std::vector<Result<EngineResult>> Engine::PropagateBatch(
   return results;
 }
 
-std::vector<SigmaSnapshotInfo> Engine::SigmaSnapshotInfos() const {
+std::vector<SigmaVersion> Engine::LiveVersions() const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  std::vector<SigmaSnapshotInfo> infos;
-  infos.reserve(sigmas_.size());
-  for (const SigmaEntry& e : sigmas_) {
-    infos.push_back(SigmaSnapshotInfo{
-        FingerprintSigmaSet(catalog_.pool(), *e.minimized), e.generation});
-  }
-  return infos;
+  std::vector<SigmaVersion> live;
+  for (const SigmaEntry& e : sigmas_) live.push_back(e.version);
+  return live;
 }
 
 Result<uint64_t> Engine::SaveSnapshot(const std::string& path) const {
-  return cache_.SaveSnapshot(path, catalog_.pool(), SigmaSnapshotInfos());
+  return cache_.SaveSnapshot(path, catalog_.pool());
 }
 
 Result<SnapshotLoadStats> Engine::LoadSnapshot(const std::string& path) {
-  return cache_.LoadSnapshot(path, catalog_.pool(), SigmaSnapshotInfos());
+  return cache_.LoadSnapshot(path, catalog_.pool(), LiveVersions());
 }
 
 SerializedSnapshot Engine::SerializeSnapshot() const {
-  return cache_.SerializeSnapshot(catalog_.pool(), SigmaSnapshotInfos());
+  return cache_.SerializeSnapshot(catalog_.pool());
 }
 
 Result<SnapshotLoadStats> Engine::LoadSnapshotBytes(std::string_view bytes) {
-  return cache_.LoadSnapshotBytes(bytes, catalog_.pool(),
-                                  SigmaSnapshotInfos());
+  return cache_.LoadSnapshotBytes(bytes, catalog_.pool(), LiveVersions());
 }
 
 EngineStatsSnapshot Engine::Stats() const {

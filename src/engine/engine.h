@@ -9,10 +9,12 @@
 //   * source CFD sets are registered once and min-covered at
 //     registration (Fig. 2 line 1 runs once, not per request), and can
 //     be *mutated* afterwards — AddCfd/RetractCfd re-minimize only the
-//     touched set, bump its generation and invalidate only that set's
-//     cache lines (never a global Clear),
+//     touched set and, when its content version changes, invalidate
+//     only the old version's cache lines (never a global Clear),
 //   * each request is canonically fingerprinted (src/engine/fingerprint.h)
-//     and served from a sharded LRU cover cache on a repeat; SPCU
+//     together with its Σ's content version (SigmaVersion, the one Σ
+//     identity: cache key, staleness check, snapshot and migration
+//     binding) and served from a sharded LRU cover cache on a repeat; SPCU
 //     requests are keyed by the multiset of their disjuncts'
 //     fingerprints, and assemble from the per-SPC cache lines, so a
 //     union of k disjuncts can be served as up to k partial hits,
@@ -115,22 +117,24 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Registers a source CFD set and minimizes it per relation (Fig. 2
-  /// line 1, hoisted out of the request path). Thread-safe.
+  /// Registers a source CFD set, minimizes it per relation (Fig. 2
+  /// line 1, hoisted out of the request path) and computes its content
+  /// version. Σ sets with equal minimized content share cache lines.
+  /// Thread-safe.
   Result<SigmaId> RegisterSigma(std::vector<CFD> sigma);
 
-  /// Adds one CFD to a registered set: re-minimizes only that set, bumps
-  /// its generation and drops only the cache lines whose fingerprint
-  /// binds `id` (other sigma sets' lines are untouched). The CFD must be
+  /// Adds one CFD to a registered set and re-minimizes only that set.
+  /// If the minimized content changed, drops the old version's cache
+  /// lines; lines of other versions are untouched, and a mutation that
+  /// leaves the minimized set unchanged keeps every line. The CFD must be
   /// fully built — any constants already interned — before the call.
   /// Thread-safe against serving and other mutations.
   Status AddCfd(SigmaId id, CFD cfd);
 
   /// Retracts the first CFD of the set's *registered* (pre-minimization)
-  /// list that equals `cfd`, then re-minimizes, bumps the generation and
-  /// selectively invalidates like AddCfd. NotFound when no registered
-  /// CFD matches. Covers already handed out stay valid (shared_ptr).
-  /// Thread-safe.
+  /// list that equals `cfd`, then re-minimizes and selectively
+  /// invalidates like AddCfd. NotFound when no registered CFD matches.
+  /// Covers already handed out stay valid (shared_ptr). Thread-safe.
   Status RetractCfd(SigmaId id, const CFD& cfd);
 
   size_t num_sigmas() const;
@@ -145,10 +149,10 @@ class Engine {
   /// use. Precondition: id < num_sigmas().
   std::vector<CFD> sigma_raw(SigmaId id) const;
 
-  /// Mutation counter of the set: bumped by every AddCfd/RetractCfd.
-  /// Cache lines record the generation they were computed at and are
-  /// only served while it matches. Precondition: id < num_sigmas().
-  uint64_t sigma_generation(SigmaId id) const;
+  /// Content version of the set's minimized CFDs (SigmaVersionOf).
+  /// Cache lines record the version they were computed against and are
+  /// only served for it. Precondition: id < num_sigmas().
+  SigmaVersion sigma_version(SigmaId id) const;
 
   const Catalog& catalog() const { return catalog_; }
   /// Mutable access for setup (SPCViewBuilder interns constants). Must
@@ -195,23 +199,22 @@ class Engine {
 
   /// Spills every live cover-cache line to `path` atomically
   /// (write-to-temp + rename; snapshot format in src/engine/snapshot.h).
-  /// Each line is bound to its sigma's content fingerprint, so a
-  /// restart whose registered sets differ rejects it instead of serving
-  /// a stale cover. Returns the number of lines written. Thread-safe
-  /// against serving and mutation.
+  /// Each line carries its Σ version, so a restart whose registered
+  /// sets differ rejects it instead of serving a stale cover. Returns
+  /// the number of lines written. Thread-safe against serving and
+  /// mutation.
   Result<uint64_t> SaveSnapshot(const std::string& path) const;
 
   /// Warm-starts the cover cache from a snapshot: call it after
-  /// registering (in the same order) the sigma sets the saving process
-  /// had, and before serving traffic — it interns snapshot constants
-  /// into the shared pool, which is not thread-safe. Lines restore only
-  /// if their sigma's content fingerprint still matches, and adopt that
-  /// sigma's *current* generation, so later AddCfd/RetractCfd churn
-  /// invalidates them exactly like natively computed lines. A
+  /// registering the Σ sets to serve (in any order) and before serving
+  /// traffic — it interns snapshot constants into the shared pool,
+  /// which is not thread-safe. A line restores iff its Σ version is the
+  /// version of a registered set, so later AddCfd/RetractCfd churn
+  /// invalidates it exactly like a natively computed line. A
   /// version/format mismatch or corrupt file rejects wholesale with a
-  /// Status (the cache is untouched); per-sigma mismatches reject just
-  /// those lines (see SnapshotLoadStats and the restored=/rejected=
-  /// counters in Stats()).
+  /// Status (the cache is untouched); lines of Σ content this engine
+  /// does not serve are rejected one by one (see SnapshotLoadStats and
+  /// the restored=/rejected= counters in Stats()).
   Result<SnapshotLoadStats> LoadSnapshot(const std::string& path);
 
   /// SaveSnapshot without the file: the snapshot bytes in memory,
@@ -249,26 +252,27 @@ class Engine {
     /// Min-covered serving snapshot; replaced wholesale on mutation so
     /// in-flight requests keep their copy alive.
     std::shared_ptr<const std::vector<CFD>> minimized;
-    /// Bumped on every mutation; bound into cache entries.
-    uint64_t generation = 0;
+    /// SigmaVersionOf(*minimized); bound into every cache entry.
+    SigmaVersion version;
   };
 
   Status ValidateSigma(const std::vector<CFD>& sigma) const;
 
-  /// Shared tail of AddCfd/RetractCfd: re-minimizes `raw` (outside
-  /// sigma_mu_ — serving only ever blocks on the snapshot swap), swaps
-  /// the entry's state, bumps the generation, drops the sigma's cache
-  /// lines. Caller must hold mutation_mu_.
+  /// Shared tail of AddCfd/RetractCfd: re-minimizes `raw` and computes
+  /// its version (outside sigma_mu_ — serving only ever blocks on the
+  /// snapshot swap), swaps the entry's state, and drops the old
+  /// version's cache lines if the version changed. Caller must hold
+  /// mutation_mu_.
   Status MutateSigma(SigmaId id, std::vector<CFD> raw);
 
-  /// Snapshots (minimized set, generation) for a sigma id under the
-  /// shared lock; InvalidArgument for unknown ids.
-  Result<std::pair<std::shared_ptr<const std::vector<CFD>>, uint64_t>>
+  /// Snapshots (minimized set, version) for a sigma id under the shared
+  /// lock; InvalidArgument for unknown ids.
+  Result<std::pair<std::shared_ptr<const std::vector<CFD>>, SigmaVersion>>
   SnapshotSigma(SigmaId sigma_id) const;
 
-  /// (content fingerprint, generation) of every registered sigma, in
-  /// SigmaId order — what Save/LoadSnapshot validate lines against.
-  std::vector<SigmaSnapshotInfo> SigmaSnapshotInfos() const;
+  /// The versions of every registered set: the lines a snapshot load
+  /// may restore.
+  std::vector<SigmaVersion> LiveVersions() const;
 
   Result<EngineResult> Serve(const SPCView& view, SigmaId sigma_id);
   Result<EngineResult> ServeUnion(const SPCUView& view, SigmaId sigma_id);

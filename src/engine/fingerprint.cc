@@ -121,12 +121,12 @@ SPCView CanonicalizeSPCView(const Catalog& catalog, const SPCView& view) {
 
 namespace {
 
-/// Canonical byte serialization of (canonicalized view, sigma id); both
+/// Canonical byte serialization of (canonicalized view, Σ version); both
 /// request hashes are computed over this one stream. Output column
 /// names are deliberately not serialized: covers are positional, so
 /// renamed outputs serve the same cover.
 std::string SerializeRequest(const Catalog& catalog, const SPCView& canonical,
-                             uint64_t sigma_id) {
+                             uint64_t sigma_version) {
   std::string out;
   auto put = [&out](uint64_t x) {
     for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(x >> (8 * i)));
@@ -135,7 +135,7 @@ std::string SerializeRequest(const Catalog& catalog, const SPCView& canonical,
     put(s.size());
     out.append(s);
   };
-  put(sigma_id);
+  put(sigma_version);
   put(canonical.atoms.size());
   for (RelationId r : canonical.atoms) put(r);
   put(canonical.selections.size());
@@ -170,40 +170,38 @@ uint64_t Fnv1a(const std::string& bytes) {
 /// A second, structurally different hash over the same bytes (SplitMix
 /// absorption), so a wrong cache serve needs both to collide.
 uint64_t CheckHash(const std::string& bytes) {
-  uint64_t h = 0x2545f4914f6cdd1dull;
-  for (char c : bytes) {
-    h = SplitMix64(h ^ static_cast<uint8_t>(c));
-  }
-  return SplitMix64(h ^ bytes.size());
+  SplitMixHasher h;
+  for (char c : bytes) h.MixByte(static_cast<uint8_t>(c));
+  return h.digest();
 }
 
 }  // namespace
 
 uint64_t FingerprintSPCView(const Catalog& catalog, const SPCView& view) {
   SPCView canonical = CanonicalizeSPCView(catalog, view);
-  return Fnv1a(SerializeRequest(catalog, canonical, /*sigma_id=*/0));
+  return Fnv1a(SerializeRequest(catalog, canonical, /*sigma_version=*/0));
 }
 
 RequestFingerprint FingerprintRequestPair(const Catalog& catalog,
                                           const SPCView& view,
-                                          uint64_t sigma_id) {
+                                          uint64_t sigma_version) {
   SPCView canonical = CanonicalizeSPCView(catalog, view);
-  std::string bytes = SerializeRequest(catalog, canonical, sigma_id);
+  std::string bytes = SerializeRequest(catalog, canonical, sigma_version);
   return RequestFingerprint{Fnv1a(bytes), CheckHash(bytes)};
 }
 
 uint64_t FingerprintRequest(const Catalog& catalog, const SPCView& view,
-                            uint64_t sigma_id) {
-  return FingerprintRequestPair(catalog, view, sigma_id).key;
+                            uint64_t sigma_version) {
+  return FingerprintRequestPair(catalog, view, sigma_version).key;
 }
 
 UnionFingerprint FingerprintUnionRequestPair(const Catalog& catalog,
                                              const SPCUView& view,
-                                             uint64_t sigma_id) {
+                                             uint64_t sigma_version) {
   UnionFingerprint out;
   out.disjuncts.reserve(view.disjuncts.size());
   for (const SPCView& d : view.disjuncts) {
-    out.disjuncts.push_back(FingerprintRequestPair(catalog, d, sigma_id));
+    out.disjuncts.push_back(FingerprintRequestPair(catalog, d, sigma_version));
   }
   // Multiset fuse: sort copies of the per-disjunct (key, check) pairs so
   // disjunct order cannot affect the fused key, then serialize under a
@@ -232,7 +230,8 @@ UnionFingerprint FingerprintUnionRequestPair(const Catalog& catalog,
 }
 
 uint64_t FingerprintSPCUView(const Catalog& catalog, const SPCUView& view) {
-  return FingerprintUnionRequestPair(catalog, view, /*sigma_id=*/0).fused.key;
+  return FingerprintUnionRequestPair(catalog, view, /*sigma_version=*/0)
+      .fused.key;
 }
 
 }  // namespace cfdprop

@@ -1,7 +1,10 @@
 // Canonical fingerprints of propagation requests.
 //
 // The engine's cover cache is keyed by a 64-bit fingerprint of
-// (canonicalized SPC view, registered Sigma set). Canonicalization maps
+// (canonicalized SPC view, Σ version). The Σ version is the first word
+// of the minimized Σ's content version (SigmaVersionOf in
+// src/engine/snapshot.h), so a request's key depends on what Σ says,
+// not on which registration or mutation produced it. Canonicalization maps
 // syntactic variants of the same query to one representative so that
 // equivalent requests hit the same cache line:
 //
@@ -51,15 +54,16 @@ struct RequestFingerprint {
   uint64_t check = 0;  // compared on every hit; mismatch = miss
 };
 
-/// Fingerprints a full request: the canonicalized view plus the
-/// engine-local id of the registered source CFD set.
+/// Fingerprints a full request: the canonicalized view plus the Σ
+/// version (the engine passes SigmaVersion::key of the minimized set it
+/// serves against; any 64-bit value works, equal values bind equal Σ).
 RequestFingerprint FingerprintRequestPair(const Catalog& catalog,
                                           const SPCView& view,
-                                          uint64_t sigma_id);
+                                          uint64_t sigma_version);
 
 /// Convenience: the cache key alone.
 uint64_t FingerprintRequest(const Catalog& catalog, const SPCView& view,
-                            uint64_t sigma_id);
+                            uint64_t sigma_version);
 
 /// Fingerprint of an SPCU request. A union is identified by the
 /// *multiset* of its disjuncts' SPC fingerprints: the per-disjunct pairs
@@ -77,12 +81,12 @@ struct UnionFingerprint {
   std::vector<RequestFingerprint> disjuncts;
 };
 
-/// Fingerprints an SPCU request against a registered sigma set.
+/// Fingerprints an SPCU request against a Σ version (as above).
 UnionFingerprint FingerprintUnionRequestPair(const Catalog& catalog,
                                              const SPCUView& view,
-                                             uint64_t sigma_id);
+                                             uint64_t sigma_version);
 
-/// Convenience: the fused cache key alone (sigma id 0).
+/// Convenience: the fused cache key alone (Σ version 0).
 uint64_t FingerprintSPCUView(const Catalog& catalog, const SPCUView& view);
 
 }  // namespace cfdprop

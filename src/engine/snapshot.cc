@@ -1,7 +1,8 @@
-// Cover-cache snapshot serialization: FingerprintSigmaSet plus the
-// CoverCache::SaveSnapshot/LoadSnapshot implementations. The wire
-// format is documented in snapshot.h; the CFD/pattern byte layout lives
-// with the types themselves (CFD::AppendSnapshotBytes).
+// Cover-cache snapshot serialization: FingerprintSigmaSet and
+// SigmaVersionOf plus the CoverCache::SaveSnapshot/LoadSnapshot
+// implementations. The wire format is documented in snapshot.h; the
+// CFD/pattern byte layout lives with the types themselves
+// (CFD::AppendSnapshotBytes).
 
 #include "src/engine/snapshot.h"
 
@@ -18,7 +19,6 @@
 #include <iterator>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,53 +47,59 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("cover snapshot rejected: " + what);
 }
 
+/// One text-level pass over a CFD set, feeding every field to each of
+/// `hashers`: relation ids, attribute positions, and pattern entries
+/// with constants by their pool text.
+template <typename... Hashers>
+void MixSigmaSet(const ValuePool& pool, const std::vector<CFD>& cfds,
+                 Hashers&... hashers) {
+  auto mix = [&](auto x) { (hashers.Mix(x), ...); };
+  auto mix_pattern = [&](const PatternValue& p) {
+    mix(static_cast<uint64_t>(p.kind()));
+    if (p.is_constant()) mix(std::string_view(pool.Text(p.value())));
+  };
+  mix(static_cast<uint64_t>(cfds.size()));
+  for (const CFD& c : cfds) {
+    mix(static_cast<uint64_t>(c.relation));
+    mix(static_cast<uint64_t>(c.lhs.size()));
+    for (size_t i = 0; i < c.lhs.size(); ++i) {
+      mix(static_cast<uint64_t>(c.lhs[i]));
+      mix_pattern(c.lhs_pats[i]);
+    }
+    mix(static_cast<uint64_t>(c.rhs));
+    mix_pattern(c.rhs_pat);
+  }
+}
+
 }  // namespace
 
 uint64_t FingerprintSigmaSet(const ValuePool& pool,
                              const std::vector<CFD>& cfds) {
   Fnv1aHasher h;
-  h.Mix(static_cast<uint64_t>(cfds.size()));
-  auto mix_pattern = [&](const PatternValue& p) {
-    h.Mix(static_cast<uint64_t>(p.kind()));
-    if (p.is_constant()) h.Mix(pool.Text(p.value()));
-  };
-  for (const CFD& c : cfds) {
-    h.Mix(static_cast<uint64_t>(c.relation));
-    h.Mix(static_cast<uint64_t>(c.lhs.size()));
-    for (size_t i = 0; i < c.lhs.size(); ++i) {
-      h.Mix(static_cast<uint64_t>(c.lhs[i]));
-      mix_pattern(c.lhs_pats[i]);
-    }
-    h.Mix(static_cast<uint64_t>(c.rhs));
-    mix_pattern(c.rhs_pat);
-  }
+  MixSigmaSet(pool, cfds, h);
   return h.digest();
 }
 
-SerializedSnapshot CoverCache::SerializeSnapshot(
-    const ValuePool& pool,
-    const std::vector<SigmaSnapshotInfo>& sigmas) const {
+SigmaVersion SigmaVersionOf(const ValuePool& pool,
+                            const std::vector<CFD>& cfds) {
+  Fnv1aHasher key;
+  SplitMixHasher check;
+  MixSigmaSet(pool, cfds, key, check);
+  return SigmaVersion{key.digest(), check.digest()};
+}
+
+SerializedSnapshot CoverCache::SerializeSnapshot(const ValuePool& pool) const {
   // Copy the live lines shard by shard (shared_ptr copies, never the
   // covers themselves); serving proceeds on the other shards meanwhile.
-  struct Line {
-    uint64_t fingerprint, check, tag, generation;
-    std::shared_ptr<const CachedCover> cover;
-  };
-  std::vector<Line> lines;
+  std::vector<Entry> lines;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (const Entry& e : shard->lru) {
-      // Skip lines no lookup could serve: an unknown tag or a stale
-      // generation (an in-flight insert that lost to a mutation).
-      if (e.tag >= sigmas.size()) continue;
-      if (e.generation != sigmas[e.tag].generation) continue;
-      lines.push_back({e.fingerprint, e.check, e.tag, e.generation, e.cover});
-    }
+    lines.insert(lines.end(), shard->lru.begin(), shard->lru.end());
   }
   // Deterministic bytes for deterministic content: fingerprints are
-  // unique cache-wide, so (tag, fingerprint) is a total order.
-  std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-    return std::tie(a.tag, a.fingerprint) < std::tie(b.tag, b.fingerprint);
+  // unique cache-wide, so they are a total order.
+  std::sort(lines.begin(), lines.end(), [](const Entry& a, const Entry& b) {
+    return a.fingerprint < b.fingerprint;
   });
 
   // Serialize the lines first: the string table is collected lazily in
@@ -108,10 +114,11 @@ SerializedSnapshot CoverCache::SerializeSnapshot(
   };
   std::string body;
   wire::PutU64(body, lines.size());
-  for (const Line& line : lines) {
+  for (const Entry& line : lines) {
     wire::PutU64(body, line.fingerprint);
     wire::PutU64(body, line.check);
-    wire::PutU64(body, line.tag);
+    wire::PutU64(body, line.version.key);
+    wire::PutU64(body, line.version.check);
     uint8_t flags = 0;
     if (line.cover->always_empty) flags |= kFlagAlwaysEmpty;
     if (line.cover->truncated) flags |= kFlagTruncated;
@@ -126,11 +133,6 @@ SerializedSnapshot CoverCache::SerializeSnapshot(
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   wire::PutU32(out, kSnapshotVersion);
   wire::PutU32(out, 0);  // reserved
-  wire::PutU64(out, sigmas.size());
-  for (const SigmaSnapshotInfo& s : sigmas) {
-    wire::PutU64(out, s.fingerprint);
-    wire::PutU64(out, s.generation);
-  }
   wire::PutU64(out, table_values.size());
   for (Value v : table_values) {
     const std::string& text = pool.Text(v);
@@ -143,10 +145,9 @@ SerializedSnapshot CoverCache::SerializeSnapshot(
                             static_cast<uint64_t>(lines.size())};
 }
 
-Result<uint64_t> CoverCache::SaveSnapshot(
-    const std::string& path, const ValuePool& pool,
-    const std::vector<SigmaSnapshotInfo>& sigmas) const {
-  SerializedSnapshot snapshot = SerializeSnapshot(pool, sigmas);
+Result<uint64_t> CoverCache::SaveSnapshot(const std::string& path,
+                                          const ValuePool& pool) const {
+  SerializedSnapshot snapshot = SerializeSnapshot(pool);
   const std::string& out = snapshot.bytes;
 
   // Atomic publish: write a *writer-unique* sibling temp file, fsync
@@ -190,7 +191,7 @@ Result<uint64_t> CoverCache::SaveSnapshot(
 
 Result<SnapshotLoadStats> CoverCache::LoadSnapshot(
     const std::string& path, ValuePool& pool,
-    const std::vector<SigmaSnapshotInfo>& sigmas) {
+    const std::vector<SigmaVersion>& live) {
   std::string bytes;
   {
     std::ifstream f(path, std::ios::binary);
@@ -200,12 +201,12 @@ Result<SnapshotLoadStats> CoverCache::LoadSnapshot(
     if (!f.eof() && !f) return Corrupt("read error on " + path);
     bytes = std::move(buf);
   }
-  return LoadSnapshotBytes(bytes, pool, sigmas);
+  return LoadSnapshotBytes(bytes, pool, live);
 }
 
 Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
     std::string_view bytes, ValuePool& pool,
-    const std::vector<SigmaSnapshotInfo>& sigmas) {
+    const std::vector<SigmaVersion>& live) {
   // Header gate: magic, version, checksum — in that order, so the error
   // names the most specific cause. Everything after runs on a stream
   // the checksum already vouches for; parse failures past this point
@@ -234,17 +235,6 @@ Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
     return Corrupt("checksum mismatch (truncated or corrupt)");
   }
   std::string_view payload(bytes.data(), bytes.size() - 8);
-
-  uint64_t num_sigmas = 0;
-  if (!wire::GetU64(payload, &pos, &num_sigmas) ||
-      num_sigmas > (payload.size() - pos) / 16) {
-    return Corrupt("sigma table truncated");
-  }
-  std::vector<SigmaSnapshotInfo> file_sigmas(num_sigmas);
-  for (SigmaSnapshotInfo& s : file_sigmas) {
-    wire::GetU64(payload, &pos, &s.fingerprint);
-    wire::GetU64(payload, &pos, &s.generation);
-  }
 
   uint64_t num_strings = 0;
   if (!wire::GetU64(payload, &pos, &num_strings) ||
@@ -294,71 +284,61 @@ Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
   // before a — post-checksum, so practically unreachable — parse
   // failure may already have interned; the pool is append-only and
   // extra texts are harmless, unlike half a cache.)
-  struct Parsed {
-    uint64_t fingerprint, check, tag;
-    std::shared_ptr<CachedCover> cover;
-    bool accepted;
-  };
   uint64_t num_lines = 0;
   if (!wire::GetU64(payload, &pos, &num_lines) ||
-      num_lines > (payload.size() - pos) / 33) {
+      num_lines > (payload.size() - pos) / 41) {
     return Corrupt("line table truncated");
   }
-  std::vector<Parsed> parsed;
-  parsed.reserve(num_lines);
+  std::vector<Entry> accepted;
+  SnapshotLoadStats stats;
   for (uint64_t i = 0; i < num_lines; ++i) {
-    Parsed line;
+    Entry line{};
     uint8_t flags = 0;
     uint64_t cover_size = 0;
     if (!wire::GetU64(payload, &pos, &line.fingerprint) ||
         !wire::GetU64(payload, &pos, &line.check) ||
-        !wire::GetU64(payload, &pos, &line.tag) ||
+        !wire::GetU64(payload, &pos, &line.version.key) ||
+        !wire::GetU64(payload, &pos, &line.version.check) ||
         !wire::GetU8(payload, &pos, &flags) ||
         !wire::GetU64(payload, &pos, &cover_size) ||
         cover_size > (payload.size() - pos) / 9) {
       return Corrupt("line " + std::to_string(i) + " truncated");
     }
-    // Accept only lines whose sigma still exists with the same content:
-    // everything else is a stale cover. (Lines carry no generation of
-    // their own — SaveSnapshot already filtered to each sigma's current
-    // generation, so the content fingerprint is the whole contract.)
-    // The acceptance check runs before the cover decodes so rejected
-    // lines resolve through skip_at and never intern their constants.
-    line.accepted =
-        line.tag < sigmas.size() && line.tag < file_sigmas.size() &&
-        file_sigmas[line.tag].fingerprint == sigmas[line.tag].fingerprint;
-    line.cover = std::make_shared<CachedCover>();
-    line.cover->always_empty = (flags & kFlagAlwaysEmpty) != 0;
-    line.cover->truncated = (flags & kFlagTruncated) != 0;
-    line.cover->cover.reserve(cover_size);
+    // Accept only lines computed against a Σ content the loader serves:
+    // everything else is a stale cover. The check runs before the cover
+    // decodes so rejected lines resolve through skip_at and never
+    // intern their constants.
+    const bool accept =
+        std::find(live.begin(), live.end(), line.version) != live.end();
+    auto cover = std::make_shared<CachedCover>();
+    cover->always_empty = (flags & kFlagAlwaysEmpty) != 0;
+    cover->truncated = (flags & kFlagTruncated) != 0;
+    cover->cover.reserve(cover_size);
     for (uint64_t j = 0; j < cover_size; ++j) {
-      auto cfd = CFD::FromSnapshotBytes(payload, &pos,
-                                        line.accepted ? intern_at : skip_at);
+      auto cfd =
+          CFD::FromSnapshotBytes(payload, &pos, accept ? intern_at : skip_at);
       if (!cfd.ok()) {
         return Corrupt("line " + std::to_string(i) + ": " +
                        cfd.status().message());
       }
-      line.cover->cover.push_back(std::move(cfd).value());
+      cover->cover.push_back(std::move(cfd).value());
     }
-    parsed.push_back(std::move(line));
+    if (!accept) {
+      ++stats.rejected;
+      continue;
+    }
+    line.cover = std::move(cover);
+    accepted.push_back(std::move(line));
   }
   if (pos != payload.size()) {
     return Corrupt("trailing bytes after line table");
   }
 
-  // Insert the accepted lines under their sigma's *current* generation —
-  // the loading process counts mutations from zero, and the fingerprint
-  // match is what proves the content is the same.
-  SnapshotLoadStats stats;
-  for (Parsed& line : parsed) {
-    if (!line.accepted) {
-      ++stats.rejected;
-      continue;
-    }
-    Insert(line.fingerprint, line.check, std::move(line.cover), line.tag,
-           sigmas[line.tag].generation);
-    ++stats.restored;
+  for (Entry& line : accepted) {
+    Insert(line.fingerprint, line.check, std::move(line.cover),
+           line.version);
   }
+  stats.restored = accepted.size();
   restored_.fetch_add(stats.restored, std::memory_order_relaxed);
   rejected_.fetch_add(stats.rejected, std::memory_order_relaxed);
   return stats;

@@ -4,10 +4,10 @@
 //
 // The engine's sharded LRU dies with the process, so every restart used
 // to pay the full one-shot propagation cost per request. A snapshot
-// spills every live cache line — fingerprint, check word, (tag,
-// generation) and the CachedCover payload — to one file that a restart
-// restores atomically, serving warm covers byte-identical to what the
-// cold process computed.
+// spills every live cache line — fingerprint, check word, Σ version and
+// the CachedCover payload — to one file that a restart restores
+// atomically, serving warm covers byte-identical to what the cold
+// process computed.
 //
 // Wire format (all integers fixed-width little-endian, see
 // src/base/wire.h):
@@ -15,22 +15,17 @@
 //   magic[8]            "CFDPSNP1"
 //   version   u32       kSnapshotVersion; any other value rejects
 //   reserved  u32       0
-//   sigma table:
-//     count   u64       registered sigma sets at save time
-//     per set: fingerprint u64 (FingerprintSigmaSet of the minimized
-//              set, text-level so it is pool-independent),
-//              generation u64 (the set's mutation counter at save;
-//              informational — lines from stale generations are
-//              filtered out at save, so lines carry no generation)
 //   string table:
 //     count   u64
 //     per string: len u64 + raw bytes — every pattern-constant text the
 //              spilled covers reference, in first-use order
 //   lines:
 //     count   u64
-//     per line (sorted by (tag, fingerprint) so identical cache content
+//     per line (sorted by fingerprint, so identical cache content
 //              serializes to identical bytes):
-//       fingerprint u64, check u64, tag u64,
+//       fingerprint u64, check u64,
+//       sigma version u64 key + u64 check (SigmaVersionOf the minimized
+//              Σ the cover was computed against),
 //       flags u8 (bit0 always_empty, bit1 truncated),
 //       cover count u64, then each CFD via CFD::AppendSnapshotBytes
 //       (pattern constants as string-table indices, never Value ids —
@@ -40,13 +35,12 @@
 //                       truncation and bit rot before any line parses
 //
 // Validation on load, in order: magic, version, checksum, then per
-// line: the line's tag must name a currently registered sigma whose
-// FingerprintSigmaSet equals the file's — a changed Σ rejects that
-// sigma's lines (they'd be stale covers) while other sigmas' lines
-// still restore. Restored lines are inserted under the *current*
-// generation of their sigma, so a freshly started engine (generation 0)
-// serves them immediately. Any structural failure rejects the whole
-// file with a Status; nothing is ever partially trusted.
+// line: the line restores iff its Σ version is the version of some Σ
+// registered in the loading engine — whatever the registration order or
+// mutation history that produced it. A changed Σ rejects its lines
+// (they would be stale covers) while other lines still restore. Any
+// structural failure rejects the whole file with a Status; nothing is
+// ever partially trusted.
 //
 // Versioning policy: kSnapshotVersion bumps on ANY layout change — the
 // format carries no compatibility shims, a version mismatch simply
@@ -70,17 +64,19 @@ inline constexpr char kSnapshotMagic[8] = {'C', 'F', 'D', 'P',
                                            'S', 'N', 'P', '1'};
 
 /// Bumped on any wire-format change; a mismatch cleanly rejects the file.
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
-/// What a snapshot records about one registered sigma set, and what a
-/// loader presents about its own registered sets to validate against.
-struct SigmaSnapshotInfo {
-  /// FingerprintSigmaSet of the minimized set — content-addressed and
-  /// text-level, so two processes that registered the same CFDs agree
-  /// on it regardless of interning order.
-  uint64_t fingerprint = 0;
-  /// The set's mutation counter (Engine generation).
-  uint64_t generation = 0;
+/// Content version of a minimized Σ — the engine's one notion of Σ
+/// identity. Two structurally different 64-bit hashes (FNV-1a and a
+/// SplitMix absorption) over one text-level pass of the CFDs, so equal
+/// content has equal versions in any process, whatever its interning
+/// order, and serving a cover for the wrong Σ needs a 128-bit
+/// collision. `key` equals FingerprintSigmaSet of the same set.
+struct SigmaVersion {
+  uint64_t key = 0;
+  uint64_t check = 0;
+
+  bool operator==(const SigmaVersion&) const = default;
 };
 
 /// A snapshot serialized to memory: the exact bytes SaveSnapshot would
@@ -96,18 +92,21 @@ struct SerializedSnapshot {
 struct SnapshotLoadStats {
   /// Lines inserted into the cache.
   uint64_t restored = 0;
-  /// Lines skipped because their sigma no longer exists or its content
-  /// fingerprint changed (stale-at-save lines never reach the file).
+  /// Lines skipped because no registered Σ has their Σ version.
   uint64_t rejected = 0;
 };
 
 /// Stable, pool-independent fingerprint of a CFD set: hashes relation
 /// ids, attribute positions and pattern entries with constants by their
 /// *text*. Order-sensitive over `cfds` (minimization is deterministic,
-/// so equal registered sets fingerprint equal). Binds snapshot lines to
-/// the sigma content they were computed against.
+/// so equal registered sets fingerprint equal).
 uint64_t FingerprintSigmaSet(const ValuePool& pool,
                              const std::vector<CFD>& cfds);
+
+/// The SigmaVersion of `cfds` (the minimized set), in the same single
+/// pass FingerprintSigmaSet makes.
+SigmaVersion SigmaVersionOf(const ValuePool& pool,
+                            const std::vector<CFD>& cfds);
 
 }  // namespace cfdprop
 

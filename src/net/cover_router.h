@@ -15,7 +15,7 @@
 // override atomically. During the move the tenant is marked migrating
 // and its submits fail fast with typed kUnavailable ("retry"), so a
 // caller that retries sees zero failed submits — covers served before
-// the flip come from the source generation, after it from the target's
+// the flip come from the source shard's cache, after it from the target's
 // warm-started cache, and nothing in between is lost or doubled.
 //
 // The full MigrateTenant orchestration needs the tenant's spec text
@@ -62,7 +62,7 @@ struct MigrationReport {
   size_t from = 0;
   size_t to = 0;
   /// The target's warm-start outcome: snapshot lines restored into its
-  /// cache vs. rejected (stale generation / unknown fingerprint).
+  /// cache vs. rejected (a Σ version the target does not serve).
   uint64_t restored = 0;
   uint64_t rejected = 0;
   /// Size of the .ccsnap byte image that crossed the wire.

@@ -19,7 +19,9 @@ constexpr uint64_t kSpanIdSalt = 0x6e61705344444643ull;   // "CFDSpan"
 
 void CopyTruncated(char* dst, size_t cap, std::string_view src) {
   const size_t n = std::min(src.size(), cap - 1);
-  std::memcpy(dst, src.data(), n);
+  // A default-constructed view has a null data(), which memcpy may not
+  // take even for zero bytes.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -128,7 +128,7 @@ TEST_P(EngineDifferentialTest, ColdWarmAndChurnedResultsMatchOneShot) {
   ExpectMatchesOneShot(*engine, w, sid, true, "warm");
 
   // Churn: after every add/retract the engine must serve covers for the
-  // *current* sigma (cold again — the generation changed), still equal
+  // *current* sigma (cold again — the Σ version changed), still equal
   // to one-shot on the mutated raw set.
   for (const CFD& c : w.churn) {
     ASSERT_TRUE(engine->AddCfd(sid, c).ok());

@@ -7,12 +7,16 @@
 // serve every request as a cache hit with a byte-identical cover.
 // Corruption tests mangle the file every way a disk can — truncation
 // at every boundary, bad magic, a version bump, bit rot — and demand a
-// clean rejection: an error Status, an untouched cache, no crash (the
-// suite also runs under the ASan/TSan CI matrix).
+// clean rejection: an error Status, an untouched cache, no crash. A
+// seeded sweep then re-seals hostile mutants behind a valid checksum so
+// the line-table parser itself sees them (the suite also runs under the
+// ASan/TSan/UBSan CI matrix).
 
 #include <cstdio>
 #include <unistd.h>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/hash.h"
+#include "src/base/rng.h"
+#include "src/base/wire.h"
 #include "src/engine/engine.h"
 #include "src/engine/snapshot.h"
 #include "src/gen/generators.h"
@@ -33,10 +40,15 @@ struct Workload {
   std::vector<SPCUView> spcu_views;
 };
 
+/// Whether MakeEngine registers a second, different Σ, and whether it
+/// goes before or after the first.
+enum class SecondSigma { kNone, kAfter, kBefore };
+
 /// Same construction as engine_differential_test: catalog, sigma and
 /// views are all deterministic in the seed, so two MakeEngine calls
 /// with one seed model "the same deployment restarted".
-std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w) {
+std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w,
+                                   SecondSigma second = SecondSigma::kNone) {
   SchemaGenOptions so;
   so.num_relations = 4;
   so.min_arity = 6;
@@ -48,9 +60,17 @@ std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w) {
   co.min_lhs = 1;
   co.max_lhs = 3;
   std::vector<CFD> sigma = GenerateCFDs(cat, co, seed + 1);
+  std::vector<CFD> other;
+  if (second != SecondSigma::kNone) other = GenerateCFDs(cat, co, seed + 2);
 
   auto engine = std::make_unique<Engine>(std::move(cat), w->options);
+  if (second == SecondSigma::kBefore) {
+    EXPECT_TRUE(engine->RegisterSigma(other).ok());
+  }
   EXPECT_TRUE(engine->RegisterSigma(std::move(sigma)).ok());
+  if (second == SecondSigma::kAfter) {
+    EXPECT_TRUE(engine->RegisterSigma(other).ok());
+  }
 
   ViewGenOptions vo;
   vo.num_projection = 5;
@@ -71,14 +91,15 @@ std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w) {
   return engine;
 }
 
-/// Serves every SPC and SPCU view once, returning the covers in request
-/// order. `expect_hit` pins the cache behavior when set.
+/// Serves every SPC and SPCU view once against `sigma`, returning the
+/// covers in request order. `expect_hit` pins the cache behavior when
+/// set.
 std::vector<std::vector<CFD>> ServeAll(Engine& engine, const Workload& w,
                                        std::optional<bool> expect_hit,
-                                       const char* phase) {
+                                       const char* phase, SigmaId sigma = 0) {
   std::vector<std::vector<CFD>> covers;
   for (size_t i = 0; i < w.spc_views.size(); ++i) {
-    auto r = engine.Propagate(w.spc_views[i], 0);
+    auto r = engine.Propagate(w.spc_views[i], sigma);
     EXPECT_TRUE(r.ok()) << phase << " spc[" << i << "]: " << r.status();
     if (!r.ok()) return covers;
     if (expect_hit) {
@@ -87,7 +108,7 @@ std::vector<std::vector<CFD>> ServeAll(Engine& engine, const Workload& w,
     covers.push_back(r->cover->cover);
   }
   for (size_t i = 0; i < w.spcu_views.size(); ++i) {
-    auto r = engine.PropagateUnion(w.spcu_views[i], 0);
+    auto r = engine.PropagateUnion(w.spcu_views[i], sigma);
     EXPECT_TRUE(r.ok()) << phase << " spcu[" << i << "]: " << r.status();
     if (!r.ok()) return covers;
     if (expect_hit) {
@@ -180,10 +201,9 @@ TEST_P(EngineSnapshotTest, SaveLoadSaveIsByteIdentical) {
 }
 
 TEST_P(EngineSnapshotTest, ChurnedAndRevertedSigmaStillRestores) {
-  // AddCfd + RetractCfd back to the registered content: the generation
-  // moved to 2 but the minimized set — and so its fingerprint — is the
-  // registration-time one again. A restart (generation 0) must restore
-  // the lines and adopt its own generation.
+  // AddCfd + RetractCfd back to the registered content: the minimized
+  // set — and so its version — is the registration-time one again. A
+  // restart that only registered the set must restore every line.
   const std::string path = SnapshotPath("churned");
   Workload w;
   w.options.num_threads = 1;
@@ -197,9 +217,10 @@ TEST_P(EngineSnapshotTest, ChurnedAndRevertedSigmaStillRestores) {
   std::vector<CFD> churn =
       GenerateCFDs(engine->catalog(), co, GetParam() + 1000);
   ASSERT_EQ(churn.size(), 1u);
+  const SigmaVersion registered = engine->sigma_version(0);
   ASSERT_TRUE(engine->AddCfd(0, churn[0]).ok());
   ASSERT_TRUE(engine->RetractCfd(0, churn[0]).ok());
-  ASSERT_EQ(engine->sigma_generation(0), 2u);
+  ASSERT_EQ(engine->sigma_version(0), registered);
   auto covers = ServeAll(*engine, w, false, "post-churn");
   auto saved = engine->SaveSnapshot(path);
   ASSERT_TRUE(saved.ok()) << saved.status();
@@ -208,13 +229,41 @@ TEST_P(EngineSnapshotTest, ChurnedAndRevertedSigmaStillRestores) {
   warm_w.options.num_threads = 1;
   auto warm = MakeEngine(GetParam(), &warm_w);
   ASSERT_NE(warm, nullptr);
-  ASSERT_EQ(warm->sigma_generation(0), 0u);
+  ASSERT_EQ(warm->sigma_version(0), registered);
   auto loaded = warm->LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->restored, *saved);
   EXPECT_EQ(loaded->rejected, 0u);
   auto warm_covers = ServeAll(*warm, warm_w, true, "warm");
   EXPECT_EQ(warm_covers, covers);
+  std::remove(path.c_str());
+}
+
+TEST_P(EngineSnapshotTest, RestoresWhateverTheRegistrationOrder) {
+  // Lines carry their Σ version, not a registration slot: a loader that
+  // registers the same two Σ sets in the opposite order restores every
+  // line and serves only hits.
+  const std::string path = SnapshotPath("order");
+  Workload cold_w;
+  cold_w.options.num_threads = 1;
+  auto cold = MakeEngine(GetParam(), &cold_w, SecondSigma::kAfter);
+  ASSERT_NE(cold, nullptr);
+  auto first = ServeAll(*cold, cold_w, false, "cold first", 0);
+  auto second = ServeAll(*cold, cold_w, false, "cold second", 1);
+  auto saved = cold->SaveSnapshot(path);
+  ASSERT_TRUE(saved.ok()) << saved.status();
+
+  Workload warm_w;
+  warm_w.options.num_threads = 1;
+  auto warm = MakeEngine(GetParam(), &warm_w, SecondSigma::kBefore);
+  ASSERT_NE(warm, nullptr);
+  auto loaded = warm->LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->restored, *saved);
+  EXPECT_EQ(loaded->rejected, 0u);
+  EXPECT_EQ(ServeAll(*warm, warm_w, true, "warm first", 1), first);
+  EXPECT_EQ(ServeAll(*warm, warm_w, true, "warm second", 0), second);
+  EXPECT_EQ(warm->Stats().cache.misses, 0u);
   std::remove(path.c_str());
 }
 
@@ -307,6 +356,119 @@ TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
   EXPECT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_GT(loaded->restored, 0u);
   std::remove(path.c_str());
+}
+
+/// Offset of the line count in a (possibly hostile) snapshot, found the
+/// way the loader finds it: past the header and the string table.
+/// nullopt when the bytes end first.
+std::optional<size_t> LineCountOffset(std::string_view bytes) {
+  size_t pos = sizeof(kSnapshotMagic) + 8;
+  uint64_t num_strings = 0;
+  if (!wire::GetU64(bytes, &pos, &num_strings)) return std::nullopt;
+  for (uint64_t i = 0; i < num_strings; ++i) {
+    uint64_t len = 0;
+    std::string_view text;
+    if (!wire::GetU64(bytes, &pos, &len) ||
+        !wire::GetBytes(bytes, &pos, len, &text)) {
+      return std::nullopt;
+    }
+  }
+  return pos;
+}
+
+std::optional<uint64_t> LineCount(std::string_view bytes) {
+  std::optional<size_t> pos = LineCountOffset(bytes);
+  uint64_t num_lines = 0;
+  if (!pos || !wire::GetU64(bytes, &*pos, &num_lines)) return std::nullopt;
+  return num_lines;
+}
+
+/// Replaces the checksum trailer of `bytes` with a valid one.
+std::string Reseal(std::string bytes) {
+  bytes.resize(bytes.size() - 8);
+  Fnv1aHasher h;
+  for (char c : bytes) h.MixByte(static_cast<uint8_t>(c));
+  wire::PutU64(bytes, h.digest());
+  return bytes;
+}
+
+TEST(EngineSnapshotFuzzTest, HostileBytesBehindAValidChecksum) {
+  // Every corruption case above dies at the checksum. Here each mutant
+  // is re-sealed first, so the string- and line-table parser sees it:
+  // a load must reject with a Status and an empty cache, or account for
+  // every line the file claims — and never crash.
+  constexpr int kMutants = 2000;
+  Workload w;
+  w.options.num_threads = 1;
+  auto engine = MakeEngine(3, &w);
+  ASSERT_NE(engine, nullptr);
+  ServeAll(*engine, w, false, "populate");
+  const std::string good = engine->SerializeSnapshot().bytes;
+  const size_t header = sizeof(kSnapshotMagic) + 8;
+  const size_t body_end = good.size() - 8;
+  ASSERT_GT(body_end, header + 16);
+  // The string count sits right after the header; the line count after
+  // the string table.
+  const size_t line_count_at = LineCountOffset(good).value();
+  const uint64_t good_lines = LineCount(good).value();
+  ASSERT_GT(good_lines, 0u);
+
+  Rng rng(20260417);
+  int rejected_files = 0;
+  int loaded_files = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = good;
+    switch (rng.Below(4)) {
+      case 0: {  // flip 1-4 bytes anywhere in the body
+        const uint64_t flips = rng.Uniform(1, 4);
+        for (uint64_t f = 0; f < flips; ++f) {
+          mutant[rng.Uniform(header, body_end - 1)] ^=
+              static_cast<char>(rng.Uniform(1, 255));
+        }
+        break;
+      }
+      case 1: {  // overwrite the string or line count with a hostile one
+        const size_t at = rng.Percent(50) ? header : line_count_at;
+        const uint64_t values[] = {0, 1, good_lines - 1, good_lines + 1,
+                                   1ull << 32, ~0ull, rng.Next()};
+        std::string field;
+        wire::PutU64(field, values[rng.Below(std::size(values))]);
+        mutant.replace(at, 8, field);
+        break;
+      }
+      case 2:  // truncate inside the body (the trailer is re-added)
+        mutant.resize(rng.Uniform(header, body_end - 1));
+        mutant.append(8, '\0');
+        break;
+      default: {  // overwrite an 8-byte window with random bytes
+        const size_t at = rng.Uniform(header, body_end - 8);
+        std::string field;
+        wire::PutU64(field, rng.Next());
+        mutant.replace(at, 8, field);
+        break;
+      }
+    }
+    mutant = Reseal(std::move(mutant));
+
+    Workload fresh_w;
+    fresh_w.options.num_threads = 1;
+    auto fresh = MakeEngine(3, &fresh_w);
+    ASSERT_NE(fresh, nullptr);
+    auto loaded = fresh->LoadSnapshotBytes(mutant);
+    if (!loaded.ok()) {
+      ++rejected_files;
+      EXPECT_EQ(fresh->Stats().cache.entries, 0u) << "mutant " << m;
+      continue;
+    }
+    ++loaded_files;
+    const std::optional<uint64_t> lines = LineCount(mutant);
+    ASSERT_TRUE(lines.has_value()) << "mutant " << m;
+    EXPECT_EQ(loaded->restored + loaded->rejected, *lines) << "mutant " << m;
+  }
+  // The sweep must reach both the parser's error paths and its success
+  // path.
+  EXPECT_GT(rejected_files, 0);
+  EXPECT_GT(loaded_files, 0);
 }
 
 TEST(EngineSnapshotValuePoolTest, ConstantsRemapAcrossDifferentPools) {

@@ -1,7 +1,7 @@
 // Concurrency stress: PropagateBatch racing AddCfd/RetractCfd from a
 // mutator thread. Designed to run under ThreadSanitizer (the CI
 // sanitizer jobs build with -fsanitize=thread): every data path the race
-// can touch — sigma snapshots, cache lines, generation checks, stats —
+// can touch — sigma snapshots, cache lines, Σ version checks, stats —
 // is exercised, and the served covers are checked against the only two
 // covers that can be correct (sigma with and without the churned CFD),
 // so a torn read would fail the assertion even without TSan.

@@ -119,6 +119,31 @@ TEST(EngineTest, RegistrationMinimizesSigma) {
   EXPECT_EQ(engine.sigma(*sigma_id)->size(), 2u);
 }
 
+TEST(EngineTest, RetractingARedundantCfdKeepsTheVersionAndItsLines) {
+  Engine engine(MakeCatalog(), {});
+  // RegistrationMinimizesSigma's set: one copy of A -> B is redundant,
+  // so retracting it leaves the minimized set — and its version — as is.
+  const CFD a_to_b = CFD::FD(0, {0}, 1).value();
+  auto sigma_id = engine.RegisterSigma({a_to_b, a_to_b,
+                                        CFD::FD(0, {1}, 2).value(),
+                                        CFD::FD(0, {0}, 2).value()});
+  ASSERT_TRUE(sigma_id.ok());
+  const SigmaVersion registered = engine.sigma_version(*sigma_id);
+  SPCView view = MakeView(engine.catalog());
+  auto cold = engine.Propagate(view, *sigma_id);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_FALSE(cold->cache_hit);
+
+  ASSERT_TRUE(engine.RetractCfd(*sigma_id, a_to_b).ok());
+  EXPECT_EQ(engine.sigma_raw(*sigma_id).size(), 3u);
+  EXPECT_EQ(engine.sigma_version(*sigma_id), registered);
+  EXPECT_EQ(engine.Stats().cache.invalidations, 0u);
+  auto warm = engine.Propagate(view, *sigma_id);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->cache_hit) << "unchanged content keeps its lines";
+  EXPECT_EQ(warm->cover->cover, cold->cover->cover);
+}
+
 TEST(EngineTest, RejectsInvalidInput) {
   Engine engine(MakeCatalog(), {});
   EXPECT_FALSE(engine.RegisterSigma({CFD::FD(7, {0}, 1).value()}).ok());
@@ -291,12 +316,14 @@ TEST(EngineTest, AddCfdInvalidatesOnlyTheMutatedSigma) {
   ASSERT_TRUE(engine.Propagate(view, *s1).ok());
   ASSERT_TRUE(engine.Propagate(view, *s2).ok());
   EXPECT_EQ(engine.Stats().cache.entries, 2u);
-  EXPECT_EQ(engine.sigma_generation(*s1), 0u);
+  const SigmaVersion v1 = engine.sigma_version(*s1);
+  const SigmaVersion v2 = engine.sigma_version(*s2);
+  EXPECT_NE(v1, v2);
 
   // Mutate s1: only its cache line drops; s2's line keeps hitting.
   ASSERT_TRUE(engine.AddCfd(*s1, CFD::FD(0, {0}, 3).value()).ok());  // A -> D
-  EXPECT_EQ(engine.sigma_generation(*s1), 1u);
-  EXPECT_EQ(engine.sigma_generation(*s2), 0u);
+  EXPECT_NE(engine.sigma_version(*s1), v1);
+  EXPECT_EQ(engine.sigma_version(*s2), v2);
   EXPECT_EQ(engine.Stats().cache.invalidations, 1u);
   EXPECT_EQ(engine.Stats().cache.entries, 1u);
 
@@ -317,28 +344,34 @@ TEST(EngineTest, AddThenRetractRoundTripsTheCover) {
 
   auto before = engine.Propagate(view, *sigma_id);
   ASSERT_TRUE(before.ok());
+  const SigmaVersion registered = engine.sigma_version(*sigma_id);
 
   // A -> D is new information; with D unprojected it reshapes the raw
   // set (and the minimized cover) but must disappear again on retract.
   CFD added = CFD::FD(0, {0}, 3).value();
   ASSERT_TRUE(engine.AddCfd(*sigma_id, added).ok());
   EXPECT_EQ(engine.sigma_raw(*sigma_id).size(), 4u);
+  EXPECT_NE(engine.sigma_version(*sigma_id), registered);
   auto during = engine.Propagate(view, *sigma_id);
   ASSERT_TRUE(during.ok());
   EXPECT_FALSE(during->cache_hit);
 
   ASSERT_TRUE(engine.RetractCfd(*sigma_id, added).ok());
   EXPECT_EQ(engine.sigma_raw(*sigma_id).size(), 3u);
-  EXPECT_EQ(engine.sigma_generation(*sigma_id), 2u);
+  EXPECT_EQ(engine.sigma_version(*sigma_id), registered);
   auto after = engine.Propagate(view, *sigma_id);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->cache_hit) << "generation changed; old line is gone";
+  EXPECT_FALSE(after->cache_hit)
+      << "the add dropped the registered version's line";
   EXPECT_EQ(after->cover->cover, before->cover->cover);
+  const uint64_t invalidations = engine.Stats().cache.invalidations;
+  EXPECT_EQ(invalidations, 2u);
 
   // Retracting something never registered is NotFound and changes
-  // nothing (no generation bump, no invalidation).
+  // nothing (same version, no invalidation).
   EXPECT_FALSE(engine.RetractCfd(*sigma_id, added).ok());
-  EXPECT_EQ(engine.sigma_generation(*sigma_id), 2u);
+  EXPECT_EQ(engine.sigma_version(*sigma_id), registered);
+  EXPECT_EQ(engine.Stats().cache.invalidations, invalidations);
 }
 
 TEST(EngineTest, HeldCoversSurviveRetractionAndClear) {
@@ -514,27 +547,23 @@ TEST(CoverCacheTest, KeyCollisionIsAMissNotAWrongServe) {
   EXPECT_EQ(cache.Stats().entries, 1u);
 }
 
-TEST(CoverCacheTest, GenerationMismatchIsAMiss) {
+TEST(CoverCacheTest, VersionMismatchIsAMiss) {
   CoverCache cache(/*capacity=*/4, /*num_shards=*/1);
-  cache.Insert(1, 10, CacheEntry(1), /*tag=*/0, /*generation=*/0);
-  // A lookup at a newer sigma generation must not serve the stale cover,
-  // even though key and check match.
-  EXPECT_EQ(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/1), nullptr);
-  EXPECT_NE(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/0), nullptr);
+  const SigmaVersion v0{1, 2};
+  const SigmaVersion v1{3, 4};
+  cache.Insert(1, 10, CacheEntry(1), v0);
+  // A lookup for other Σ content must not serve the cover, even though
+  // key and check match — and half a version match is still a miss.
+  EXPECT_EQ(cache.Lookup(1, 10, v1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 10, SigmaVersion{1, 4}), nullptr);
+  EXPECT_NE(cache.Lookup(1, 10, v0), nullptr);
 
-  // A stale in-flight insert landing after the mutation is displaced by
-  // the fresh-generation insert (latest wins, no double-count).
-  cache.Insert(1, 10, CacheEntry(2), /*tag=*/0, /*generation=*/1);
-  EXPECT_EQ(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/0), nullptr);
-  EXPECT_NE(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/1), nullptr);
+  // An insert for the other version displaces the line (latest wins,
+  // no double-count).
+  cache.Insert(1, 10, CacheEntry(2), v1);
+  EXPECT_EQ(cache.Lookup(1, 10, v0), nullptr);
+  EXPECT_NE(cache.Lookup(1, 10, v1), nullptr);
   EXPECT_EQ(cache.Stats().entries, 1u);
-
-  // ...but the reverse race — a slow compute from before the mutation
-  // inserting after the fresh cover landed — must not displace the
-  // newer entry (generations are monotone per tag).
-  cache.Insert(1, 10, CacheEntry(3), /*tag=*/0, /*generation=*/0);
-  EXPECT_NE(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, 10, /*tag=*/0, /*generation=*/0), nullptr);
 }
 
 TEST(CoverCacheTest, SetBudgetEvictsInLruOrder) {
@@ -626,22 +655,24 @@ TEST(EngineTest, BatchStatsReportEffectiveParallelism) {
   EXPECT_NE(stats.ToString().find("par_eff="), std::string::npos);
 }
 
-TEST(CoverCacheTest, EraseTaggedDropsOnlyThatTag) {
+TEST(CoverCacheTest, EraseVersionDropsOnlyThatVersion) {
   CoverCache cache(/*capacity=*/8, /*num_shards=*/1);
-  cache.Insert(1, 10, CacheEntry(1), /*tag=*/0, /*generation=*/0);
-  cache.Insert(2, 20, CacheEntry(2), /*tag=*/1, /*generation=*/0);
-  cache.Insert(3, 30, CacheEntry(3), /*tag=*/0, /*generation=*/0);
+  const SigmaVersion v0{1, 2};
+  const SigmaVersion v1{3, 4};
+  cache.Insert(1, 10, CacheEntry(1), v0);
+  cache.Insert(2, 20, CacheEntry(2), v1);
+  cache.Insert(3, 30, CacheEntry(3), v0);
 
-  EXPECT_EQ(cache.EraseTagged(0), 2u);
-  EXPECT_EQ(cache.Lookup(1, 10, 0, 0), nullptr);
-  EXPECT_EQ(cache.Lookup(3, 30, 0, 0), nullptr);
-  EXPECT_NE(cache.Lookup(2, 20, 1, 0), nullptr);
+  EXPECT_EQ(cache.EraseVersion(v0), 2u);
+  EXPECT_EQ(cache.Lookup(1, 10, v0), nullptr);
+  EXPECT_EQ(cache.Lookup(3, 30, v0), nullptr);
+  EXPECT_NE(cache.Lookup(2, 20, v1), nullptr);
 
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.invalidations, 2u);
   EXPECT_EQ(stats.evictions, 0u) << "invalidation is not LRU pressure";
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(cache.EraseTagged(7), 0u);
+  EXPECT_EQ(cache.EraseVersion(SigmaVersion{7, 7}), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Router-tier suite: the CoverRouter's consistent-hash placement, the
 // RemoteBackend reconnect-and-reopen fix, and live tenant migration —
-// byte-identical covers across the move, and only legal generations
-// under churn.
+// byte-identical covers across the move, and only covers of a legal Σ
+// content under churn.
 
 #include "src/net/cover_router.h"
 
@@ -288,8 +288,8 @@ TEST(CoverRouterTest, MigrationUnderChurnServesOnlyLegalGenerations) {
   ASSERT_TRUE(client_spec.ok());
 
   // Serves one GoldReps request and hashes the served cover's *content*
-  // (pool-independent), not its request fingerprint — the cache key is
-  // the same across Σ generations by design; the content is not.
+  // (pool-independent), not its request fingerprint — which only says
+  // which Σ version the cover answers, not what the cover is.
   auto serve_one = [&](ValuePool& pool) -> Result<uint64_t> {
     auto batch = router.SubmitBatches("eu", {{"GoldReps"}}, pool);
     if (!batch.ok()) return batch.status();
@@ -301,13 +301,13 @@ TEST(CoverRouterTest, MigrationUnderChurnServesOnlyLegalGenerations) {
                                batch->front().results.front()->cover->cover);
   };
 
-  // The two legal generations: the base cover (spec's Σ0), and the
+  // The two legal covers: the base cover (spec's Σ0), and the
   // churned cover after [rep] -> cust joins Σ0 on the source. (The FD
   // must not be implied by the base cover: sigma(tier = "gold") turns
   // [tier] -> rep into a constant-LHS FD on rep, which would subsume
   // anything with rep on the right.) The churn is NOT in the spec text,
   // so the migrated target — re-opened from text — is back on the base
-  // generation and the churned snapshot lines are rejected at warm
+  // Σ version and the churned snapshot lines are rejected at warm
   // start.
   auto fp_base = serve_one(client_spec->catalog.pool());
   ASSERT_TRUE(fp_base.ok()) << fp_base.status();
@@ -323,7 +323,7 @@ TEST(CoverRouterTest, MigrationUnderChurnServesOnlyLegalGenerations) {
   // A client hammering the tenant while it migrates: typed kUnavailable
   // is the only acceptable hiccup (and is retried); anything else is a
   // failed submit. Every served cover must be one of the two legal
-  // generations.
+  // covers.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> served{0}, unavailable_retries{0}, failures{0};
   std::atomic<uint64_t> illegal{0};
@@ -359,16 +359,16 @@ TEST(CoverRouterTest, MigrationUnderChurnServesOnlyLegalGenerations) {
   EXPECT_EQ(failures.load(), 0u)
       << "a migration must not fail submits (kUnavailable + retry only)";
   EXPECT_EQ(illegal.load(), 0u)
-      << "every served cover is one of the two legal generations";
+      << "every served cover is one of the two legal covers";
   EXPECT_GT(served.load(), 0u);
 
   // After the flip: the target re-opened from spec text serves the base
-  // generation, and the churned snapshot lines were rejected.
+  // Σ version, and the churned snapshot lines were rejected.
   auto fp_after = serve_one(client_spec->catalog.pool());
   ASSERT_TRUE(fp_after.ok()) << fp_after.status();
   EXPECT_EQ(*fp_after, *fp_base);
   EXPECT_GT(report->rejected, 0u)
-      << "churned-generation lines cannot warm-start a base-Σ tenant";
+      << "churned-Σ lines cannot warm-start a base-Σ tenant";
 }
 
 }  // namespace

@@ -78,6 +78,17 @@ TEST(SpanRingTest, SnapshotTruncatesInlineStringsCleanly) {
   EXPECT_EQ(out[0].name, long_name.substr(0, SpanRing::kNameBytes - 1));
   EXPECT_EQ(out[0].tenant, long_tenant.substr(0, SpanRing::kTenantBytes - 1));
   EXPECT_EQ(out[0].annot, long_annot.substr(0, SpanRing::kAnnotBytes - 1));
+
+  // Default-constructed views carry a null data(): copying zero bytes
+  // from one must still be well defined (UBSan checks memcpy's args).
+  ASSERT_TRUE(ring.Append(1, 3, 0, std::string_view{}, 0, 0,
+                          std::string_view{}, -1, std::string_view{}));
+  std::vector<SpanRecord> both;
+  ring.Snapshot(&both, false);
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(both[1].name, "");
+  EXPECT_EQ(both[1].tenant, "");
+  EXPECT_EQ(both[1].annot, "");
 }
 
 TEST(TracerTest, CounterBasedSamplingIsExact) {

@@ -167,9 +167,9 @@ TEST(WorkloadRunnerTest, EveryScenarioServesIdenticalCoversRouted) {
   // Churn-free scenarios are cover-deterministic: the same request
   // stream must produce the same cover bytes whether it is served in
   // process or sharded across the routed tier. (Churn scenarios race
-  // Σ generations with serving by design, so their cover sets are
+  // Σ mutations with serving by design, so their cover sets are
   // legitimately timing-dependent — the migration tests pin those down
-  // with the two-legal-generations check instead.)
+  // with the two-legal-covers check instead.)
   const std::string dir = ::testing::TempDir() + "cfdprop_workload_routed";
   ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
   for (WorkloadKind kind :
