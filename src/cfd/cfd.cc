@@ -291,14 +291,21 @@ Result<CFD> CFD::FromSnapshotBytes(
 }
 
 std::vector<CFD> DedupeAndDropTrivial(std::vector<CFD> cfds) {
-  std::vector<CFD> out;
-  out.reserve(cfds.size());
-  std::unordered_set<CFD, CFDHash> seen;
-  for (CFD& c : cfds) {
-    if (c.IsTrivial()) continue;
-    if (seen.insert(c).second) out.push_back(std::move(c));
+  // Compacts in place: cfds[0, kept) are the CFDs kept so far, and `seen`
+  // holds their indices, so no CFD is copied. Slot `kept` takes the next
+  // candidate and stays free again when that is a duplicate.
+  size_t kept = 0;
+  auto hash = [&cfds](size_t i) { return CFDHash{}(cfds[i]); };
+  auto equal = [&cfds](size_t a, size_t b) { return cfds[a] == cfds[b]; };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
+      cfds.size(), hash, equal);
+  for (size_t i = 0; i < cfds.size(); ++i) {
+    if (cfds[i].IsTrivial()) continue;
+    if (kept != i) cfds[kept] = std::move(cfds[i]);
+    if (seen.insert(kept).second) ++kept;
   }
-  return out;
+  cfds.resize(kept);
+  return cfds;
 }
 
 }  // namespace cfdprop

@@ -10,12 +10,27 @@
 // enumerating instantiations of the finite-domain variables of the
 // template, exactly as the paper's appendix proofs do.
 //
+// Two procedures decide Implies:
+//   * the implication kernel decides every infinite-domain call
+//     (general_setting false and no finite domain: `domains` empty, or
+//     each entry null or !finite()). It chases the two-row template as a
+//     union-find with one constant slot per class over 2*arity cells, in
+//     one reusable buffer, with the single-tuple, pair and equality rules
+//     of Chase (src/chase/chase.h), and stops as soon as phi's conclusion
+//     holds;
+//   * every other call - some finite domain, or the general setting -
+//     builds the template as a SymbolicInstance and runs Chase (and, in
+//     the general setting, ExistsChaseBranch) on it.
+// Sigma |= phi is a yes/no question, so both give the same answer on
+// every input the kernel takes.
+//
 // These procedures are what MinCover (src/cfd/mincover.h) and the final
 // minimization step of PropCFD_SPC are built on.
 
 #ifndef CFDPROP_CFD_IMPLICATION_H_
 #define CFDPROP_CFD_IMPLICATION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/base/status.h"
@@ -42,10 +57,47 @@ AttrDomains DomainsOf(const Catalog& catalog, RelationId relation);
 
 /// Decides Sigma |= phi over an attribute space of `arity` attributes.
 /// All CFDs (sigma's and phi) must carry the same relation tag; rows of
-/// the internal template are tagged with it.
+/// the internal template are tagged with it. Validates its inputs on
+/// every call.
 Result<bool> Implies(const std::vector<CFD>& sigma, const CFD& phi,
                      size_t arity, const AttrDomains& domains = {},
                      const ImplicationOptions& options = {});
+
+/// The input check Implies runs on every call, for callers that test
+/// many phi against one sigma: every CFD passes CFD::Validate(arity) and
+/// carries `relation`.
+Status ValidateImplicationInput(const std::vector<CFD>& sigma,
+                                RelationId relation, size_t arity);
+
+/// Runs many implication tests against subsets of one validated sigma,
+/// as MinCover and RemoveRedundantCFDs do, with one kernel buffer for
+/// all of them. Does not validate: the caller checks sigma (and every
+/// phi) with ValidateImplicationInput once. `domains` must outlive the
+/// tester.
+class ImplicationTester {
+ public:
+  ImplicationTester(size_t arity, const AttrDomains& domains,
+                    const ImplicationOptions& options);
+  /// The tester keeps a reference to `domains`: no temporaries.
+  ImplicationTester(size_t arity, AttrDomains&& domains,
+                    const ImplicationOptions& options) = delete;
+
+  /// Decides Sigma' |= phi', where Sigma' is the CFDs of `sigma` whose
+  /// `alive` entry is nonzero (all of them when `alive` is empty) and
+  /// phi' is `phi` without its LHS attribute at position `drop_lhs`
+  /// (phi itself when drop_lhs is SIZE_MAX).
+  Result<bool> Implies(const std::vector<CFD>& sigma,
+                       const std::vector<uint8_t>& alive, const CFD& phi,
+                       size_t drop_lhs = SIZE_MAX);
+
+ private:
+  size_t arity_;
+  const AttrDomains& domains_;
+  ImplicationOptions options_;
+  /// Whether calls go to the kernel (see the top of this file).
+  bool kernel_;
+  std::vector<uint32_t> scratch_;
+};
 
 /// The consistency (satisfiability) problem: is there a *nonempty*
 /// instance satisfying sigma? PTIME without finite domains, NP-complete

@@ -6,8 +6,11 @@
 // Sigma already implies phi' = R(X\B -> A, (tp[X\B] || tp[A])) — phi' is
 // stronger than phi, so replacing phi by phi' preserves equivalence.
 //
-// Runs in O(|Sigma|^3) implication calls, matching the MinCover algorithm
-// of [8] that PropCFD_SPC invokes (lines 1 and 13 of Fig. 2).
+// The MinCover algorithm of [8] that PropCFD_SPC invokes (lines 1 and 13
+// of Fig. 2). Phase 1 makes one implication call per (CFD, LHS attribute)
+// pair and phase 2 one per CFD, so O(|Sigma| * max|LHS|) calls in all.
+// Each call is a chase of O(passes * |Sigma|) rule applications (see
+// src/cfd/implication.h); Sigma is validated once, not per call.
 
 #ifndef CFDPROP_CFD_MINCOVER_H_
 #define CFDPROP_CFD_MINCOVER_H_
