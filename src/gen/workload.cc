@@ -77,16 +77,6 @@ const char* WorkloadKindName(WorkloadKind kind) {
   return kKindNames[static_cast<size_t>(kind)];
 }
 
-Result<WorkloadKind> ParseWorkloadKind(const std::string& name) {
-  for (size_t i = 0; i < std::size(kKindNames); ++i) {
-    if (name == kKindNames[i]) return static_cast<WorkloadKind>(i);
-  }
-  return Status::InvalidArgument("unknown workload '" + name +
-                                 "' (want hit-heavy, churn-heavy, "
-                                 "union-heavy, tenant-churn, burst-reject, "
-                                 "snapshot-restart or mixed)");
-}
-
 std::vector<WorkloadKind> AllWorkloadKinds() {
   std::vector<WorkloadKind> kinds;
   for (size_t i = 0; i < std::size(kKindNames); ++i) {

@@ -1,15 +1,16 @@
-// Scenario workload plans for the cbench-style harness (cfdprop_bench):
-// a WorkloadPlan is a fully deterministic function of WorkloadOptions —
-// per-tenant generated specs (src/gen generators under names V0..Vn,
-// plus U0..Un union views where the scenario serves unions) and one op
-// script per client. The runner (src/workload/runner.h) executes the
-// same plan over either the in-process CatalogService or the TCP
-// CoverClient→CoverServer path, which is what makes the two paths
-// comparable: they serve byte-identical request streams.
+// Scenario workload plans: a WorkloadPlan is a fully deterministic
+// function of WorkloadOptions — per-tenant generated specs (src/gen
+// generators under names V0..Vn, plus U0..Un union views where the
+// scenario serves unions) and one op script per client. Two users:
+// perfbench builds its tenants with BuildTenantSpec, and the
+// cross-path oracle (src/workload/runner.h, driven by
+// tests/workload_test.cc) executes the same plan over the in-process,
+// TCP and routed paths, which is what makes the paths comparable: they
+// serve byte-identical request streams.
 //
 // Determinism is a feature under test: SerializeScripts renders the
 // request stream to canonical bytes and FingerprintScripts hashes them,
-// so "same --seed ⇒ byte-identical stream" is a plain string compare.
+// so "same seed ⇒ byte-identical stream" is a plain string compare.
 
 #ifndef CFDPROP_GEN_WORKLOAD_H_
 #define CFDPROP_GEN_WORKLOAD_H_
@@ -18,15 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "src/base/status.h"
 #include "src/parser/parser.h"
 
 namespace cfdprop {
 namespace gen {
 
-/// The seven scenarios. Names (WorkloadKindName) are the --workload
-/// spellings: hit-heavy, churn-heavy, union-heavy, tenant-churn,
-/// burst-reject, snapshot-restart, mixed.
+/// The seven scenarios, named (WorkloadKindName) hit-heavy, churn-heavy,
+/// union-heavy, tenant-churn, burst-reject, snapshot-restart, mixed.
 enum class WorkloadKind {
   kHitHeavy,         // hot SPC name stream, ~90% cache hits
   kChurnHeavy,       // hit-heavy + AddCfd/RetractCfd churn interleaved
@@ -38,7 +37,6 @@ enum class WorkloadKind {
 };
 
 const char* WorkloadKindName(WorkloadKind kind);
-Result<WorkloadKind> ParseWorkloadKind(const std::string& name);
 std::vector<WorkloadKind> AllWorkloadKinds();
 
 struct WorkloadOptions {

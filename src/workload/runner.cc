@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -19,8 +18,6 @@
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/obs/exporter.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/service/catalog_service.h"
 
 namespace cfdprop {
@@ -31,22 +28,32 @@ namespace {
 using gen::WorkloadOp;
 using gen::WorkloadPlan;
 
+/// Shards behind the router on the routed path.
+constexpr size_t kRouterShards = 3;
+
 /// Counters shared by every worker; folded into the report at the end.
 struct Totals {
+  explicit Totals(size_t tenants) : reopen_seq(tenants) {}
+
   std::atomic<uint64_t> requests{0};
   std::atomic<uint64_t> covers{0};
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> unavailable{0};
   std::atomic<uint64_t> churn_ops{0};
   std::atomic<uint64_t> reopens{0};
   std::atomic<uint64_t> restored{0};
   /// Wrapping sum of served cover fingerprints — commutative, so the
   /// aggregate is independent of thread interleaving.
   std::atomic<uint64_t> cover_fp{0};
+  /// Per-tenant reopen sequence: bumped when a reopen's drop starts and
+  /// again when its open ends, so it is odd while the tenant is
+  /// mid-reopen. Each tenant has at most one reopening client.
+  std::vector<std::atomic<uint64_t>> reopen_seq;
 };
 
 /// Everything the chosen path stands up. One service/server on inproc
-/// and tcp; router_shards of each plus the router on routed. Members
+/// and tcp; kRouterShards of each plus the router on routed. Members
 /// are declared in dependency order (services before the servers that
 /// wrap them, router last) so teardown reverses it safely.
 struct PathRuntime {
@@ -94,12 +101,11 @@ void WaitTenantDrained(CatalogService& service, const std::string& tenant) {
 class Worker {
  public:
   Worker(const WorkloadPlan& plan, const RunnerOptions& options,
-         PathRuntime& rt, Totals& totals, obs::Histogram& latency)
+         PathRuntime& rt, Totals& totals)
       : plan_(plan),
         options_(options),
         rt_(rt),
         totals_(totals),
-        latency_(latency),
         // Pool-independent (wildcards only), so one instance serves
         // every tenant regardless of reopens: R0(A0 A1 -> A2).
         churn_cfd_(CFD::FD(0, {0, 1}, 2).value()) {}
@@ -121,7 +127,6 @@ class Worker {
         net::CoverClientOptions copts;
         copts.port = rt_.servers[0]->port();
         copts.connect_timeout = std::chrono::milliseconds(10000);
-        copts.io_timeout = options_.io_timeout;
         remote_ = std::make_unique<net::RemoteBackend>(copts);
         CFDPROP_RETURN_NOT_OK(remote_->Connect());
         backend_ = remote_.get();
@@ -132,7 +137,7 @@ class Worker {
       const std::string tenant = plan_.TenantName(op.tenant);
       switch (op.type) {
         case WorkloadOp::Type::kBatch:
-          RunBatches(tenant, op.batches, nullptr);
+          RunBatches(op.tenant, tenant, op.batches, nullptr);
           break;
         case WorkloadOp::Type::kBurst: {
           // Drain before deciding: the pattern is then a function of the
@@ -141,7 +146,7 @@ class Worker {
           // bursts race with other clients' batches by design, so their
           // pattern is reported but not asserted anywhere.
           WaitTenantDrained(rt_.ServiceFor(tenant), tenant);
-          RunBatches(tenant, op.batches, &pattern_);
+          RunBatches(op.tenant, tenant, op.batches, &pattern_);
           break;
         }
         case WorkloadOp::Type::kChurnAdd:
@@ -170,19 +175,23 @@ class Worker {
   /// just a burst of one) and waits for all replies. With `pattern` set,
   /// appends one 'A'/'R'/'E' per batch. One code path for every
   /// backend — the decode pool only matters on the wire paths.
-  void RunBatches(const std::string& tenant,
+  void RunBatches(size_t tenant_index, const std::string& tenant,
                   const std::vector<std::vector<std::string>>& batches,
                   std::string* pattern) {
     size_t n = 0;
     for (const auto& b : batches) n += b.size();
     totals_.requests.fetch_add(n, std::memory_order_relaxed);
     totals_.batches.fetch_add(batches.size(), std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
+    std::atomic<uint64_t>& reopen_seq = totals_.reopen_seq[tenant_index];
+    const uint64_t seq_before = reopen_seq.load();
     auto replies = backend_->SubmitBatches(tenant, batches, scratch_.pool());
+    // Whether a reopen of this tenant overlapped the submit: its
+    // sequence was odd before, or moved since.
+    const bool reopening =
+        seq_before % 2 == 1 || reopen_seq.load() != seq_before;
     if (!replies.ok()) {
-      // The whole call failed (tenant mid-reopen, transport hiccup):
-      // every slot is an error.
-      totals_.errors.fetch_add(batches.size(), std::memory_order_relaxed);
+      // The whole call failed: every slot fails with its status.
+      CountFailed(replies.status(), reopening, batches.size());
       if (pattern) pattern->append(batches.size(), 'E');
     } else {
       // The content hash needs the pool the covers' constants are
@@ -203,7 +212,7 @@ class Worker {
         }
       }
       for (const BatchResult& batch : *replies) {
-        CountResult(batch.status, pattern);
+        CountResult(batch.status, reopening, pattern);
         if (!batch.status.ok()) continue;
         for (const Result<EngineResult>& r : batch.results) {
           if (r.ok()) {
@@ -219,20 +228,30 @@ class Worker {
         }
       }
     }
-    latency_.Record(std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
   }
 
-  void CountResult(const Status& status, std::string* pattern) {
+  void CountResult(const Status& status, bool reopening,
+                   std::string* pattern) {
     char letter = 'A';
     if (!status.ok()) {
       letter = status.code() == StatusCode::kResourceExhausted ? 'R' : 'E';
-      if (letter == 'E') {
-        totals_.errors.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (letter == 'E') CountFailed(status, reopening, 1);
     }
     if (pattern) pattern->push_back(letter);
+  }
+
+  /// Counts `slots` failed batch slots. A NotFound while the tenant was
+  /// mid-reopen is the drop window's typed outcome, unavailable, whether
+  /// the whole call carries it or one batch does (the backend and then
+  /// the service each resolve the tenant, and the drop can land between
+  /// them). Any other failure, a NotFound outside a reopen included, is
+  /// an error.
+  void CountFailed(const Status& status, bool reopening, size_t slots) {
+    std::atomic<uint64_t>& counter =
+        status.code() == StatusCode::kNotFound && reopening
+            ? totals_.unavailable
+            : totals_.errors;
+    counter.fetch_add(slots, std::memory_order_relaxed);
   }
 
   void RunChurn(const std::string& tenant, bool add) {
@@ -256,39 +275,33 @@ class Worker {
   /// so the reopened tenant serves its old covers as hits. The drop
   /// travels through the path under test; the re-open is in-process on
   /// the owning shard's server — generated specs have no text form for
-  /// the wire to carry.
+  /// the wire to carry. The tenant's reopen sequence is odd from the
+  /// drop's start to the open's end.
   void RunReopen(const std::string& tenant, size_t tenant_index) {
     Spec spec = gen::BuildTenantSpec(plan_, tenant_index);
+    std::atomic<uint64_t>& reopen_seq = totals_.reopen_seq[tenant_index];
+    reopen_seq.fetch_add(1);
     Status dropped = backend_->DropCatalog(tenant);
     if (!dropped.ok()) {
       totals_.errors.fetch_add(1, std::memory_order_relaxed);
     }
-    uint64_t restored = 0;
-    if (options_.path == RunnerPath::kInproc) {
-      auto opened = rt_.inproc->OpenParsedSpec(tenant, std::move(spec));
-      if (!opened.ok()) {
-        totals_.errors.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      restored = opened->restored;
-    } else {
-      auto opened =
-          rt_.ServerFor(tenant).OpenParsedSpec(tenant, std::move(spec));
-      if (!opened.ok()) {
-        totals_.errors.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      restored = opened->restored;
+    auto opened =
+        options_.path == RunnerPath::kInproc
+            ? rt_.inproc->OpenParsedSpec(tenant, std::move(spec))
+            : rt_.ServerFor(tenant).OpenParsedSpec(tenant, std::move(spec));
+    reopen_seq.fetch_add(1);
+    if (!opened.ok()) {
+      totals_.errors.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
     totals_.reopens.fetch_add(1, std::memory_order_relaxed);
-    totals_.restored.fetch_add(restored, std::memory_order_relaxed);
+    totals_.restored.fetch_add(opened->restored, std::memory_order_relaxed);
   }
 
   const WorkloadPlan& plan_;
   const RunnerOptions& options_;
   PathRuntime& rt_;
   Totals& totals_;
-  obs::Histogram& latency_;
   CFD churn_cfd_;
   net::CoverBackend* backend_ = nullptr;
   std::unique_ptr<net::RemoteBackend> remote_;  // tcp path only
@@ -310,33 +323,23 @@ const char* RunnerPathName(RunnerPath path) {
   return "unknown";
 }
 
-Result<RunnerPath> ParseRunnerPath(const std::string& name) {
-  if (name == "inproc") return RunnerPath::kInproc;
-  if (name == "tcp") return RunnerPath::kTcp;
-  if (name == "routed") return RunnerPath::kRouted;
-  return Status::InvalidArgument("unknown path '" + name +
-                                 "' (inproc|tcp|routed)");
-}
-
 std::string WorkloadReport::ToString() const {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "%s [%s]: %llu covers in %.3f s (%.0f covers/s) "
-      "p50=%.0fus p95=%.0fus p99=%.0fus hits=%.1f%% "
-      "admitted=%llu rejected=%llu errors=%llu",
+      "%s [%s]: %llu covers over %llu batches "
+      "admitted=%llu rejected=%llu errors=%llu unavailable=%llu",
       workload.c_str(), path.c_str(),
-      static_cast<unsigned long long>(covers_served), elapsed_s,
-      covers_per_sec, p50_us, p95_us, p99_us, hit_rate_pct,
+      static_cast<unsigned long long>(covers_served),
+      static_cast<unsigned long long>(batches),
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(errors));
+      static_cast<unsigned long long>(errors),
+      static_cast<unsigned long long>(unavailable));
   std::string out = buf;
   if (migrations > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " migrations=%llu (%.1f/s, restored=%llu)",
+    std::snprintf(buf, sizeof(buf), " migrations=%llu (restored=%llu)",
                   static_cast<unsigned long long>(migrations),
-                  migrations_per_sec,
                   static_cast<unsigned long long>(migrated_lines));
     out += buf;
   }
@@ -351,37 +354,18 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
         " spills snapshots; the runner needs a snapshot_dir");
   }
 
-  const size_t shards = options.path == RunnerPath::kRouted
-                            ? std::max<size_t>(2, options.router_shards)
-                            : 1;
-
-  // Tracing is opt-in: with both knobs negative no tracer is installed
-  // and every instrumentation site in the run costs one atomic load.
-  // Declared before the runtime so teardown (which may still record
-  // spans from dispatcher tails) finishes before the uninstall.
-  std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
-  if (options.trace_sample_shift >= 0 || options.slow_threshold_us >= 0) {
-    obs::ObsOptions topts;
-    topts.trace_sample_shift = options.trace_sample_shift;
-    topts.slow_threshold_us = options.slow_threshold_us;
-    topts.trace_seed = options.trace_seed;
-    tracer = std::make_unique<obs::Tracer>(topts);
-    scoped_tracer = std::make_unique<obs::ScopedProcessTracer>(tracer.get());
-  }
+  const size_t shards =
+      options.path == RunnerPath::kRouted ? kRouterShards : 1;
 
   PathRuntime rt;
   for (size_t s = 0; s < shards; ++s) {
     ServiceOptions sopts;
-    sopts.dispatcher_threads =
-        options.dispatcher_threads
-            ? options.dispatcher_threads
-            : std::max<size_t>(2, plan.options.tenants);
+    sopts.dispatcher_threads = std::max<size_t>(2, plan.options.tenants);
     sopts.admission.max_inflight_batches = plan.max_inflight;
     sopts.admission.max_queued_batches = plan.max_queue;
     sopts.global_cache_budget =
         std::max<size_t>(4096, 1024 * plan.options.tenants);
-    sopts.engine.num_threads = std::max<size_t>(1, options.engine_threads);
+    sopts.engine.num_threads = 1;
     sopts.snapshot_dir = options.snapshot_dir;
     if (shards > 1 && !options.snapshot_dir.empty()) {
       // Per-shard spill directories: after a migration both the source
@@ -397,9 +381,7 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
 
   if (options.path != RunnerPath::kInproc) {
     for (auto& service : rt.services) {
-      net::CoverServerOptions nopts;
-      nopts.io_timeout = options.io_timeout;
-      auto server = std::make_unique<net::CoverServer>(*service, nopts);
+      auto server = std::make_unique<net::CoverServer>(*service);
       CFDPROP_RETURN_NOT_OK(server->Start());
       rt.servers.push_back(std::move(server));
     }
@@ -421,7 +403,6 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
       net::CoverClientOptions copts;
       copts.port = server->port();
       copts.connect_timeout = std::chrono::milliseconds(10000);
-      copts.io_timeout = options.io_timeout;
       ropts.shards.push_back(copts);
     }
     rt.router = std::make_unique<net::CoverRouter>(std::move(ropts));
@@ -434,27 +415,22 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   for (size_t t = 0; t < plan.options.tenants; ++t) {
     const std::string name = plan.TenantName(t);
     Spec spec = gen::BuildTenantSpec(plan, t);
-    if (options.path == RunnerPath::kInproc) {
-      auto opened = rt.inproc->OpenParsedSpec(name, std::move(spec));
-      CFDPROP_RETURN_NOT_OK(opened.status());
-    } else {
-      auto opened = rt.ServerFor(name).OpenParsedSpec(name, std::move(spec));
-      CFDPROP_RETURN_NOT_OK(opened.status());
-    }
+    auto opened =
+        options.path == RunnerPath::kInproc
+            ? rt.inproc->OpenParsedSpec(name, std::move(spec))
+            : rt.ServerFor(name).OpenParsedSpec(name, std::move(spec));
+    CFDPROP_RETURN_NOT_OK(opened.status());
   }
 
-  Totals totals;
-  obs::Histogram latency;
+  Totals totals(plan.options.tenants);
   const size_t clients = plan.scripts.size();
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(clients);
   for (size_t c = 0; c < clients; ++c) {
-    workers.push_back(
-        std::make_unique<Worker>(plan, options, rt, totals, latency));
+    workers.push_back(std::make_unique<Worker>(plan, options, rt, totals));
   }
 
   std::vector<Status> worker_status(clients);
-  const auto start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -464,9 +440,6 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
     }
     for (auto& t : threads) t.join();
   }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   for (const Status& s : worker_status) CFDPROP_RETURN_NOT_OK(s);
 
   WorkloadReport report;
@@ -478,23 +451,17 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   report.covers_served = totals.covers.load();
   report.batches = totals.batches.load();
   report.errors = totals.errors.load();
+  report.unavailable = totals.unavailable.load();
   report.churn_ops = totals.churn_ops.load();
   report.reopens = totals.reopens.load();
   report.restored_lines = totals.restored.load();
   report.cover_fingerprint = totals.cover_fp.load();
-  report.elapsed_s = elapsed;
-  report.covers_per_sec =
-      elapsed > 0 ? static_cast<double>(report.covers_served) / elapsed : 0;
-  const obs::HistogramSnapshot snap = latency.Snapshot();
-  report.p50_us = snap.Quantile(0.50);
-  report.p95_us = snap.Quantile(0.95);
-  report.p99_us = snap.Quantile(0.99);
   for (const auto& w : workers) report.admit_pattern += w->pattern();
 
-  // Admission totals and hit rate through the path under test: one
-  // METRICS scrape of its backend (merged across shards on routed),
-  // summed over every tenant and shard label — so the determinism suite
-  // compares what a real remote client would see.
+  // Admission totals through the path under test: one METRICS scrape
+  // of its backend (merged across shards on routed), summed over every
+  // tenant and shard label — so the determinism suite compares what a
+  // real remote client would see.
   {
     CFDPROP_ASSIGN_OR_RETURN(std::string text, rt.backend->Metrics());
     CFDPROP_ASSIGN_OR_RETURN(obs::ParsedMetrics scrape,
@@ -503,10 +470,6 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
         static_cast<uint64_t>(scrape.Sum("cfdprop_admitted_total"));
     report.rejected =
         static_cast<uint64_t>(scrape.Sum("cfdprop_admission_rejected_total"));
-    const double hits = scrape.Sum("cfdprop_cache_hits_total");
-    const double misses = scrape.Sum("cfdprop_cache_misses_total");
-    report.hit_rate_pct = hits + misses > 0 ? 100.0 * hits / (hits + misses)
-                                            : 0;
   }
 
   // Routed epilogue, after every counter above is read (a migration
@@ -514,9 +477,8 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   // live-migrate every tenant one shard clockwise through the router's
   // machinery — drain + snapshot fetch over the wire, in-process
   // warm-start on the target (generated specs have no text), route
-  // flip, source drop — and report the throughput.
+  // flip, source drop — and count the lines that crossed warm.
   if (options.path == RunnerPath::kRouted) {
-    const auto m0 = std::chrono::steady_clock::now();
     for (size_t t = 0; t < plan.options.tenants; ++t) {
       const std::string name = plan.TenantName(t);
       const size_t src = rt.router->ShardFor(name);
@@ -538,46 +500,6 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
       (void)rt.router->DropCatalogOn(src, name);  // route is flipped
       report.migrations++;
       report.migrated_lines += opened->restored;
-    }
-    const double m_elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - m0)
-                                 .count();
-    report.migrations_per_sec =
-        m_elapsed > 0 ? static_cast<double>(report.migrations) / m_elapsed
-                      : 0;
-  }
-
-  // Per-stage latency breakdown from the tracer's rings: every sampled
-  // span of the run (all layers live in this process on every path, so
-  // one snapshot sees the whole tree), grouped by span name, quantiles
-  // over the raw durations (nearest rank — these are exact samples, not
-  // histogram buckets).
-  if (tracer != nullptr) {
-    report.spans_recorded = tracer->spans_recorded();
-    report.spans_dropped = tracer->spans_dropped();
-    report.slow_requests = tracer->slow_requests();
-    std::map<std::string, std::vector<double>> by_stage;
-    for (const obs::SpanRecord& span : tracer->Snapshot()) {
-      // Slow-ring copies would double-count the sampled population;
-      // the quantiles describe the unbiased sample only.
-      if (span.slow) continue;
-      by_stage[span.name].push_back(static_cast<double>(span.dur_us));
-    }
-    auto rank = [](const std::vector<double>& sorted, double q) {
-      size_t idx = static_cast<size_t>(q * static_cast<double>(sorted.size()));
-      if (idx >= sorted.size()) idx = sorted.size() - 1;
-      return sorted[idx];
-    };
-    for (auto& entry : by_stage) {
-      std::vector<double>& durs = entry.second;
-      std::sort(durs.begin(), durs.end());
-      WorkloadReport::StageLatency stage;
-      stage.stage = entry.first;
-      stage.spans = durs.size();
-      stage.p50_us = rank(durs, 0.50);
-      stage.p95_us = rank(durs, 0.95);
-      stage.p99_us = rank(durs, 0.99);
-      report.stages.push_back(std::move(stage));
     }
   }
 

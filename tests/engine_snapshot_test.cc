@@ -179,7 +179,7 @@ TEST_P(EngineSnapshotTest, SaveLoadSaveIsByteIdentical) {
   // Serialize -> deserialize -> serialize must reproduce the file
   // bit-for-bit: lines are sorted and the string table is first-use
   // ordered, so equal cache content means equal bytes — the property
-  // that makes the CI persistence diff meaningful.
+  // that makes tests/cli/persistence_test.sh's diff meaningful.
   const std::string path1 = SnapshotPath("bytes1");
   const std::string path2 = SnapshotPath("bytes2");
   Workload w1, w2;

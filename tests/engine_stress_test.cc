@@ -1,6 +1,6 @@
 // Concurrency stress: PropagateBatch racing AddCfd/RetractCfd from a
 // mutator thread. Designed to run under ThreadSanitizer (the CI
-// sanitizer jobs build with -fsanitize=thread): every data path the race
+// sanitizer legs build with -fsanitize=thread): every data path the race
 // can touch — sigma snapshots, cache lines, Σ version checks, stats —
 // is exercised, and the served covers are checked against the only two
 // covers that can be correct (sigma with and without the churned CFD),

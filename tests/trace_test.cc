@@ -260,7 +260,7 @@ serve ByRegion, GoldReps
 TEST(RoutedTraceTest, ThreeShardRunStitchesCompleteTrees) {
   // Everything in one process, so one installed tracer catches every
   // hop's spans: the router's edge, the client rpc, and the per-shard
-  // server/service/engine stages (exactly what the CI job greps across
+  // server/service/engine stages (exactly what tests/cli/tracing_test.sh greps across
   // process boundaries via TRACE_DUMP).
   ObsOptions topts;
   topts.trace_sample_shift = 0;  // sample every request

@@ -1,9 +1,10 @@
-// The workload harness's two load-bearing promises, asserted directly:
+// The workload oracle's three load-bearing promises, asserted directly:
 //
-//  1. Determinism — the same --seed yields a byte-identical request
-//     stream (SerializeScripts compares equal, fingerprints match) and
-//     a byte-identical regenerated tenant spec, which is what makes a
-//     reopened tenant's warm start line up with its spilled snapshot.
+//  1. Determinism — the same seed yields a byte-identical request
+//     stream (SerializeScripts compares equal, fingerprints match and
+//     stay pinned across commits) and a byte-identical regenerated
+//     tenant spec, which is what makes a reopened tenant's warm start
+//     line up with its spilled snapshot.
 //  2. Path equivalence — burst-reject produces the *same* admit/reject
 //     pattern and admission totals whether the stream is served through
 //     the in-process CatalogService, the TCP wire, or the 3-shard
@@ -11,12 +12,16 @@
 //     backend's METRICS scrape, as a remote client would), and
 //     churn-free scenarios serve byte-identical covers on every path
 //     (the order-independent cover_fingerprint compares equal).
+//  3. Clean serving — every scenario on every path serves without a
+//     single error; the only tolerated failure is tenant-churn's typed
+//     NotFound while a tenant is mid-reopen, counted as unavailable.
 
 #include "src/gen/workload.h"
 
 #include <sys/stat.h>
 
 #include <set>
+#include <utility>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -30,31 +35,25 @@ using gen::AllWorkloadKinds;
 using gen::BuildTenantSpec;
 using gen::BuildWorkloadPlan;
 using gen::FingerprintScripts;
-using gen::ParseWorkloadKind;
 using gen::SerializeScripts;
 using gen::WorkloadKind;
 using gen::WorkloadKindName;
 using gen::WorkloadOp;
 using gen::WorkloadOptions;
 using gen::WorkloadPlan;
-using workload::ParseRunnerPath;
 using workload::RunnerOptions;
 using workload::RunnerPath;
 using workload::RunnerPathName;
 using workload::RunWorkload;
 using workload::WorkloadReport;
 
-TEST(WorkloadPlanTest, KindNamesRoundTripAndCoverEveryKind) {
+TEST(WorkloadPlanTest, KindNamesAreDistinctAndCoverEveryKind) {
   std::set<std::string> seen;
   for (WorkloadKind kind : AllWorkloadKinds()) {
     const std::string name = WorkloadKindName(kind);
     EXPECT_TRUE(seen.insert(name).second) << name;
-    auto parsed = ParseWorkloadKind(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_EQ(*parsed, kind);
   }
   EXPECT_EQ(seen.size(), 7u);
-  EXPECT_FALSE(ParseWorkloadKind("no-such-workload").ok());
 }
 
 TEST(WorkloadPlanTest, SameSeedIsByteIdenticalDifferentSeedIsNot) {
@@ -71,6 +70,24 @@ TEST(WorkloadPlanTest, SameSeedIsByteIdenticalDifferentSeedIsNot) {
     options.seed = 43;
     const WorkloadPlan c = BuildWorkloadPlan(options);
     EXPECT_NE(FingerprintScripts(a), FingerprintScripts(c))
+        << WorkloadKindName(kind);
+  }
+
+  // The streams at default options are pinned: a generator change that
+  // reshapes any scenario's requests shows up here.
+  const std::pair<WorkloadKind, uint64_t> pinned[] = {
+      {WorkloadKind::kHitHeavy, 10488129407170284270ull},
+      {WorkloadKind::kChurnHeavy, 12301241014998653974ull},
+      {WorkloadKind::kUnionHeavy, 14777655115039956418ull},
+      {WorkloadKind::kTenantChurn, 3427281270113373925ull},
+      {WorkloadKind::kBurstReject, 1236052879174936637ull},
+      {WorkloadKind::kSnapshotRestart, 16134599606238636694ull},
+      {WorkloadKind::kMixed, 10242180897422904460ull},
+  };
+  for (const auto& [kind, fingerprint] : pinned) {
+    WorkloadOptions options;
+    options.kind = kind;
+    EXPECT_EQ(FingerprintScripts(BuildWorkloadPlan(options)), fingerprint)
         << WorkloadKindName(kind);
   }
 }
@@ -115,16 +132,6 @@ TEST(WorkloadPlanTest, PinnedScenariosClampClientsAndSetCaps) {
   EXPECT_EQ(uncapped.max_queue, 0u);
 }
 
-TEST(WorkloadRunnerTest, PathNamesRoundTrip) {
-  for (RunnerPath path : {RunnerPath::kInproc, RunnerPath::kTcp,
-                          RunnerPath::kRouted}) {
-    auto parsed = ParseRunnerPath(RunnerPathName(path));
-    ASSERT_TRUE(parsed.ok()) << RunnerPathName(path);
-    EXPECT_EQ(*parsed, path);
-  }
-  EXPECT_FALSE(ParseRunnerPath("udp").ok());
-}
-
 TEST(WorkloadRunnerTest, BurstRejectPatternIsIdenticalOnEveryPath) {
   WorkloadOptions options;
   options.kind = WorkloadKind::kBurstReject;
@@ -160,14 +167,18 @@ TEST(WorkloadRunnerTest, BurstRejectPatternIsIdenticalOnEveryPath) {
     for (char ch : b->admit_pattern) (ch == 'A' ? admits : rejects)++;
     EXPECT_EQ(admits, b->admitted);
     EXPECT_EQ(rejects, b->rejected);
+    if (path == RunnerPath::kRouted) {
+      EXPECT_GT(b->migrated_lines, 0u) << "routed migration was not warm";
+    }
   }
 }
 
 TEST(WorkloadRunnerTest, EveryScenarioServesIdenticalCoversRouted) {
   // Churn-free scenarios are cover-deterministic: the same request
   // stream must produce the same cover bytes whether it is served in
-  // process or sharded across the routed tier. (Churn scenarios race
-  // Σ mutations with serving by design, so their cover sets are
+  // process, over one socket or sharded across the routed tier, and
+  // the routed epilogue must move every tenant warm. (Churn scenarios
+  // race Σ mutations with serving by design, so their cover sets are
   // legitimately timing-dependent — the migration tests pin those down
   // with the two-legal-covers check instead.)
   const std::string dir = ::testing::TempDir() + "cfdprop_workload_routed";
@@ -181,7 +192,8 @@ TEST(WorkloadRunnerTest, EveryScenarioServesIdenticalCoversRouted) {
     const WorkloadPlan plan = BuildWorkloadPlan(options);
 
     WorkloadReport reference;
-    for (RunnerPath path : {RunnerPath::kInproc, RunnerPath::kRouted}) {
+    for (RunnerPath path : {RunnerPath::kInproc, RunnerPath::kTcp,
+                            RunnerPath::kRouted}) {
       RunnerOptions run;
       run.path = path;
       if (plan.needs_snapshots) {
@@ -201,11 +213,56 @@ TEST(WorkloadRunnerTest, EveryScenarioServesIdenticalCoversRouted) {
         continue;
       }
       EXPECT_EQ(reference.covers_served, report->covers_served)
-          << WorkloadKindName(kind);
+          << WorkloadKindName(kind) << " [" << RunnerPathName(path) << "]";
       EXPECT_EQ(reference.cover_fingerprint, report->cover_fingerprint)
-          << WorkloadKindName(kind) << ": routed covers must be identical";
-      // The routed epilogue live-migrated every tenant once.
-      EXPECT_EQ(report->migrations, plan.options.tenants);
+          << WorkloadKindName(kind) << " [" << RunnerPathName(path)
+          << "]: covers must be identical to inproc";
+      if (path == RunnerPath::kRouted) {
+        // The routed epilogue live-migrated every tenant once, warm.
+        EXPECT_EQ(report->migrations, plan.options.tenants);
+        EXPECT_GT(report->migrated_lines, 0u) << WorkloadKindName(kind);
+      }
+    }
+  }
+}
+
+TEST(WorkloadRunnerTest, EveryScenarioServesCleanlyOnEveryPath) {
+  // Every scenario on every path, with concurrent clients, churn,
+  // spills, reopens and admission caps: no serving error anywhere. A
+  // tenant-churn submit that lands in a tenant's drop window is the one
+  // tolerated failure, and it is counted as unavailable, not as an
+  // error. tenant-churn repeats because that window is a race.
+  const std::string dir = ::testing::TempDir() + "cfdprop_workload_clean";
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  for (WorkloadKind kind : AllWorkloadKinds()) {
+    WorkloadOptions options;
+    options.kind = kind;
+    options.rounds = 2;
+    const WorkloadPlan plan = BuildWorkloadPlan(options);
+    const int repeats = kind == WorkloadKind::kTenantChurn ? 20 : 1;
+    for (RunnerPath path : {RunnerPath::kInproc, RunnerPath::kTcp,
+                            RunnerPath::kRouted}) {
+      for (int i = 0; i < repeats; ++i) {
+        RunnerOptions run;
+        run.path = path;
+        if (plan.needs_snapshots) {
+          run.snapshot_dir = dir + "/" + WorkloadKindName(kind) + "-" +
+                             RunnerPathName(path) + "-" + std::to_string(i);
+          ASSERT_TRUE(::mkdir(run.snapshot_dir.c_str(), 0755) == 0 ||
+                      errno == EEXIST);
+        }
+        auto report = RunWorkload(plan, run);
+        ASSERT_TRUE(report.ok())
+            << WorkloadKindName(kind) << " [" << RunnerPathName(path)
+            << "]: " << report.status();
+        EXPECT_EQ(report->errors, 0u) << report->ToString();
+        if (kind == WorkloadKind::kTenantChurn) {
+          EXPECT_LE(report->unavailable, report->batches)
+              << report->ToString();
+        } else {
+          EXPECT_EQ(report->unavailable, 0u) << report->ToString();
+        }
+      }
     }
   }
 }

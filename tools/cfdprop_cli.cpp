@@ -918,9 +918,9 @@ int RunListen(int argc, char** argv) {
   // sees the tracer from its first frame — and the scope outlives the
   // service (declared first, destroyed last), so dispatcher tails can
   // still record while tearing down. --trace-dump alone samples every
-  // request (shift 0): the CI greps exact span counts out of the dump.
-  // --slow-threshold-us alone keeps sampling off and captures only the
-  // slow ring.
+  // request (shift 0): tests/cli/tracing_test.sh greps exact span
+  // counts out of the dump. --slow-threshold-us alone keeps sampling
+  // off and captures only the slow ring.
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::ScopedProcessTracer> scoped_tracer;
   if (!trace_dump.empty() || trace_shift_set || slow_set) {
@@ -980,7 +980,8 @@ int RunListen(int argc, char** argv) {
               static_cast<unsigned long long>(net_stats.deadlines_exceeded));
   // Per-tenant admission outcome at a glance — the same counters the
   // cfdprop_admitted_total / cfdprop_admission_rejected_total series
-  // export, so the CI can diff this ledger against a metrics scrape.
+  // export, so tests/cli/network_test.sh can diff this ledger against a
+  // metrics scrape.
   for (const TenantStatsSnapshot& t : stats.tenants) {
     std::printf("  tenant %s admission: admitted=%llu rejected=%llu\n",
                 t.name.c_str(),
