@@ -24,9 +24,7 @@ void RunVariant(benchmark::State& state, const PropCoverOptions& options) {
 
   size_t cover = 0, sigma_v = 0, rbr_out = 0;
   for (auto _ : state) {
-    std::vector<CFD> sigma = w.sigma;
-    auto result =
-        PropagationCoverSPC(w.catalog, w.view, std::move(sigma), options);
+    auto result = PropagationCoverSPC(w.catalog, w.view, w.sigma, options);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -591,11 +591,10 @@ void BM_UncachedSingleShot(benchmark::State& state) {
   options.rbr.on_budget = RBROptions::OnBudget::kTruncate;
   for (auto _ : state) {
     for (const Engine::Request& req : stream) {
-      std::vector<CFD> sigma = w.sigma;  // consumed per call
       // Requests hold (single-disjunct) SPCU views; the SPCU entry point
       // delegates straight to the SPC pipeline.
-      auto result = PropagationCoverSPCU(w.catalog, req.view,
-                                         std::move(sigma), options);
+      auto result =
+          PropagationCoverSPCU(w.catalog, req.view, w.sigma, options);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;

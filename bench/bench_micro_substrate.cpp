@@ -1,18 +1,21 @@
 // Microbenchmarks for the substrates everything else is built on:
 // CFD implication (the O(n^2) primitive of [8]), MinCover, consistency,
-// the chase, the emptiness test, view evaluation and CFD validation on
-// concrete data.
+// PropCFD_SPC on the engine's miss path, the chase, the emptiness test,
+// view evaluation and CFD validation on concrete data.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/cfd/implication.h"
 #include "src/cfd/mincover.h"
+#include "src/cover/propcfd_spc.h"
 #include "src/data/eval.h"
 #include "src/data/validate.h"
 #include "src/gen/generators.h"
+#include "src/gen/workload.h"
 #include "src/propagation/emptiness.h"
 
 namespace cfdprop_bench {
@@ -99,6 +102,36 @@ BENCHMARK(BM_MinCover)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
+
+// The engine's miss path: PropagationCoverSPC over zipf-open's tenant-0
+// spec (|Σ| = 120 minimized once, 96 views), input MinCover off, one
+// view per iteration in name order.
+void BM_PropagationCoverTenant(benchmark::State& state) {
+  gen::WorkloadPlan plan;
+  plan.options.seed = 1;
+  plan.options.num_cfds = 120;
+  plan.options.num_views = 96;
+  Spec spec = gen::BuildTenantSpec(plan, 0);
+  auto sigma = MinCoverSigma(spec.catalog, spec.source_cfds);
+  if (!sigma.ok()) std::abort();
+  std::vector<const SPCView*> views;
+  for (const std::string& name : spec.view_names) {
+    views.push_back(&spec.views.at(name).disjuncts.front());
+  }
+  PropCoverOptions options;
+  options.input_mincover = false;
+  size_t next = 0;
+  for (auto _ : state) {
+    auto r = PropagationCoverSPC(spec.catalog, *views[next], *sigma, options);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->cover.data());
+    next = (next + 1) % views.size();
+  }
+}
+BENCHMARK(BM_PropagationCoverTenant)->Unit(benchmark::kMicrosecond);
 
 void BM_Emptiness(benchmark::State& state) {
   SchemaGenOptions schema_options;

@@ -73,9 +73,7 @@ inline void RunCoverBenchmark(benchmark::State& state,
   size_t cover_size = 0, sigma_v = 0;
   bool truncated = false, always_empty = false;
   for (auto _ : state) {
-    std::vector<CFD> sigma = w.sigma;  // PropagationCoverSPC consumes it
-    auto result = PropagationCoverSPC(w.catalog, w.view, std::move(sigma),
-                                      options);
+    auto result = PropagationCoverSPC(w.catalog, w.view, w.sigma, options);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

@@ -1,8 +1,6 @@
 #include "src/cfd/cfd.h"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_set>
 
 #include "src/base/wire.h"
 
@@ -25,32 +23,42 @@ Result<CFD> CFD::Make(RelationId relation, std::vector<AttrIndex> lhs,
         "special variable x is only allowed via CFD::Equality");
   }
 
-  // Sort by attribute index, keeping patterns parallel.
-  std::vector<size_t> order(lhs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return lhs[a] < lhs[b]; });
+  // Sort by attribute index, keeping patterns parallel, and merge
+  // duplicates, all inside the argument vectors, which then become the
+  // CFD's own: Make allocates nothing. LHS are short, so an insertion
+  // sort it is. The merge is order-free (min is commutative), so the
+  // result does not depend on how duplicates were ordered.
+  for (size_t i = 1; i < lhs.size(); ++i) {
+    for (size_t j = i; j > 0 && lhs[j] < lhs[j - 1]; --j) {
+      std::swap(lhs[j], lhs[j - 1]);
+      std::swap(lhs_pats[j], lhs_pats[j - 1]);
+    }
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < lhs.size(); ++i) {
+    if (kept > 0 && lhs[kept - 1] == lhs[i]) {
+      // Duplicate LHS attribute: merge the two patterns via min.
+      auto merged = PatternValue::Min(lhs_pats[kept - 1], lhs_pats[i]);
+      if (!merged.has_value()) {
+        return Status::InvalidArgument(
+            "duplicate LHS attribute with incomparable constants");
+      }
+      lhs_pats[kept - 1] = *merged;
+      continue;
+    }
+    lhs[kept] = lhs[i];
+    lhs_pats[kept] = lhs_pats[i];
+    ++kept;
+  }
+  lhs.resize(kept);
+  lhs_pats.resize(kept);
 
   CFD out;
   out.relation = relation;
   out.rhs = rhs;
   out.rhs_pat = rhs_pat;
-  out.lhs.reserve(lhs.size());
-  out.lhs_pats.reserve(lhs.size());
-  for (size_t idx : order) {
-    if (!out.lhs.empty() && out.lhs.back() == lhs[idx]) {
-      // Duplicate LHS attribute: merge the two patterns via min.
-      auto merged = PatternValue::Min(out.lhs_pats.back(), lhs_pats[idx]);
-      if (!merged.has_value()) {
-        return Status::InvalidArgument(
-            "duplicate LHS attribute with incomparable constants");
-      }
-      out.lhs_pats.back() = *merged;
-      continue;
-    }
-    out.lhs.push_back(lhs[idx]);
-    out.lhs_pats.push_back(lhs_pats[idx]);
-  }
+  out.lhs = std::move(lhs);
+  out.lhs_pats = std::move(lhs_pats);
 
   // Canonicalization: with a constant RHS, wildcard-pattern LHS
   // attributes are redundant. Satisfaction quantifies over pairs
@@ -290,19 +298,58 @@ Result<CFD> CFD::FromSnapshotBytes(
   return c;
 }
 
+void CfdPositionSet::Clear(size_t expected) {
+  size_t capacity = 16;
+  while (capacity < 2 * expected) capacity *= 2;
+  slots_.assign(std::max(capacity, slots_.size()), Slot{});
+  size_ = 0;
+}
+
+bool CfdPositionSet::Insert(const std::vector<CFD>& cfds, size_t i) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  const size_t hash = CFDHash{}(cfds[i]);
+  const size_t mask = slots_.size() - 1;
+  for (size_t s = Home(hash);; s = (s + 1) & mask) {
+    Slot& slot = slots_[s];
+    if (slot.position == kEmpty) {
+      slot = {hash, static_cast<uint32_t>(i)};
+      ++size_;
+      return true;
+    }
+    if (slot.hash == hash && cfds[slot.position] == cfds[i]) return false;
+  }
+}
+
+size_t CfdPositionSet::Home(size_t hash) const {
+  // Fibonacci hashing: CFDHash's low bits are weak, the high bits of
+  // its product are not.
+  return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ull) >> 32) &
+         (slots_.size() - 1);
+}
+
+void CfdPositionSet::Grow() {
+  std::vector<Slot> old(std::max<size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.position == kEmpty) continue;
+    size_t s = Home(slot.hash);
+    while (slots_[s].position != kEmpty) s = (s + 1) & mask;
+    slots_[s] = slot;
+  }
+}
+
 std::vector<CFD> DedupeAndDropTrivial(std::vector<CFD> cfds) {
   // Compacts in place: cfds[0, kept) are the CFDs kept so far, and `seen`
-  // holds their indices, so no CFD is copied. Slot `kept` takes the next
-  // candidate and stays free again when that is a duplicate.
+  // holds their positions, so no CFD is copied. Slot `kept` takes the
+  // next candidate and stays free again when that is a duplicate.
   size_t kept = 0;
-  auto hash = [&cfds](size_t i) { return CFDHash{}(cfds[i]); };
-  auto equal = [&cfds](size_t a, size_t b) { return cfds[a] == cfds[b]; };
-  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
-      cfds.size(), hash, equal);
+  CfdPositionSet seen;
+  seen.Clear(cfds.size());
   for (size_t i = 0; i < cfds.size(); ++i) {
     if (cfds[i].IsTrivial()) continue;
     if (kept != i) cfds[kept] = std::move(cfds[i]);
-    if (seen.insert(kept).second) ++kept;
+    if (seen.Insert(cfds, kept)) ++kept;
   }
   cfds.resize(kept);
   return cfds;

@@ -15,6 +15,7 @@
 #define CFDPROP_CFD_CFD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -143,6 +144,36 @@ struct GeneralCFD {
   /// Converts to the equivalent set of normal-form CFDs (one per RHS
   /// attribute), Section 4 preliminaries.
   Result<std::vector<CFD>> Normalize() const;
+};
+
+/// A set of positions into a vector of CFDs, keyed by the CFD at each
+/// position, so deduping or testing membership never copies a CFD:
+/// append a candidate, Insert its position, and pop it again when an
+/// equal CFD is already in the set. Open addressing over one flat array
+/// that Clear keeps, so a set rebuilt again and again stops allocating
+/// once it has grown.
+class CfdPositionSet {
+ public:
+  /// Empties the set, sized for `expected` positions.
+  void Clear(size_t expected);
+
+  /// Adds position `i` of `cfds` unless the set holds a position whose
+  /// CFD equals cfds[i]; returns whether it was added. Every position in
+  /// the set must index `cfds`.
+  bool Insert(const std::vector<CFD>& cfds, size_t i);
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    size_t hash = 0;
+    uint32_t position = kEmpty;
+  };
+
+  size_t Home(size_t hash) const;
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
 };
 
 /// Removes exact duplicates and trivial CFDs, preserving first-seen order.

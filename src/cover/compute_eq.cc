@@ -54,6 +54,9 @@ std::vector<CFD> EQ2CFD(const Catalog& catalog, const SPCView& view,
     }
   }
 
+  // The classes go out in by_class's iteration order, which the served
+  // covers depend on (see the header): keep this container and its
+  // insertion sequence as they are.
   for (auto& [rep, members] : by_class) {
     Value key = eq.Key(rep);
     if (key != kNoValue) {

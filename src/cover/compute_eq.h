@@ -56,6 +56,11 @@ Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
 /// Converts EQ (plus the Rc constant columns) into view CFDs over the
 /// output schema of `view`. CFDs are tagged kViewSchemaId with attribute
 /// indices = output column positions.
+///
+/// The emission order is part of the output contract: PropCFD_SPC
+/// appends these CFDs to Sigma_c and min-covers the whole, and MinCover's
+/// result depends on its input order, so reordering them changes the
+/// served cover bytes (tests/propcfd_golden_test.cc pins them).
 std::vector<CFD> EQ2CFD(const Catalog& catalog, const SPCView& view,
                         const EqClasses& eq);
 

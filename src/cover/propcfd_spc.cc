@@ -10,26 +10,6 @@ namespace cfdprop {
 
 namespace {
 
-/// Fig. 2 lines 5-6: rename source CFDs onto the Ec column space, one
-/// copy per product atom using that relation.
-std::vector<CFD> RenameToEcColumns(const Catalog& catalog,
-                                   const SPCView& view,
-                                   const std::vector<CFD>& sigma) {
-  std::vector<CFD> out;
-  for (size_t j = 0; j < view.atoms.size(); ++j) {
-    ColumnId base = view.AtomBase(catalog, j);
-    for (const CFD& c : sigma) {
-      if (c.relation != view.atoms[j]) continue;
-      CFD renamed = c;
-      renamed.relation = kViewSchemaId;
-      for (AttrIndex& a : renamed.lhs) a += base;
-      renamed.rhs += base;
-      out.push_back(std::move(renamed));
-    }
-  }
-  return out;
-}
-
 /// Representative choice per Fig. 2 line 8: the class representative,
 /// preferring a column that is projected into the output.
 std::vector<ColumnId> ChooseReps(const Catalog& catalog, const SPCView& view,
@@ -55,11 +35,14 @@ std::vector<ColumnId> ChooseReps(const Catalog& catalog, const SPCView& view,
   return rep;
 }
 
-/// Fig. 2 line 9 (Lemma 4.3) + key simplification: substitutes class
-/// representatives into a CFD and simplifies against class keys.
-/// Returns nullopt when the CFD becomes vacuous/trivial/redundant
-/// (implied by the Sigma_d CFDs emitted by EQ2CFD).
-std::optional<CFD> SubstituteAndSimplify(const CFD& c,
+/// Fig. 2 lines 5-9 (Lemma 4.3) + key simplification for one source
+/// CFD `c` of the product atom whose columns start at `base`: renames
+/// `c` onto the Ec columns, substitutes class representatives and
+/// simplifies against class keys, all in one step, so no renamed copy
+/// of `c` exists. Returns nullopt when the CFD becomes
+/// vacuous/trivial/redundant (implied by the Sigma_d CFDs emitted by
+/// EQ2CFD).
+std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
                                          const std::vector<ColumnId>& rep,
                                          const EqClasses& eq,
                                          bool simplify_with_keys) {
@@ -68,7 +51,7 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c,
   lhs.reserve(c.lhs.size());
   pats.reserve(c.lhs.size());
   for (size_t i = 0; i < c.lhs.size(); ++i) {
-    ColumnId col = rep[c.lhs[i]];
+    ColumnId col = rep[c.lhs[i] + base];
     const PatternValue& p = c.lhs_pats[i];
     Value key = eq.Key(col);
     if (simplify_with_keys && key != kNoValue) {
@@ -85,7 +68,7 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c,
     pats.push_back(p);
   }
 
-  ColumnId rhs = rep[c.rhs];
+  ColumnId rhs = rep[c.rhs + base];
   PatternValue rhs_pat = c.rhs_pat;
   Value rhs_key = eq.Key(rhs);
   if (simplify_with_keys && rhs_key != kNoValue) {
@@ -144,7 +127,7 @@ Result<std::vector<CFD>> MinCoverSigma(const Catalog& catalog,
 
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
-                                            std::vector<CFD> sigma,
+                                            const std::vector<CFD>& sigma,
                                             const PropCoverOptions& options) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
   for (const CFD& c : sigma) {
@@ -156,15 +139,17 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
 
   PropCoverResult result;
 
-  // Line 1: Sigma := MinCover(Sigma).
+  // Line 1: Sigma := MinCover(Sigma). Without it, `sigma` is only read.
+  std::vector<CFD> minimized;
   if (options.input_mincover) {
-    CFDPROP_ASSIGN_OR_RETURN(
-        sigma, MinCoverSigma(catalog, std::move(sigma), options.mincover));
+    CFDPROP_ASSIGN_OR_RETURN(minimized,
+                             MinCoverSigma(catalog, sigma, options.mincover));
   }
-  result.input_cfds = sigma.size();
+  const std::vector<CFD>& input = options.input_mincover ? minimized : sigma;
+  result.input_cfds = input.size();
 
   // Line 2: EQ := ComputeEQ(Es, Sigma).
-  CFDPROP_ASSIGN_OR_RETURN(EqClasses eq, ComputeEQ(catalog, view, sigma));
+  CFDPROP_ASSIGN_OR_RETURN(EqClasses eq, ComputeEQ(catalog, view, input));
 
   // Lines 3-4: inconsistency => the Lemma 4.5 pair.
   if (eq.inconsistent) {
@@ -173,21 +158,21 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
     return result;
   }
 
-  // Lines 5-6: Sigma_V := renamed copies per product atom.
-  std::vector<CFD> sigma_v = RenameToEcColumns(catalog, view, sigma);
-
-  // Lines 7-10: substitute representatives, apply domain constraints.
+  // Lines 5-10: Sigma_V := the source CFDs renamed per product atom
+  // (atom-major, Sigma order within an atom), with representatives
+  // substituted and domain constraints applied in the same pass.
   std::vector<ColumnId> rep = ChooseReps(catalog, view, eq);
-  {
-    std::vector<CFD> substituted;
-    substituted.reserve(sigma_v.size());
-    for (const CFD& c : sigma_v) {
+  std::vector<CFD> sigma_v;
+  for (size_t j = 0; j < view.atoms.size(); ++j) {
+    const ColumnId base = view.AtomBase(catalog, j);
+    for (const CFD& c : input) {
+      if (c.relation != view.atoms[j]) continue;
       std::optional<CFD> s =
-          SubstituteAndSimplify(c, rep, eq, options.simplify_with_keys);
-      if (s.has_value()) substituted.push_back(std::move(*s));
+          SubstituteAndSimplify(c, base, rep, eq, options.simplify_with_keys);
+      if (s.has_value()) sigma_v.push_back(std::move(*s));
     }
-    sigma_v = DedupeAndDropTrivial(std::move(substituted));
   }
+  sigma_v = DedupeAndDropTrivial(std::move(sigma_v));
 
   const size_t u = view.NumEcColumns(catalog);
   if (!options.simplify_with_keys) {
@@ -234,32 +219,27 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
   result.truncated = rbr.truncated;
   result.rbr_output_size = rbr.cover.size();
 
-  // Map Ec representatives to output column positions.
-  std::unordered_map<ColumnId, AttrIndex> rep_to_out;
+  // Map Ec representatives to output column positions: the first
+  // output column of a class stands for it.
+  std::vector<AttrIndex> rep_to_out(u, kNoAttr);
   for (size_t i = 0; i < view.output.size(); ++i) {
     const OutputColumn& o = view.output[i];
     if (o.is_constant) continue;
-    rep_to_out.emplace(rep[o.ec_column], static_cast<AttrIndex>(i));
+    AttrIndex& out = rep_to_out[rep[o.ec_column]];
+    if (out == kNoAttr) out = static_cast<AttrIndex>(i);
   }
   std::vector<CFD> cover;
   cover.reserve(rbr.cover.size());
-  for (const CFD& c : rbr.cover) {
-    std::vector<AttrIndex> lhs;
-    std::vector<PatternValue> pats;
-    bool ok = true;
-    for (size_t i = 0; i < c.lhs.size(); ++i) {
-      auto it = rep_to_out.find(c.lhs[i]);
-      if (it == rep_to_out.end()) {
-        ok = false;  // defensive; RBR leaves only kept columns
-        break;
-      }
-      lhs.push_back(it->second);
-      pats.push_back(c.lhs_pats[i]);
+  for (CFD& c : rbr.cover) {
+    bool ok = rep_to_out[c.rhs] != kNoAttr;
+    for (AttrIndex& a : c.lhs) {
+      a = rep_to_out[a];
+      ok = ok && a != kNoAttr;  // defensive; RBR leaves only kept columns
     }
-    auto rit = rep_to_out.find(c.rhs);
-    if (!ok || rit == rep_to_out.end()) continue;
-    Result<CFD> made = CFD::Make(kViewSchemaId, std::move(lhs),
-                                 std::move(pats), rit->second, c.rhs_pat);
+    if (!ok) continue;
+    Result<CFD> made =
+        CFD::Make(kViewSchemaId, std::move(c.lhs), std::move(c.lhs_pats),
+                  rep_to_out[c.rhs], c.rhs_pat);
     if (made.ok() && !made.value().IsTrivial()) {
       cover.push_back(std::move(made).value());
     }
@@ -283,12 +263,11 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
 
 Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
                                              const SPCUView& view,
-                                             std::vector<CFD> sigma,
+                                             const std::vector<CFD>& sigma,
                                              const PropCoverOptions& options) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
   if (view.disjuncts.size() == 1) {
-    return PropagationCoverSPC(catalog, view.disjuncts[0], std::move(sigma),
-                               options);
+    return PropagationCoverSPC(catalog, view.disjuncts[0], sigma, options);
   }
 
   // Line 1 hoisted above the disjunct loop: minimize once and hand every
@@ -297,20 +276,22 @@ Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
   // cached and one-shot paths assemble from identical per-disjunct
   // inputs.
   PropCoverOptions disjunct_options = options;
+  std::vector<CFD> minimized;
   if (options.input_mincover) {
-    CFDPROP_ASSIGN_OR_RETURN(
-        sigma, MinCoverSigma(catalog, std::move(sigma), options.mincover));
+    CFDPROP_ASSIGN_OR_RETURN(minimized,
+                             MinCoverSigma(catalog, sigma, options.mincover));
     disjunct_options.input_mincover = false;
   }
+  const std::vector<CFD>& input = options.input_mincover ? minimized : sigma;
   std::vector<PropCoverResult> per_disjunct;
   per_disjunct.reserve(view.disjuncts.size());
   for (const SPCView& disjunct : view.disjuncts) {
     CFDPROP_ASSIGN_OR_RETURN(
         PropCoverResult r,
-        PropagationCoverSPC(catalog, disjunct, sigma, disjunct_options));
+        PropagationCoverSPC(catalog, disjunct, input, disjunct_options));
     per_disjunct.push_back(std::move(r));
   }
-  return AssembleUnionCover(catalog, view, sigma, std::move(per_disjunct),
+  return AssembleUnionCover(catalog, view, input, std::move(per_disjunct),
                             options);
 }
 

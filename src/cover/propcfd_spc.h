@@ -10,9 +10,9 @@
 // Pipeline, following Fig. 2 line by line:
 //   1. Sigma := MinCover(Sigma)                        (per source relation)
 //   2. EQ := ComputeEQ(Es, Sigma); "⊥" => Lemma 4.5 pair
-//   3. Sigma_V := renamed copies of Sigma per product atom
-//   4. substitute class representatives (Lemma 4.3) and simplify with
-//      class keys; keep only Y attributes in classes
+//   3. Sigma_V := Sigma renamed per product atom, with class
+//      representatives substituted (Lemma 4.3) and class keys folded
+//      in, in one pass over Sigma; keep only Y attributes in classes
 //   5. Sigma_c := RBR(Sigma_V, attr(Es) - Y)           (projection)
 //   6. Sigma_d := EQ2CFD(EQ)                           (domain constraints)
 //   7. return MinCover(Sigma_c ++ Sigma_d)
@@ -74,11 +74,14 @@ struct PropCoverResult {
 };
 
 /// Computes a minimal propagation cover of `sigma` via `view`.
-/// `sigma` holds CFDs tagged with source relation ids of `catalog`.
+/// `sigma` holds CFDs tagged with source relation ids of `catalog`. It
+/// is borrowed, never copied: with options.input_mincover the minimized
+/// set is built in a local, and otherwise `sigma` is only read (the
+/// engine's miss path hands in its registered, minimized Σ).
 /// The catalog is non-const only for interning the Lemma 4.5 constants.
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
-                                            std::vector<CFD> sigma,
+                                            const std::vector<CFD>& sigma,
                                             const PropCoverOptions& options =
                                                 {});
 
@@ -86,9 +89,10 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
 /// returned CFD is propagated via every disjunct — computed by filtering
 /// the per-disjunct covers through the propagation test. Completeness
 /// across disjuncts is not guaranteed (open problem, Section 7).
+/// `sigma` is borrowed as in PropagationCoverSPC.
 Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
                                              const SPCUView& view,
-                                             std::vector<CFD> sigma,
+                                             const std::vector<CFD>& sigma,
                                              const PropCoverOptions& options =
                                                  {});
 

@@ -1,7 +1,6 @@
 #include "src/cover/rbr.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace cfdprop {
 
@@ -221,7 +220,8 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
   std::vector<CFD> gamma = DedupeAndDropTrivial(std::move(sigma));
   std::vector<AttrIndex> remaining = drop;
   AttrDegrees degrees(arity, gamma);
-  std::unordered_set<CFD, CFDHash> gamma_set(gamma.begin(), gamma.end());
+  // Dedupes C, then C against Gamma, by position: no CFD is copied.
+  CfdPositionSet seen;
   // Watermark for the growth-triggered intermediate minimization.
   size_t last_minimized_size = gamma.size();
 
@@ -232,7 +232,14 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
     // C := all nontrivial A-resolvents, including forbidden-pattern
     // resolvents from pairs of conflicting constant producers.
     std::vector<CFD> resolvents;
-    std::unordered_set<CFD, CFDHash> seen;
+    seen.Clear(0);
+    auto add = [&](std::optional<CFD>& r) {
+      if (!r.has_value()) return;
+      resolvents.push_back(std::move(*r));
+      if (!seen.Insert(resolvents, resolvents.size() - 1)) {
+        resolvents.pop_back();
+      }
+    };
     auto over_budget = [&] {
       return gamma.size() + resolvents.size() > options.max_cover_size;
     };
@@ -242,9 +249,7 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
       for (size_t j = 0; j < gamma.size(); ++j) {
         const CFD& phi2 = gamma[j];
         std::optional<CFD> r = Resolvent(phi1, phi2, a);
-        if (r.has_value() && seen.insert(*r).second) {
-          resolvents.push_back(std::move(*r));
-        }
+        add(r);
         if (j > i) {
           bool unconditional = false;
           std::optional<CFD> fb =
@@ -254,9 +259,7 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
             result.cover.clear();
             return result;
           }
-          if (fb.has_value() && seen.insert(*fb).second) {
-            resolvents.push_back(std::move(*fb));
-          }
+          add(fb);
         }
         // Project forbidden patterns mentioning `a` through producers
         // that force the matching constant (phi1 is the producer here).
@@ -269,9 +272,7 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
             result.cover.clear();
             return result;
           }
-          if (fp.has_value() && seen.insert(*fp).second) {
-            resolvents.push_back(std::move(*fp));
-          }
+          add(fp);
         }
         if (over_budget()) {
           if (options.on_budget == RBROptions::OnBudget::kError) {
@@ -284,17 +285,23 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
       }
     }
 
-    // Gamma := Gamma[U - {A}] ++ C.
+    // Gamma := Gamma[U - {A}] ++ C. A resolvent never mentions A, so it
+    // can only repeat a CFD that stays.
     std::erase_if(gamma, [&](const CFD& c) {
       if (!c.Mentions(a)) return false;
       degrees.Remove(c);
-      gamma_set.erase(c);
       return true;
     });
-    for (CFD& r : resolvents) {
-      if (gamma_set.insert(r).second) {
-        degrees.Add(r);
+    if (!resolvents.empty()) {
+      seen.Clear(gamma.size() + resolvents.size());
+      for (size_t i = 0; i < gamma.size(); ++i) seen.Insert(gamma, i);
+      for (CFD& r : resolvents) {
         gamma.push_back(std::move(r));
+        if (seen.Insert(gamma, gamma.size() - 1)) {
+          degrees.Add(gamma.back());
+        } else {
+          gamma.pop_back();
+        }
       }
     }
 
@@ -310,8 +317,6 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
           gamma, PartitionedMinCover(std::move(gamma), arity,
                                      options.mincover_partition));
       degrees = AttrDegrees(arity, gamma);
-      gamma_set = std::unordered_set<CFD, CFDHash>(gamma.begin(),
-                                                   gamma.end());
       last_minimized_size = gamma.size();
     }
     if (result.truncated) break;

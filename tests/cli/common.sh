@@ -28,6 +28,9 @@ trap 'for p in "${bg_pids[@]}"; do kill "$p" 2>/dev/null || true; done' EXIT
 start_listen() {
   local out=$1
   shift
+  # Empty OUT here: the redirect below runs in the background child, and
+  # until it does, OUT may still hold an earlier run's port.
+  : > "$out"
   "$cli" listen "$@" > "$out" 2>&1 &
   pid=$!
   bg_pids+=("$pid")

@@ -11,7 +11,7 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <thread>
 
 #include "src/cfd/cfd.h"
@@ -46,7 +46,10 @@ SPCView MakeView(Catalog& cat, const char* d_const = nullptr) {
 std::string MakeSnapshotDir(const char* name) {
   std::string dir = ::testing::TempDir() + "cfdprop_service_" + name + "_" +
                     std::to_string(::getpid());
-  std::remove(dir.c_str());
+  // An earlier process with the same pid may have left snapshots here;
+  // they would warm-start the tenant and turn the expected misses into
+  // hits.
+  std::filesystem::remove_all(dir);
   mkdir(dir.c_str(), 0755);
   return dir;
 }
