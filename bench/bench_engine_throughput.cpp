@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 
 #include "src/engine/engine.h"
 #include "src/gen/generators.h"
+#include "src/gen/workload.h"
 #include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
 #include "src/obs/trace.h"
@@ -391,6 +393,47 @@ BENCHMARK(BM_EngineChurn)
     ->Args({4})
     ->Args({1})
     ->Unit(benchmark::kMillisecond);
+
+/// The mutation path alone, no serving: each iteration adds and retracts
+/// an FD over relation 0 (perfbench's churn FD shape) on a churn-write
+/// tenant (gen::BuildTenantSpec, |Σ| = 256 over 10 relations). Each
+/// mutation re-minimizes relation 0's group and re-versions the set.
+void BM_EngineMutate(benchmark::State& state) {
+  gen::WorkloadPlan plan;
+  plan.options.seed = 1;
+  plan.options.tenants = 16;
+  plan.options.num_cfds = 256;
+  plan.options.num_views = 1;
+  Spec spec = gen::BuildTenantSpec(plan, 0);
+  // The first FD R0(A0, A1 -> Ai) not already in Σ.
+  CFD churned = CFD::FD(0, {0, 1}, 2).value();
+  for (AttrIndex rhs = 3;
+       std::find(spec.source_cfds.begin(), spec.source_cfds.end(),
+                 churned) != spec.source_cfds.end();
+       ++rhs) {
+    churned = CFD::FD(0, {0, 1}, rhs).value();
+  }
+
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(std::move(spec.catalog), options);
+  auto sigma_id = engine.RegisterSigma(std::move(spec.source_cfds));
+  if (!sigma_id.ok()) {
+    state.SkipWithError(sigma_id.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    Status added = engine.AddCfd(*sigma_id, churned);
+    Status retracted = engine.RetractCfd(*sigma_id, churned);
+    if (!added.ok() || !retracted.ok()) {
+      state.SkipWithError("mutation failed");
+      return;
+    }
+  }
+  // items_per_second counts mutations: half the iteration time each.
+  state.SetItemsProcessed(2 * static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineMutate)->Unit(benchmark::kMicrosecond);
 
 /// Multi-tenant serving through CatalogService: range(0) tenants, each
 /// its own catalog/engine, one async 95%-repeat batch per tenant per

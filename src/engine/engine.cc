@@ -69,14 +69,32 @@ Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
   return static_cast<SigmaId>(sigmas_.size() - 1);
 }
 
-Status Engine::MutateSigma(SigmaId id, std::vector<CFD> raw) {
-  // Caller holds mutation_mu_, so `raw` (derived from the entry's
-  // current list) cannot be raced by another mutator. Re-minimize
-  // OUTSIDE sigma_mu_ — MinCover is the expensive step, and serving
-  // must only ever block on the O(1) snapshot swap below.
-  auto minimized = MinCoverSigma(catalog_, raw, options_.cover.mincover);
+Status Engine::MutateSigma(
+    SigmaId id, RelationId relation,
+    const std::function<Status(std::vector<CFD>&)>& edit) {
+  // Serializing mutators keeps (raw, prev) a consistent pair across the
+  // unlocked compute below: prev is MinCoverSigma(raw) until the swap.
+  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
+  std::vector<CFD> raw;
+  std::shared_ptr<const std::vector<CFD>> prev;
+  {
+    std::shared_lock<std::shared_mutex> lock(sigma_mu_);
+    if (id >= sigmas_.size()) {
+      return Status::InvalidArgument("unknown sigma id");
+    }
+    raw = sigmas_[id].raw;
+    prev = sigmas_[id].minimized;
+  }
+  CFDPROP_RETURN_NOT_OK(edit(raw));  // sigma unchanged on error
+  // Re-minimize OUTSIDE sigma_mu_ — MinCover is the expensive step, and
+  // serving must only ever block on the O(1) snapshot swap below — and
+  // only `relation`'s group: every other group is kept from `prev`.
+  auto minimized = MinCoverSigmaRelation(catalog_, *prev, raw, relation,
+                                         options_.cover.mincover);
   if (!minimized.ok()) return minimized.status();  // sigma unchanged
   const SigmaVersion version = SigmaVersionOf(catalog_.pool(), *minimized);
+  auto next = std::make_shared<const std::vector<CFD>>(
+      std::move(minimized).value());
   SigmaVersion old;
   {
     // Re-index instead of holding a reference across the compute:
@@ -84,9 +102,11 @@ Status Engine::MutateSigma(SigmaId id, std::vector<CFD> raw) {
     std::unique_lock<std::shared_mutex> lock(sigma_mu_);
     SigmaEntry& entry = sigmas_[id];
     old = entry.version;
-    entry.raw = std::move(raw);
-    entry.minimized = std::make_shared<const std::vector<CFD>>(
-        std::move(minimized).value());
+    // Swap, not assign: `raw` and `next` take the superseded list and
+    // snapshot, which are freed when they go out of scope, after the
+    // lock is released.
+    entry.raw.swap(raw);
+    entry.minimized.swap(next);
     entry.version = version;
   }
   // Lookups for this set now ask for the new version, so dropping the
@@ -104,36 +124,22 @@ Status Engine::AddCfd(SigmaId id, CFD cfd) {
   }
   CFDPROP_RETURN_NOT_OK(
       cfd.Validate(catalog_.relation(cfd.relation).arity()));
-
-  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  std::vector<CFD> raw;
-  {
-    std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-    if (id >= sigmas_.size()) {
-      return Status::InvalidArgument("unknown sigma id");
-    }
-    raw = sigmas_[id].raw;
-  }
-  raw.push_back(std::move(cfd));
-  return MutateSigma(id, std::move(raw));
+  const RelationId relation = cfd.relation;
+  return MutateSigma(id, relation, [&cfd](std::vector<CFD>& raw) {
+    raw.push_back(std::move(cfd));
+    return Status::OK();
+  });
 }
 
 Status Engine::RetractCfd(SigmaId id, const CFD& cfd) {
-  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  std::vector<CFD> raw;
-  {
-    std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-    if (id >= sigmas_.size()) {
-      return Status::InvalidArgument("unknown sigma id");
+  return MutateSigma(id, cfd.relation, [&cfd](std::vector<CFD>& raw) {
+    auto it = std::find(raw.begin(), raw.end(), cfd);
+    if (it == raw.end()) {
+      return Status::NotFound("CFD is not registered in this sigma set");
     }
-    raw = sigmas_[id].raw;
-  }
-  auto it = std::find(raw.begin(), raw.end(), cfd);
-  if (it == raw.end()) {
-    return Status::NotFound("CFD is not registered in this sigma set");
-  }
-  raw.erase(it);
-  return MutateSigma(id, std::move(raw));
+    raw.erase(it);
+    return Status::OK();
+  });
 }
 
 size_t Engine::num_sigmas() const {

@@ -9,7 +9,8 @@
 //   * source CFD sets are registered once and min-covered at
 //     registration (Fig. 2 line 1 runs once, not per request), and can
 //     be *mutated* afterwards — AddCfd/RetractCfd re-minimize only the
-//     touched set and, when its content version changes, invalidate
+//     relation the CFD is on (every other relation's minimized CFDs are
+//     kept) and, when the set's content version changes, invalidate
 //     only the old version's cache lines (never a global Clear),
 //   * each request is canonically fingerprinted (src/engine/fingerprint.h)
 //     together with its Σ's content version (SigmaVersion, the one Σ
@@ -135,18 +136,21 @@ class Engine {
   /// Thread-safe.
   Result<SigmaId> RegisterSigma(std::vector<CFD> sigma);
 
-  /// Adds one CFD to a registered set and re-minimizes only that set.
-  /// If the minimized content changed, drops the old version's cache
-  /// lines; lines of other versions are untouched, and a mutation that
-  /// leaves the minimized set unchanged keeps every line. The CFD must be
-  /// fully built — any constants already interned — before the call.
-  /// Thread-safe against serving and other mutations.
+  /// Adds one CFD to a registered set and re-minimizes only the relation
+  /// the CFD is on (MinCoverSigmaRelation; the result equals a full
+  /// MinCoverSigma of the new list). If the minimized content changed,
+  /// drops the old version's cache lines; lines of other versions are
+  /// untouched, and a mutation that leaves the minimized set unchanged
+  /// keeps every line. The CFD must be fully built — any constants
+  /// already interned — before the call. Thread-safe against serving and
+  /// other mutations.
   Status AddCfd(SigmaId id, CFD cfd);
 
   /// Retracts the first CFD of the set's *registered* (pre-minimization)
-  /// list that equals `cfd`, then re-minimizes and selectively
-  /// invalidates like AddCfd. NotFound when no registered CFD matches.
-  /// Covers already handed out stay valid (shared_ptr). Thread-safe.
+  /// list that equals `cfd`, then re-minimizes only the relation the CFD
+  /// is on and selectively invalidates like AddCfd. NotFound when no
+  /// registered CFD matches. Covers already handed out stay valid
+  /// (shared_ptr). Thread-safe.
   Status RetractCfd(SigmaId id, const CFD& cfd);
 
   size_t num_sigmas() const;
@@ -270,12 +274,15 @@ class Engine {
 
   Status ValidateSigma(const std::vector<CFD>& sigma) const;
 
-  /// Shared tail of AddCfd/RetractCfd: re-minimizes `raw` and computes
-  /// its version (outside sigma_mu_ — serving only ever blocks on the
-  /// snapshot swap), swaps the entry's state, and drops the old
-  /// version's cache lines if the version changed. Caller must hold
-  /// mutation_mu_.
-  Status MutateSigma(SigmaId id, std::vector<CFD> raw);
+  /// AddCfd/RetractCfd under mutation_mu_: applies `edit` to a copy of
+  /// the raw list (an error leaves the set unchanged), re-minimizes only
+  /// `relation`, the relation the CFD is on, and computes the version
+  /// (outside sigma_mu_ — serving only ever blocks on the snapshot
+  /// swap), swaps the entry's state, frees the superseded state after
+  /// the lock, and drops the old version's cache lines if the version
+  /// changed.
+  Status MutateSigma(SigmaId id, RelationId relation,
+                     const std::function<Status(std::vector<CFD>&)>& edit);
 
   /// Snapshots (minimized set, version) for a sigma id under the shared
   /// lock; InvalidArgument for unknown ids.
@@ -307,7 +314,8 @@ class Engine {
   std::vector<SigmaEntry> sigmas_;
   /// Serializes AddCfd/RetractCfd against each other, so a mutation can
   /// copy raw, minimize unlocked, and swap without losing a concurrent
-  /// mutator's update.
+  /// mutator's update — and so the entry's snapshot is always the
+  /// minimized form of its raw list, which MinCoverSigmaRelation needs.
   std::mutex mutation_mu_;
 
   CoverCache cache_;

@@ -374,5 +374,15 @@ TEST_F(PropCoverTest, StatsAreReported) {
   EXPECT_EQ(result->cover[0], CFD::FD(kViewSchemaId, {0}, 1).value());
 }
 
+TEST_F(PropCoverTest, MinCoverSigmaRejectsUnknownRelation) {
+  ASSERT_TRUE(cat_.AddRelation("R", {"A", "B"}).ok());
+  const std::vector<CFD> sigma = {CFD::FD(0, {0}, 1).value(),
+                                  CFD::FD(1, {0}, 1).value()};
+  EXPECT_EQ(MinCoverSigma(cat_, sigma).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MinCoverSigmaRelation(cat_, {}, sigma, 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace cfdprop
