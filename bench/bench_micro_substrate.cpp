@@ -1,7 +1,8 @@
 // Microbenchmarks for the substrates everything else is built on:
 // CFD implication (the O(n^2) primitive of [8]), MinCover, consistency,
-// PropCFD_SPC on the engine's miss path, the chase, the emptiness test,
-// view evaluation and CFD validation on concrete data.
+// PropCFD_SPC on the engine's miss path and its ComputeEQ and RBR
+// stages, union assembly, the emptiness test, view evaluation and CFD
+// validation on concrete data.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +12,9 @@
 
 #include "src/cfd/implication.h"
 #include "src/cfd/mincover.h"
+#include "src/cover/compute_eq.h"
 #include "src/cover/propcfd_spc.h"
+#include "src/cover/rbr.h"
 #include "src/data/eval.h"
 #include "src/data/validate.h"
 #include "src/gen/generators.h"
@@ -132,6 +135,110 @@ void BM_PropagationCoverTenant(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PropagationCoverTenant)->Unit(benchmark::kMicrosecond);
+
+// churn-write's tenant 0 (seed 1): |Σ| = 256 minimized once, 16 SPC
+// views V0..V15 and the 16 unions U_i = V_i ∪ V_{i+1}.
+struct ChurnTenant {
+  Spec spec;
+  std::vector<CFD> sigma;
+  std::vector<const SPCView*> views;
+  std::vector<const SPCUView*> unions;
+};
+
+ChurnTenant MakeChurnTenant() {
+  gen::WorkloadPlan plan;
+  plan.options.seed = 1;
+  plan.options.num_cfds = 256;
+  plan.options.num_views = 16;
+  plan.with_unions = true;
+  ChurnTenant t{gen::BuildTenantSpec(plan, 0), {}, {}, {}};
+  auto sigma = MinCoverSigma(t.spec.catalog, t.spec.source_cfds);
+  if (!sigma.ok()) std::abort();
+  t.sigma = std::move(sigma).value();
+  for (const std::string& name : t.spec.view_names) {
+    const SPCUView& view = t.spec.views.at(name);
+    if (view.disjuncts.size() == 1) {
+      t.views.push_back(&view.disjuncts.front());
+    } else {
+      t.unions.push_back(&view);
+    }
+  }
+  return t;
+}
+
+// Fig. 2 line 2 on the churn-write views, one view per iteration.
+void BM_ComputeEQ(benchmark::State& state) {
+  ChurnTenant t = MakeChurnTenant();
+  size_t next = 0;
+  for (auto _ : state) {
+    auto r = ComputeEQ(t.spec.catalog, *t.views[next], t.sigma);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->rep.data());
+    next = (next + 1) % t.views.size();
+  }
+}
+BENCHMARK(BM_ComputeEQ)->Unit(benchmark::kMicrosecond);
+
+// Fig. 2 line 11 on the churn-write views: RBR over each view's Σ_V,
+// built once; an iteration copies one Σ_V and eliminates its columns.
+void BM_RBR(benchmark::State& state) {
+  ChurnTenant t = MakeChurnTenant();
+  std::vector<SigmaV> inputs;
+  for (const SPCView* view : t.views) {
+    auto eq = ComputeEQ(t.spec.catalog, *view, t.sigma);
+    if (!eq.ok()) std::abort();
+    if (eq->inconsistent) continue;
+    auto sv = BuildSigmaV(t.spec.catalog, *view, t.sigma, *eq);
+    if (!sv.ok()) std::abort();
+    inputs.push_back(std::move(sv).value());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const SigmaV& in = inputs[next];
+    auto r = RBR(in.cfds, in.drop, in.rep.size());
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->cover.data());
+    next = (next + 1) % inputs.size();
+  }
+}
+BENCHMARK(BM_RBR)->Unit(benchmark::kMicrosecond);
+
+// Section 7's union assembly on the churn-write unions, the engine's
+// k-partial-hit path: per-disjunct covers computed once, one union per
+// iteration (the iteration copies its two covers).
+void BM_AssembleUnionCover(benchmark::State& state) {
+  ChurnTenant t = MakeChurnTenant();
+  PropCoverOptions options;
+  options.input_mincover = false;
+  std::vector<std::vector<PropCoverResult>> per_union;
+  for (const SPCUView* u : t.unions) {
+    std::vector<PropCoverResult> per_disjunct;
+    for (const SPCView& d : u->disjuncts) {
+      auto r = PropagationCoverSPC(t.spec.catalog, d, t.sigma, options);
+      if (!r.ok()) std::abort();
+      per_disjunct.push_back(std::move(r).value());
+    }
+    per_union.push_back(std::move(per_disjunct));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto r = AssembleUnionCover(t.spec.catalog, *t.unions[next], t.sigma,
+                                per_union[next], options);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r->cover.data());
+    next = (next + 1) % t.unions.size();
+  }
+}
+BENCHMARK(BM_AssembleUnionCover)->Unit(benchmark::kMicrosecond);
 
 void BM_Emptiness(benchmark::State& state) {
   SchemaGenOptions schema_options;

@@ -98,188 +98,49 @@ Result<bool> ChaseImplies(const std::vector<CFD>& sigma, const CFD& phi,
   return !counterexample;
 }
 
-/// The implication kernel's template: `rows` (1 or 2) rows of `arity`
-/// cells in the caller's scratch buffer, cell r * arity + a holding row
-/// r's attribute a. A union-find in which every cell names its class's
-/// root directly (a union relabels the absorbed class, so a lookup is one
-/// load), with one constant slot per root. Apart from the buffer it
-/// keeps the rules of SymbolicInstance on infinite-domain cells: merging
-/// or binding two distinct constants is a contradiction, and two cells
-/// are equal when they share a class or are bound to the same constant.
-class Template {
- public:
-  Template(std::vector<uint32_t>& scratch, size_t arity, size_t rows)
-      : arity_(arity), rows_(rows), cells_(arity * rows) {
-    scratch.resize(2 * cells_);
-    root_ = scratch.data();
-    const_ = root_ + cells_;
-    for (size_t c = 0; c < cells_; ++c) {
-      root_[c] = static_cast<uint32_t>(c);
-      const_[c] = kNoValue;
-    }
-  }
-
-  size_t rows() const { return rows_; }
-  bool contradiction() const { return contradiction_; }
-
-  /// Whether anything merged or bound since the last call.
-  bool TakeChanged() {
-    bool changed = changed_;
-    changed_ = false;
-    return changed;
-  }
-
-  uint32_t Cell(size_t row, AttrIndex attr) const {
-    return static_cast<uint32_t>(row * arity_ + attr);
-  }
-
-  bool BoundTo(uint32_t cell, Value v) const {
-    Value k = const_[root_[cell]];
-    return k != kNoValue && k == v;
-  }
-
-  /// Does the cell match pattern `p`?  '_' matches everything; a
-  /// constant matches only a cell bound to it.
-  bool Matches(uint32_t cell, const PatternValue& p) const {
-    return p.is_wildcard() || (p.is_constant() && BoundTo(cell, p.value()));
-  }
-
-  bool Equal(uint32_t a, uint32_t b) const {
-    uint32_t ra = root_[a];
-    uint32_t rb = root_[b];
-    return ra == rb || (const_[ra] != kNoValue && const_[ra] == const_[rb]);
-  }
-
-  void Union(uint32_t a, uint32_t b) {
-    uint32_t ra = root_[a];
-    uint32_t rb = root_[b];
-    if (ra == rb) return;
-    if (const_[rb] != kNoValue) {
-      if (const_[ra] != kNoValue && const_[ra] != const_[rb]) {
-        contradiction_ = true;
-        return;
-      }
-      const_[ra] = const_[rb];
-    }
-    for (size_t c = 0; c < cells_; ++c) {
-      if (root_[c] == rb) root_[c] = ra;
-    }
-    changed_ = true;
-  }
-
-  void Bind(uint32_t cell, Value v) {
-    Value& k = const_[root_[cell]];
-    if (k == v) return;
-    if (k != kNoValue) {
-      contradiction_ = true;
-      return;
-    }
-    k = v;
-    changed_ = true;
-  }
-
- private:
-  size_t arity_;
-  size_t rows_;
-  size_t cells_;
-  uint32_t* root_ = nullptr;
-  Value* const_ = nullptr;
-  bool changed_ = false;
-  bool contradiction_ = false;
-};
-
-/// Chase's single-tuple rule on row `row`.
-void ApplySingle(Template& t, const CFD& psi, size_t row) {
-  if (!psi.rhs_pat.is_constant()) return;  // binds nothing
-  for (size_t i = 0; i < psi.lhs.size(); ++i) {
-    if (!t.Matches(t.Cell(row, psi.lhs[i]), psi.lhs_pats[i])) return;
-  }
-  t.Bind(t.Cell(row, psi.rhs), psi.rhs_pat.value());
-}
-
-/// Chase's pair rule on the template's two rows.
-void ApplyPair(Template& t, const CFD& psi) {
-  for (size_t i = 0; i < psi.lhs.size(); ++i) {
-    uint32_t a1 = t.Cell(0, psi.lhs[i]);
-    if (!t.Equal(a1, t.Cell(1, psi.lhs[i]))) return;
-    if (!t.Matches(a1, psi.lhs_pats[i])) return;
-  }
-  t.Union(t.Cell(0, psi.rhs), t.Cell(1, psi.rhs));
-  if (t.contradiction()) return;
-  if (psi.rhs_pat.is_constant()) {
-    t.Bind(t.Cell(0, psi.rhs), psi.rhs_pat.value());
-  }
-}
-
-/// Applies one CFD of sigma to the template, in Chase's order.
-void Apply(Template& t, const CFD& psi) {
-  if (psi.is_special_x()) {
-    // Equality rule: every row gets cell[A] = cell[B].
-    for (size_t r = 0; r < t.rows() && !t.contradiction(); ++r) {
-      t.Union(t.Cell(r, psi.lhs[0]), t.Cell(r, psi.rhs));
-    }
-    return;
-  }
-  ApplySingle(t, psi, 0);
-  if (t.rows() == 2) {
-    ApplyPair(t, psi);
-    ApplySingle(t, psi, 1);
-  }
-}
-
-/// Whether phi's conclusion holds on the template.
-bool Concludes(const Template& t, const CFD& phi) {
-  if (phi.is_special_x()) {
-    return t.Equal(t.Cell(0, phi.lhs[0]), t.Cell(0, phi.rhs));
-  }
-  uint32_t a1 = t.Cell(0, phi.rhs);
-  if (!t.Equal(a1, t.Cell(1, phi.rhs))) return false;
-  return !phi.rhs_pat.is_constant() || t.BoundTo(a1, phi.rhs_pat.value());
-}
-
 /// The implication kernel: Sigma' |= phi' in the infinite-domain
 /// setting, with Sigma', phi' and `drop_lhs` as in
-/// ImplicationTester::Implies. Allocates nothing once `scratch` has
-/// grown to 4 * arity cells.
-Result<bool> KernelImplies(std::vector<uint32_t>& scratch,
-                           const std::vector<CFD>& sigma,
+/// ImplicationTester::Implies, on the flat chase kernel
+/// (src/chase/flat_tableau.h). Allocates nothing once `t` has grown to
+/// 2 * arity cells.
+Result<bool> KernelImplies(FlatTableau& t, const std::vector<CFD>& sigma,
                            const std::vector<uint8_t>& alive,
                            const CFD& phi, size_t drop_lhs, size_t arity) {
   // The template of ChaseImplies: two rows that agree on phi's LHS and
   // match its pattern, or one row for special-x phi.
-  Template t(scratch, arity, phi.is_special_x() ? 1 : 2);
+  t.Clear();
+  const uint32_t t1 = t.AddRow(phi.relation, arity);
+  const uint32_t t2 = phi.is_special_x() ? t1 : t.AddRow(phi.relation, arity);
+  t.GroupRows();
   if (!phi.is_special_x()) {
     for (size_t i = 0; i < phi.lhs.size(); ++i) {
       if (i == drop_lhs) continue;
-      uint32_t a1 = t.Cell(0, phi.lhs[i]);
-      t.Union(a1, t.Cell(1, phi.lhs[i]));
+      const uint32_t a1 = t1 + phi.lhs[i];
+      t.Union(a1, t2 + phi.lhs[i]);
       if (phi.lhs_pats[i].is_constant()) {
         t.Bind(a1, phi.lhs_pats[i].value());
       }
     }
   }
-  // Chase to a fixpoint, but stop as soon as phi's conclusion holds:
-  // the chase only adds equalities and constants, so a conclusion once
-  // reached stays. A contradiction means no tuple pair matches phi's LHS
-  // under sigma, so phi holds vacuously.
-  if (t.contradiction() || Concludes(t, phi)) return true;
-  const uint64_t max_passes = ChaseOptions{}.max_passes;
-  for (uint64_t pass = 1;; ++pass) {
-    if (pass > max_passes) {
-      return Status::Internal("chase exceeded max_passes; likely a bug");
-    }
-    bool changed = false;
-    for (size_t k = 0; k < sigma.size(); ++k) {
-      if (!alive.empty() && alive[k] == 0) continue;
-      Apply(t, sigma[k]);
-      if (t.contradiction()) return true;
-      if (t.TakeChanged()) {
-        if (Concludes(t, phi)) return true;
-        changed = true;
-      }
-    }
-    if (!changed) return false;
-  }
+  // Whether phi's conclusion holds on the template.
+  auto concludes = [&] {
+    if (phi.is_special_x()) return t.Equal(t1 + phi.lhs[0], t1 + phi.rhs);
+    const uint32_t a1 = t1 + phi.rhs;
+    if (!t.Equal(a1, t2 + phi.rhs)) return false;
+    return !phi.rhs_pat.is_constant() || t.BoundTo(a1, phi.rhs_pat.value());
+  };
+  // Chase to a fixpoint, but stop as soon as phi's conclusion holds. A
+  // contradiction means no tuple pair matches phi's LHS under sigma, so
+  // phi holds vacuously.
+  return ChaseUntil(
+      t,
+      [&](const auto& visit) {
+        for (size_t k = 0; k < sigma.size(); ++k) {
+          if (!alive.empty() && alive[k] == 0) continue;
+          if (!visit(sigma[k], 0)) return;
+        }
+      },
+      concludes);
 }
 
 bool AllInfinite(const AttrDomains& domains) {
@@ -331,7 +192,7 @@ Result<bool> ImplicationTester::Implies(const std::vector<CFD>& sigma,
                                         const std::vector<uint8_t>& alive,
                                         const CFD& phi, size_t drop_lhs) {
   if (kernel_) {
-    return KernelImplies(scratch_, sigma, alive, phi, drop_lhs, arity_);
+    return KernelImplies(tableau_, sigma, alive, phi, drop_lhs, arity_);
   }
   if (alive.empty()) {
     return ChaseImplies(sigma, phi, drop_lhs, arity_, domains_, options_);

@@ -13,11 +13,11 @@
 // Two procedures decide Implies:
 //   * the implication kernel decides every infinite-domain call
 //     (general_setting false and no finite domain: `domains` empty, or
-//     each entry null or !finite()). It chases the two-row template as a
-//     union-find with one constant slot per class over 2*arity cells, in
-//     one reusable buffer, with the single-tuple, pair and equality rules
-//     of Chase (src/chase/chase.h), and stops as soon as phi's conclusion
-//     holds;
+//     each entry null or !finite()). It chases the two-row template on
+//     the flat chase kernel (src/chase/flat_tableau.h: a union-find with
+//     one constant slot per class over 2*arity cells, in one reusable
+//     buffer) with the single-tuple, pair and equality rules of Chase
+//     (src/chase/chase.h), and stops as soon as phi's conclusion holds;
 //   * every other call - some finite domain, or the general setting -
 //     builds the template as a SymbolicInstance and runs Chase (and, in
 //     the general setting, ExistsChaseBranch) on it.
@@ -36,6 +36,7 @@
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
 #include "src/chase/chase.h"
+#include "src/chase/flat_tableau.h"
 #include "src/schema/schema.h"
 
 namespace cfdprop {
@@ -96,7 +97,7 @@ class ImplicationTester {
   ImplicationOptions options_;
   /// Whether calls go to the kernel (see the top of this file).
   bool kernel_;
-  std::vector<uint32_t> scratch_;
+  FlatTableau tableau_;
 };
 
 /// The consistency (satisfiability) problem: is there a *nonempty*

@@ -7,8 +7,12 @@
 
 namespace cfdprop {
 
-Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
-                            const std::vector<CFD>& sigma) {
+namespace {
+
+/// ComputeEQ on a SymbolicInstance tableau: the path for views with a
+/// finite-domain atom, whose cells carry their domains.
+Result<EqClasses> ComputeEQChase(const Catalog& catalog, const SPCView& view,
+                                 const std::vector<CFD>& sigma) {
   SymbolicInstance inst;
   CFDPROP_ASSIGN_OR_RETURN(ViewTableau tableau,
                            BuildViewTableau(catalog, view, inst));
@@ -32,6 +36,42 @@ Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
     eq.rep[c] = it->second;
     auto key = inst.ConstOf(tableau.ec_cells[c]);
     if (key.has_value()) eq.key[c] = *key;
+  }
+  return eq;
+}
+
+}  // namespace
+
+Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
+                            const std::vector<CFD>& sigma) {
+  CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
+  if (!HasOnlyInfiniteAtoms(catalog, view)) {
+    return ComputeEQChase(catalog, view, sigma);
+  }
+  // The flat kernel: Ec column c is cell c, and no constant cell follows
+  // (constant output columns are not Ec columns).
+  FlatTableau t;
+  AddViewCopy(catalog, view, t, /*summary=*/nullptr);
+  t.GroupRows();
+  CFDPROP_ASSIGN_OR_RETURN(bool contradiction, ChaseToFixpoint(t, sigma));
+
+  EqClasses eq;
+  if (contradiction) {
+    eq.inconsistent = true;
+    return eq;
+  }
+  const size_t u = t.num_cells();
+  eq.rep.assign(u, kNoAttr);
+  eq.key.resize(u);
+  // Canonical representative per chase class: the smallest column id,
+  // i.e. the first member met in column order. Every root is a column of
+  // its class, so rep[root] holds that first member from the moment it
+  // is met (and keeps it when the scan reaches the root itself).
+  for (ColumnId c = 0; c < u; ++c) {
+    ColumnId& first = eq.rep[t.Root(c)];
+    if (first == kNoAttr) first = c;
+    eq.rep[c] = first;
+    eq.key[c] = t.ConstOf(c);
   }
   return eq;
 }

@@ -11,7 +11,10 @@
 // We derive EQ by chasing the single-copy view tableau with Sigma, which
 // subsumes the paper's syntactic fixpoint (it also catches interactions
 // such as Example 3.1, where a source CFD forces a column constant that
-// contradicts a selection constant).
+// contradicts a selection constant). The chase runs on the flat kernel
+// (src/chase/flat_tableau.h) unless an atom's relation has a
+// finite-domain attribute, whose cells need a SymbolicInstance; the
+// classes, and so rep and key, are the chase's fixpoint either way.
 //
 // EQ2CFD converts the classes into view CFDs (Lemma 4.2): a keyed class
 // contributes RV(A -> A, (_ || key)) per member; an unkeyed class with

@@ -40,11 +40,13 @@ std::vector<ColumnId> ChooseReps(const Catalog& catalog, const SPCView& view,
 /// simplifies against class keys, all in one step, so no renamed copy
 /// of `c` exists. Returns nullopt when the CFD becomes
 /// vacuous/trivial/redundant (implied by the Sigma_d CFDs emitted by
-/// EQ2CFD).
+/// EQ2CFD), and sets *unconditional when it would force a constant
+/// against a class key on every view tuple.
 std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
                                          const std::vector<ColumnId>& rep,
                                          const EqClasses& eq,
-                                         bool simplify_with_keys) {
+                                         bool simplify_with_keys,
+                                         bool* unconditional) {
   std::vector<AttrIndex> lhs;
   std::vector<PatternValue> pats;
   lhs.reserve(c.lhs.size());
@@ -80,13 +82,11 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
     // tuple matches its LHS at all. Re-encode as a forbidden-pattern
     // CFD over the LHS so the constraint survives the projection even
     // when `rhs` itself is projected out.
-    bool unconditional = false;
-    std::optional<CFD> forbidden = EncodeForbiddenPattern(
-        kViewSchemaId, std::move(lhs), std::move(pats), rhs_pat.value(),
-        rhs_key, &unconditional);
-    // `unconditional` cannot hold here: ComputeEQ chased the tableau
-    // with sigma, so an all-wildcard LHS would have conflicted there.
-    return forbidden;
+    // *unconditional: every view tuple matches the LHS and so would
+    // need rhs = two constants (the caller reports it).
+    return EncodeForbiddenPattern(kViewSchemaId, std::move(lhs),
+                                  std::move(pats), rhs_pat.value(), rhs_key,
+                                  unconditional);
   }
 
   Result<CFD> made =
@@ -182,6 +182,72 @@ Result<std::vector<CFD>> MinCoverSigmaRelation(
   return out;
 }
 
+Result<SigmaV> BuildSigmaV(const Catalog& catalog, const SPCView& view,
+                           const std::vector<CFD>& sigma, const EqClasses& eq,
+                           bool simplify_with_keys) {
+  const size_t u = view.NumEcColumns(catalog);
+  if (eq.inconsistent || eq.rep.size() != u || eq.key.size() != u) {
+    return Status::InvalidArgument(
+        "BuildSigmaV needs the consistent EQ of the view");
+  }
+  SigmaV sv;
+  // Lines 5-10: Sigma_V := the source CFDs renamed per product atom
+  // (atom-major, Sigma order within an atom), with representatives
+  // substituted and domain constraints applied in the same pass.
+  sv.rep = ChooseReps(catalog, view, eq);
+  for (size_t j = 0; j < view.atoms.size(); ++j) {
+    const ColumnId base = view.AtomBase(catalog, j);
+    for (const CFD& c : sigma) {
+      if (c.relation != view.atoms[j]) continue;
+      bool unconditional = false;
+      std::optional<CFD> s = SubstituteAndSimplify(
+          c, base, sv.rep, eq, simplify_with_keys, &unconditional);
+      if (unconditional) {
+        // ComputeEQ chased the tableau with sigma, where the single-tuple
+        // rule binds that constant against the key: this `eq` did not
+        // come from ComputeEQ.
+        return Status::Internal(
+            "a source CFD forces a constant against a class key on every "
+            "view tuple, but EQ is consistent");
+      }
+      if (s.has_value()) sv.cfds.push_back(std::move(*s));
+    }
+  }
+  sv.cfds = DedupeAndDropTrivial(std::move(sv.cfds));
+
+  if (!simplify_with_keys) {
+    // Keys were not folded into the CFDs; expose them to RBR as
+    // empty-LHS constant CFDs so resolution can use them.
+    for (ColumnId c = 0; c < u; ++c) {
+      if (sv.rep[c] != c) continue;
+      Value key = eq.Key(c);
+      if (key == kNoValue) continue;
+      CFD k;
+      k.relation = kViewSchemaId;
+      k.rhs = c;
+      k.rhs_pat = PatternValue::Constant(key);
+      sv.cfds.push_back(std::move(k));
+    }
+  }
+
+  // Line 11's X = attr(Es) - Y. Only attributes that actually occur in
+  // Sigma_V need dropping: absent attributes generate no resolvents and
+  // nothing to remove.
+  std::vector<bool> keep(u, false);
+  for (const OutputColumn& o : view.output) {
+    if (!o.is_constant) keep[sv.rep[o.ec_column]] = true;
+  }
+  std::vector<bool> mentioned(u, false);
+  for (const CFD& c : sv.cfds) {
+    for (AttrIndex a : c.lhs) mentioned[a] = true;
+    mentioned[c.rhs] = true;
+  }
+  for (ColumnId c = 0; c < u; ++c) {
+    if (mentioned[c] && !keep[c]) sv.drop.push_back(c);
+  }
+  return sv;
+}
+
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
                                             const std::vector<CFD>& sigma,
@@ -215,57 +281,17 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
     return result;
   }
 
-  // Lines 5-10: Sigma_V := the source CFDs renamed per product atom
-  // (atom-major, Sigma order within an atom), with representatives
-  // substituted and domain constraints applied in the same pass.
-  std::vector<ColumnId> rep = ChooseReps(catalog, view, eq);
-  std::vector<CFD> sigma_v;
-  for (size_t j = 0; j < view.atoms.size(); ++j) {
-    const ColumnId base = view.AtomBase(catalog, j);
-    for (const CFD& c : input) {
-      if (c.relation != view.atoms[j]) continue;
-      std::optional<CFD> s =
-          SubstituteAndSimplify(c, base, rep, eq, options.simplify_with_keys);
-      if (s.has_value()) sigma_v.push_back(std::move(*s));
-    }
-  }
-  sigma_v = DedupeAndDropTrivial(std::move(sigma_v));
+  // Lines 5-11: Sigma_V and the attributes RBR eliminates.
+  CFDPROP_ASSIGN_OR_RETURN(
+      SigmaV sv,
+      BuildSigmaV(catalog, view, input, eq, options.simplify_with_keys));
+  result.sigma_v_size = sv.cfds.size();
+  const std::vector<ColumnId>& rep = sv.rep;
+  const size_t u = sv.rep.size();
 
-  const size_t u = view.NumEcColumns(catalog);
-  if (!options.simplify_with_keys) {
-    // Keys were not folded into the CFDs; expose them to RBR as
-    // empty-LHS constant CFDs so resolution can use them.
-    for (ColumnId c = 0; c < u; ++c) {
-      if (rep[c] != c) continue;
-      Value key = eq.Key(c);
-      if (key == kNoValue) continue;
-      CFD k;
-      k.relation = kViewSchemaId;
-      k.rhs = c;
-      k.rhs_pat = PatternValue::Constant(key);
-      sigma_v.push_back(std::move(k));
-    }
-  }
-  result.sigma_v_size = sigma_v.size();
-
-  // Line 11: Sigma_c := RBR(Sigma_V, attr(Es) - Y). Only attributes that
-  // actually occur in Sigma_V need dropping: absent attributes generate
-  // no resolvents and nothing to remove.
-  std::vector<bool> keep(u, false);
-  for (const OutputColumn& o : view.output) {
-    if (!o.is_constant) keep[rep[o.ec_column]] = true;
-  }
-  std::vector<bool> mentioned(u, false);
-  for (const CFD& c : sigma_v) {
-    for (AttrIndex a : c.lhs) mentioned[a] = true;
-    mentioned[c.rhs] = true;
-  }
-  std::vector<AttrIndex> drop;
-  for (ColumnId c = 0; c < u; ++c) {
-    if (mentioned[c] && !keep[c]) drop.push_back(c);
-  }
+  // Line 11: Sigma_c := RBR(Sigma_V, attr(Es) - Y).
   CFDPROP_ASSIGN_OR_RETURN(RBRResult rbr,
-                           RBR(std::move(sigma_v), drop, u, options.rbr));
+                           RBR(std::move(sv.cfds), sv.drop, u, options.rbr));
   if (rbr.inconsistent) {
     // Elimination derived an unconditional contradiction that the
     // ComputeEQ chase missed: the view is always empty (Lemma 4.5).
@@ -418,11 +444,17 @@ Result<PropCoverResult> AssembleUnionCover(
   candidates = DedupeAndDropTrivial(std::move(candidates));
 
   // Keep the candidates propagated via the whole union (the cross-
-  // disjunct pair checks are what per-disjunct covers cannot see).
+  // disjunct pair checks are what per-disjunct covers cannot see). One
+  // tester validates the view and sigma once and chases each disjunct
+  // combination once for all candidates.
   std::vector<CFD> kept;
-  for (CFD& c : candidates) {
-    CFDPROP_ASSIGN_OR_RETURN(bool prop, IsPropagated(catalog, view, sigma, c));
-    if (prop) kept.push_back(std::move(c));
+  if (!candidates.empty()) {
+    CFDPROP_ASSIGN_OR_RETURN(PropagationTester tester,
+                             PropagationTester::Make(catalog, view, sigma));
+    for (CFD& c : candidates) {
+      CFDPROP_ASSIGN_OR_RETURN(bool prop, tester.IsPropagated(c));
+      if (prop) kept.push_back(std::move(c));
+    }
   }
   if (options.final_mincover) {
     CFDPROP_ASSIGN_OR_RETURN(

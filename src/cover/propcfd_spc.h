@@ -85,6 +85,30 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const PropCoverOptions& options =
                                                 {});
 
+/// Fig. 2 lines 5-11 up to the RBR call: Sigma_V over the view's Ec
+/// columns, and the columns RBR eliminates.
+struct SigmaV {
+  /// Sigma renamed per product atom, representatives substituted and
+  /// class keys folded in (deduplicated, no trivial CFD).
+  std::vector<CFD> cfds;
+  /// attr(Es) - Y: the representatives that occur in `cfds` but are not
+  /// projected, ascending.
+  std::vector<AttrIndex> drop;
+  /// Per Ec column, its class representative (a projected member when
+  /// the class has one).
+  std::vector<ColumnId> rep;
+};
+
+/// Builds Sigma_V from `sigma` (validated source CFDs) and `eq`, the
+/// consistent ComputeEQ(view, sigma); PropagationCoverSPC runs it
+/// between ComputeEQ and RBR. InvalidArgument when `eq` is inconsistent
+/// or not sized to the view's Ec columns. Internal when a CFD would
+/// force a constant against a class key on every view tuple: the
+/// ComputeEQ chase rules that out, so such an `eq` is not sigma's.
+Result<SigmaV> BuildSigmaV(const Catalog& catalog, const SPCView& view,
+                           const std::vector<CFD>& sigma, const EqClasses& eq,
+                           bool simplify_with_keys = true);
+
 /// Union extension: a *sound* propagation cover via an SPCU view — each
 /// returned CFD is propagated via every disjunct — computed by filtering
 /// the per-disjunct covers through the propagation test. Completeness

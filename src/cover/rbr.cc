@@ -182,6 +182,114 @@ class AttrDegrees {
   std::vector<uint32_t> consumers_;
 };
 
+/// Gamma as RBR rewrites it: the CFDs in order, an alive mask instead of
+/// erasure, and an attribute -> position index of the CFDs mentioning
+/// each attribute (as LHS or RHS), so a drop visits only those. Dead
+/// CFDs keep their positions until Compact, so the index stays valid and
+/// positions ascend in Gamma order; appending keeps that order too.
+class IndexedCover {
+ public:
+  explicit IndexedCover(size_t arity) : lists_(arity) {}
+
+  /// Replaces the cover with `cfds`, all alive, and reindexes it.
+  void Reset(std::vector<CFD> cfds) {
+    cfds_ = std::move(cfds);
+    alive_.assign(cfds_.size(), 1);
+    live_ = cfds_.size();
+    std::fill(lists_.begin(), lists_.end(), List{kNone, kNone});
+    links_.clear();
+    size_t mentions = 0;
+    for (const CFD& c : cfds_) mentions += c.lhs.size() + 1;
+    links_.reserve(mentions);
+    for (size_t p = 0; p < cfds_.size(); ++p) Index(p);
+  }
+
+  /// The number of alive CFDs.
+  size_t live() const { return live_; }
+  /// Every CFD, dead ones included, by position.
+  const std::vector<CFD>& cfds() const { return cfds_; }
+
+  /// The alive positions mentioning `a`, ascending, into `out`.
+  void Mentioning(AttrIndex a, std::vector<uint32_t>* out) const {
+    out->clear();
+    for (uint32_t l = lists_[a].head; l != kNone; l = links_[l].next) {
+      if (alive_[links_[l].position] != 0) {
+        out->push_back(links_[l].position);
+      }
+    }
+  }
+
+  /// The first alive position, or SIZE_MAX.
+  size_t FirstAlive() const {
+    for (size_t p = 0; p < alive_.size(); ++p) {
+      if (alive_[p] != 0) return p;
+    }
+    return SIZE_MAX;
+  }
+
+  void Kill(size_t p) {
+    alive_[p] = 0;
+    --live_;
+  }
+
+  /// Appends `c` alive, after every other position.
+  void Append(CFD c) {
+    cfds_.push_back(std::move(c));
+    alive_.push_back(1);
+    ++live_;
+    Index(cfds_.size() - 1);
+  }
+
+  /// Moves the alive CFDs out in order; Reset before using the cover
+  /// again.
+  std::vector<CFD> Compact() {
+    size_t kept = 0;
+    for (size_t p = 0; p < cfds_.size(); ++p) {
+      if (alive_[p] == 0) continue;
+      if (kept != p) cfds_[kept] = std::move(cfds_[p]);
+      ++kept;
+    }
+    cfds_.resize(kept);
+    return std::move(cfds_);
+  }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+  struct Link {
+    uint32_t position;
+    uint32_t next;
+  };
+
+  void AddLink(AttrIndex a, size_t p) {
+    const uint32_t l = static_cast<uint32_t>(links_.size());
+    links_.push_back({static_cast<uint32_t>(p), kNone});
+    List& list = lists_[a];
+    if (list.head == kNone) {
+      list.head = l;
+    } else {
+      links_[list.tail].next = l;
+    }
+    list.tail = l;
+  }
+
+  void Index(size_t p) {
+    const CFD& c = cfds_[p];
+    for (AttrIndex a : c.lhs) AddLink(a, p);
+    if (c.FindLhs(c.rhs) == SIZE_MAX) AddLink(c.rhs, p);
+  }
+
+  std::vector<CFD> cfds_;
+  std::vector<uint8_t> alive_;
+  size_t live_ = 0;
+  // Per attribute, a singly linked list of positions in `links_`.
+  struct List {
+    uint32_t head;
+    uint32_t tail;
+  };
+  std::vector<List> lists_;
+  std::vector<Link> links_;
+};
+
 /// Partitioned MinCover (Section 4.3): minimize fixed-size chunks,
 /// O(|Gamma| * k0^2) implication calls.
 Result<std::vector<CFD>> PartitionedMinCover(std::vector<CFD> gamma,
@@ -217,92 +325,106 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
   }
 
   RBRResult result;
-  std::vector<CFD> gamma = DedupeAndDropTrivial(std::move(sigma));
+  IndexedCover gamma(arity);
+  gamma.Reset(DedupeAndDropTrivial(std::move(sigma)));
   std::vector<AttrIndex> remaining = drop;
-  AttrDegrees degrees(arity, gamma);
-  // Dedupes C, then C against Gamma, by position: no CFD is copied.
+  AttrDegrees degrees(arity, gamma.cfds());
+  // Dedupes C by position: no CFD is copied.
   CfdPositionSet seen;
   // Watermark for the growth-triggered intermediate minimization.
-  size_t last_minimized_size = gamma.size();
+  size_t last_minimized_size = gamma.live();
+  std::vector<uint32_t> mentions;
+  mentions.reserve(gamma.live());
+  std::vector<CFD> resolvents;
 
   while (!remaining.empty()) {
     AttrIndex a = degrees.PickNext(remaining);
     remaining.erase(std::find(remaining.begin(), remaining.end(), a));
 
     // C := all nontrivial A-resolvents, including forbidden-pattern
-    // resolvents from pairs of conflicting constant producers.
-    std::vector<CFD> resolvents;
-    seen.Clear(0);
+    // resolvents from pairs of conflicting constant producers. Every rule
+    // below needs both CFDs to mention A (the producer as RHS, the other
+    // as LHS or RHS), so the pairs come from A's mentions alone, in the
+    // order of a full scan of Gamma.
+    gamma.Mentioning(a, &mentions);
+    resolvents.clear();
     auto add = [&](std::optional<CFD>& r) {
       if (!r.has_value()) return;
+      if (resolvents.empty()) seen.Clear(0);
       resolvents.push_back(std::move(*r));
       if (!seen.Insert(resolvents, resolvents.size() - 1)) {
         resolvents.pop_back();
       }
     };
-    auto over_budget = [&] {
-      return gamma.size() + resolvents.size() > options.max_cover_size;
+    // Applies the rules to (Gamma[i], Gamma[j]); false when they derive
+    // an unconditional contradiction.
+    auto resolve = [&](size_t i, size_t j) {
+      const CFD& phi1 = gamma.cfds()[i];
+      const CFD& phi2 = gamma.cfds()[j];
+      std::optional<CFD> r = Resolvent(phi1, phi2, a);
+      add(r);
+      if (j > i) {
+        bool unconditional = false;
+        std::optional<CFD> fb =
+            ForbiddenResolvent(phi1, phi2, a, &unconditional);
+        if (unconditional) return false;
+        add(fb);
+      }
+      // Project forbidden patterns mentioning `a` through producers
+      // that force the matching constant (phi1 is the producer here).
+      bool unconditional = false;
+      std::optional<CFD> fp =
+          ForbiddenProjection(phi2, phi1, a, &unconditional);
+      if (unconditional) return false;
+      add(fp);
+      return true;
     };
-    for (size_t i = 0; i < gamma.size() && !result.truncated; ++i) {
-      const CFD& phi1 = gamma[i];
-      if (phi1.rhs != a) continue;
-      for (size_t j = 0; j < gamma.size(); ++j) {
-        const CFD& phi2 = gamma[j];
-        std::optional<CFD> r = Resolvent(phi1, phi2, a);
-        add(r);
-        if (j > i) {
-          bool unconditional = false;
-          std::optional<CFD> fb =
-              ForbiddenResolvent(phi1, phi2, a, &unconditional);
-          if (unconditional) {
-            result.inconsistent = true;
-            result.cover.clear();
-            return result;
-          }
-          add(fb);
+    auto over_budget = [&] {
+      return gamma.live() + resolvents.size() > options.max_cover_size;
+    };
+    auto inconsistent = [&] {
+      result.inconsistent = true;
+      result.cover.clear();
+      return result;
+    };
+    for (uint32_t i : mentions) {
+      if (gamma.cfds()[i].rhs != a) continue;
+      // A full scan checks the budget after every pair (Gamma[i], Gamma[j]),
+      // and the count grows only on mentions. Only the first producer can
+      // start over budget (Gamma itself is): the scan then stops after
+      // the pair with Gamma's first CFD.
+      const bool entered_over = over_budget();
+      const size_t first = entered_over ? gamma.FirstAlive() : SIZE_MAX;
+      for (uint32_t j : mentions) {
+        if (entered_over && j != first) break;
+        if (!resolve(i, j)) return inconsistent();
+        if (over_budget()) break;
+      }
+      if (over_budget()) {
+        if (options.on_budget == RBROptions::OnBudget::kError) {
+          return Status::ResourceExhausted(
+              "RBR intermediate cover exceeded max_cover_size");
         }
-        // Project forbidden patterns mentioning `a` through producers
-        // that force the matching constant (phi1 is the producer here).
-        {
-          bool unconditional = false;
-          std::optional<CFD> fp =
-              ForbiddenProjection(phi2, phi1, a, &unconditional);
-          if (unconditional) {
-            result.inconsistent = true;
-            result.cover.clear();
-            return result;
-          }
-          add(fp);
-        }
-        if (over_budget()) {
-          if (options.on_budget == RBROptions::OnBudget::kError) {
-            return Status::ResourceExhausted(
-                "RBR intermediate cover exceeded max_cover_size");
-          }
-          result.truncated = true;
-          break;
-        }
+        result.truncated = true;
+        break;
       }
     }
 
     // Gamma := Gamma[U - {A}] ++ C. A resolvent never mentions A, so it
-    // can only repeat a CFD that stays.
-    std::erase_if(gamma, [&](const CFD& c) {
-      if (!c.Mentions(a)) return false;
-      degrees.Remove(c);
-      return true;
-    });
-    if (!resolvents.empty()) {
-      seen.Clear(gamma.size() + resolvents.size());
-      for (size_t i = 0; i < gamma.size(); ++i) seen.Insert(gamma, i);
-      for (CFD& r : resolvents) {
-        gamma.push_back(std::move(r));
-        if (seen.Insert(gamma, gamma.size() - 1)) {
-          degrees.Add(gamma.back());
-        } else {
-          gamma.pop_back();
-        }
-      }
+    // can only repeat a CFD that stays, and one that equals it mentions
+    // its RHS: the index finds it without hashing Gamma.
+    for (uint32_t p : mentions) {
+      degrees.Remove(gamma.cfds()[p]);
+      gamma.Kill(p);
+    }
+    for (CFD& r : resolvents) {
+      gamma.Mentioning(r.rhs, &mentions);
+      const bool repeated =
+          std::any_of(mentions.begin(), mentions.end(),
+                      [&](uint32_t p) { return gamma.cfds()[p] == r; });
+      if (repeated) continue;
+      degrees.Add(r);
+      gamma.Append(std::move(r));
     }
 
     // Growth-triggered intermediate minimization (Section 4.3): the
@@ -311,13 +433,15 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
     // of CFDs since the last minimization — amortized O(|Gamma| * k0^2)
     // overall, and never on the (common) shrinking drops.
     if (options.intermediate_mincover &&
-        gamma.size() > options.mincover_partition &&
-        gamma.size() >= last_minimized_size + options.mincover_partition) {
+        gamma.live() > options.mincover_partition &&
+        gamma.live() >= last_minimized_size + options.mincover_partition) {
       CFDPROP_ASSIGN_OR_RETURN(
-          gamma, PartitionedMinCover(std::move(gamma), arity,
-                                     options.mincover_partition));
-      degrees = AttrDegrees(arity, gamma);
-      last_minimized_size = gamma.size();
+          std::vector<CFD> minimized,
+          PartitionedMinCover(gamma.Compact(), arity,
+                              options.mincover_partition));
+      gamma.Reset(std::move(minimized));
+      degrees = AttrDegrees(arity, gamma.cfds());
+      last_minimized_size = gamma.live();
     }
     if (result.truncated) break;
   }
@@ -326,11 +450,12 @@ Result<RBRResult> RBR(std::vector<CFD> sigma,
   // remove them so the output is always over Y only.
   if (result.truncated) {
     for (AttrIndex a : remaining) {
-      std::erase_if(gamma, [a](const CFD& c) { return c.Mentions(a); });
+      gamma.Mentioning(a, &mentions);
+      for (uint32_t p : mentions) gamma.Kill(p);
     }
   }
 
-  result.cover = std::move(gamma);
+  result.cover = gamma.Compact();
   return result;
 }
 

@@ -14,6 +14,13 @@
 // polynomial whenever the intermediate covers stay polynomial, which is
 // the common case (Section 4.2). The paper's Section 4.3 optimization —
 // partitioned MinCover over intermediate results — is implemented here.
+//
+// Dropping A is variable elimination, and like InsideOut's (PAPERS.md,
+// "Juggling Functions Inside a Database") it touches only what mentions
+// the variable: an attribute -> position index over Gamma hands each
+// drop the CFDs that mention A, in Gamma order, and removal marks them
+// dead instead of rescanning Gamma. Resolvents, their order and the
+// truncation point are those of a full scan.
 
 #ifndef CFDPROP_COVER_RBR_H_
 #define CFDPROP_COVER_RBR_H_

@@ -88,17 +88,23 @@ struct EngineOptions {
   /// ignored: registration already minimized, so requests always run
   /// with input_mincover = false, and a miss borrows the registered Σ
   /// without copying it. Per miss over zipf-open's 6,144 (tenant, view)
-  /// pairs (|Σ| = 120, Release, 4-CPU x86 container), before and after
-  /// the copy-free miss path:
+  /// pairs (|Σ| = 120, Release, 4-CPU x86 container, median of five
+  /// interleaved runs), before and after the flat chase kernel
+  /// (ComputeEQ) and the attribute-indexed RBR; the copy-free path
+  /// before them had taken a miss from 62.1 µs and 644 allocations:
   ///
-  ///   step (Fig. 2)                      µs           allocations
-  ///   Σ passed by value                  19.8 → 0.6   241 → 0
-  ///   lines 5-10: rename + substitute    13.1 → 7.6   189 → 58
-  ///   line 11: RBR                       17.4 → 12.1   92 → 8
-  ///   line 12: map + EQ2CFD               1.9 → 1.6    42 → 25
-  ///   line 13: final MinCover             2.2 → 2.2     8 → 4
-  ///   ComputeEQ, validation, RBR set-up   7.7 → 8.9    73 → 73
-  ///   total                              62.1 → 32.9  644 → 167
+  ///   step (Fig. 2)                       µs           allocations
+  ///   validation of the view and Σ         2.1 → 1.9     0 → 0
+  ///   line 2: ComputeEQ                    5.6 → 1.7    66 → 8
+  ///   lines 5-10 + line 11's X: Σ_V        8.6 → 8.4    65 → 65
+  ///   line 11: RBR                        12.0 → 7.2     8 → 12
+  ///   line 12: map + EQ2CFD                1.5 → 1.4    25 → 25
+  ///   line 13: final MinCover              2.2 → 2.1     4 → 7
+  ///   total                               31.8 → 22.8  167 → 117
+  ///
+  /// A union miss then assembles the per-disjunct covers
+  /// (AssembleUnionCover): 129.7 → 27.8 µs and 606 → 79 allocations per
+  /// churn-write union (|Σ| = 256).
   PropCoverOptions cover;
 };
 

@@ -10,6 +10,14 @@ namespace {
 Result<bool> DisjunctNonEmpty(const Catalog& catalog, const SPCView& view,
                               const std::vector<CFD>& sigma,
                               const EmptinessOptions& options) {
+  if (!options.general_setting && HasOnlyInfiniteAtoms(catalog, view)) {
+    // The flat kernel: no finite-domain cell to instantiate.
+    FlatTableau t;
+    AddViewCopy(catalog, view, t, /*summary=*/nullptr);
+    t.GroupRows();
+    CFDPROP_ASSIGN_OR_RETURN(bool contradiction, ChaseToFixpoint(t, sigma));
+    return !contradiction;
+  }
   SymbolicInstance base;
   CFDPROP_ASSIGN_OR_RETURN(ViewTableau t,
                            BuildViewTableau(catalog, view, base));

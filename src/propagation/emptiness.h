@@ -8,6 +8,9 @@
 // Decided by chasing each disjunct's tableau with Sigma: an undefined
 // (contradictory) chase means the disjunct yields no tuple; otherwise
 // the fixpoint instantiates to a witness source producing a view tuple.
+// Without finite-domain atoms and outside the general setting the chase
+// runs on the flat kernel (src/chase/flat_tableau.h), else on a
+// SymbolicInstance.
 // PTIME without finite-domain attributes (Theorem 3.8); with them the
 // non-emptiness test instantiates finite-domain variables, NP overall
 // (Theorem 3.7).

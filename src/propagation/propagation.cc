@@ -1,5 +1,7 @@
 #include "src/propagation/propagation.h"
 
+#include <algorithm>
+
 #include "src/tableau/tableau.h"
 
 namespace cfdprop {
@@ -87,24 +89,18 @@ Result<bool> CheckEqualityCFD(const Catalog& catalog, const SPCUView& view,
 PropagationOptions AutoOptions(const Catalog& catalog, const SPCUView& view) {
   PropagationOptions options;
   for (const SPCView& v : view.disjuncts) {
-    for (RelationId r : v.atoms) {
-      if (catalog.relation(r).HasFiniteDomainAttr()) {
-        options.general_setting = true;
-        return options;
-      }
+    if (!HasOnlyInfiniteAtoms(catalog, v)) {
+      options.general_setting = true;
+      return options;
     }
   }
   return options;
 }
 
-Result<bool> IsPropagated(const Catalog& catalog, const SPCUView& view,
-                          const std::vector<CFD>& sigma, const CFD& phi,
-                          const PropagationOptions& options) {
+Result<PropagationTester> PropagationTester::Make(
+    const Catalog& catalog, const SPCUView& view,
+    const std::vector<CFD>& sigma, const PropagationOptions& options) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
-  CFDPROP_RETURN_NOT_OK(phi.Validate(view.OutputArity()));
-  if (phi.relation != kViewSchemaId) {
-    return Status::InvalidArgument("phi must be a view CFD (kViewSchemaId)");
-  }
   for (const CFD& c : sigma) {
     if (c.relation >= catalog.num_relations()) {
       return Status::InvalidArgument("source CFD with unknown relation");
@@ -112,9 +108,106 @@ Result<bool> IsPropagated(const Catalog& catalog, const SPCUView& view,
     CFDPROP_RETURN_NOT_OK(
         c.Validate(catalog.relation(c.relation).arity()));
   }
+  return PropagationTester(catalog, view, sigma, options);
+}
 
+PropagationTester::PropagationTester(const Catalog& catalog,
+                                     const SPCUView& view,
+                                     const std::vector<CFD>& sigma,
+                                     const PropagationOptions& options)
+    : catalog_(&catalog),
+      view_(&view),
+      sigma_(&sigma),
+      options_(options),
+      kernel_(!options.general_setting) {
+  std::vector<RelationId> relations;  // of the atoms, distinct
+  for (const SPCView& d : view.disjuncts) {
+    kernel_ = kernel_ && HasOnlyInfiniteAtoms(catalog, d);
+    for (RelationId r : d.atoms) {
+      if (std::find(relations.begin(), relations.end(), r) ==
+          relations.end()) {
+        relations.push_back(r);
+      }
+    }
+  }
+  if (!kernel_) return;
+  rules_.Build(sigma, relations);
+  const size_t k = view.disjuncts.size();
+  singles_.resize(k);
+  pairs_.resize(k * k);
+}
+
+Result<PropagationTester::Base*> PropagationTester::BaseOf(size_t i,
+                                                           size_t j,
+                                                           bool single) {
+  Base& base = single ? singles_[i] : pairs_[i * view_->disjuncts.size() + j];
+  if (base.built) return &base;
+  FlatTableau& t = base.chased;
+  AddViewCopy(*catalog_, view_->disjuncts[i], t, &base.t1);
+  if (!single) AddViewCopy(*catalog_, view_->disjuncts[j], t, &base.t2);
+  t.GroupRows();
+  CFDPROP_ASSIGN_OR_RETURN(base.contradiction, ChaseToFixpoint(t, rules_));
+  base.work = t;
+  base.built = true;
+  return &base;
+}
+
+Result<bool> PropagationTester::KernelPasses(const CFD& phi) {
   if (phi.is_special_x()) {
-    return CheckEqualityCFD(catalog, view, sigma, phi, options);
+    // The single-copy check: every view tuple of every disjunct must
+    // have equal A/B cells.
+    for (size_t i = 0; i < view_->disjuncts.size(); ++i) {
+      CFDPROP_ASSIGN_OR_RETURN(Base* base, BaseOf(i, i, /*single=*/true));
+      if (base->contradiction) continue;  // the disjunct is always empty
+      if (!base->chased.Equal(base->t1[phi.lhs[0]], base->t1[phi.rhs])) {
+        return false;
+      }
+    }
+    return true;
+  }
+  const size_t k = view_->disjuncts.size();
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i; j < k; ++j) {
+      CFDPROP_ASSIGN_OR_RETURN(Base* base, BaseOf(i, j, /*single=*/false));
+      if (base->contradiction) continue;  // no pair from e_i, e_j at all
+      FlatTableau& work = base->work;
+      work.CopyCellsFrom(base->chased);
+      const std::vector<uint32_t>& t1 = base->t1;
+      const std::vector<uint32_t>& t2 = base->t2;
+      // rho1/rho2 as in the SymbolicInstance path below.
+      for (size_t l = 0; l < phi.lhs.size(); ++l) {
+        const AttrIndex a = phi.lhs[l];
+        work.Union(t1[a], t2[a]);
+        if (phi.lhs_pats[l].is_constant()) {
+          work.Bind(t1[a], phi.lhs_pats[l].value());
+        }
+      }
+      auto concludes = [&] {
+        const uint32_t b1 = t1[phi.rhs];
+        if (!work.Equal(b1, t2[phi.rhs])) return false;
+        return !phi.rhs_pat.is_constant() ||
+               work.BoundTo(b1, phi.rhs_pat.value());
+      };
+      CFDPROP_ASSIGN_OR_RETURN(bool pass,
+                               ChaseUntil(work, rules_, concludes));
+      if (!pass) return false;
+    }
+  }
+  return true;
+}
+
+Result<bool> PropagationTester::IsPropagated(const CFD& phi) {
+  CFDPROP_RETURN_NOT_OK(phi.Validate(view_->OutputArity()));
+  if (phi.relation != kViewSchemaId) {
+    return Status::InvalidArgument("phi must be a view CFD (kViewSchemaId)");
+  }
+  if (kernel_) return KernelPasses(phi);
+
+  const Catalog& catalog = *catalog_;
+  const SPCUView& view = *view_;
+  const std::vector<CFD>& sigma = *sigma_;
+  if (phi.is_special_x()) {
+    return CheckEqualityCFD(catalog, view, sigma, phi, options_);
   }
 
   // All k^2 ordered disjunct combinations (t1 from e_i, t2 from e_j);
@@ -141,11 +234,20 @@ Result<bool> IsPropagated(const Catalog& catalog, const SPCUView& view,
 
       CFDPROP_ASSIGN_OR_RETURN(
           bool pass, AllInstantiationsPass(base, sigma, phi, ti.summary,
-                                           tj.summary, options));
+                                           tj.summary, options_));
       if (!pass) return false;
     }
   }
   return true;
+}
+
+Result<bool> IsPropagated(const Catalog& catalog, const SPCUView& view,
+                          const std::vector<CFD>& sigma, const CFD& phi,
+                          const PropagationOptions& options) {
+  CFDPROP_ASSIGN_OR_RETURN(
+      PropagationTester tester,
+      PropagationTester::Make(catalog, view, sigma, options));
+  return tester.IsPropagated(phi);
 }
 
 Result<bool> IsPropagated(const Catalog& catalog, const SPCView& view,

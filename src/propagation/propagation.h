@@ -17,6 +17,14 @@
 // (Theorems 3.1/3.5). General setting: finite-domain variables of the
 // instance are instantiated exhaustively => coNP (Theorems 3.2/3.3,
 // Corollary 3.6); the instantiation budget guards the exponential.
+//
+// Without finite-domain atoms and outside the general setting the chase
+// runs on the flat kernel (src/chase/flat_tableau.h): each combination's
+// two copies are built and chased once per PropagationTester, and each
+// phi then copies that fixpoint, adds its LHS and chases on, with Sigma
+// bucketed by relation, until phi's conclusion holds. Starting from the
+// copies' own fixpoint reaches the same fixpoint, since the chase is
+// monotone. Otherwise every phi builds SymbolicInstance tableaux.
 
 #ifndef CFDPROP_PROPAGATION_PROPAGATION_H_
 #define CFDPROP_PROPAGATION_PROPAGATION_H_
@@ -27,6 +35,7 @@
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
 #include "src/chase/chase.h"
+#include "src/chase/flat_tableau.h"
 #include "src/schema/schema.h"
 
 namespace cfdprop {
@@ -44,9 +53,54 @@ struct PropagationOptions {
 /// relation used by `view` has a finite domain.
 PropagationOptions AutoOptions(const Catalog& catalog, const SPCUView& view);
 
+/// Decides Sigma |=_V phi for many phi against one (view, sigma), as the
+/// union assembly of PropagationCoverSPCU does: Make validates the view
+/// and Sigma once, and IsPropagated validates only phi.
+class PropagationTester {
+ public:
+  /// Validates `view` and `sigma`, which must outlive the tester.
+  static Result<PropagationTester> Make(const Catalog& catalog,
+                                        const SPCUView& view,
+                                        const std::vector<CFD>& sigma,
+                                        const PropagationOptions& options =
+                                            {});
+
+  /// Decides Sigma |=_V phi; `phi` as in the free IsPropagated.
+  Result<bool> IsPropagated(const CFD& phi);
+
+ private:
+  /// One or two tableau copies chased to their fixpoint, built on first
+  /// use: a disjunct alone (special-x phi) or a combination (i, j).
+  struct Base {
+    bool built = false;
+    bool contradiction = false;
+    FlatTableau chased;
+    FlatTableau work;          // chased's rows; each phi resets its cells
+    std::vector<uint32_t> t1;  // summary cells of the first copy
+    std::vector<uint32_t> t2;  // of the second (empty for one copy)
+  };
+
+  PropagationTester(const Catalog& catalog, const SPCUView& view,
+                    const std::vector<CFD>& sigma,
+                    const PropagationOptions& options);
+  Result<Base*> BaseOf(size_t i, size_t j, bool single);
+  Result<bool> KernelPasses(const CFD& phi);
+
+  const Catalog* catalog_;
+  const SPCUView* view_;
+  const std::vector<CFD>* sigma_;
+  PropagationOptions options_;
+  /// Whether calls go to the flat kernel (see the top of this file).
+  bool kernel_;
+  RelationRules rules_;
+  std::vector<Base> singles_;  // per disjunct
+  std::vector<Base> pairs_;    // per combination i <= j, row-major
+};
+
 /// Decides Sigma |=_V phi. `sigma` holds CFDs tagged with source relation
 /// ids; `phi` is a view CFD tagged kViewSchemaId whose attribute indices
-/// are output column positions of `view`.
+/// are output column positions of `view`. Validates every input on every
+/// call.
 Result<bool> IsPropagated(const Catalog& catalog, const SPCUView& view,
                           const std::vector<CFD>& sigma, const CFD& phi,
                           const PropagationOptions& options = {});

@@ -498,7 +498,7 @@ void CatalogService::DispatcherLoop() {
       stages.queue_wait->Record(MicrosBetween(job.admitted_at, popped_at));
     }
     // Stage spans ride the exact stamps the histograms read — a sampled
-    // job adds span-ring appends but zero extra clock calls here.
+    // job adds span-ring appends and one clock call (the reply hand-off).
     obs::Tracer* tracer = job.trace.sampled ? obs::ProcessTracer() : nullptr;
     auto span = [&](const char* name,
                     std::chrono::steady_clock::time_point from,
@@ -537,6 +537,13 @@ void CatalogService::DispatcherLoop() {
     }
     span("propagate", propagate_start, propagate_end);
     batches_completed_.fetch_add(1, std::memory_order_relaxed);
+    // The reply span closes at the hand-off, before delivery: the caller
+    // may ask for this trace (TRACE_DUMP) as soon as it holds the reply,
+    // and the span must be in the ring by then. The reply stage histogram
+    // below still times the delivery itself.
+    if (tracer != nullptr) {
+      span("reply", propagate_end, std::chrono::steady_clock::now());
+    }
     if (!job.callback) {
       job.promise.set_value(std::move(reply));
     } else {
@@ -548,12 +555,9 @@ void CatalogService::DispatcherLoop() {
       } catch (...) {
       }
     }
-    if (stages.reply || tracer != nullptr) {
-      const auto reply_end = std::chrono::steady_clock::now();
-      if (stages.reply) {
-        stages.reply->Record(MicrosBetween(propagate_end, reply_end));
-      }
-      span("reply", propagate_end, reply_end);
+    if (stages.reply) {
+      stages.reply->Record(
+          MicrosBetween(propagate_end, std::chrono::steady_clock::now()));
     }
     // Release the running slot only after the reply is delivered (a
     // batch "in flight" admission-wise is one whose caller hasn't heard

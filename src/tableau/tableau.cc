@@ -1,5 +1,7 @@
 #include "src/tableau/tableau.h"
 
+#include <algorithm>
+
 namespace cfdprop {
 
 Result<ViewTableau> BuildViewTableau(const Catalog& catalog,
@@ -42,6 +44,36 @@ Result<ViewTableau> BuildViewTableau(const Catalog& catalog,
     }
   }
   return t;
+}
+
+uint32_t AddViewCopy(const Catalog& catalog, const SPCView& view,
+                     FlatTableau& t, std::vector<uint32_t>* summary) {
+  const uint32_t first = static_cast<uint32_t>(t.num_cells());
+  for (RelationId rel : view.atoms) {
+    t.AddRow(rel, catalog.relation(rel).arity());
+  }
+  for (const Selection& s : view.selections) {
+    if (s.kind == Selection::Kind::kColumnEq) {
+      t.Union(first + s.left, first + s.right);
+    } else {
+      t.Bind(first + s.left, s.value);
+    }
+  }
+  if (summary != nullptr) {
+    summary->clear();
+    for (const OutputColumn& o : view.output) {
+      summary->push_back(o.is_constant ? t.AddConstCell(o.value)
+                                       : first + o.ec_column);
+    }
+  }
+  return first;
+}
+
+bool HasOnlyInfiniteAtoms(const Catalog& catalog, const SPCView& view) {
+  return std::none_of(view.atoms.begin(), view.atoms.end(),
+                      [&](RelationId r) {
+                        return catalog.relation(r).HasFiniteDomainAttr();
+                      });
 }
 
 }  // namespace cfdprop

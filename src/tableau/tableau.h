@@ -8,6 +8,10 @@
 // cell. Building two tableaux of (possibly different) disjuncts into one
 // instance is how the propagation test constructs the rho1/rho2 copies of
 // the Theorem 3.1 proof.
+//
+// AddViewCopy builds the same tableau on the flat chase kernel
+// (src/chase/flat_tableau.h), which the infinite-domain callers use:
+// ComputeEQ, IsAlwaysEmpty and IsPropagated.
 
 #ifndef CFDPROP_TABLEAU_TABLEAU_H_
 #define CFDPROP_TABLEAU_TABLEAU_H_
@@ -16,6 +20,7 @@
 
 #include "src/algebra/view.h"
 #include "src/base/status.h"
+#include "src/chase/flat_tableau.h"
 #include "src/chase/symbolic_instance.h"
 #include "src/schema/schema.h"
 
@@ -38,6 +43,19 @@ struct ViewTableau {
 Result<ViewTableau> BuildViewTableau(const Catalog& catalog,
                                      const SPCView& view,
                                      SymbolicInstance& instance);
+
+/// Appends one tableau copy of a validated `view` to `t`: one row per
+/// atom at consecutive offsets, so Ec column c is cell (returned first
+/// cell + c), and the selections applied. When `summary` is non-null it
+/// receives the cell of every output column, a new constant cell for a
+/// constant column. Call t.GroupRows() after the last copy.
+uint32_t AddViewCopy(const Catalog& catalog, const SPCView& view,
+                     FlatTableau& t, std::vector<uint32_t>* summary);
+
+/// Whether `view`'s tableau can be chased on the flat kernel: no atom's
+/// relation has a finite-domain attribute (those cells need
+/// SymbolicInstance's domains). `view` must be validated.
+bool HasOnlyInfiniteAtoms(const Catalog& catalog, const SPCView& view);
 
 }  // namespace cfdprop
 

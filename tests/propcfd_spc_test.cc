@@ -175,6 +175,40 @@ TEST_F(PropCoverTest, InconsistencyReturnsLemma45Pair) {
   EXPECT_TRUE(IsEmptyViewCover(result->cover));
 }
 
+TEST_F(PropCoverTest, SigmaVRejectsAnEqThatContradictsSigma) {
+  // R(A, B) with Sigma = { R([] -> B, (|| b)) }: every tuple has B = b,
+  // so ComputeEQ keys B's class to b. A hand-built EQ that keys it to c
+  // instead would make the CFD force b against c on every view tuple,
+  // which ComputeEQ's chase rules out: BuildSigmaV reports it.
+  ASSERT_TRUE(cat_.AddRelation("R", {"A", "B"}).ok());
+  SPCViewBuilder b(cat_);
+  size_t r = b.AddAtom(0);
+  ASSERT_TRUE(b.Project(r, "A").ok());
+  auto view = b.Build();
+  ASSERT_TRUE(view.ok());
+  const Value vb = cat_.pool().Intern("b");
+  const std::vector<CFD> sigma = {CFD::ConstantColumn(0, 1, vb)};
+
+  auto eq = ComputeEQ(cat_, *view, sigma);
+  ASSERT_TRUE(eq.ok()) << eq.status();
+  ASSERT_FALSE(eq->inconsistent);
+  EXPECT_EQ(eq->Key(1), vb);
+  auto sv = BuildSigmaV(cat_, *view, sigma, *eq);
+  ASSERT_TRUE(sv.ok()) << sv.status();
+  EXPECT_TRUE(sv->cfds.empty());  // implied by the key
+
+  EqClasses forged;
+  forged.rep = {0, 1};
+  forged.key = {kNoValue, cat_.pool().Intern("c")};
+  auto bad = BuildSigmaV(cat_, *view, sigma, forged);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInternal);
+
+  forged.inconsistent = true;
+  EXPECT_EQ(BuildSigmaV(cat_, *view, sigma, forged).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(PropCoverTest, SelectionConstantSimplifiesConditionalCFD) {
   // sigma: ([A=a] -> B), view selects A='a': the condition is always met
   // on the view, so plain B-determinacy is propagated.

@@ -350,5 +350,108 @@ TEST_F(RBRTest, IntermediateMinCoverDoesNotChangeSemantics) {
   }
 }
 
+// Example 4.1 with n = 4 (A1..A4 -> C1..C4 <- B1..B4, C1..C4 -> E) plus
+// an attribute Z with four producers, one of them redundant, and three
+// consumers. Dropping C1..C3 and then Z grows Gamma from 16 to 22 CFDs,
+// so the intermediate minimization (k0 = 6) runs before C4 is dropped:
+// its chunk holding {A1} -> G3 and {A1, B2} -> G3 drops the latter, and
+// the drop of C4 then runs on the rebuilt index. Pins the output order.
+TEST_F(RBRTest, IntermediateMinCoverMidRunKeepsOrder) {
+  constexpr AttrIndex kE = 12, kZ = 13;
+  std::vector<CFD> sigma;
+  std::vector<AttrIndex> cs;
+  for (AttrIndex i = 0; i < 4; ++i) {
+    sigma.push_back(FD({i}, 8 + i));
+    sigma.push_back(FD({4 + i}, 8 + i));
+    cs.push_back(8 + i);
+  }
+  sigma.push_back(FD(cs, kE));
+  for (const std::vector<AttrIndex>& lhs :
+       std::vector<std::vector<AttrIndex>>{{0}, {0, 5}, {4}, {1}}) {
+    sigma.push_back(FD(lhs, kZ));
+  }
+  for (AttrIndex g = 14; g <= 16; ++g) sigma.push_back(FD({kZ}, g));
+  const std::vector<AttrIndex> drop = {8, 9, 10, 11, kZ};
+
+  RBROptions options;
+  options.mincover_partition = 6;
+  auto r = RBR(sigma, drop, 17, options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_FALSE(r->truncated);
+  const std::vector<CFD> expected = {
+      FD({0}, 14),
+      FD({0}, 15),
+      FD({0}, 16),
+      FD({4}, 14),
+      FD({4}, 15),
+      FD({4}, 16),
+      FD({1}, 14),
+      FD({1}, 15),
+      FD({1}, 16),
+      FD({0, 1, 2, 3}, 12),
+      FD({1, 2, 3, 4}, 12),
+      FD({0, 2, 3, 5}, 12),
+      FD({2, 3, 4, 5}, 12),
+      FD({0, 1, 3, 6}, 12),
+      FD({1, 3, 4, 6}, 12),
+      FD({0, 3, 5, 6}, 12),
+      FD({3, 4, 5, 6}, 12),
+      FD({0, 1, 2, 7}, 12),
+      FD({1, 2, 4, 7}, 12),
+      FD({0, 2, 5, 7}, 12),
+      FD({2, 4, 5, 7}, 12),
+      FD({0, 1, 6, 7}, 12),
+      FD({1, 4, 6, 7}, 12),
+      FD({0, 5, 6, 7}, 12),
+      FD({4, 5, 6, 7}, 12)};
+  EXPECT_EQ(r->cover, expected);
+
+  // Without the minimization the redundant producer's three resolvents
+  // survive.
+  options.intermediate_mincover = false;
+  auto plain = RBR(sigma, drop, 17, options);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(plain->cover.size(), expected.size() + 3);
+}
+
+// Example 4.1 with n = 3 under a budget of 12: dropping C1 and C2 stays
+// within it, and dropping C3 (two producers, four consumers each) crosses
+// it at the seventh resolvent, the third of the second producer. The
+// truncated cover is exactly the resolvents made so far, in order.
+TEST_F(RBRTest, TruncationStopsAtTheCrossingResolvent) {
+  std::vector<CFD> sigma;
+  std::vector<AttrIndex> cs;
+  for (AttrIndex i = 0; i < 3; ++i) {
+    sigma.push_back(FD({i}, 6 + i));
+    sigma.push_back(FD({3 + i}, 6 + i));
+    cs.push_back(6 + i);
+  }
+  sigma.push_back(FD(cs, 9));
+
+  RBROptions tight;
+  tight.max_cover_size = 12;
+  tight.on_budget = RBROptions::OnBudget::kTruncate;
+  tight.intermediate_mincover = false;
+  auto r = RBR(sigma, cs, 10, tight);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->truncated);
+  const std::vector<CFD> expected = {
+      FD({0, 1, 2}, 9),
+      FD({1, 2, 3}, 9),
+      FD({0, 2, 4}, 9),
+      FD({2, 3, 4}, 9),
+      FD({0, 1, 5}, 9),
+      FD({1, 3, 5}, 9),
+      FD({0, 4, 5}, 9)};
+  EXPECT_EQ(r->cover, expected);
+
+  // One more slot admits the eighth resolvent, the last of the drop.
+  tight.max_cover_size = 13;
+  auto r13 = RBR(sigma, cs, 10, tight);
+  ASSERT_TRUE(r13.ok()) << r13.status();
+  ASSERT_EQ(r13->cover.size(), 8u);
+  EXPECT_EQ(r13->cover.back(), FD({3, 4, 5}, 9));
+}
+
 }  // namespace
 }  // namespace cfdprop
