@@ -394,25 +394,46 @@ BENCHMARK(BM_EngineChurn)
     ->Args({1})
     ->Unit(benchmark::kMillisecond);
 
-/// The mutation path alone, no serving: each iteration adds and retracts
-/// an FD over relation 0 (perfbench's churn FD shape) on a churn-write
-/// tenant (gen::BuildTenantSpec, |Σ| = 256 over 10 relations). Each
-/// mutation re-minimizes relation 0's group and re-versions the set.
-void BM_EngineMutate(benchmark::State& state) {
+/// A churn-write tenant (gen::BuildTenantSpec, |Σ| = 256 over 10
+/// relations), and the first `count` FDs R0(Aa, Ab -> Ac) not in its Σ
+/// (perfbench's churn FD shape), in (a, b, c) order.
+Spec MakeMutationSpec(size_t count, std::vector<CFD>* churn_fds) {
   gen::WorkloadPlan plan;
   plan.options.seed = 1;
   plan.options.tenants = 16;
   plan.options.num_cfds = 256;
   plan.options.num_views = 1;
   Spec spec = gen::BuildTenantSpec(plan, 0);
-  // The first FD R0(A0, A1 -> Ai) not already in Σ.
-  CFD churned = CFD::FD(0, {0, 1}, 2).value();
-  for (AttrIndex rhs = 3;
-       std::find(spec.source_cfds.begin(), spec.source_cfds.end(),
-                 churned) != spec.source_cfds.end();
-       ++rhs) {
-    churned = CFD::FD(0, {0, 1}, rhs).value();
+  const AttrIndex arity =
+      static_cast<AttrIndex>(spec.catalog.relation(0).arity());
+  for (AttrIndex a = 0; a < arity; ++a) {
+    for (AttrIndex b = a + 1; b < arity; ++b) {
+      for (AttrIndex c = 0; c < arity && churn_fds->size() < count; ++c) {
+        if (c == a || c == b) continue;
+        CFD fd = CFD::FD(0, {a, b}, c).value();
+        if (std::find(spec.source_cfds.begin(), spec.source_cfds.end(),
+                      fd) == spec.source_cfds.end()) {
+          churn_fds->push_back(std::move(fd));
+        }
+      }
+    }
   }
+  return spec;
+}
+
+/// The mutation path alone, no serving: each iteration adds and retracts
+/// the first churn FD of MakeMutationSpec (the FD this bench has always
+/// churned). After the first iteration
+/// both group states are in the engine's MinCover memo, so this prices a
+/// memo hit: the edit, the snapshot rebuild and the version refold.
+void BM_EngineMutate(benchmark::State& state) {
+  std::vector<CFD> churn_fds;
+  Spec spec = MakeMutationSpec(1, &churn_fds);
+  if (churn_fds.empty()) {
+    state.SkipWithError("no churn FD");
+    return;
+  }
+  const CFD churned = churn_fds.front();
 
   EngineOptions options;
   options.num_threads = 1;
@@ -434,6 +455,44 @@ void BM_EngineMutate(benchmark::State& state) {
   state.SetItemsProcessed(2 * static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineMutate)->Unit(benchmark::kMicrosecond);
+
+/// BM_EngineMutate with every mutation a memo miss, so MinCover stays
+/// priced on the mutation path: a window of two churn FDs slides over
+/// more FDs than the memo has lines (iteration i adds F[i+1] and retracts
+/// F[i], mod N), so a group state recurs only after 2N > memo capacity
+/// other states. `memo_hits` reads 0 when that holds.
+void BM_EngineMutateCold(benchmark::State& state) {
+  const size_t n = Engine::kSigmaMemoCapacity + 1;
+  std::vector<CFD> churn_fds;
+  Spec spec = MakeMutationSpec(n, &churn_fds);
+  if (churn_fds.size() < n) {
+    state.SkipWithError("too few churn FDs");
+    return;
+  }
+
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(std::move(spec.catalog), options);
+  auto sigma_id = engine.RegisterSigma(std::move(spec.source_cfds));
+  if (!sigma_id.ok() || !engine.AddCfd(*sigma_id, churn_fds[0]).ok()) {
+    state.SkipWithError("setup failed");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    Status added = engine.AddCfd(*sigma_id, churn_fds[(i + 1) % n]);
+    Status retracted = engine.RetractCfd(*sigma_id, churn_fds[i % n]);
+    if (!added.ok() || !retracted.ok()) {
+      state.SkipWithError("mutation failed");
+      return;
+    }
+    ++i;
+  }
+  state.SetItemsProcessed(2 * static_cast<int64_t>(state.iterations()));
+  state.counters["memo_hits"] =
+      static_cast<double>(engine.Stats().sigma_memo_hits);
+}
+BENCHMARK(BM_EngineMutateCold)->Unit(benchmark::kMicrosecond);
 
 /// Multi-tenant serving through CatalogService: range(0) tenants, each
 /// its own catalog/engine, one async 95%-repeat batch per tenant per

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/cover/rbr.h"
 #include "src/data/eval.h"
 #include "src/data/validate.h"
+#include "src/engine/snapshot.h"
 #include "src/gen/generators.h"
 #include "src/gen/workload.h"
 #include "src/propagation/emptiness.h"
@@ -165,6 +167,33 @@ ChurnTenant MakeChurnTenant() {
   }
   return t;
 }
+
+// The Σ version a mutation used to pay and the one it pays on a memo
+// miss: SigmaVersionOf over churn-write's minimized Σ (whole:1) against
+// SigmaGroupVersion of its first relation's group alone (whole:0).
+void BM_SigmaVersion(benchmark::State& state) {
+  ChurnTenant t = MakeChurnTenant();
+  const ValuePool& pool = t.spec.catalog.pool();
+  const bool whole = state.range(0) != 0;
+  size_t group = 1;
+  while (group < t.sigma.size() &&
+         t.sigma[group].relation == t.sigma.front().relation) {
+    ++group;
+  }
+  const std::span<const CFD> first(t.sigma.data(), group);
+  for (auto _ : state) {
+    SigmaVersion v =
+        whole ? SigmaVersionOf(pool, t.sigma) : SigmaGroupVersion(pool, first);
+    benchmark::DoNotOptimize(v);
+  }
+  state.counters["cfds"] =
+      static_cast<double>(whole ? t.sigma.size() : group);
+}
+BENCHMARK(BM_SigmaVersion)
+    ->ArgName("whole")
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
 
 // Fig. 2 line 2 on the churn-write views, one view per iteration.
 void BM_ComputeEQ(benchmark::State& state) {

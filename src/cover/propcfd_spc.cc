@@ -100,84 +100,34 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
   return std::move(made).value();
 }
 
-/// Σ split by source relation, the one grouping Fig. 2 line 1 uses:
-/// `order` lists the relations in first-seen order, `members[r]` the
-/// positions of relation r's CFDs in Σ order.
-struct RelationGroups {
-  std::vector<RelationId> order;
-  std::vector<std::vector<size_t>> members;  // indexed by RelationId
-};
-
-Result<RelationGroups> GroupByRelation(const Catalog& catalog,
-                                       const std::vector<CFD>& sigma) {
-  RelationGroups groups;
-  groups.members.resize(catalog.num_relations());
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const RelationId r = sigma[i].relation;
-    if (r >= groups.members.size()) {
-      return Status::InvalidArgument("source CFD with unknown relation");
-    }
-    if (groups.members[r].empty()) groups.order.push_back(r);
-    groups.members[r].push_back(i);
-  }
-  return groups;
-}
-
-/// MinCover of one relation's group, appended to `out`.
-Status AppendMinCover(const Catalog& catalog, RelationId r,
-                      std::vector<CFD> group, const MinCoverOptions& options,
-                      std::vector<CFD>* out) {
-  CFDPROP_ASSIGN_OR_RETURN(
-      std::vector<CFD> mc,
-      MinCover(std::move(group), catalog.relation(r).arity(),
-               /*domains=*/{}, options));
-  for (CFD& c : mc) out->push_back(std::move(c));
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::vector<CFD>> MinCoverSigma(const Catalog& catalog,
                                        std::vector<CFD> sigma,
                                        const MinCoverOptions& options) {
   // Fig. 2 line 1: minimize the input per source relation, grouped in
-  // first-seen order so the output order is deterministic.
-  CFDPROP_ASSIGN_OR_RETURN(RelationGroups groups,
-                           GroupByRelation(catalog, sigma));
-  std::vector<CFD> out;
-  for (RelationId r : groups.order) {
-    std::vector<CFD> group;
-    group.reserve(groups.members[r].size());
-    for (size_t i : groups.members[r]) group.push_back(std::move(sigma[i]));
-    CFDPROP_RETURN_NOT_OK(
-        AppendMinCover(catalog, r, std::move(group), options, &out));
-  }
-  return out;
-}
-
-Result<std::vector<CFD>> MinCoverSigmaRelation(
-    const Catalog& catalog, const std::vector<CFD>& prev,
-    const std::vector<CFD>& sigma, RelationId relation,
-    const MinCoverOptions& options) {
-  // MinCover of a group reads only that group's CFDs, in order, so every
-  // group but `relation`'s is already in `prev`: copy it by relation
-  // tag, in `sigma`'s first-seen order, and minimize the one group left.
-  CFDPROP_ASSIGN_OR_RETURN(RelationGroups groups,
-                           GroupByRelation(catalog, sigma));
-  CFDPROP_ASSIGN_OR_RETURN(RelationGroups kept,
-                           GroupByRelation(catalog, prev));
-  std::vector<CFD> out;
-  out.reserve(prev.size() + 1);
-  for (RelationId r : groups.order) {
-    if (r != relation) {
-      for (size_t i : kept.members[r]) out.push_back(prev[i]);
-      continue;
+  // first-seen order so the output order is deterministic. `members[r]`
+  // holds the positions of relation r's CFDs in Σ order.
+  std::vector<RelationId> order;
+  std::vector<std::vector<size_t>> members(catalog.num_relations());
+  for (size_t i = 0; i < sigma.size(); ++i) {
+    const RelationId r = sigma[i].relation;
+    if (r >= members.size()) {
+      return Status::InvalidArgument("source CFD with unknown relation");
     }
+    if (members[r].empty()) order.push_back(r);
+    members[r].push_back(i);
+  }
+  std::vector<CFD> out;
+  for (RelationId r : order) {
     std::vector<CFD> group;
-    group.reserve(groups.members[r].size());
-    for (size_t i : groups.members[r]) group.push_back(sigma[i]);
-    CFDPROP_RETURN_NOT_OK(
-        AppendMinCover(catalog, r, std::move(group), options, &out));
+    group.reserve(members[r].size());
+    for (size_t i : members[r]) group.push_back(std::move(sigma[i]));
+    CFDPROP_ASSIGN_OR_RETURN(
+        std::vector<CFD> mc,
+        MinCover(std::move(group), catalog.relation(r).arity(),
+                 /*domains=*/{}, options));
+    for (CFD& c : mc) out.push_back(std::move(c));
   }
   return out;
 }

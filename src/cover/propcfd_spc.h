@@ -121,27 +121,15 @@ Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
                                                  {});
 
 /// Fig. 2 line 1 as a standalone step: minimizes `sigma` per source
-/// relation (grouped in first-seen order; deterministic output). The
-/// engine runs this once at registration; the pipelines above run it
-/// when options.input_mincover is set. Both paths share this function so
-/// cached and one-shot results are built from byte-identical inputs.
+/// relation (grouped in first-seen order; deterministic output): the
+/// concatenation of each group's MinCover. The engine runs this once at
+/// registration, and a mutation re-runs MinCover on the one group it
+/// changed; the pipelines above run it when options.input_mincover is
+/// set. Both paths build from the same per-group MinCover, so cached and
+/// one-shot results come from byte-identical inputs.
 Result<std::vector<CFD>> MinCoverSigma(const Catalog& catalog,
                                        std::vector<CFD> sigma,
                                        const MinCoverOptions& options = {});
-
-/// MinCoverSigma after a change to one relation's CFDs, running MinCover
-/// on that relation's group only. Contract: when `prev` is
-/// MinCoverSigma(catalog, old) and `sigma` differs from `old` only in
-/// the CFDs on `relation`, the result is byte-identical to
-/// MinCoverSigma(catalog, sigma). Every other relation's minimized CFDs
-/// are copied from `prev` by relation tag, and the groups are emitted in
-/// `sigma`'s first-seen order (a retraction may move or drop
-/// `relation`'s group; an add to a new relation appends one). The
-/// engine's AddCfd/RetractCfd re-minimize through this.
-Result<std::vector<CFD>> MinCoverSigmaRelation(
-    const Catalog& catalog, const std::vector<CFD>& prev,
-    const std::vector<CFD>& sigma, RelationId relation,
-    const MinCoverOptions& options = {});
 
 /// The union-assembly half of PropagationCoverSPCU, split out so a
 /// caller that already holds the per-disjunct SPC covers (e.g. the

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <utility>
 
+#include "src/base/hash.h"
 #include "src/cfd/mincover.h"
 
 namespace cfdprop {
@@ -16,6 +18,18 @@ using Clock = std::chrono::steady_clock;
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
+}
+
+/// Calls fn(relation, group) for each relation's group of `minimized`,
+/// in order: MinCoverSigma emits each group as one run.
+template <typename Fn>
+void ForEachGroup(const std::vector<CFD>& minimized, Fn&& fn) {
+  for (size_t begin = 0, end; begin < minimized.size(); begin = end) {
+    const RelationId r = minimized[begin].relation;
+    end = begin + 1;
+    while (end < minimized.size() && minimized[end].relation == r) ++end;
+    fn(r, std::span<const CFD>(minimized).subspan(begin, end - begin));
+  }
 }
 
 }  // namespace
@@ -52,6 +66,17 @@ Status Engine::ValidateSigma(const std::vector<CFD>& sigma) const {
   return Status::OK();
 }
 
+SigmaVersion Engine::VersionGroups(const std::vector<CFD>& minimized,
+                                   std::vector<SigmaVersion>* groups) const {
+  groups->assign(catalog_.num_relations(), SigmaVersion{});
+  SigmaVersionFold fold;
+  ForEachGroup(minimized, [&](RelationId r, std::span<const CFD> group) {
+    (*groups)[r] = SigmaGroupVersion(catalog_.pool(), group);
+    fold.Add((*groups)[r]);
+  });
+  return fold.digest();
+}
+
 Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
   CFDPROP_RETURN_NOT_OK(ValidateSigma(sigma));
   // Fig. 2 line 1, hoisted: minimize once per registration instead of
@@ -60,60 +85,194 @@ Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
   CFDPROP_ASSIGN_OR_RETURN(
       std::vector<CFD> minimized,
       MinCoverSigma(catalog_, sigma, options_.cover.mincover));
-  const SigmaVersion version = SigmaVersionOf(catalog_.pool(), minimized);
+  std::vector<SigmaVersion> groups;
+  const SigmaVersion version = VersionGroups(minimized, &groups);
   std::unique_lock<std::shared_mutex> lock(sigma_mu_);
   sigmas_.push_back(SigmaEntry{
       std::move(sigma),
       std::make_shared<const std::vector<CFD>>(std::move(minimized)),
-      version});
+      version, std::move(groups)});
   return static_cast<SigmaId>(sigmas_.size() - 1);
 }
 
-Status Engine::MutateSigma(
-    SigmaId id, RelationId relation,
-    const std::function<Status(std::vector<CFD>&)>& edit) {
-  // Serializing mutators keeps (raw, prev) a consistent pair across the
-  // unlocked compute below: prev is MinCoverSigma(raw) until the swap.
+/// A raw list with one AddCfd/RetractCfd applied, read in place.
+struct Engine::EditedList {
+  const std::vector<CFD>& raw;
+  size_t erase;       // the retracted CFD's index, SIZE_MAX when adding
+  const CFD* added;   // the added CFD, nullptr when retracting
+
+  /// Visits the edited list's CFDs of `relation` in order while `visit`
+  /// returns true; false if it stopped early.
+  template <typename Visit>
+  bool ForEachOf(RelationId relation, Visit&& visit) const {
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (i != erase && raw[i].relation == relation && !visit(raw[i])) {
+        return false;
+      }
+    }
+    return added == nullptr || added->relation != relation || visit(*added);
+  }
+};
+
+const Engine::MemoLine* Engine::FindMemoLine(RelationId relation,
+                                             uint64_t hash, size_t size,
+                                             const EditedList& list) {
+  for (MemoLine& line : memo_) {
+    if (line.hash != hash || line.relation != relation ||
+        line.raw.size() != size) {
+      continue;
+    }
+    size_t k = 0;
+    if (list.ForEachOf(relation,
+                       [&](const CFD& c) { return c == line.raw[k++]; })) {
+      line.last_use = ++memo_clock_;
+      return &line;
+    }
+  }
+  return nullptr;
+}
+
+const Engine::MemoLine* Engine::InsertMemoLine(MemoLine line) {
+  line.last_use = ++memo_clock_;
+  if (memo_.size() < kSigmaMemoCapacity) {
+    memo_.push_back(std::move(line));
+    return &memo_.back();
+  }
+  auto lru = std::min_element(memo_.begin(), memo_.end(),
+                              [](const MemoLine& a, const MemoLine& b) {
+                                return a.last_use < b.last_use;
+                              });
+  *lru = std::move(line);
+  return &*lru;
+}
+
+Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
+  // Serializing mutators keeps (raw, prev, groups) a consistent triple
+  // across the unlocked compute below, and owns the memo.
   std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  std::vector<CFD> raw;
+  const RelationId relation = cfd.relation;
+  const size_t num_relations = catalog_.num_relations();
   std::shared_ptr<const std::vector<CFD>> prev;
+  std::vector<SigmaVersion> groups;
+  std::vector<RelationId> order;  // groups of the edited list, first-seen
+  size_t erase = SIZE_MAX;
+  const MemoLine* line = nullptr;
+  MemoLine fresh;  // the memo line to compute on a miss
   {
+    // Shared, not exclusive: the edit reaches the raw list only at the
+    // swap below. The lock keeps RegisterSigma from moving the entry.
     std::shared_lock<std::shared_mutex> lock(sigma_mu_);
     if (id >= sigmas_.size()) {
       return Status::InvalidArgument("unknown sigma id");
     }
-    raw = sigmas_[id].raw;
-    prev = sigmas_[id].minimized;
+    const SigmaEntry& entry = sigmas_[id];
+    if (!add) {
+      auto it = std::find(entry.raw.begin(), entry.raw.end(), cfd);
+      if (it == entry.raw.end()) {  // sigma unchanged
+        return Status::NotFound("CFD is not registered in this sigma set");
+      }
+      erase = static_cast<size_t>(it - entry.raw.begin());
+    }
+    prev = entry.minimized;
+    groups = entry.groups;
+    groups.resize(num_relations);
+    const EditedList list{entry.raw, erase, add ? &cfd : nullptr};
+
+    std::vector<bool> seen(num_relations, false);
+    for (size_t i = 0; i < entry.raw.size(); ++i) {
+      const RelationId r = entry.raw[i].relation;
+      if (i != erase && !seen[r]) {
+        seen[r] = true;
+        order.push_back(r);
+      }
+    }
+    if (add && !seen[relation]) order.push_back(relation);
+    // The memo key is the edited relation's group, in order.
+    uint64_t hash = SplitMix64(relation);
+    size_t size = 0;
+    list.ForEachOf(relation, [&](const CFD& c) {
+      hash = SplitMix64(hash ^ CFDHash{}(c));
+      ++size;
+      return true;
+    });
+    line = FindMemoLine(relation, hash, size, list);
+    if (line == nullptr && size > 0) {
+      fresh.relation = relation;
+      fresh.hash = hash;
+      fresh.raw.reserve(size);
+      list.ForEachOf(relation, [&](const CFD& c) {
+        fresh.raw.push_back(c);
+        return true;
+      });
+    }
   }
-  CFDPROP_RETURN_NOT_OK(edit(raw));  // sigma unchanged on error
-  // Re-minimize OUTSIDE sigma_mu_ — MinCover is the expensive step, and
-  // serving must only ever block on the O(1) snapshot swap below — and
-  // only `relation`'s group: every other group is kept from `prev`.
-  auto minimized = MinCoverSigmaRelation(catalog_, *prev, raw, relation,
-                                         options_.cover.mincover);
-  if (!minimized.ok()) return minimized.status();  // sigma unchanged
-  const SigmaVersion version = SigmaVersionOf(catalog_.pool(), *minimized);
-  auto next = std::make_shared<const std::vector<CFD>>(
-      std::move(minimized).value());
+  if (line != nullptr) {
+    stats_.RecordSigmaMemoHit();
+  } else if (!fresh.raw.empty()) {
+    // Re-minimize OUTSIDE sigma_mu_ — MinCover is the expensive step, and
+    // serving must only ever block on the O(1) snapshot swap below — and
+    // only `relation`'s group: every other group is kept from `prev`.
+    auto minimized = MinCover(fresh.raw, catalog_.relation(relation).arity(),
+                              /*domains=*/{}, options_.cover.mincover);
+    if (!minimized.ok()) return minimized.status();  // sigma unchanged
+    fresh.minimized = std::move(minimized).value();
+    fresh.version = SigmaGroupVersion(catalog_.pool(), fresh.minimized);
+    line = InsertMemoLine(std::move(fresh));
+  }
+  stats_.SetSigmaMemoLines(memo_.size());
+
+  // The new snapshot: `relation`'s new group and every other group of
+  // `prev`, in the edited list's first-seen order, empty groups skipped;
+  // the version folds the same groups' versions.
+  std::vector<std::span<const CFD>> kept(num_relations);
+  ForEachGroup(*prev, [&](RelationId r, std::span<const CFD> group) {
+    kept[r] = group;
+  });
+  if (line != nullptr) {
+    kept[relation] = line->minimized;
+    groups[relation] = line->version;
+  } else {
+    kept[relation] = {};  // the group was emptied
+  }
+  std::vector<CFD> next;
+  next.reserve(prev->size() + 1);
+  SigmaVersionFold fold;
+  for (RelationId r : order) {
+    if (kept[r].empty()) continue;
+    next.insert(next.end(), kept[r].begin(), kept[r].end());
+    fold.Add(groups[r]);
+  }
+  const SigmaVersion version = fold.digest();
+  auto snapshot = std::make_shared<const std::vector<CFD>>(std::move(next));
+
   SigmaVersion old;
+  bool old_live = false;
+  CFD retracted;
   {
     // Re-index instead of holding a reference across the compute:
     // RegisterSigma may have grown (reallocated) the vector meanwhile.
     std::unique_lock<std::shared_mutex> lock(sigma_mu_);
     SigmaEntry& entry = sigmas_[id];
     old = entry.version;
-    // Swap, not assign: `raw` and `next` take the superseded list and
-    // snapshot, which are freed when they go out of scope, after the
-    // lock is released.
-    entry.raw.swap(raw);
-    entry.minimized.swap(next);
+    // The edit lands in place; the superseded snapshot and the retracted
+    // CFD are freed when they go out of scope, after the lock.
+    if (add) {
+      entry.raw.push_back(std::move(cfd));
+    } else {
+      retracted = std::move(entry.raw[erase]);
+      entry.raw.erase(entry.raw.begin() + static_cast<ptrdiff_t>(erase));
+    }
+    entry.minimized.swap(snapshot);
     entry.version = version;
+    entry.groups.resize(num_relations);
+    entry.groups[relation] = groups[relation];
+    for (const SigmaEntry& e : sigmas_) old_live |= e.version == old;
   }
   // Lookups for this set now ask for the new version, so dropping the
   // old version's lines outside the lock only reclaims capacity — and
   // touches no line of any other version. Unchanged content keeps its
-  // lines.
-  if (old != version) cache_.EraseVersion(old);
+  // lines, and so does content another registered set still serves.
+  if (!old_live) cache_.EraseVersion(old);
   stats_.RecordMutation();
   return Status::OK();
 }
@@ -124,22 +283,11 @@ Status Engine::AddCfd(SigmaId id, CFD cfd) {
   }
   CFDPROP_RETURN_NOT_OK(
       cfd.Validate(catalog_.relation(cfd.relation).arity()));
-  const RelationId relation = cfd.relation;
-  return MutateSigma(id, relation, [&cfd](std::vector<CFD>& raw) {
-    raw.push_back(std::move(cfd));
-    return Status::OK();
-  });
+  return MutateSigma(id, std::move(cfd), /*add=*/true);
 }
 
 Status Engine::RetractCfd(SigmaId id, const CFD& cfd) {
-  return MutateSigma(id, cfd.relation, [&cfd](std::vector<CFD>& raw) {
-    auto it = std::find(raw.begin(), raw.end(), cfd);
-    if (it == raw.end()) {
-      return Status::NotFound("CFD is not registered in this sigma set");
-    }
-    raw.erase(it);
-    return Status::OK();
-  });
+  return MutateSigma(id, cfd, /*add=*/false);
 }
 
 size_t Engine::num_sigmas() const {

@@ -9,9 +9,12 @@
 //   * source CFD sets are registered once and min-covered at
 //     registration (Fig. 2 line 1 runs once, not per request), and can
 //     be *mutated* afterwards — AddCfd/RetractCfd re-minimize only the
-//     relation the CFD is on (every other relation's minimized CFDs are
-//     kept) and, when the set's content version changes, invalidate
-//     only the old version's cache lines (never a global Clear),
+//     relation the CFD is on (every other relation's minimized CFDs and
+//     group versions are kept), and a group state seen before comes from
+//     a bounded MinCover memo with no MinCover and no hashing at all;
+//     when the set's content version changes, only the old version's
+//     cache lines are invalidated (never a global Clear), and only if no
+//     other registered set still serves that content,
 //   * each request is canonically fingerprinted (src/engine/fingerprint.h)
 //     together with its Σ's content version (SigmaVersion, the one Σ
 //     identity: cache key, staleness check, snapshot and migration
@@ -128,6 +131,11 @@ struct EngineResult {
 
 class Engine {
  public:
+  /// Lines in the engine's MinCover memo (see AddCfd). A line holds one
+  /// relation's raw and minimized group, so 16 lines are a few hundred
+  /// CFDs: room for 8 sets that each churn one CFD in and out.
+  static constexpr size_t kSigmaMemoCapacity = 16;
+
   /// Takes ownership of the catalog all registered CFD sets and served
   /// views refer to.
   explicit Engine(Catalog catalog, EngineOptions options = {});
@@ -143,20 +151,32 @@ class Engine {
   Result<SigmaId> RegisterSigma(std::vector<CFD> sigma);
 
   /// Adds one CFD to a registered set and re-minimizes only the relation
-  /// the CFD is on (MinCoverSigmaRelation; the result equals a full
-  /// MinCoverSigma of the new list). If the minimized content changed,
-  /// drops the old version's cache lines; lines of other versions are
+  /// the CFD is on: MinCover of that relation's new raw group, which the
+  /// engine memoizes (kSigmaMemoCapacity lines, least recently used out),
+  /// so a group state seen before — the revert of an add, every cycle of
+  /// a churned CFD — costs a lookup. The result equals a full
+  /// MinCoverSigma of the new list, and the version refolds the kept
+  /// group versions with the new group's (SigmaVersion). If the version
+  /// changed, drops the old version's cache lines unless another
+  /// registered set still has that version; lines of other versions are
   /// untouched, and a mutation that leaves the minimized set unchanged
   /// keeps every line. The CFD must be fully built — any constants
   /// already interned — before the call. Thread-safe against serving and
   /// other mutations.
+  ///
+  /// Per add + retract of one FD on a churn-write tenant (|Σ| = 256 over
+  /// 10 relations; BM_EngineMutate, Release, 4-CPU x86): 613 µs when
+  /// each mutation ran MinCover on the group and hashed all of Σ, 77–87
+  /// µs on a memo hit (most of it copying the 256 kept CFDs into the new
+  /// snapshot and freeing the old one), and 253–283 µs when both miss
+  /// (BM_EngineMutateCold).
   Status AddCfd(SigmaId id, CFD cfd);
 
   /// Retracts the first CFD of the set's *registered* (pre-minimization)
   /// list that equals `cfd`, then re-minimizes only the relation the CFD
-  /// is on and selectively invalidates like AddCfd. NotFound when no
-  /// registered CFD matches. Covers already handed out stay valid
-  /// (shared_ptr). Thread-safe.
+  /// is on (through the memo) and selectively invalidates like AddCfd.
+  /// NotFound when no registered CFD matches. Covers already handed out
+  /// stay valid (shared_ptr). Thread-safe.
   Status RetractCfd(SigmaId id, const CFD& cfd);
 
   size_t num_sigmas() const;
@@ -171,7 +191,8 @@ class Engine {
   /// use. Precondition: id < num_sigmas().
   std::vector<CFD> sigma_raw(SigmaId id) const;
 
-  /// Content version of the set's minimized CFDs (SigmaVersionOf).
+  /// Content version of the set's minimized CFDs (SigmaVersionOf; the
+  /// engine refolds it per mutation and it stays equal to that).
   /// Cache lines record the version they were computed against and are
   /// only served for it. Precondition: id < num_sigmas().
   SigmaVersion sigma_version(SigmaId id) const;
@@ -269,26 +290,61 @@ class Engine {
  private:
   struct SigmaEntry {
     /// As registered/churned, before minimization; AddCfd appends,
-    /// RetractCfd erases the first match.
+    /// RetractCfd erases the first match, both in place.
     std::vector<CFD> raw;
     /// Min-covered serving snapshot; replaced wholesale on mutation so
     /// in-flight requests keep their copy alive.
     std::shared_ptr<const std::vector<CFD>> minimized;
     /// SigmaVersionOf(*minimized); bound into every cache entry.
     SigmaVersion version;
+    /// Indexed by relation: SigmaGroupVersion of that relation's group
+    /// of `minimized` (meaningless for a relation with no group).
+    /// `version` is their fold, so a mutation rehashes one group.
+    std::vector<SigmaVersion> groups;
   };
+
+  /// A MinCover memo line: one relation's raw group, in order, and its
+  /// minimized form with that form's group version. MinCover is a pure
+  /// function of the ordered group (the engine's options are fixed), so
+  /// a line found by full equality on the group is the exact result.
+  struct MemoLine {
+    RelationId relation = 0;
+    uint64_t hash = 0;  // of (relation, raw): a filter, never the match
+    std::vector<CFD> raw;
+    std::vector<CFD> minimized;
+    SigmaVersion version;
+    uint64_t last_use = 0;
+  };
+  struct EditedList;
 
   Status ValidateSigma(const std::vector<CFD>& sigma) const;
 
-  /// AddCfd/RetractCfd under mutation_mu_: applies `edit` to a copy of
-  /// the raw list (an error leaves the set unchanged), re-minimizes only
-  /// `relation`, the relation the CFD is on, and computes the version
-  /// (outside sigma_mu_ — serving only ever blocks on the snapshot
-  /// swap), swaps the entry's state, frees the superseded state after
-  /// the lock, and drops the old version's cache lines if the version
-  /// changed.
-  Status MutateSigma(SigmaId id, RelationId relation,
-                     const std::function<Status(std::vector<CFD>&)>& edit);
+  /// SigmaGroupVersion of each relation's group of `minimized` (a
+  /// MinCoverSigma output, so each group is one run) into `groups`, and
+  /// their fold — SigmaVersionOf(minimized).
+  SigmaVersion VersionGroups(const std::vector<CFD>& minimized,
+                             std::vector<SigmaVersion>* groups) const;
+
+  /// AddCfd (`add`) or RetractCfd of `cfd`, under mutation_mu_. Reads the
+  /// edited relation's group off the raw list in place and looks it up
+  /// in the memo; only a miss copies that group and runs MinCover on it
+  /// and hashes its minimized form (outside sigma_mu_ — serving only
+  /// ever blocks on the snapshot swap). The new snapshot is that group
+  /// plus every other group of the old one, and its version refolds the
+  /// kept group versions. Under the exclusive lock the edit is applied to
+  /// the raw list in place and the entry's state swapped; the superseded
+  /// state is freed after the lock. The old version's cache lines are
+  /// dropped if no registered set still has that version.
+  Status MutateSigma(SigmaId id, CFD cfd, bool add);
+
+  /// The memo line for `relation`'s group of `list` (`hash` and `size`
+  /// describe that group), refreshed as most recently used; nullptr on a
+  /// miss. Callers hold mutation_mu_.
+  const MemoLine* FindMemoLine(RelationId relation, uint64_t hash,
+                               size_t size, const EditedList& list);
+  /// Adds `line`, evicting the least recently used line at capacity.
+  /// Callers hold mutation_mu_.
+  const MemoLine* InsertMemoLine(MemoLine line);
 
   /// Snapshots (minimized set, version) for a sigma id under the shared
   /// lock; InvalidArgument for unknown ids.
@@ -319,10 +375,16 @@ class Engine {
   mutable std::shared_mutex sigma_mu_;
   std::vector<SigmaEntry> sigmas_;
   /// Serializes AddCfd/RetractCfd against each other, so a mutation can
-  /// copy raw, minimize unlocked, and swap without losing a concurrent
+  /// read raw, minimize unlocked, and swap without losing a concurrent
   /// mutator's update — and so the entry's snapshot is always the
-  /// minimized form of its raw list, which MinCoverSigmaRelation needs.
+  /// minimized form of its raw list, which keeping the other groups
+  /// needs. Also guards the memo.
   std::mutex mutation_mu_;
+  /// The MinCover memo, shared by every registered set (MinCover of a
+  /// group does not depend on the set it is in); at most
+  /// kSigmaMemoCapacity lines.
+  std::vector<MemoLine> memo_;
+  uint64_t memo_clock_ = 0;
 
   CoverCache cache_;
   EngineStats stats_;

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,7 +52,7 @@ Status Corrupt(const std::string& what) {
 /// `hashers`: relation ids, attribute positions, and pattern entries
 /// with constants by their pool text.
 template <typename... Hashers>
-void MixSigmaSet(const ValuePool& pool, const std::vector<CFD>& cfds,
+void MixSigmaSet(const ValuePool& pool, std::span<const CFD> cfds,
                  Hashers&... hashers) {
   auto mix = [&](auto x) { (hashers.Mix(x), ...); };
   auto mix_pattern = [&](const PatternValue& p) {
@@ -80,12 +81,55 @@ uint64_t FingerprintSigmaSet(const ValuePool& pool,
   return h.digest();
 }
 
-SigmaVersion SigmaVersionOf(const ValuePool& pool,
-                            const std::vector<CFD>& cfds) {
+SigmaVersion SigmaGroupVersion(const ValuePool& pool,
+                               std::span<const CFD> group) {
   Fnv1aHasher key;
   SplitMixHasher check;
-  MixSigmaSet(pool, cfds, key, check);
+  MixSigmaSet(pool, group, key, check);
   return SigmaVersion{key.digest(), check.digest()};
+}
+
+void SigmaVersionFold::Add(const SigmaVersion& group) {
+  key_.Mix(group.key);
+  key_.Mix(group.check);
+  check_.Mix(group.key);
+  check_.Mix(group.check);
+  ++groups_;
+}
+
+SigmaVersion SigmaVersionFold::digest() const {
+  Fnv1aHasher key = key_;
+  SplitMixHasher check = check_;
+  key.Mix(groups_);
+  check.Mix(groups_);
+  return SigmaVersion{key.digest(), check.digest()};
+}
+
+SigmaVersion SigmaVersionOf(const ValuePool& pool,
+                            const std::vector<CFD>& cfds) {
+  // Groups in first-seen order. A minimized Σ is already grouped, so a
+  // group is one run, hashed in place; a relation whose CFDs recur after
+  // another relation's has them gathered first.
+  SigmaVersionFold fold;
+  std::vector<RelationId> seen;
+  for (size_t begin = 0, end; begin < cfds.size(); begin = end) {
+    const RelationId r = cfds[begin].relation;
+    end = begin + 1;
+    while (end < cfds.size() && cfds[end].relation == r) ++end;
+    if (std::find(seen.begin(), seen.end(), r) != seen.end()) continue;
+    seen.push_back(r);
+    auto of_r = [r](const CFD& c) { return c.relation == r; };
+    if (std::none_of(cfds.begin() + end, cfds.end(), of_r)) {
+      fold.Add(SigmaGroupVersion(
+          pool, std::span<const CFD>(cfds).subspan(begin, end - begin)));
+      continue;
+    }
+    std::vector<CFD> group;
+    std::copy_if(cfds.begin() + begin, cfds.end(), std::back_inserter(group),
+                 of_r);
+    fold.Add(SigmaGroupVersion(pool, group));
+  }
+  return fold.digest();
 }
 
 SerializedSnapshot CoverCache::SerializeSnapshot(const ValuePool& pool) const {

@@ -25,7 +25,8 @@
 //              serializes to identical bytes):
 //       fingerprint u64, check u64,
 //       sigma version u64 key + u64 check (SigmaVersionOf the minimized
-//              Σ the cover was computed against),
+//              Σ the cover was computed against; its definition is part
+//              of the format),
 //       flags u8 (bit0 always_empty, bit1 truncated),
 //       cover count u64, then each CFD via CFD::AppendSnapshotBytes
 //       (pattern constants as string-table indices, never Value ids —
@@ -51,9 +52,11 @@
 #define CFDPROP_ENGINE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/base/hash.h"
 #include "src/base/value.h"
 #include "src/cfd/cfd.h"
 
@@ -64,14 +67,25 @@ inline constexpr char kSnapshotMagic[8] = {'C', 'F', 'D', 'P',
                                            'S', 'N', 'P', '1'};
 
 /// Bumped on any wire-format change; a mismatch cleanly rejects the file.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// Version 3: a line's Σ version is the per-relation fold below, so a
+/// version-2 file's lines could never match a live Σ again; the bump
+/// rejects such a file wholesale instead of line by line.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Content version of a minimized Σ — the engine's one notion of Σ
-/// identity. Two structurally different 64-bit hashes (FNV-1a and a
-/// SplitMix absorption) over one text-level pass of the CFDs, so equal
-/// content has equal versions in any process, whatever its interning
-/// order, and serving a cover for the wrong Σ needs a 128-bit
-/// collision. `key` equals FingerprintSigmaSet of the same set.
+/// identity. Equal content has equal versions in any process, whatever
+/// its interning order, and serving a cover for the wrong Σ needs a
+/// 128-bit collision.
+///
+/// Definition: group the CFDs by relation, groups in first-seen order
+/// and each group's CFDs in order. A group's version is two
+/// structurally different 64-bit hashes (FNV-1a and a SplitMix
+/// absorption) over one text-level pass of its CFDs (SigmaGroupVersion).
+/// The set's version is the fixed fold of its non-empty groups' versions
+/// in that order (SigmaVersionFold). A mutation of one relation thus
+/// rehashes one group, not the whole set. `key` is not
+/// FingerprintSigmaSet of the same set: that one is the flat cover
+/// content hash, unchanged.
 struct SigmaVersion {
   uint64_t key = 0;
   uint64_t check = 0;
@@ -99,12 +113,31 @@ struct SnapshotLoadStats {
 /// Stable, pool-independent fingerprint of a CFD set: hashes relation
 /// ids, attribute positions and pattern entries with constants by their
 /// *text*. Order-sensitive over `cfds` (minimization is deterministic,
-/// so equal registered sets fingerprint equal).
+/// so equal registered sets fingerprint equal). This is the flat cover
+/// content hash perfbench's oracle and the golden tests pin; since format
+/// version 3 it differs from SigmaVersion::key of the same set.
 uint64_t FingerprintSigmaSet(const ValuePool& pool,
                              const std::vector<CFD>& cfds);
 
-/// The SigmaVersion of `cfds` (the minimized set), in the same single
-/// pass FingerprintSigmaSet makes.
+/// The version of one relation's group of a minimized Σ (`group` holds
+/// that relation's CFDs only, in order).
+SigmaVersion SigmaGroupVersion(const ValuePool& pool,
+                               std::span<const CFD> group);
+
+/// Folds group versions, in group order, into the version of the set.
+class SigmaVersionFold {
+ public:
+  void Add(const SigmaVersion& group);
+  SigmaVersion digest() const;
+
+ private:
+  Fnv1aHasher key_;
+  SplitMixHasher check_;
+  uint64_t groups_ = 0;
+};
+
+/// The SigmaVersion of `cfds` (the minimized set): SigmaGroupVersion of
+/// each relation's group, folded in first-seen order.
 SigmaVersion SigmaVersionOf(const ValuePool& pool,
                             const std::vector<CFD>& cfds);
 

@@ -46,6 +46,10 @@ struct EngineStatsSnapshot {
   uint64_t disjunct_misses = 0;
   /// AddCfd/RetractCfd mutations applied across all sigma sets.
   uint64_t sigma_mutations = 0;
+  /// Mutations whose group MinCover came from the memo, and the memo's
+  /// lines now (at most Engine::kSigmaMemoCapacity).
+  uint64_t sigma_memo_hits = 0;
+  uint64_t sigma_memo_lines = 0;
   double total_us = 0;
   double fingerprint_us = 0;
   double compute_us = 0;
@@ -126,6 +130,13 @@ class EngineStats {
     sigma_mutations_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  void RecordSigmaMemoHit() {
+    sigma_memo_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void SetSigmaMemoLines(uint64_t lines) {
+    sigma_memo_lines_.store(lines, std::memory_order_relaxed);
+  }
+
   /// Cache counters are filled in by the engine (they live in the cache).
   EngineStatsSnapshot Snapshot() const {
     EngineStatsSnapshot s;
@@ -136,6 +147,8 @@ class EngineStats {
     s.disjunct_hits = disjunct_hits_.load(std::memory_order_relaxed);
     s.disjunct_misses = disjunct_misses_.load(std::memory_order_relaxed);
     s.sigma_mutations = sigma_mutations_.load(std::memory_order_relaxed);
+    s.sigma_memo_hits = sigma_memo_hits_.load(std::memory_order_relaxed);
+    s.sigma_memo_lines = sigma_memo_lines_.load(std::memory_order_relaxed);
     s.total_latency = total_hist_.Snapshot();
     s.fingerprint_latency = fingerprint_hist_.Snapshot();
     s.compute_latency = compute_hist_.Snapshot();
@@ -163,6 +176,8 @@ class EngineStats {
   std::atomic<uint64_t> disjunct_hits_{0};
   std::atomic<uint64_t> disjunct_misses_{0};
   std::atomic<uint64_t> sigma_mutations_{0};
+  std::atomic<uint64_t> sigma_memo_hits_{0};
+  std::atomic<uint64_t> sigma_memo_lines_{0};
   obs::Histogram total_hist_;
   obs::Histogram fingerprint_hist_;
   obs::Histogram compute_hist_;

@@ -793,6 +793,18 @@ std::vector<obs::MetricFamilySamples> CatalogService::CollectFamilies() const {
              "AddCfd/RetractCfd mutations applied", +[](const TS& t) {
                return static_cast<double>(t.engine.sigma_mutations);
              });
+  per_tenant("cfdprop_sigma_memo_hits_total", MetricType::kCounter,
+             "Mutations whose MinCover came from the memo", +[](const TS& t) {
+               return static_cast<double>(t.engine.sigma_memo_hits);
+             });
+  per_tenant("cfdprop_sigma_memo_lines", MetricType::kGauge,
+             "MinCover memo lines held", +[](const TS& t) {
+               return static_cast<double>(t.engine.sigma_memo_lines);
+             });
+  per_tenant("cfdprop_sigma_memo_capacity", MetricType::kGauge,
+             "MinCover memo line limit", +[](const TS&) {
+               return static_cast<double>(Engine::kSigmaMemoCapacity);
+             });
   per_tenant("cfdprop_batch_parallel_efficiency", MetricType::kGauge,
              "PropagateBatch busy/wall ratio (par_eff)",
              +[](const TS& t) { return t.engine.BatchParallelism(); });

@@ -1,6 +1,6 @@
 // Mutation differential: AddCfd/RetractCfd re-minimize only the relation
-// the CFD is on (MinCoverSigmaRelation) and keep every other relation's
-// minimized CFDs. After every step of seeded random add/retract
+// the CFD is on (MinCover of its group, or the engine's memo of it) and
+// keep every other relation's minimized CFDs. After every step of seeded random add/retract
 // sequences, the served Σ snapshot must be byte-identical to a full
 // MinCoverSigma of the registered list, and its version must be the
 // version of that content. The tenants are gen::BuildTenantSpec specs at
@@ -8,7 +8,9 @@
 // from gen::GenerateCFDs on the same catalog, so every relation is
 // mutated. The explicit cases pin the ways a mutation reorders groups:
 // a group moving later, vanishing, and appearing at the end, plus the
-// adds that must leave the version (and the cache) alone.
+// adds that must leave the version (and the cache) alone. The memo cases
+// revisit groups (cycles, more groups than the memo holds, two engines
+// reaching one Σ by different paths, concurrent mutators).
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,6 +230,154 @@ TEST(EngineMutationCasesTest, RedundantAddKeepsTheVersionAndTheCache) {
   auto again = t.engine->Propagate(t.view, t.id);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->cache_hit);
+}
+
+/// One extra CFD per relation, for as many relations as have one.
+std::vector<CFD> OneExtraPerRelation(const Tenant& t) {
+  std::vector<CFD> picked;
+  for (const CFD& c : t.extras) {
+    if (std::none_of(picked.begin(), picked.end(), [&](const CFD& p) {
+          return p.relation == c.relation;
+        })) {
+      picked.push_back(c);
+    }
+  }
+  return picked;
+}
+
+TEST(EngineMutationMemoTest, CyclesHitTheMemoAndStayExact) {
+  Tenant t = MakeTenant(4, 0);
+  ASSERT_EQ(t.engine->num_sigmas(), 1u);
+  std::vector<CFD> churn = OneExtraPerRelation(t);
+  churn.resize(std::min<size_t>(churn.size(), 4));
+  ASSERT_GE(churn.size(), 3u);
+
+  // Add/retract cycles of one CFD per relation: the first add and the
+  // first retract of each relation miss, every later step hits.
+  for (const CFD& cfd : churn) {
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      const std::string where = "relation " + std::to_string(cfd.relation) +
+                                " cycle " + std::to_string(cycle);
+      ASSERT_TRUE(t.engine->AddCfd(t.id, cfd).ok()) << where;
+      ExpectFullMinCover(t, where + " add");
+      ASSERT_TRUE(t.engine->RetractCfd(t.id, cfd).ok()) << where;
+      ExpectFullMinCover(t, where + " retract");
+      if (HasFatalFailure()) return;
+    }
+  }
+  EngineStatsSnapshot stats = t.engine->Stats();
+  EXPECT_EQ(stats.sigma_memo_hits, 4 * churn.size());
+  EXPECT_EQ(stats.sigma_memo_lines, 2 * churn.size());
+
+  // Interleaved A→B→A over several relations: every group state was
+  // seen above, so every step hits.
+  const uint64_t hits = stats.sigma_memo_hits;
+  for (const CFD& cfd : churn) {
+    ASSERT_TRUE(t.engine->AddCfd(t.id, cfd).ok());
+    ExpectFullMinCover(t, "interleaved add");
+  }
+  for (const CFD& cfd : churn) {
+    ASSERT_TRUE(t.engine->RetractCfd(t.id, cfd).ok());
+    ExpectFullMinCover(t, "interleaved retract");
+  }
+  EXPECT_EQ(t.engine->Stats().sigma_memo_hits, hits + 2 * churn.size());
+  EXPECT_EQ(t.engine->Stats().sigma_mutations, 8 * churn.size());
+}
+
+TEST(EngineMutationMemoTest, MoreGroupsThanTheBoundStayExact) {
+  Tenant t = MakeTenant(5, 1);
+  ASSERT_EQ(t.engine->num_sigmas(), 1u);
+  ASSERT_GT(t.extras.size(), 2 * Engine::kSigmaMemoCapacity);
+  // Each add makes a group no earlier step made: far more groups than
+  // the memo holds.
+  for (size_t k = 0; k < t.extras.size(); ++k) {
+    const std::string where = "extra " + std::to_string(k);
+    ASSERT_TRUE(t.engine->AddCfd(t.id, t.extras[k]).ok()) << where;
+    ExpectFullMinCover(t, where + " add");
+    EXPECT_LE(t.engine->Stats().sigma_memo_lines, Engine::kSigmaMemoCapacity);
+    ASSERT_TRUE(t.engine->RetractCfd(t.id, t.extras[k]).ok()) << where;
+    ExpectFullMinCover(t, where + " retract");
+    EXPECT_LE(t.engine->Stats().sigma_memo_lines, Engine::kSigmaMemoCapacity);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(t.engine->Stats().sigma_memo_lines, Engine::kSigmaMemoCapacity);
+
+  // The first add's group was the least recently used long ago: evicted,
+  // so adding it again recomputes — and is still exact.
+  const uint64_t hits = t.engine->Stats().sigma_memo_hits;
+  ASSERT_TRUE(t.engine->AddCfd(t.id, t.extras.front()).ok());
+  ExpectFullMinCover(t, "evicted group");
+  EXPECT_EQ(t.engine->Stats().sigma_memo_hits, hits);
+}
+
+TEST(EngineMutationMemoTest, TwoPathsToOneSigmaShareVersionAndLines) {
+  // `a` reaches Σ + φ − ψ by AddCfd/RetractCfd; `b` registers that list.
+  Tenant a = MakeTenant(6, 2);
+  Tenant b = MakeTenant(6, 2);
+  ASSERT_EQ(a.engine->num_sigmas(), 1u);
+  ASSERT_EQ(b.engine->num_sigmas(), 1u);
+  const std::vector<CFD> raw = a.engine->sigma_raw(a.id);
+  ASSERT_TRUE(a.engine->AddCfd(a.id, a.extras.front()).ok());
+  ASSERT_TRUE(a.engine->RetractCfd(a.id, raw.front()).ok());
+  ExpectFullMinCover(a, "mutated");
+
+  std::vector<CFD> direct = b.engine->sigma_raw(b.id);
+  direct.erase(direct.begin());
+  direct.push_back(b.extras.front());
+  auto registered = b.engine->RegisterSigma(std::move(direct));
+  ASSERT_TRUE(registered.ok()) << registered.status();
+  EXPECT_EQ(a.engine->sigma_version(a.id),
+            b.engine->sigma_version(*registered));
+  EXPECT_EQ(*a.engine->sigma(a.id), *b.engine->sigma(*registered));
+
+  auto cold = a.engine->Propagate(a.view, a.id);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  const SerializedSnapshot spilled = a.engine->SerializeSnapshot();
+  ASSERT_GT(spilled.lines, 0u);
+  auto loaded = b.engine->LoadSnapshotBytes(spilled.bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->restored, spilled.lines);
+  EXPECT_EQ(loaded->rejected, 0u);
+  auto warm = b.engine->Propagate(b.view, *registered);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->cache_hit);
+  EXPECT_EQ(warm->cover->cover, cold->cover->cover);
+}
+
+TEST(EngineMutationMemoTest, ConcurrentMutatorsAndServing) {
+  Tenant t = MakeTenant(2, 3);
+  ASSERT_EQ(t.engine->num_sigmas(), 1u);
+  auto second = t.engine->RegisterSigma(t.engine->sigma_raw(t.id));
+  ASSERT_TRUE(second.ok()) << second.status();
+  const std::vector<CFD> churn = OneExtraPerRelation(t);
+  ASSERT_GE(churn.size(), 2u);
+
+  constexpr int kRounds = 20;
+  auto mutate = [&](SigmaId id, const CFD& cfd) {
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_TRUE(t.engine->AddCfd(id, cfd).ok());
+      EXPECT_TRUE(t.engine->RetractCfd(id, cfd).ok());
+    }
+  };
+  std::thread first_mutator(mutate, t.id, churn[0]);
+  std::thread second_mutator(mutate, *second, churn[1]);
+  std::thread server([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_TRUE(t.engine->Propagate(t.view, t.id).ok());
+      EXPECT_TRUE(t.engine->Propagate(t.view, *second).ok());
+    }
+  });
+  first_mutator.join();
+  second_mutator.join();
+  server.join();
+
+  ExpectFullMinCover(t, "first set");
+  EXPECT_EQ(*t.engine->sigma(t.id), *t.engine->sigma(*second));
+  t.id = *second;
+  ExpectFullMinCover(t, "second set");
+  EngineStatsSnapshot stats = t.engine->Stats();
+  EXPECT_EQ(stats.sigma_mutations, 4u * kRounds);
+  EXPECT_GT(stats.sigma_memo_hits, 0u);
 }
 
 }  // namespace

@@ -534,6 +534,29 @@ TEST(EngineSnapshotValuePoolTest, ConstantsRemapAcrossDifferentPools) {
   std::remove(path.c_str());
 }
 
+TEST(SigmaVersionTest, FoldsRelationGroupsInFirstSeenOrder) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddRelation("R", {"A", "B", "C"}).ok());
+  ASSERT_TRUE(cat.AddRelation("S", {"D", "E"}).ok());
+  const CFD r1 = CFD::FD(0, {0}, 1).value();
+  const CFD r2 = CFD::FD(0, {1}, 2).value();
+  const CFD s1 = CFD::FD(1, {0}, 1).value();
+  const ValuePool& pool = cat.pool();
+  const SigmaVersion grouped = SigmaVersionOf(pool, {r1, r2, s1});
+
+  // The fold of the groups' versions, groups in first-seen order...
+  SigmaVersionFold fold;
+  fold.Add(SigmaGroupVersion(pool, std::vector<CFD>{r1, r2}));
+  fold.Add(SigmaGroupVersion(pool, std::vector<CFD>{s1}));
+  EXPECT_EQ(grouped, fold.digest());
+  // ...so an interleaved list versions like its grouped form, while the
+  // order of the groups and the order within a group both count.
+  EXPECT_EQ(SigmaVersionOf(pool, {r1, s1, r2}), grouped);
+  EXPECT_NE(SigmaVersionOf(pool, {s1, r1, r2}), grouped);
+  EXPECT_NE(SigmaVersionOf(pool, {r2, r1, s1}), grouped);
+  EXPECT_NE(SigmaVersionOf(pool, {}), grouped);
+}
+
 TEST(EngineSnapshotEdgeTest, MissingFileIsNotFoundAndEmptyCacheRoundTrips) {
   Workload w;
   w.options.num_threads = 1;

@@ -336,6 +336,32 @@ TEST(EngineTest, AddCfdInvalidatesOnlyTheMutatedSigma) {
   EXPECT_EQ(engine.Stats().sigma_mutations, 1u);
 }
 
+TEST(EngineTest, MutationKeepsLinesAnEqualSigmaStillServes) {
+  Engine engine(MakeCatalog(), {});
+  auto s1 = engine.RegisterSigma(MakeSigma());
+  auto s2 = engine.RegisterSigma(MakeSigma());
+  ASSERT_TRUE(s1.ok() && s2.ok());
+  ASSERT_EQ(engine.sigma_version(*s1), engine.sigma_version(*s2));
+  SPCView view = MakeView(engine.catalog());
+  auto cold = engine.Propagate(view, *s2);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_FALSE(cold->cache_hit);
+
+  // s1 moves to new content; s2 still serves the old content, so the
+  // old version's line is live and must not be erased.
+  ASSERT_TRUE(engine.AddCfd(*s1, CFD::FD(0, {0}, 3).value()).ok());  // A -> D
+  EXPECT_NE(engine.sigma_version(*s1), engine.sigma_version(*s2));
+  EXPECT_EQ(engine.Stats().cache.invalidations, 0u);
+  auto warm = engine.Propagate(view, *s2);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm->cache_hit) << "s2's line is still live";
+  EXPECT_EQ(warm->cover->cover, cold->cover->cover);
+
+  // Once no set has the old content, its line goes.
+  ASSERT_TRUE(engine.AddCfd(*s2, CFD::FD(1, {1}, 0).value()).ok());  // F -> E
+  EXPECT_EQ(engine.Stats().cache.invalidations, 1u);
+}
+
 TEST(EngineTest, AddThenRetractRoundTripsTheCover) {
   Engine engine(MakeCatalog(), {});
   auto sigma_id = engine.RegisterSigma(MakeSigma());

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/engine/engine.h"
 #include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
 #include "src/net/socket_io.h"
@@ -454,6 +455,11 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->Value("cfdprop_tenants"), 1.0);
   EXPECT_TRUE(stats->Has("cfdprop_cache_budget{tenant=\"eu\"}"));
+  EXPECT_TRUE(stats->Has("cfdprop_sigma_memo_lines{tenant=\"eu\"}"));
+  EXPECT_TRUE(stats->Has("cfdprop_sigma_memo_capacity{tenant=\"eu\"}"));
+  EXPECT_TRUE(stats->Has("cfdprop_sigma_memo_hits_total{tenant=\"eu\"}"));
+  EXPECT_EQ(stats->Value("cfdprop_sigma_memo_capacity{tenant=\"eu\"}"),
+            static_cast<double>(Engine::kSigmaMemoCapacity));
 
   CoverServerStats net = server.Stats();
   EXPECT_EQ(net.decode_errors, 6u);

@@ -414,8 +414,6 @@ TEST_F(PropCoverTest, MinCoverSigmaRejectsUnknownRelation) {
                                   CFD::FD(1, {0}, 1).value()};
   EXPECT_EQ(MinCoverSigma(cat_, sigma).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(MinCoverSigmaRelation(cat_, {}, sigma, 0).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
