@@ -9,7 +9,11 @@
 //   * settings: infinite-domain (PTIME chase) vs general (finite-domain
 //     instantiation, coNP — watch the general-setting timings blow up
 //     with the number of finite-domain attributes, which is the
-//     exponential the theorems predict).
+//     exponential the theorems predict);
+//   * BM_Theorem32: the branch search on the Theorem 3.2 reduction of a
+//     satisfiable and an unsatisfiable 3SAT formula (the formulas of
+//     tests/propagation_complexity_test.cc), whose unsatisfiable case
+//     searches every instantiation.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +21,7 @@
 
 #include "src/gen/generators.h"
 #include "src/propagation/propagation.h"
+#include "src/propagation/reductions.h"
 
 namespace cfdprop_bench {
 namespace {
@@ -113,8 +118,11 @@ void RunDecision(benchmark::State& state, bool cfd_sources,
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
+    // The whole Result goes through DoNotOptimize: its "+m,r" form on
+    // the bool answer left an undefined byte in it under GCC 12 -O2, and
+    // so a wrong label.
+    benchmark::DoNotOptimize(r);
     propagated = *r;
-    benchmark::DoNotOptimize(propagated);
   }
   state.SetLabel(std::string(FragmentName(fragment)) +
                  (propagated ? "/propagated" : "/not-propagated"));
@@ -133,6 +141,41 @@ void BM_Table1_CFDs_General(benchmark::State& state) {
   RunDecision(state, /*cfd_sources=*/true, /*general_setting=*/true);
 }
 
+/// Arg 0: (x1 v x2) and (!x1 v x2), satisfiable; arg 1: (x1) and (x2) and
+/// (!x1 v !x2), unsatisfiable.
+void BM_Theorem32(benchmark::State& state) {
+  using L = ThreeSat::Literal;
+  const ThreeSat formula =
+      state.range(0) == 0
+          ? ThreeSat{2,
+                     {{L{1, false}, L{2, false}, L{2, false}},
+                      {L{1, true}, L{2, false}, L{2, false}}}}
+          : ThreeSat{2,
+                     {{L{1, false}, L{1, false}, L{1, false}},
+                      {L{2, false}, L{2, false}, L{2, false}},
+                      {L{1, true}, L{2, true}, L{1, true}}}};
+  auto inst = BuildTheorem32Reduction(formula);
+  if (!inst.ok()) std::abort();
+  PropagationOptions options;
+  options.general_setting = true;
+  options.instantiation.max_instantiations = 1u << 24;
+
+  bool propagated = false;
+  for (auto _ : state) {
+    auto r = IsPropagated(inst->catalog, inst->view, inst->sigma, inst->psi,
+                          options);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(r);  // not the bool: see RunDecision
+    propagated = *r;
+  }
+  // phi is satisfiable iff Sigma does not propagate psi.
+  state.SetLabel(propagated ? "unsatisfiable/propagated"
+                            : "satisfiable/not-propagated");
+}
+
 BENCHMARK(BM_Table2_FDs_Infinite)
     ->ArgName("fragment")
     ->DenseRange(kS, kSPCU)
@@ -149,6 +192,10 @@ BENCHMARK(BM_Table1_CFDs_General)
     ->ArgName("fragment")
     ->DenseRange(kS, kSPCU)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Theorem32)
+    ->ArgName("unsat")
+    ->DenseRange(0, 1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cfdprop_bench

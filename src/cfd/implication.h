@@ -7,22 +7,16 @@
 // two-tuple template (CFD satisfaction is closed under sub-instances, so
 // a counterexample can always be shrunk to the two offending tuples). In
 // the general setting the problem is coNP-complete; we decide it by
-// enumerating instantiations of the finite-domain variables of the
-// template, exactly as the paper's appendix proofs do.
+// instantiating the finite-domain variables of the template, as the
+// paper's appendix proofs do.
 //
-// Two procedures decide Implies:
-//   * the implication kernel decides every infinite-domain call
-//     (general_setting false and no finite domain: `domains` empty, or
-//     each entry null or !finite()). It chases the two-row template on
-//     the flat chase kernel (src/chase/flat_tableau.h: a union-find with
-//     one constant slot per class over 2*arity cells, in one reusable
-//     buffer) with the single-tuple, pair and equality rules of Chase
-//     (src/chase/chase.h), and stops as soon as phi's conclusion holds;
-//   * every other call - some finite domain, or the general setting -
-//     builds the template as a SymbolicInstance and runs Chase (and, in
-//     the general setting, ExistsChaseBranch) on it.
-// Sigma |= phi is a yes/no question, so both give the same answer on
-// every input the kernel takes.
+// One procedure decides Implies: it chases the two-row template on the
+// flat chase kernel (src/chase/flat_tableau.h: a union-find with one
+// constant slot and one domain slot per class over 2*arity cells, in one
+// reusable buffer). Outside the general setting it stops as soon as
+// phi's conclusion holds; in it, ExistsChaseBranch instantiates the
+// template's finite-domain classes and looks for a leaf where phi's
+// conclusion fails.
 //
 // These procedures are what MinCover (src/cfd/mincover.h) and the final
 // minimization step of PropCFD_SPC are built on.
@@ -35,7 +29,6 @@
 
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
-#include "src/chase/chase.h"
 #include "src/chase/flat_tableau.h"
 #include "src/schema/schema.h"
 
@@ -44,13 +37,15 @@ namespace cfdprop {
 struct ImplicationOptions {
   /// When true, unbound finite-domain variables of the chase template are
   /// instantiated exhaustively (general setting, coNP). When false they
-  /// are treated as infinite-domain variables (the setting of Section 4).
+  /// are not instantiated (the setting of Section 4); their domains still
+  /// bound the constants the chase may bind them to.
   bool general_setting = false;
   InstantiationOptions instantiation;
 };
 
 /// Per-attribute domains of the attribute space CFDs are defined on;
-/// entries may be null (infinite). An empty vector means all-infinite.
+/// entries may be null (infinite), and attributes past the end are
+/// infinite. An empty vector means all-infinite.
 using AttrDomains = std::vector<const Domain*>;
 
 /// The domains of a catalog relation, for building AttrDomains.
@@ -71,10 +66,10 @@ Status ValidateImplicationInput(const std::vector<CFD>& sigma,
                                 RelationId relation, size_t arity);
 
 /// Runs many implication tests against subsets of one validated sigma,
-/// as MinCover and RemoveRedundantCFDs do, with one kernel buffer for
-/// all of them. Does not validate: the caller checks sigma (and every
-/// phi) with ValidateImplicationInput once. `domains` must outlive the
-/// tester.
+/// as MinCover and RemoveRedundantCFDs do, with one tableau buffer for
+/// all of them and no copy of a subset. Does not validate: the caller
+/// checks sigma (and every phi) with ValidateImplicationInput once.
+/// `domains` must outlive the tester.
 class ImplicationTester {
  public:
   ImplicationTester(size_t arity, const AttrDomains& domains,
@@ -95,8 +90,6 @@ class ImplicationTester {
   size_t arity_;
   const AttrDomains& domains_;
   ImplicationOptions options_;
-  /// Whether calls go to the kernel (see the top of this file).
-  bool kernel_;
   FlatTableau tableau_;
 };
 

@@ -2,54 +2,15 @@
 
 #include <unordered_map>
 
-#include "src/chase/chase.h"
 #include "src/tableau/tableau.h"
 
 namespace cfdprop {
 
-namespace {
-
-/// ComputeEQ on a SymbolicInstance tableau: the path for views with a
-/// finite-domain atom, whose cells carry their domains.
-Result<EqClasses> ComputeEQChase(const Catalog& catalog, const SPCView& view,
-                                 const std::vector<CFD>& sigma) {
-  SymbolicInstance inst;
-  CFDPROP_ASSIGN_OR_RETURN(ViewTableau tableau,
-                           BuildViewTableau(catalog, view, inst));
-  CFDPROP_ASSIGN_OR_RETURN(ChaseOutcome outcome, Chase(inst, sigma));
-
-  EqClasses eq;
-  if (outcome == ChaseOutcome::kContradiction) {
-    eq.inconsistent = true;
-    return eq;
-  }
-
-  const size_t u = tableau.ec_cells.size();
-  eq.rep.resize(u);
-  eq.key.resize(u, kNoValue);
-
-  // Canonical representative per chase class: the smallest column id.
-  std::unordered_map<CellId, ColumnId> root_to_rep;
-  for (ColumnId c = 0; c < u; ++c) {
-    CellId root = inst.Find(tableau.ec_cells[c]);
-    auto [it, inserted] = root_to_rep.emplace(root, c);
-    eq.rep[c] = it->second;
-    auto key = inst.ConstOf(tableau.ec_cells[c]);
-    if (key.has_value()) eq.key[c] = *key;
-  }
-  return eq;
-}
-
-}  // namespace
-
 Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
                             const std::vector<CFD>& sigma) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
-  if (!HasOnlyInfiniteAtoms(catalog, view)) {
-    return ComputeEQChase(catalog, view, sigma);
-  }
-  // The flat kernel: Ec column c is cell c, and no constant cell follows
-  // (constant output columns are not Ec columns).
+  // Ec column c is cell c, and no constant cell follows (constant output
+  // columns are not Ec columns).
   FlatTableau t;
   AddViewCopy(catalog, view, t, /*summary=*/nullptr);
   t.GroupRows();

@@ -12,9 +12,8 @@
 // subsumes the paper's syntactic fixpoint (it also catches interactions
 // such as Example 3.1, where a source CFD forces a column constant that
 // contradicts a selection constant). The chase runs on the flat kernel
-// (src/chase/flat_tableau.h) unless an atom's relation has a
-// finite-domain attribute, whose cells need a SymbolicInstance; the
-// classes, and so rep and key, are the chase's fixpoint either way.
+// (src/chase/flat_tableau.h), whose cells carry the atoms' domains; the
+// classes, and so rep and key, are its fixpoint.
 //
 // EQ2CFD converts the classes into view CFDs (Lemma 4.2): a keyed class
 // contributes RV(A -> A, (_ || key)) per member; an unkeyed class with

@@ -10,28 +10,18 @@ namespace {
 Result<bool> DisjunctNonEmpty(const Catalog& catalog, const SPCView& view,
                               const std::vector<CFD>& sigma,
                               const EmptinessOptions& options) {
-  if (!options.general_setting && HasOnlyInfiniteAtoms(catalog, view)) {
-    // The flat kernel: no finite-domain cell to instantiate.
-    FlatTableau t;
-    AddViewCopy(catalog, view, t, /*summary=*/nullptr);
-    t.GroupRows();
+  FlatTableau t;
+  AddViewCopy(catalog, view, t, /*summary=*/nullptr);
+  t.GroupRows();
+  if (!options.general_setting) {
     CFDPROP_ASSIGN_OR_RETURN(bool contradiction, ChaseToFixpoint(t, sigma));
     return !contradiction;
   }
-  SymbolicInstance base;
-  CFDPROP_ASSIGN_OR_RETURN(ViewTableau t,
-                           BuildViewTableau(catalog, view, base));
-  (void)t;
-
-  if (!options.general_setting) {
-    CFDPROP_ASSIGN_OR_RETURN(ChaseOutcome outcome, Chase(base, sigma));
-    return outcome == ChaseOutcome::kFixpoint;
-  }
-
   // Non-empty iff the branch-and-prune search reaches any
   // contradiction-free leaf (a witness instantiation).
+  const RelationRules rules = RulesFor(t, sigma);
   return ExistsChaseBranch(
-      base, sigma, [](SymbolicInstance&) { return true; },
+      t, GroupRules(t, rules), [](const FlatTableau&) { return true; },
       options.instantiation);
 }
 

@@ -8,12 +8,10 @@
 // Decided by chasing each disjunct's tableau with Sigma: an undefined
 // (contradictory) chase means the disjunct yields no tuple; otherwise
 // the fixpoint instantiates to a witness source producing a view tuple.
-// Without finite-domain atoms and outside the general setting the chase
-// runs on the flat kernel (src/chase/flat_tableau.h), else on a
-// SymbolicInstance.
-// PTIME without finite-domain attributes (Theorem 3.8); with them the
-// non-emptiness test instantiates finite-domain variables, NP overall
-// (Theorem 3.7).
+// The chase runs on the flat kernel (src/chase/flat_tableau.h). PTIME
+// without finite-domain attributes (Theorem 3.8); with them the general
+// setting's non-emptiness test instantiates finite-domain variables
+// (ExistsChaseBranch), NP overall (Theorem 3.7).
 
 #ifndef CFDPROP_PROPAGATION_EMPTINESS_H_
 #define CFDPROP_PROPAGATION_EMPTINESS_H_
@@ -23,7 +21,7 @@
 #include "src/algebra/view.h"
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
-#include "src/chase/chase.h"
+#include "src/chase/flat_tableau.h"
 #include "src/schema/schema.h"
 
 namespace cfdprop {

@@ -8,80 +8,37 @@ namespace cfdprop {
 
 namespace {
 
-/// Checks one chased fork of a two-copy instance against phi's RHS.
-/// `t1`/`t2` are the two summary rows.
-Result<bool> PairPasses(SymbolicInstance& fork, const std::vector<CFD>& sigma,
-                        const CFD& phi, const std::vector<CellId>& t1,
-                        const std::vector<CellId>& t2) {
-  CFDPROP_ASSIGN_OR_RETURN(ChaseOutcome outcome, Chase(fork, sigma));
-  if (outcome == ChaseOutcome::kContradiction) {
-    return true;  // no Sigma-satisfying source produces this pair
-  }
-  if (phi.is_special_x()) {
-    return fork.EqualCells(t1[phi.lhs[0]], t1[phi.rhs]);
-  }
-  if (!fork.EqualCells(t1[phi.rhs], t2[phi.rhs])) return false;
-  if (phi.rhs_pat.is_constant()) {
-    auto c = fork.ConstOf(t1[phi.rhs]);
-    if (!c.has_value() || *c != phi.rhs_pat.value()) return false;
-  }
-  return true;
-}
-
-/// Does a chased, fully-instantiated leaf violate phi's RHS condition?
-bool LeafViolates(SymbolicInstance& leaf, const CFD& phi,
-                  const std::vector<CellId>& t1,
-                  const std::vector<CellId>& t2) {
-  if (phi.is_special_x()) {
-    return !leaf.EqualCells(t1[phi.lhs[0]], t1[phi.rhs]);
-  }
-  if (!leaf.EqualCells(t1[phi.rhs], t2[phi.rhs])) return true;
-  if (phi.rhs_pat.is_constant()) {
-    auto c = leaf.ConstOf(t1[phi.rhs]);
-    if (!c.has_value() || *c != phi.rhs_pat.value()) return true;
-  }
-  return false;
-}
-
-/// Runs the pass/fail check over the finite-domain instantiation space
-/// (branch-and-prune in the general setting, a single chase otherwise).
-/// Returns true iff no instantiation violates phi.
-Result<bool> AllInstantiationsPass(const SymbolicInstance& base,
-                                   const std::vector<CFD>& sigma,
-                                   const CFD& phi,
-                                   const std::vector<CellId>& t1,
-                                   const std::vector<CellId>& t2,
-                                   const PropagationOptions& options) {
-  if (!options.general_setting) {
-    SymbolicInstance fork = base;
-    return PairPasses(fork, sigma, phi, t1, t2);
-  }
+/// Whether no instantiation of `work`'s finite-domain variables leaves a
+/// chased leaf where `concludes` fails. Kept out of line, as
+/// NoCounterexample in src/cfd/implication.cc is: inlined, the branch
+/// search's chase made GCC call FlatTableau::Apply out of line on the
+/// infinite-domain path too.
+template <typename Concludes>
+[[gnu::noinline]] Result<bool> NoCounterexample(
+    FlatTableau& work, const RelationRules& rules,
+    const Concludes& concludes, const InstantiationOptions& options) {
   CFDPROP_ASSIGN_OR_RETURN(
       bool counterexample,
       ExistsChaseBranch(
-          base, sigma,
-          [&](SymbolicInstance& leaf) {
-            return LeafViolates(leaf, phi, t1, t2);
-          },
-          options.instantiation));
+          work, GroupRules(work, rules),
+          [&](const FlatTableau& leaf) { return !concludes(leaf); },
+          options));
   return !counterexample;
 }
 
-/// The single-copy check for special-x phi (A = B on the view): every
-/// view tuple of every disjunct must have equal A/B cells.
-Result<bool> CheckEqualityCFD(const Catalog& catalog, const SPCUView& view,
-                              const std::vector<CFD>& sigma, const CFD& phi,
-                              const PropagationOptions& options) {
-  for (const SPCView& disjunct : view.disjuncts) {
-    SymbolicInstance base;
-    CFDPROP_ASSIGN_OR_RETURN(ViewTableau t,
-                             BuildViewTableau(catalog, disjunct, base));
-    CFDPROP_ASSIGN_OR_RETURN(
-        bool pass, AllInstantiationsPass(base, sigma, phi, t.summary,
-                                         t.summary, options));
-    if (!pass) return false;
+/// Whether phi passes on `work`, a tableau at or past its copies'
+/// fixpoint with phi's LHS applied: outside the general setting, whether
+/// the chase forces `concludes`; in it, whether no instantiation's chase
+/// leaves a leaf where it fails. A contradiction means no
+/// Sigma-satisfying source produces the pair, which passes.
+template <typename Concludes>
+Result<bool> Passes(FlatTableau& work, const RelationRules& rules,
+                    const PropagationOptions& options,
+                    const Concludes& concludes) {
+  if (!options.general_setting) {
+    return ChaseUntil(work, rules, [&] { return concludes(work); });
   }
-  return true;
+  return NoCounterexample(work, rules, concludes, options.instantiation);
 }
 
 }  // namespace
@@ -117,12 +74,9 @@ PropagationTester::PropagationTester(const Catalog& catalog,
                                      const PropagationOptions& options)
     : catalog_(&catalog),
       view_(&view),
-      sigma_(&sigma),
-      options_(options),
-      kernel_(!options.general_setting) {
+      options_(options) {
   std::vector<RelationId> relations;  // of the atoms, distinct
   for (const SPCView& d : view.disjuncts) {
-    kernel_ = kernel_ && HasOnlyInfiniteAtoms(catalog, d);
     for (RelationId r : d.atoms) {
       if (std::find(relations.begin(), relations.end(), r) ==
           relations.end()) {
@@ -130,7 +84,6 @@ PropagationTester::PropagationTester(const Catalog& catalog,
       }
     }
   }
-  if (!kernel_) return;
   rules_.Build(sigma, relations);
   const size_t k = view.disjuncts.size();
   singles_.resize(k);
@@ -152,20 +105,38 @@ Result<PropagationTester::Base*> PropagationTester::BaseOf(size_t i,
   return &base;
 }
 
-Result<bool> PropagationTester::KernelPasses(const CFD& phi) {
+Result<bool> PropagationTester::IsPropagated(const CFD& phi) {
+  CFDPROP_RETURN_NOT_OK(phi.Validate(view_->OutputArity()));
+  if (phi.relation != kViewSchemaId) {
+    return Status::InvalidArgument("phi must be a view CFD (kViewSchemaId)");
+  }
+  const size_t k = view_->disjuncts.size();
   if (phi.is_special_x()) {
     // The single-copy check: every view tuple of every disjunct must
     // have equal A/B cells.
-    for (size_t i = 0; i < view_->disjuncts.size(); ++i) {
+    for (size_t i = 0; i < k; ++i) {
       CFDPROP_ASSIGN_OR_RETURN(Base* base, BaseOf(i, i, /*single=*/true));
       if (base->contradiction) continue;  // the disjunct is always empty
-      if (!base->chased.Equal(base->t1[phi.lhs[0]], base->t1[phi.rhs])) {
-        return false;
+      const std::vector<uint32_t>& t1 = base->t1;
+      auto concludes = [&](const FlatTableau& c) {
+        return c.Equal(t1[phi.lhs[0]], t1[phi.rhs]);
+      };
+      // The copy is at its fixpoint, which decides outside the general
+      // setting.
+      if (!options_.general_setting) {
+        if (!concludes(base->chased)) return false;
+        continue;
       }
+      base->work.CopyCellsFrom(base->chased);
+      CFDPROP_ASSIGN_OR_RETURN(
+          bool pass, NoCounterexample(base->work, rules_, concludes,
+                                      options_.instantiation));
+      if (!pass) return false;
     }
     return true;
   }
-  const size_t k = view_->disjuncts.size();
+  // All k^2 ordered disjunct combinations (t1 from e_i, t2 from e_j);
+  // (i, j) and (j, i) are symmetric, so i <= j suffices.
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = i; j < k; ++j) {
       CFDPROP_ASSIGN_OR_RETURN(Base* base, BaseOf(i, j, /*single=*/false));
@@ -174,7 +145,9 @@ Result<bool> PropagationTester::KernelPasses(const CFD& phi) {
       work.CopyCellsFrom(base->chased);
       const std::vector<uint32_t>& t1 = base->t1;
       const std::vector<uint32_t>& t2 = base->t2;
-      // rho1/rho2 as in the SymbolicInstance path below.
+      // rho1/rho2: identify the copies on phi's LHS and bind pattern
+      // constants. A conflict makes work contradictory: the pair is
+      // impossible.
       for (size_t l = 0; l < phi.lhs.size(); ++l) {
         const AttrIndex a = phi.lhs[l];
         work.Union(t1[a], t2[a]);
@@ -182,59 +155,14 @@ Result<bool> PropagationTester::KernelPasses(const CFD& phi) {
           work.Bind(t1[a], phi.lhs_pats[l].value());
         }
       }
-      auto concludes = [&] {
+      auto concludes = [&](const FlatTableau& c) {
         const uint32_t b1 = t1[phi.rhs];
-        if (!work.Equal(b1, t2[phi.rhs])) return false;
+        if (!c.Equal(b1, t2[phi.rhs])) return false;
         return !phi.rhs_pat.is_constant() ||
-               work.BoundTo(b1, phi.rhs_pat.value());
+               c.BoundTo(b1, phi.rhs_pat.value());
       };
       CFDPROP_ASSIGN_OR_RETURN(bool pass,
-                               ChaseUntil(work, rules_, concludes));
-      if (!pass) return false;
-    }
-  }
-  return true;
-}
-
-Result<bool> PropagationTester::IsPropagated(const CFD& phi) {
-  CFDPROP_RETURN_NOT_OK(phi.Validate(view_->OutputArity()));
-  if (phi.relation != kViewSchemaId) {
-    return Status::InvalidArgument("phi must be a view CFD (kViewSchemaId)");
-  }
-  if (kernel_) return KernelPasses(phi);
-
-  const Catalog& catalog = *catalog_;
-  const SPCUView& view = *view_;
-  const std::vector<CFD>& sigma = *sigma_;
-  if (phi.is_special_x()) {
-    return CheckEqualityCFD(catalog, view, sigma, phi, options_);
-  }
-
-  // All k^2 ordered disjunct combinations (t1 from e_i, t2 from e_j);
-  // (i, j) and (j, i) are symmetric, so i <= j suffices.
-  const size_t k = view.disjuncts.size();
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i; j < k; ++j) {
-      SymbolicInstance base;
-      CFDPROP_ASSIGN_OR_RETURN(
-          ViewTableau ti, BuildViewTableau(catalog, view.disjuncts[i], base));
-      CFDPROP_ASSIGN_OR_RETURN(
-          ViewTableau tj, BuildViewTableau(catalog, view.disjuncts[j], base));
-
-      // rho1/rho2: identify the copies on phi's LHS and bind pattern
-      // constants. Conflicts mark the instance contradictory, which
-      // PairPasses reads as "pair impossible".
-      for (size_t l = 0; l < phi.lhs.size(); ++l) {
-        AttrIndex a = phi.lhs[l];
-        base.Union(ti.summary[a], tj.summary[a]);
-        if (phi.lhs_pats[l].is_constant()) {
-          base.BindConst(ti.summary[a], phi.lhs_pats[l].value());
-        }
-      }
-
-      CFDPROP_ASSIGN_OR_RETURN(
-          bool pass, AllInstantiationsPass(base, sigma, phi, ti.summary,
-                                           tj.summary, options_));
+                               Passes(work, rules_, options_, concludes));
       if (!pass) return false;
     }
   }

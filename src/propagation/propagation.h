@@ -15,16 +15,17 @@
 //
 // Infinite-domain setting: one chase per combination => PTIME
 // (Theorems 3.1/3.5). General setting: finite-domain variables of the
-// instance are instantiated exhaustively => coNP (Theorems 3.2/3.3,
-// Corollary 3.6); the instantiation budget guards the exponential.
+// instance are instantiated, branch by branch (ExistsChaseBranch) =>
+// coNP (Theorems 3.2/3.3, Corollary 3.6); the instantiation budget
+// guards the exponential.
 //
-// Without finite-domain atoms and outside the general setting the chase
-// runs on the flat kernel (src/chase/flat_tableau.h): each combination's
-// two copies are built and chased once per PropagationTester, and each
-// phi then copies that fixpoint, adds its LHS and chases on, with Sigma
-// bucketed by relation, until phi's conclusion holds. Starting from the
-// copies' own fixpoint reaches the same fixpoint, since the chase is
-// monotone. Otherwise every phi builds SymbolicInstance tableaux.
+// The chase runs on the flat kernel (src/chase/flat_tableau.h): each
+// combination's two copies are built and chased once per
+// PropagationTester, and each phi then copies that fixpoint, adds its
+// LHS and chases on, with Sigma bucketed by relation, until phi's
+// conclusion holds (or, in the general setting, searches the
+// instantiations from there). Starting from the copies' own fixpoint
+// reaches the same fixpoint, since the chase is monotone.
 
 #ifndef CFDPROP_PROPAGATION_PROPAGATION_H_
 #define CFDPROP_PROPAGATION_PROPAGATION_H_
@@ -34,7 +35,6 @@
 #include "src/algebra/view.h"
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
-#include "src/chase/chase.h"
 #include "src/chase/flat_tableau.h"
 #include "src/schema/schema.h"
 
@@ -42,9 +42,9 @@ namespace cfdprop {
 
 struct PropagationOptions {
   /// Instantiate finite-domain variables (the general setting). When
-  /// false, every variable is treated as infinite-domain — the classical
-  /// setting, and the only sound choice when the schema genuinely has no
-  /// finite-domain attributes.
+  /// false, no variable is instantiated — the classical setting, and the
+  /// only sound choice when the schema genuinely has no finite-domain
+  /// attributes.
   bool general_setting = false;
   InstantiationOptions instantiation;
 };
@@ -84,14 +84,10 @@ class PropagationTester {
                     const std::vector<CFD>& sigma,
                     const PropagationOptions& options);
   Result<Base*> BaseOf(size_t i, size_t j, bool single);
-  Result<bool> KernelPasses(const CFD& phi);
 
   const Catalog* catalog_;
   const SPCUView* view_;
-  const std::vector<CFD>* sigma_;
   PropagationOptions options_;
-  /// Whether calls go to the flat kernel (see the top of this file).
-  bool kernel_;
   RelationRules rules_;
   std::vector<Base> singles_;  // per disjunct
   std::vector<Base> pairs_;    // per combination i <= j, row-major

@@ -36,6 +36,12 @@ Result<RelationId> Catalog::AddRelation(std::string name,
       return Status::InvalidArgument("attribute " + a.name +
                                      " has an empty finite domain");
     }
+    const std::vector<Value>& values = a.domain.values();
+    if (std::unordered_set<Value>(values.begin(), values.end()).size() !=
+        values.size()) {
+      return Status::InvalidArgument("attribute " + a.name +
+                                     " repeats a value of its finite domain");
+    }
   }
   RelationId id = static_cast<RelationId>(relations_.size());
   relations_.emplace_back(std::move(name), std::move(attrs));

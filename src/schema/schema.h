@@ -71,8 +71,9 @@ class Catalog {
   ValuePool& pool() { return pool_; }
   const ValuePool& pool() const { return pool_; }
 
-  /// Adds a relation schema; returns its id.
-  /// Fails with InvalidArgument on duplicate relation or attribute names.
+  /// Adds a relation schema; returns its id. Fails with InvalidArgument
+  /// on duplicate relation or attribute names, and on a finite domain
+  /// that is empty or repeats a value.
   Result<RelationId> AddRelation(std::string name,
                                  std::vector<Attribute> attrs);
 

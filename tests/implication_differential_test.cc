@@ -1,11 +1,11 @@
-// Differential test of the implication kernel against the
-// SymbolicInstance chase. Implies sends every infinite-domain call to the
-// kernel; with general_setting = true and all-infinite domains it takes
-// the SymbolicInstance path instead, where ExistsChaseBranch finds no
-// finite cell to branch on and so runs one Chase plus the goal check.
-// The two must agree on every (Sigma, phi), and MinCover, whose output
-// is a function of its implication answers, must produce identical
-// covers on both.
+// Differential test of Implies and IsSatisfiable, which run on the flat
+// chase kernel, against the reference chase of tests/reference: the
+// template of the paper's proofs built as a SymbolicInstance, chased by
+// Chase, and searched by its own ExistsChaseBranch in the general
+// setting. The two must agree on every (Sigma, phi), with and without
+// finite domains, in both settings; MinCover, whose output is a
+// function of its implication answers, must produce identical covers in
+// both settings when no domain is finite.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "src/base/rng.h"
 #include "src/cfd/implication.h"
 #include "src/cfd/mincover.h"
+#include "tests/reference/chase.h"
 
 namespace cfdprop {
 namespace {
@@ -28,6 +29,12 @@ class ImplicationDifferentialTest : public ::testing::Test {
     for (const char* text : {"a", "b", "c"}) {
       consts_.push_back(pool_.Intern(text));
     }
+    const Value a = consts_[0], b = consts_[1], c = consts_[2];
+    finite_.push_back(Domain::Finite("ab", {a, b}));
+    finite_.push_back(Domain::Finite("bc", {b, c}));
+    finite_.push_back(Domain::Finite("ca", {c, a}));
+    finite_.push_back(Domain::Finite("abc", {a, b, c}));
+    finite_.push_back(Domain::Finite("b", {b}));
   }
 
   PatternValue RandomPattern(Rng& rng, uint32_t wildcard_pct) {
@@ -93,14 +100,92 @@ class ImplicationDifferentialTest : public ::testing::Test {
     return RandomCFD(rng, arity);
   }
 
-  /// The reference answer: the SymbolicInstance chase.
+  /// Up to `max_finite` attributes with a finite domain over the
+  /// constants' pool, the rest infinite (null or a non-null infinite
+  /// domain).
+  AttrDomains RandomDomains(Rng& rng, size_t arity, size_t max_finite) {
+    AttrDomains domains(arity, rng.Percent(50) ? &infinite_ : nullptr);
+    size_t finite = 0;
+    for (size_t i = 0; i < arity && finite < max_finite; ++i) {
+      if (rng.Percent(45)) {
+        domains[i] = &finite_[rng.Below(finite_.size())];
+        ++finite;
+      }
+    }
+    return domains;
+  }
+
+  /// A row of `arity` fresh cells of relation 0 with `domains`.
+  static std::vector<CellId> ReferenceRow(SymbolicInstance& inst,
+                                          size_t arity,
+                                          const AttrDomains& domains) {
+    std::vector<CellId> cells;
+    for (size_t i = 0; i < arity; ++i) {
+      cells.push_back(inst.NewCell(i < domains.size() ? domains[i] : nullptr));
+    }
+    inst.AddRow(0, cells);
+    return cells;
+  }
+
+  /// The reference answer to Sigma |= phi: the two-row template (one
+  /// row for special-x phi) as a SymbolicInstance, chased once, or
+  /// searched by the reference ExistsChaseBranch in the general setting.
+  bool ReferenceImplies(const std::vector<CFD>& sigma, const CFD& phi,
+                        size_t arity, const AttrDomains& domains,
+                        bool general) {
+    SymbolicInstance base;
+    const std::vector<CellId> t1 = ReferenceRow(base, arity, domains);
+    std::vector<CellId> t2 = t1;
+    if (!phi.is_special_x()) {
+      t2 = ReferenceRow(base, arity, domains);
+      for (size_t i = 0; i < phi.lhs.size(); ++i) {
+        const AttrIndex a = phi.lhs[i];
+        base.Union(t1[a], t2[a]);
+        if (phi.lhs_pats[i].is_constant()) {
+          base.BindConst(t1[a], phi.lhs_pats[i].value());
+        }
+      }
+    }
+    auto holds = [&](SymbolicInstance& inst) {
+      if (phi.is_special_x()) {
+        return inst.EqualCells(t1[phi.lhs[0]], t1[phi.rhs]);
+      }
+      if (!inst.EqualCells(t1[phi.rhs], t2[phi.rhs])) return false;
+      return !phi.rhs_pat.is_constant() ||
+             inst.ConstOf(t1[phi.rhs]) == phi.rhs_pat.value();
+    };
+    if (!general) {
+      auto outcome = Chase(base, sigma);
+      EXPECT_TRUE(outcome.ok()) << outcome.status();
+      return *outcome == ChaseOutcome::kContradiction || holds(base);
+    }
+    auto counterexample = ExistsChaseBranch(
+        base, sigma, [&](SymbolicInstance& leaf) { return !holds(leaf); });
+    EXPECT_TRUE(counterexample.ok()) << counterexample.status();
+    return counterexample.ok() && !*counterexample;
+  }
+
+  /// The reference answer to "is Sigma satisfiable": some tuple, a
+  /// one-row template, survives the chase (of some instantiation).
+  bool ReferenceSatisfiable(const std::vector<CFD>& sigma, size_t arity,
+                            const AttrDomains& domains, bool general) {
+    SymbolicInstance base;
+    ReferenceRow(base, arity, domains);
+    if (!general) {
+      auto outcome = Chase(base, sigma);
+      EXPECT_TRUE(outcome.ok()) << outcome.status();
+      return *outcome == ChaseOutcome::kFixpoint;
+    }
+    auto witness = ExistsChaseBranch(
+        base, sigma, [](SymbolicInstance&) { return true; });
+    EXPECT_TRUE(witness.ok()) << witness.status();
+    return witness.ok() && *witness;
+  }
+
+  /// The reference answer in the general setting.
   bool ChaseAnswer(const std::vector<CFD>& sigma, const CFD& phi,
                    size_t arity, const AttrDomains& domains) {
-    ImplicationOptions general;
-    general.general_setting = true;
-    auto r = Implies(sigma, phi, arity, domains, general);
-    EXPECT_TRUE(r.ok()) << r.status();
-    return r.ok() && *r;
+    return ReferenceImplies(sigma, phi, arity, domains, /*general=*/true);
   }
 
   std::string Describe(const std::vector<CFD>& sigma, const CFD& phi) {
@@ -113,6 +198,7 @@ class ImplicationDifferentialTest : public ::testing::Test {
   ValuePool pool_;
   std::vector<Value> consts_;
   Domain infinite_ = Domain::Infinite();
+  std::vector<Domain> finite_;
 };
 
 TEST_F(ImplicationDifferentialTest, KernelAgreesWithChase) {
@@ -214,6 +300,98 @@ TEST_F(ImplicationDifferentialTest, TesterMaskAndDroppedAttribute) {
     auto got = tester.Implies(sigma, alive, phi, drop);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(*got, ChaseAnswer(live, dropped, arity, {}))
+        << "case " << n << " drop " << drop << "\n"
+        << Describe(live, dropped);
+  }
+}
+
+TEST_F(ImplicationDifferentialTest, FiniteDomainsInBothSettings) {
+  // Implies and IsSatisfiable with finite domains on some attributes,
+  // outside and inside the general setting, against the reference; and
+  // how often the domains change the infinite-domain answer.
+  Rng rng(3207);
+  size_t finite_cases = 0;
+  size_t implied = 0, not_implied = 0;
+  size_t general_flips = 0, domain_flips = 0;
+  size_t satisfiable = 0, unsatisfiable = 0, satisfiable_flips = 0;
+  ImplicationOptions general;
+  general.general_setting = true;
+  for (int n = 0; n < 3000; ++n) {
+    const size_t arity = 1 + rng.Below(6);
+    std::vector<CFD> sigma = RandomSigma(rng, arity, 8);
+    CFD phi = RandomPhi(rng, sigma, arity);
+    const AttrDomains domains = RandomDomains(rng, arity, 4);
+    finite_cases += std::any_of(
+        domains.begin(), domains.end(),
+        [](const Domain* d) { return d != nullptr && d->finite(); });
+
+    auto infinite = Implies(sigma, phi, arity);
+    auto with_domains = Implies(sigma, phi, arity, domains);
+    auto in_general = Implies(sigma, phi, arity, domains, general);
+    ASSERT_TRUE(infinite.ok() && with_domains.ok() && in_general.ok());
+    ASSERT_EQ(*with_domains,
+              ReferenceImplies(sigma, phi, arity, domains, false))
+        << "case " << n << "\n" << Describe(sigma, phi);
+    ASSERT_EQ(*in_general,
+              ReferenceImplies(sigma, phi, arity, domains, true))
+        << "case " << n << " (general)\n" << Describe(sigma, phi);
+    ++(*in_general ? implied : not_implied);
+    domain_flips += *with_domains != *infinite;
+    general_flips += *in_general != *infinite;
+
+    if (sigma.empty()) continue;
+    auto sat = IsSatisfiable(sigma, arity, domains);
+    auto sat_general = IsSatisfiable(sigma, arity, domains, general);
+    auto sat_infinite = IsSatisfiable(sigma, arity);
+    ASSERT_TRUE(sat.ok() && sat_general.ok() && sat_infinite.ok());
+    ASSERT_EQ(*sat, ReferenceSatisfiable(sigma, arity, domains, false))
+        << "case " << n << "\n" << Describe(sigma, phi);
+    ASSERT_EQ(*sat_general,
+              ReferenceSatisfiable(sigma, arity, domains, true))
+        << "case " << n << " (general)\n" << Describe(sigma, phi);
+    ++(*sat_general ? satisfiable : unsatisfiable);
+    satisfiable_flips += *sat_general != *sat_infinite;
+  }
+  // The finite cases ran, both answers are common, and the domains
+  // changed the infinite-domain answer often enough to be tested.
+  EXPECT_GT(finite_cases, 2000u);
+  EXPECT_GT(implied, 1000u);
+  EXPECT_GT(not_implied, 500u);
+  EXPECT_GT(general_flips, 100u);
+  EXPECT_GT(domain_flips, 60u);
+  EXPECT_GT(satisfiable, 1000u);
+  EXPECT_GT(unsatisfiable, 200u);
+  EXPECT_GT(satisfiable_flips, 100u);
+}
+
+TEST_F(ImplicationDifferentialTest, FiniteDomainTesterMask) {
+  // ImplicationTester's alive mask and dropped attribute in the general
+  // setting, where MinCover's tests no longer copy the live Sigma.
+  Rng rng(5151);
+  ImplicationOptions general;
+  general.general_setting = true;
+  for (int n = 0; n < 1000; ++n) {
+    const size_t arity = 1 + rng.Below(6);
+    std::vector<CFD> sigma = RandomSigma(rng, arity, 8);
+    CFD phi = RandomCFD(rng, arity);
+    const AttrDomains domains = RandomDomains(rng, arity, 4);
+    std::vector<uint8_t> alive;
+    std::vector<CFD> live;
+    for (const CFD& c : sigma) {
+      alive.push_back(rng.Percent(75) ? 1 : 0);
+      if (alive.back() != 0) live.push_back(c);
+    }
+    size_t drop = SIZE_MAX;
+    CFD dropped = phi;
+    if (!phi.is_special_x() && !phi.lhs.empty() && rng.Percent(70)) {
+      drop = rng.Below(phi.lhs.size());
+      dropped.lhs.erase(dropped.lhs.begin() + drop);
+      dropped.lhs_pats.erase(dropped.lhs_pats.begin() + drop);
+    }
+    ImplicationTester tester(arity, domains, general);
+    auto got = tester.Implies(sigma, alive, phi, drop);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(*got, ReferenceImplies(live, dropped, arity, domains, true))
         << "case " << n << " drop " << drop << "\n"
         << Describe(live, dropped);
   }

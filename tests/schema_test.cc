@@ -90,5 +90,21 @@ TEST(CatalogTest, RejectsEmptyFiniteDomain) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(CatalogTest, RejectsRepeatedFiniteDomainValue) {
+  // Every branch on a cell of such a domain would search the same
+  // subtree twice.
+  Catalog cat;
+  const Value zero = cat.pool().Intern("0");
+  const Value one = cat.pool().Intern("1");
+  std::vector<Attribute> attrs;
+  attrs.push_back(Attribute{"val", Domain::Infinite()});
+  attrs.push_back(Attribute{"flag", Domain::Finite("flag", {zero, one, zero})});
+  auto r = cat.AddRelation("S", std::move(attrs));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("flag"), std::string::npos);
+  EXPECT_EQ(cat.num_relations(), 0u);
+}
+
 }  // namespace
 }  // namespace cfdprop

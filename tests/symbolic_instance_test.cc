@@ -1,4 +1,4 @@
-#include "src/chase/symbolic_instance.h"
+#include "tests/reference/symbolic_instance.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "src/tableau/tableau.h"
+#include "tests/reference/view_tableau.h"
 
 #include <gtest/gtest.h>
 

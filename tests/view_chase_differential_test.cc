@@ -1,13 +1,14 @@
-// Differential test of the flat chase kernel on view tableaux against a
-// reference built only from the public SymbolicInstance,
-// BuildViewTableau and Chase API. ComputeEQ, IsPropagated (free and
-// through a PropagationTester) and IsAlwaysEmpty run on the kernel
-// when no atom of the view has a finite-domain attribute, and on a
-// SymbolicInstance otherwise; both must agree with the reference on
-// seeded random catalogs (some with finite domains), views (constant
-// and column-equality selections, constant output columns, repeated
-// atoms) and source CFDs (special-x, constant-RHS, forbidden-pattern,
-// contradicting ones).
+// Differential test of the flat chase kernel on view tableaux against
+// the reference chase of tests/reference (SymbolicInstance,
+// BuildViewTableau, Chase and ExistsChaseBranch). ComputeEQ, IsPropagated
+// (free and through a PropagationTester) and IsAlwaysEmpty run on the
+// kernel, whose cells carry the atoms' domains; they must agree with the
+// reference on seeded random catalogs (some with finite domains), views
+// (constant and column-equality selections, constant output columns,
+// repeated atoms) and source CFDs (special-x, constant-RHS,
+// forbidden-pattern, contradicting ones), in the infinite-domain reading
+// and in the general setting, where both sides search the instantiations
+// of the finite-domain cells.
 
 #include <gtest/gtest.h>
 
@@ -19,13 +20,14 @@
 #include <vector>
 
 #include "src/base/rng.h"
-#include "src/chase/chase.h"
 #include "src/cover/compute_eq.h"
 #include "src/cover/propcfd_spc.h"
 #include "src/gen/generators.h"
 #include "src/propagation/emptiness.h"
 #include "src/propagation/propagation.h"
 #include "src/tableau/tableau.h"
+#include "tests/reference/chase.h"
+#include "tests/reference/view_tableau.h"
 
 namespace cfdprop {
 namespace {
@@ -139,6 +141,43 @@ class ViewChaseDifferentialTest : public ::testing::Test {
     return w;
   }
 
+  /// Appends up to two case splits to Sigma: on a finite attribute F of
+  /// a relation, one CFD per value of dom(F) forcing another attribute
+  /// to one constant (a conclusion only the general setting draws), or,
+  /// a third of the time, two conflicting constants per value (the
+  /// relation then has no tuple in the general setting).
+  void AddCaseSplits(Rng& rng, World& w) {
+    const size_t splits = rng.Below(3);
+    for (size_t k = 0; k < splits; ++k) {
+      const RelationId r =
+          static_cast<RelationId>(rng.Below(w.catalog.num_relations()));
+      const RelationSchema& schema = w.catalog.relation(r);
+      std::vector<AttrIndex> finite;
+      for (AttrIndex a = 0; a < schema.arity(); ++a) {
+        if (schema.attr(a).domain.finite()) finite.push_back(a);
+      }
+      if (finite.empty()) continue;
+      const AttrIndex f = finite[rng.Below(finite.size())];
+      const AttrIndex b = static_cast<AttrIndex>(
+          (f + 1 + rng.Below(schema.arity() - 1)) % schema.arity());
+      const size_t n = w.consts.size();
+      const size_t ci = rng.Below(n);
+      const Value c = w.consts[ci];
+      const bool conflict = rng.Percent(33);
+      for (Value v : schema.attr(f).domain.values()) {
+        const PatternValue when = PatternValue::Constant(v);
+        w.sigma.push_back(
+            CFD::Make(r, {f}, {when}, b, PatternValue::Constant(c)).value());
+        if (conflict) {
+          const Value other = w.consts[(ci + 1 + rng.Below(n - 1)) % n];
+          w.sigma.push_back(CFD::Make(r, {f}, {when}, b,
+                                      PatternValue::Constant(other))
+                                .value());
+        }
+      }
+    }
+  }
+
   /// A view CFD over `arity` output columns.
   CFD RandomViewCFD(Rng& rng, const World& w, size_t arity) {
     auto attr = [&] { return static_cast<AttrIndex>(rng.Below(arity)); };
@@ -250,6 +289,60 @@ class ViewChaseDifferentialTest : public ::testing::Test {
     return true;
   }
 
+  /// Sigma |=_V phi in the general setting, by the reference search;
+  /// ResourceExhausted past `budget` nodes for one combination.
+  Result<bool> ReferencePropagatedGeneral(const World& w, const CFD& phi,
+                                          const InstantiationOptions& budget) {
+    const auto& ds = w.view.disjuncts;
+    for (size_t i = 0; i < ds.size(); ++i) {
+      const size_t end = phi.is_special_x() ? i + 1 : ds.size();
+      for (size_t j = i; j < end; ++j) {
+        SymbolicInstance inst;
+        auto ti = BuildViewTableau(w.catalog, ds[i], inst);
+        EXPECT_TRUE(ti.ok()) << ti.status();
+        std::vector<CellId> t2 = ti->summary;
+        if (!phi.is_special_x()) {
+          auto tj = BuildViewTableau(w.catalog, ds[j], inst);
+          EXPECT_TRUE(tj.ok()) << tj.status();
+          t2 = tj->summary;
+          for (size_t l = 0; l < phi.lhs.size(); ++l) {
+            const AttrIndex a = phi.lhs[l];
+            inst.Union(ti->summary[a], t2[a]);
+            if (phi.lhs_pats[l].is_constant()) {
+              inst.BindConst(ti->summary[a], phi.lhs_pats[l].value());
+            }
+          }
+        }
+        CFDPROP_ASSIGN_OR_RETURN(
+            bool counterexample,
+            ExistsChaseBranch(
+                inst, w.sigma,
+                [&](SymbolicInstance& leaf) {
+                  return !Holds(leaf, phi, ti->summary, t2);
+                },
+                budget));
+        if (counterexample) return false;
+      }
+    }
+    return true;
+  }
+
+  /// IsAlwaysEmpty in the general setting, by the reference search.
+  Result<bool> ReferenceEmptyGeneral(const World& w,
+                                     const InstantiationOptions& budget) {
+    for (const SPCView& d : w.view.disjuncts) {
+      SymbolicInstance inst;
+      EXPECT_TRUE(BuildViewTableau(w.catalog, d, inst).ok());
+      CFDPROP_ASSIGN_OR_RETURN(
+          bool witness,
+          ExistsChaseBranch(
+              inst, w.sigma, [](SymbolicInstance&) { return true; },
+              budget));
+      if (witness) return false;
+    }
+    return true;
+  }
+
   bool ReferenceEmpty(const World& w) {
     for (const SPCView& d : w.view.disjuncts) {
       SymbolicInstance inst;
@@ -321,7 +414,7 @@ TEST_F(ViewChaseDifferentialTest, KernelAgreesWithSymbolicInstanceChase) {
     }
   }
   // Every outcome is common, so no side can pass by being constant, and
-  // both the kernel and the SymbolicInstance path ran.
+  // views with and without finite-domain atoms ran.
   EXPECT_GT(kernel_views, 1000u);
   EXPECT_GT(finite_views, 300u);
   EXPECT_GT(inconsistent, 300u);
@@ -330,6 +423,82 @@ TEST_F(ViewChaseDifferentialTest, KernelAgreesWithSymbolicInstanceChase) {
   EXPECT_GT(nonempty, 1000u);
   EXPECT_GT(propagated, 3000u);
   EXPECT_GT(not_propagated, 3000u);
+}
+
+TEST_F(ViewChaseDifferentialTest, GeneralSettingAgreesWithReferenceSearch) {
+  // IsAlwaysEmpty and IsPropagated with general_setting = true against
+  // the reference ExistsChaseBranch. The two searches may branch in
+  // different orders, so a case where either exceeds the node budget is
+  // not compared; the test bounds how many such cases there are.
+  Rng rng(32071);
+  InstantiationOptions budget;
+  budget.max_instantiations = 1u << 14;
+  EmptinessOptions empty_general;
+  empty_general.general_setting = true;
+  empty_general.instantiation = budget;
+  PropagationOptions general;
+  general.general_setting = true;
+  general.instantiation = budget;
+  size_t finite_worlds = 0, compared = 0, exhausted = 0;
+  size_t empty = 0, nonempty = 0, empty_flips = 0;
+  size_t propagated = 0, not_propagated = 0, propagated_flips = 0;
+  for (int n = 0; n < 1500; ++n) {
+    World w = RandomWorld(rng);
+    ASSERT_TRUE(w.view.Validate(w.catalog).ok());
+    finite_worlds += w.catalog.HasFiniteDomainAttr();
+    AddCaseSplits(rng, w);
+
+    auto is_empty = IsAlwaysEmpty(w.catalog, w.view, w.sigma, empty_general);
+    auto want_empty = ReferenceEmptyGeneral(w, budget);
+    if (!is_empty.ok() || !want_empty.ok()) {
+      ASSERT_EQ(is_empty.ok() ? want_empty.status().code()
+                              : is_empty.status().code(),
+                StatusCode::kResourceExhausted);
+      ++exhausted;
+    } else {
+      ASSERT_EQ(*is_empty, *want_empty)
+          << "case " << n << "\n" << Describe(w, nullptr);
+      ++(*is_empty ? empty : nonempty);
+      empty_flips += *is_empty != ReferenceEmpty(w);
+    }
+
+    std::vector<CFD> phis = UnionCandidates(w);
+    for (int k = 0; k < 6; ++k) {
+      phis.push_back(RandomViewCFD(rng, w, w.view.OutputArity()));
+    }
+    auto tester = PropagationTester::Make(w.catalog, w.view, w.sigma, general);
+    ASSERT_TRUE(tester.ok()) << tester.status();
+    for (const CFD& phi : phis) {
+      auto want = ReferencePropagatedGeneral(w, phi, budget);
+      auto got = tester->IsPropagated(phi);
+      auto once = IsPropagated(w.catalog, w.view, w.sigma, phi, general);
+      if (!want.ok() || !got.ok() || !once.ok()) {
+        for (const Status& st : {want.status(), got.status(), once.status()}) {
+          ASSERT_TRUE(st.ok() || st.code() == StatusCode::kResourceExhausted)
+              << st;
+        }
+        ++exhausted;
+        continue;
+      }
+      ASSERT_EQ(*got, *want) << "case " << n << "\n" << Describe(w, &phi);
+      ASSERT_EQ(*once, *want) << "case " << n << "\n" << Describe(w, &phi);
+      ++compared;
+      ++(*want ? propagated : not_propagated);
+      propagated_flips += *want != ReferencePropagated(w, phi);
+    }
+  }
+  // Finite-domain worlds ran, every outcome is common, the general
+  // setting changed the infinite-domain answer in enough cases to be
+  // tested, and few cases went uncompared.
+  EXPECT_GT(finite_worlds, 300u);
+  EXPECT_GT(compared, 10000u);
+  EXPECT_LT(exhausted, compared / 100);
+  EXPECT_GT(empty, 50u);
+  EXPECT_GT(nonempty, 500u);
+  EXPECT_GT(empty_flips, 15u);
+  EXPECT_GT(propagated, 2000u);
+  EXPECT_GT(not_propagated, 2000u);
+  EXPECT_GT(propagated_flips, 100u);
 }
 
 }  // namespace
