@@ -330,14 +330,12 @@ Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
   result.fingerprint = fp.key;
   result.timing.fingerprint_us = MicrosSince(start);
 
-  if (options_.use_cache) {
-    if (auto cached = cache_.Lookup(fp.key, fp.check, version)) {
-      result.cover = std::move(cached);
-      result.cache_hit = true;
-      result.timing.total_us = MicrosSince(start);
-      stats_.Record(result.timing, /*error=*/false);
-      return result;
-    }
+  if (auto cached = cache_.Lookup(fp.key, fp.check, version)) {
+    result.cover = std::move(cached);
+    result.cache_hit = true;
+    result.timing.total_us = MicrosSince(start);
+    stats_.Record(result.timing, /*error=*/false);
+    return result;
   }
 
   const auto compute_start = Clock::now();
@@ -355,7 +353,7 @@ Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
   cached->cover = std::move(computed->cover);
   cached->always_empty = computed->always_empty;
   cached->truncated = computed->truncated;
-  if (options_.use_cache && !cached->truncated) {
+  if (!cached->truncated) {
     // Truncated covers are budget artifacts, not the request's answer;
     // don't let them shadow a future full computation. The version
     // recorded here is the one the compute used: if Σ mutated
@@ -384,17 +382,14 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   result.fingerprint = ufp.fused.key;
   result.timing.fingerprint_us = MicrosSince(start);
 
-  if (options_.use_cache) {
-    if (auto cached = cache_.Lookup(ufp.fused.key, ufp.fused.check,
-                                    version)) {
-      result.cover = std::move(cached);
-      result.cache_hit = true;
-      result.disjunct_hits = result.disjunct_count;
-      result.timing.total_us = MicrosSince(start);
-      stats_.Record(result.timing, /*error=*/false);
-      stats_.RecordUnion(result.disjunct_count, 0);
-      return result;
-    }
+  if (auto cached = cache_.Lookup(ufp.fused.key, ufp.fused.check, version)) {
+    result.cover = std::move(cached);
+    result.cache_hit = true;
+    result.disjunct_hits = result.disjunct_count;
+    result.timing.total_us = MicrosSince(start);
+    stats_.Record(result.timing, /*error=*/false);
+    stats_.RecordUnion(result.disjunct_count, 0);
+    return result;
   }
 
   // Union-level miss: validate the union (cross-disjunct compatibility —
@@ -412,16 +407,14 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   per_disjunct.reserve(view.disjuncts.size());
   for (size_t j = 0; j < view.disjuncts.size(); ++j) {
     const RequestFingerprint& dfp = ufp.disjuncts[j];
-    if (options_.use_cache) {
-      if (auto hit = cache_.Lookup(dfp.key, dfp.check, version)) {
-        ++result.disjunct_hits;
-        PropCoverResult r;
-        r.cover = hit->cover;  // copy: the assembly consumes its inputs
-        r.always_empty = hit->always_empty;
-        r.truncated = hit->truncated;
-        per_disjunct.push_back(std::move(r));
-        continue;
-      }
+    if (auto hit = cache_.Lookup(dfp.key, dfp.check, version)) {
+      ++result.disjunct_hits;
+      PropCoverResult r;
+      r.cover = hit->cover;  // copy: the assembly consumes its inputs
+      r.always_empty = hit->always_empty;
+      r.truncated = hit->truncated;
+      per_disjunct.push_back(std::move(r));
+      continue;
     }
     auto computed = PropagationCoverSPC(catalog_, view.disjuncts[j], *sigma,
                                         cover_options);
@@ -433,7 +426,7 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
                          view.disjuncts.size() - result.disjunct_hits);
       return computed.status();
     }
-    if (options_.use_cache && !computed->truncated) {
+    if (!computed->truncated) {
       auto line = std::make_shared<CachedCover>();
       line->cover = computed->cover;  // copy: the original feeds assembly
       line->always_empty = computed->always_empty;
@@ -458,7 +451,7 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   cached->cover = std::move(assembled->cover);
   cached->always_empty = assembled->always_empty;
   cached->truncated = assembled->truncated;
-  if (options_.use_cache && !cached->truncated) {
+  if (!cached->truncated) {
     cache_.Insert(ufp.fused.key, ufp.fused.check, cached, version);
   }
   result.cover = std::move(cached);
@@ -550,7 +543,7 @@ std::vector<Result<EngineResult>> Engine::PropagateBatch(
   }
 
   // Wall vs. summed per-request time = the parallelism this batch
-  // actually achieved (par_eff in the stats line).
+  // actually achieved (cfdprop_batch_parallel_efficiency).
   double busy_us = 0;
   for (const auto& slot : slots) {
     if (slot->ok()) busy_us += (*slot)->timing.total_us;

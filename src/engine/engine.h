@@ -78,10 +78,6 @@ struct EngineOptions {
   size_t cache_capacity = 1024;
   size_t cache_shards = 8;
 
-  /// Disable to force every request down the compute path (baseline
-  /// measurements; the cache is still constructed but never consulted).
-  bool use_cache = true;
-
   /// Disable to drop latency-histogram bucket recording (timing sums and
   /// counters still accumulate) — the registry-disabled baseline
   /// BM_MetricsOverhead compares against.

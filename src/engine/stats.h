@@ -17,9 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
-#include "src/base/strfmt.h"
 #include "src/engine/cover_cache.h"
 #include "src/obs/metrics.h"
 
@@ -70,30 +68,6 @@ struct EngineStatsSnapshot {
     return batch_wall_us > 0 ? batch_busy_us / batch_wall_us : 0.0;
   }
   CacheStats cache;
-
-  std::string ToString() const {
-    return StrPrintf(
-        "requests=%llu errors=%llu batches=%llu "
-        "hit_rate=%.1f%% (hits=%llu misses=%llu evictions=%llu "
-        "invalidations=%llu entries=%zu restored=%llu "
-        "rejected=%llu) unions=%llu "
-        "disjunct_hits=%llu/%llu mutations=%llu "
-        "par_eff=%.2f compute=%.1fms total=%.1fms",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(errors),
-        static_cast<unsigned long long>(batches), 100.0 * cache.HitRate(),
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(cache.invalidations), cache.entries,
-        static_cast<unsigned long long>(cache.restored),
-        static_cast<unsigned long long>(cache.rejected),
-        static_cast<unsigned long long>(union_requests),
-        static_cast<unsigned long long>(disjunct_hits),
-        static_cast<unsigned long long>(disjunct_hits + disjunct_misses),
-        static_cast<unsigned long long>(sigma_mutations), BatchParallelism(),
-        compute_us / 1000.0, total_us / 1000.0);
-  }
 };
 
 class EngineStats {

@@ -31,8 +31,8 @@
 //                                       # default: all views once)
 //
 //   add-cfd R1: [AC=20] -> city=LDN     # sigma churn script: applied by
-//   drop-cfd R1: [zip] -> street        # the CLI batch mode between
-//                                       # serving rounds, in order
+//   drop-cfd R1: [zip] -> street        # `cfdprop_cli serve` after the
+//                                       # base rounds, in order
 //
 //   insert R1(20, 1234567, Mike, Portland, LDN, "W1B 1JL")
 //
@@ -80,8 +80,8 @@ struct Spec {
   std::vector<std::pair<RelationId, Tuple>> inserts;
 
   /// Sigma churn script (add-cfd / drop-cfd statements, in file order).
-  /// The CLI batch mode replays these against the engine's registered
-  /// sigma between serving rounds.
+  /// `cfdprop_cli serve` replays these against the tenant's registered
+  /// sigma after the base rounds, re-serving the round after each.
   std::vector<SigmaMutation> sigma_mutations;
 
   /// Serving round declared by `serve V1, V2, V1` statements (in file

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/base/strfmt.h"
-
 namespace cfdprop {
 
 namespace {
@@ -67,24 +65,6 @@ uint64_t CacheChangeCounter(const CacheStats& c) {
 }
 
 }  // namespace
-
-std::string TenantStatsSnapshot::ToString() const {
-  return StrPrintf("tenant %s: budget=%zu batches=%llu spills=%llu "
-                   "policy_spills=%llu last_spill_lines=%llu dirty=%llu "
-                   "admitted=%llu admission_rejected=%llu queued=%llu "
-                   "running=%llu ",
-                   name.c_str(), cache_budget,
-                   static_cast<unsigned long long>(batches_submitted),
-                   static_cast<unsigned long long>(spills),
-                   static_cast<unsigned long long>(policy_spills),
-                   static_cast<unsigned long long>(last_spill_lines),
-                   static_cast<unsigned long long>(dirty_lines),
-                   static_cast<unsigned long long>(admitted),
-                   static_cast<unsigned long long>(admission_rejected),
-                   static_cast<unsigned long long>(queued),
-                   static_cast<unsigned long long>(running)) +
-         engine.ToString();
-}
 
 CatalogService::CatalogService(ServiceOptions options)
     : options_(std::move(options)), metrics_(options_.engine.metrics) {
@@ -831,8 +811,7 @@ std::vector<obs::MetricFamilySamples> CatalogService::CollectFamilies() const {
   per_tenant("cfdprop_dirty_lines", MetricType::kGauge,
              "Cache changes since the tenant's last spill",
              +[](const TS& t) { return static_cast<double>(t.dirty_lines); });
-  // Engine latency distributions (sums back total=/compute= in
-  // ToString()).
+  // Engine latency distributions.
   per_tenant_hist("cfdprop_request_latency_us",
                   "Per-request serve latency in microseconds",
                   +[](const TS& t) -> const obs::HistogramSnapshot& {

@@ -239,9 +239,6 @@ struct TenantStatsSnapshot {
   uint64_t queued = 0;
   uint64_t running = 0;
   EngineStatsSnapshot engine;
-
-  /// "tenant <name>: budget=... batches=... spills=... <engine stats>".
-  std::string ToString() const;
 };
 
 struct ServiceStatsSnapshot {

@@ -48,3 +48,22 @@ start_listen() {
   echo "listen reported no port within 60 s" >&2
   return 1
 }
+
+# expect_lines FILE HEADER LINE...: each LINE is, exactly, a whole line
+# of the block of FILE that HEADER opens: the lines after the first line
+# that starts with HEADER, up to the next "==" header. Stats print as
+# metrics exposition series, so a LINE is usually one series, e.g.
+# 'cfdprop_cache_hits_total{tenant="t"} 46' in the "== base rounds =="
+# block.
+expect_lines() {
+  local file=$1 header=$2 line
+  shift 2
+  awk -v h="$header" 'f && /^==/ {exit} f; index($0, h) == 1 {f=1}' \
+    "$file" > "$file.block"
+  for line in "$@"; do
+    if ! grep -qxF -- "$line" "$file.block"; then
+      echo "$file: no line '$line' in the block of '$header'" >&2
+      return 1
+    fi
+  done
+}

@@ -5,18 +5,19 @@
 # memory error, no undefined behavior".
 source "$(dirname "$0")/common.sh"
 
-# Churn smoke.
-"$cli" batch examples/specs/churn_demo.spec \
-  --repeat 2 --threads 4 --quiet
+# Churn smoke (one tenant).
+"$cli" serve --tenant t=examples/specs/churn_demo.spec \
+  --rounds 2 --threads 4 --quiet
 
-# Persistence smoke.
-"$cli" batch examples/specs/batch_demo.spec \
-  --repeat 2 --threads 4 --quiet --snapshot-out s.ccsnap
-"$cli" batch examples/specs/batch_demo.spec \
-  --repeat 2 --threads 4 --quiet --snapshot-in s.ccsnap > s_warm.out
-grep -q "restored=4 rejected=0" s_warm.out
+# Persistence smoke (one tenant).
+rm -rf ssnap
+"$cli" serve --tenant t=examples/specs/batch_demo.spec \
+  --rounds 2 --threads 4 --quiet --snapshot-dir ssnap --no-churn
+"$cli" serve --tenant t=examples/specs/batch_demo.spec \
+  --rounds 2 --threads 4 --quiet --snapshot-dir ssnap > s_warm.out
+grep -Eqx "tenant t: opened .* restored=4 rejected=0" s_warm.out
 
-# Serve smoke.
+# Multi-tenant serve smoke.
 # Dispatchers, per-engine workers, the policy thread and churn
 # all racing: the smoke just has to come out clean (determinism
 # is service_test.sh's problem).

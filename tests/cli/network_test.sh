@@ -3,7 +3,8 @@
 # Hit patterns and admission admit/reject counts are deterministic
 # (single client, --threads 1, burst admission is atomic) and are read
 # from the METRICS scrape — the one stats surface — which must agree
-# with the server's printed ledger and its --metrics-dump file. The
+# with the exposition the server prints at shutdown and its
+# --metrics-dump file. The
 # covers the client prints must be byte-identical to in-process
 # `serve` on the same specs.
 source "$(dirname "$0")/common.sh"
@@ -68,19 +69,25 @@ grep -qx 'cfdprop_net_connections_total{shard="0"} 1' client.out
 grep -qx 'cfdprop_net_decode_errors_total{shard="0"} 0' client.out
 grep -Eq 'cfdprop_net_stage_latency_us_count\{shard="0",stage="decode"\} [0-9]+' client.out
 
-# Scrape agrees with the server ledger and the shutdown dump.
-# The ledger the server printed and the series the client
-# scraped are the same counters (one client connection, zero
-# decode errors; 12 frames = 2 opens + 6 rounds + 2 bursts +
+# Scrape agrees with the server's shutdown exposition and dump.
+# The series the server printed at shutdown and the ones the
+# client scraped are the same counters (one client connection,
+# zero decode errors; 12 frames = 2 opens + 6 rounds + 2 bursts +
 # the scrape + the shutdown).
-grep -q "tenant hq: .*hits=21 misses=4" listen.out
-grep -q "tenant eu: .*hits=23 misses=4" listen.out
-grep -q "tenant hq: .*admitted=5 admission_rejected=2" listen.out
-grep -q "tenant eu: .*admitted=5 admission_rejected=2" listen.out
-grep -q "tenant hq admission: admitted=5 rejected=2" listen.out
-grep -q "tenant eu admission: admitted=5 rejected=2" listen.out
-grep -q "net: connections=1 frames=12 decode_errors=0" listen.out
+expect_lines listen.out "== metrics ==" \
+  'cfdprop_cache_hits_total{tenant="hq"} 21' \
+  'cfdprop_cache_misses_total{tenant="hq"} 4' \
+  'cfdprop_cache_hits_total{tenant="eu"} 23' \
+  'cfdprop_cache_misses_total{tenant="eu"} 4' \
+  'cfdprop_admitted_total{tenant="hq"} 5' \
+  'cfdprop_admission_rejected_total{tenant="hq"} 2' \
+  'cfdprop_admitted_total{tenant="eu"} 5' \
+  'cfdprop_admission_rejected_total{tenant="eu"} 2' \
+  'cfdprop_net_connections_total 1' \
+  'cfdprop_net_frames_total 12' \
+  'cfdprop_net_decode_errors_total 0'
 grep -q "metrics dumped to listen_metrics.txt" listen.out
+
 # --metrics-dump renders the same registry at shutdown: every
 # cache/admission series settled before the scrape, so the two
 # expositions must agree on them line for line once the

@@ -23,9 +23,13 @@ test "$(grep -c 'budget=128' serve_cold.out)" -ge 3
 # tenants 4 misses + 11 hits over 3 rounds of 5 views;
 # multi_tenant_demo 4 misses + 13 hits (its serve round repeats
 # ByRegion and its union partial-hits both disjuncts).
-grep -q "tenant hq base: .*hits=11 misses=4" serve_cold.out
-grep -q "tenant eu base: .*hits=13 misses=4" serve_cold.out
-grep -q "tenant ap base: .*hits=11 misses=4" serve_cold.out
+expect_lines serve_cold.out "== base rounds ==" \
+  'cfdprop_cache_hits_total{tenant="hq"} 11' \
+  'cfdprop_cache_misses_total{tenant="hq"} 4' \
+  'cfdprop_cache_hits_total{tenant="eu"} 13' \
+  'cfdprop_cache_misses_total{tenant="eu"} 4' \
+  'cfdprop_cache_hits_total{tenant="ap"} 11' \
+  'cfdprop_cache_misses_total{tenant="ap"} 4'
 grep -q "union 2/2 disjunct hits" serve_cold.out
 # The BACKGROUND thread spilled every tenant (not the explicit
 # final flush — policy_spills counts only the policy thread).
@@ -55,9 +59,13 @@ grep -Eq "tenant hq: opened .* restored=4 rejected=0" serve_warm.out
 grep -Eq "tenant eu: opened .* restored=4 rejected=0" serve_warm.out
 grep -Eq "tenant ap: opened .* restored=4 rejected=0" serve_warm.out
 # 100% base-round hits: the warm run never recomputes.
-grep -q "tenant hq base: .*hits=15 misses=0" serve_warm.out
-grep -q "tenant eu base: .*hits=15 misses=0" serve_warm.out
-grep -q "tenant ap base: .*hits=15 misses=0" serve_warm.out
+expect_lines serve_warm.out "== base rounds ==" \
+  'cfdprop_cache_hits_total{tenant="hq"} 15' \
+  'cfdprop_cache_misses_total{tenant="hq"} 0' \
+  'cfdprop_cache_hits_total{tenant="eu"} 15' \
+  'cfdprop_cache_misses_total{tenant="eu"} 0' \
+  'cfdprop_cache_hits_total{tenant="ap"} 15' \
+  'cfdprop_cache_misses_total{tenant="ap"} 0'
 # Served covers byte-identical to the cold pass, all tenants.
 diff <(grep -E '^(view|  cfd)' serve_cold.out) \
      <(grep -E '^(view|  cfd)' serve_warm.out)
@@ -72,4 +80,6 @@ diff <(grep -E '^(view|  cfd)' serve_cold.out) \
   --rounds 2 --threads 1 --snapshot-dir snapdir --no-churn \
   | tee serve_mismatch.out
 grep -Eq "tenant eu: opened .* restored=0 rejected=4" serve_mismatch.out
-grep -q "tenant eu base: .*hits=6 misses=4" serve_mismatch.out
+expect_lines serve_mismatch.out "== base rounds ==" \
+  'cfdprop_cache_hits_total{tenant="eu"} 6' \
+  'cfdprop_cache_misses_total{tenant="eu"} 4'

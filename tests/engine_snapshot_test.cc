@@ -306,7 +306,9 @@ TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
   const std::string good = ReadFile(path);
   ASSERT_GT(good.size(), 24u);
 
-  auto expect_rejected = [&](const std::string& bytes, const char* what) {
+  // `reason`, when given, must appear in the rejection's message.
+  auto expect_rejected = [&](const std::string& bytes, const char* what,
+                             const char* reason = nullptr) {
     WriteFile(path, bytes);
     Workload fresh_w;
     fresh_w.options.num_threads = 1;
@@ -314,6 +316,10 @@ TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
     ASSERT_NE(fresh, nullptr);
     auto loaded = fresh->LoadSnapshot(path);
     EXPECT_FALSE(loaded.ok()) << what;
+    if (reason != nullptr) {
+      EXPECT_NE(loaded.status().ToString().find(reason), std::string::npos)
+          << what << ": " << loaded.status();
+    }
     // Nothing half-restored: the cache is exactly as cold as before.
     EXPECT_EQ(fresh->Stats().cache.entries, 0u) << what;
     EXPECT_EQ(fresh->Stats().cache.restored, 0u) << what;
@@ -337,7 +343,7 @@ TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
   {
     std::string bad = good;
     bad[8] = static_cast<char>(kSnapshotVersion + 1);
-    expect_rejected(bad, "version bump");
+    expect_rejected(bad, "version bump", "format version");
   }
   // Bit rot in the middle of the payload: caught by the checksum.
   {

@@ -29,6 +29,8 @@ cfd T: [tier] -> rep
 view ByRegion = pi("r" as tag, 0.region as region, 0.rep as rep) from(T)
 view GoldReps = pi("g" as tag, 0.cust as cust, 0.rep as rep) sigma(0.tier = "gold") from(T)
 
+union AllReps = ByRegion, GoldReps
+
 serve ByRegion, GoldReps, ByRegion
 )";
 
@@ -66,10 +68,22 @@ TEST(MetricsExportTest, ServiceRenderMatchesStatsSnapshot) {
     BatchReply reply = submitted->get();
     for (const auto& r : reply.results) ASSERT_TRUE(r.ok()) << r.status();
   }
+  // One Σ mutation (it drops the old version's lines: invalidations),
+  // then a union request (disjunct hits and misses) on the new Σ.
+  ASSERT_TRUE((*handle)->engine().RetractCfd(0, spec->source_cfds[1]).ok());
+  {
+    auto submitted =
+        service.SubmitBatch("hq", {{spec->views.at("AllReps"), 0}});
+    ASSERT_TRUE(submitted.ok()) << submitted.status();
+    BatchReply reply = submitted->get();
+    for (const auto& r : reply.results) ASSERT_TRUE(r.ok()) << r.status();
+  }
 
   ServiceStatsSnapshot stats = service.Stats();
   ASSERT_EQ(stats.tenants.size(), 1u);
   const TenantStatsSnapshot& hq = stats.tenants[0];
+  ASSERT_EQ(hq.engine.sigma_mutations, 1u);
+  ASSERT_EQ(hq.engine.union_requests, 1u);
 
   auto parsed = obs::ParseMetricsText(service.RenderMetricsText());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -89,6 +103,36 @@ TEST(MetricsExportTest, ServiceRenderMatchesStatsSnapshot) {
   EXPECT_DOUBLE_EQ(parsed->Value("cfdprop_batches_completed_total"),
                    static_cast<double>(stats.batches_completed));
   EXPECT_DOUBLE_EQ(parsed->Value("cfdprop_tenants"), 1.0);
+  // The series the CLI scenario tests read in place of a stats line.
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_cache_invalidations_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.cache.invalidations));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_cache_restored_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.cache.restored));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_cache_rejected_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.cache.rejected));
+  EXPECT_DOUBLE_EQ(parsed->Value("cfdprop_cache_entries{tenant=\"hq\"}"),
+                   static_cast<double>(hq.engine.cache.entries));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_sigma_mutations_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.sigma_mutations));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_union_requests_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.union_requests));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_disjunct_hits_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.disjunct_hits));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_disjunct_misses_total{tenant=\"hq\"}"),
+      static_cast<double>(hq.engine.disjunct_misses));
+  EXPECT_DOUBLE_EQ(
+      parsed->Value("cfdprop_batch_parallel_efficiency{tenant=\"hq\"}"),
+      hq.engine.BatchParallelism());
+  EXPECT_GT(hq.engine.cache.invalidations, 0u);
+  EXPECT_GT(hq.engine.disjunct_misses, 0u);
+  EXPECT_GT(hq.engine.BatchParallelism(), 0.0);
   EXPECT_GT(parsed->Value("cfdprop_cache_hits_total{tenant=\"hq\"}"), 0.0);
   EXPECT_GT(parsed->Value("cfdprop_cache_misses_total{tenant=\"hq\"}"), 0.0);
 

@@ -12,30 +12,35 @@
 //   cfdprop_cli SPEC --validate     evaluate views on the insert data
 //                                    and report CFD violations
 //
-//   cfdprop_cli batch SPEC [--threads N] [--repeat K] [--cache N]
-//               [--snapshot-in F] [--snapshot-out F]
-//                                    serve every declared view (SPC and
-//                                    SPCU/union) through the propagation
-//                                    engine: registered Sigma, fingerprint
-//                                    cache, worker pool. --repeat replays
-//                                    the request list K times to exercise
-//                                    the cache; --cache sets its capacity.
-//                                    add-cfd/drop-cfd statements in the
-//                                    spec are applied after the base
-//                                    rounds, re-serving the round after
-//                                    each mutation (selective cache
-//                                    invalidation, see engine stats).
-//                                    --snapshot-in warm-starts the cover
-//                                    cache from a snapshot file before
-//                                    serving (a mismatched/corrupt file
-//                                    is rejected and the run proceeds
-//                                    cold); --snapshot-out spills the
-//                                    cache after the base rounds — the
-//                                    state a restart wants back, before
-//                                    the churn script mutates Sigma.
-//                                    A `serve V1, V2, ...` statement in
-//                                    the spec overrides which views make
-//                                    up a serving round.
+//   cfdprop_cli serve --tenant NAME=SPEC [--tenant NAME=SPEC ...]
+//               [--rounds K] [--threads N] [--dispatchers N]
+//               [--budget N] [--snapshot-dir DIR] [--interval-ms N]
+//               [--dirty N] [--quiet] [--no-churn] [--metrics-dump PATH]
+//                                    the local serving mode: each --tenant
+//                                    loads one spec as a named catalog
+//                                    behind one CatalogService (one
+//                                    tenant is the single-spec case) and
+//                                    the tenants' serving rounds (a spec's
+//                                    `serve V1, V2, ...` list, else every
+//                                    view) are submitted as overlapping
+//                                    async batches for --rounds rounds;
+//                                    each tenant's add-cfd/drop-cfd
+//                                    script then replays while every
+//                                    other tenant keeps serving
+//                                    (--no-churn skips it). --budget is
+//                                    the global cover-cache entry budget
+//                                    split across tenants; --snapshot-dir
+//                                    warm-starts each tenant from
+//                                    DIR/NAME.ccsnap (a mismatched or
+//                                    corrupt file restores nothing and the
+//                                    tenant serves cold) and spills to it
+//                                    at exit and, with --interval-ms/
+//                                    --dirty, in the background. Stats
+//                                    print as metrics exposition series
+//                                    (src/obs) after the base rounds,
+//                                    after each churn step and at exit;
+//                                    --metrics-dump also writes the exit
+//                                    exposition to a file.
 //
 //   cfdprop_cli listen [--host H] [--port N] [--tenant NAME=SPEC ...]
 //               [--threads N] [--dispatchers N] [--budget N]
@@ -58,9 +63,10 @@
 //                                    (0 = blocking forever) so a hung
 //                                    peer costs one deadline window, not
 //                                    a wedged connection thread;
-//                                    --metrics-dump writes the final
-//                                    metrics exposition (src/obs) to a
-//                                    file on shutdown. --trace-dump
+//                                    the metrics exposition (src/obs)
+//                                    prints on shutdown, and
+//                                    --metrics-dump also writes it to a
+//                                    file. --trace-dump
 //                                    installs the process tracer
 //                                    (src/obs/trace.h) and writes the
 //                                    stitched span trees to a file on
@@ -113,32 +119,12 @@
 //                                    span trees; --shutdown stops every
 //                                    backend.
 //
-//   cfdprop_cli serve --tenant NAME=SPEC [--tenant NAME=SPEC ...]
-//               [--rounds K] [--threads N] [--dispatchers N]
-//               [--budget N] [--snapshot-dir DIR] [--interval-ms N]
-//               [--dirty N] [--quiet] [--no-churn] [--metrics-dump PATH]
-//                                    multi-tenant mode: each --tenant
-//                                    loads one spec as a named catalog
-//                                    behind one CatalogService and the
-//                                    tenants' rounds are submitted as
-//                                    overlapping async batches for
-//                                    --rounds rounds; each tenant's
-//                                    churn script then replays while
-//                                    every other tenant keeps serving.
-//                                    --budget is the global cover-cache
-//                                    entry budget split across tenants;
-//                                    --snapshot-dir enables warm starts
-//                                    from (and background spills to)
-//                                    per-tenant snapshot files, with the
-//                                    policy knobs --interval-ms/--dirty.
-//
 // Exit status: 0 on success, 1 on usage/parse errors, 2 when --validate
 // found violations or --check found a non-propagated declared CFD.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include <algorithm>
@@ -176,13 +162,29 @@ int Fail(const Status& s) {
 }
 
 /// Reads a whole file; the network modes ship spec *text* (the server
-/// parses it), the local modes parse it via LoadSpec.
+/// parses it), the local modes parse it via LoadSpec. A failed read (a
+/// directory opens but reads EISDIR) is an error naming the path; an
+/// empty regular file is the empty text.
 Result<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound("cannot open " + path + ": " +
+                            std::strerror(errno));
+  }
+  std::string text;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    text.append(chunk, n);
+  }
+  const bool failed = std::ferror(f) != 0;
+  const int read_errno = errno;
+  std::fclose(f);
+  if (failed) {
+    return Status::InvalidArgument("cannot read " + path + ": " +
+                                   std::strerror(read_errno));
+  }
+  return text;
 }
 
 /// Reads and parses a spec file; exits with a message via the returned
@@ -439,147 +441,6 @@ bool ReportRequestErrors(const std::string& tenant,
   return ok;
 }
 
-int RunBatch(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s batch SPEC [--threads N] [--repeat K]"
-                 " [--cache N] [--no-cache] [--quiet]"
-                 " [--snapshot-in FILE] [--snapshot-out FILE]\n",
-                 argv[0]);
-    return 1;
-  }
-  auto spec = LoadSpec(argv[2]);
-  if (!spec.ok()) return Fail(spec.status());
-
-  EngineOptions options;
-  size_t repeat = 1;
-  bool quiet = false, no_cache = false;
-  std::string snapshot_in, snapshot_out;
-  for (int i = 3; i < argc; ++i) {
-    if (ParseStringFlag(argc, argv, &i, "--snapshot-in", &snapshot_in) ||
-        ParseStringFlag(argc, argv, &i, "--snapshot-out", &snapshot_out) ||
-        ParseSizeFlag(argc, argv, &i, "--threads", &options.num_threads) ||
-        ParseSizeFlag(argc, argv, &i, "--repeat", &repeat) ||
-        ParseSizeFlag(argc, argv, &i, "--cache", &options.cache_capacity) ||
-        ParseBoolFlag(argv[i], "--no-cache", &no_cache) ||
-        ParseBoolFlag(argv[i], "--quiet", &quiet)) {
-      continue;
-    }
-    std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-    return 1;
-  }
-  if (no_cache || options.cache_capacity == 0) options.use_cache = false;
-  Engine engine(std::move(spec->catalog), options);
-  auto sigma_id = engine.RegisterSigma(spec->source_cfds);
-  if (!sigma_id.ok()) return Fail(sigma_id.status());
-
-  // Warm start: restore cached covers spilled by a previous run. A
-  // rejected file (version bump, changed Sigma, corruption) is not an
-  // error — the run just serves cold, exactly as if no snapshot existed.
-  if (!snapshot_in.empty()) {
-    auto loaded = engine.LoadSnapshot(snapshot_in);
-    if (loaded.ok()) {
-      std::printf("== snapshot ==\n  loaded %s: restored=%llu "
-                  "rejected=%llu\n",
-                  snapshot_in.c_str(),
-                  static_cast<unsigned long long>(loaded->restored),
-                  static_cast<unsigned long long>(loaded->rejected));
-    } else {
-      std::printf("== snapshot ==\n  rejected %s: %s (restored=0)\n",
-                  snapshot_in.c_str(),
-                  loaded.status().ToString().c_str());
-    }
-  }
-
-  // The serving round: the spec's `serve` list when declared, else one
-  // request per declared view. The engine serves SPC and SPCU alike
-  // (union requests assemble from the per-disjunct cache lines).
-  std::vector<Engine::Request> round;
-  std::vector<std::string> round_names;
-  for (const std::string& name : spec->ServingRound()) {
-    round.push_back({spec->views.at(name), *sigma_id});
-    round_names.push_back(name);
-  }
-  // Replay the same round `repeat` times rather than materializing
-  // repeat * |round| request copies; stats aggregate across batches.
-  const size_t total_requests = round.size() * repeat;
-  std::vector<Result<EngineResult>> results;
-  int rc = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (size_t k = 0; k < repeat; ++k) {
-    auto batch = engine.PropagateBatch(round);
-    for (auto& r : batch) {
-      if (!r.ok()) rc = 1;
-    }
-    if (k == 0) results = std::move(batch);
-  }
-  double elapsed_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-  auto print_result = [&](const std::string& name,
-                          const Result<EngineResult>& r) {
-    if (!r.ok()) {
-      rc = Fail(r.status());
-      return;
-    }
-    PrintCover(name, name, spec->views.at(name), *r, engine.catalog().pool(),
-               quiet);
-  };
-  for (size_t i = 0; i < round.size() && i < results.size(); ++i) {
-    print_result(round_names[i], results[i]);
-  }
-  EngineStatsSnapshot stats = engine.Stats();
-  std::printf("== engine stats ==\n  %s\n", stats.ToString().c_str());
-  std::printf("  batch: %zu requests in %.2f ms (%.0f covers/sec, "
-              "%zu threads)\n",
-              total_requests, elapsed_ms,
-              elapsed_ms > 0 ? 1000.0 * total_requests / elapsed_ms : 0.0,
-              // 0 and 1 both serve inline on the calling thread.
-              std::max<size_t>(1, engine.options().num_threads));
-
-  // Spill the cache now, before the churn script mutates Sigma: a
-  // restart re-registers the spec's base Sigma, so this is the state it
-  // can actually warm from (post-churn lines would just be rejected).
-  if (!snapshot_out.empty()) {
-    auto saved = engine.SaveSnapshot(snapshot_out);
-    if (saved.ok()) {
-      std::printf("  snapshot saved to %s (lines=%llu)\n",
-                  snapshot_out.c_str(),
-                  static_cast<unsigned long long>(*saved));
-    } else {
-      rc = Fail(saved.status());
-    }
-  }
-
-  // Sigma churn script: apply each add-cfd/drop-cfd in file order and
-  // re-serve the round after every step. Only the mutated sigma's cache
-  // lines drop (watch invalidations in the stats); every other line
-  // keeps hitting.
-  for (const SigmaMutation& m : spec->sigma_mutations) {
-    const RelationSchema& rel = engine.catalog().relation(m.cfd.relation);
-    std::string rendered =
-        FormatCFD(m.cfd, engine.catalog().pool(), rel.name(),
-                  [&rel](AttrIndex a) {
-                    return a < rel.arity() ? rel.attr(a).name
-                                           : "#" + std::to_string(a);
-                  });
-    Status applied = m.add ? engine.AddCfd(*sigma_id, m.cfd)
-                           : engine.RetractCfd(*sigma_id, m.cfd);
-    if (!applied.ok()) {
-      rc = Fail(applied);
-      continue;
-    }
-    std::printf("== churn: applied %s-cfd (%s) ==\n", m.add ? "add" : "drop",
-                rendered.c_str());
-    auto batch = engine.PropagateBatch(round);
-    for (size_t i = 0; i < round.size() && i < batch.size(); ++i) {
-      print_result(round_names[i], batch[i]);
-    }
-    std::printf("  %s\n", engine.Stats().ToString().c_str());
-  }
-  return rc;
-}
-
 // ---------------------------------------------------------------------
 // serve mode: many specs as tenants behind one CatalogService
 // ---------------------------------------------------------------------
@@ -764,10 +625,7 @@ int RunServe(int argc, char** argv) {
                         elapsed_ms
                   : 0.0,
               tenants.size(), service.options().dispatcher_threads);
-  for (const TenantCtx& t : tenants) {
-    std::printf("tenant %s base: %s\n", t.name.c_str(),
-                t.handle->engine().Stats().ToString().c_str());
-  }
+  std::fputs(service.RenderMetricsText().c_str(), stdout);
 
   // When the background policy is on, prove it settles before moving
   // on: every tenant must drop below the dirty threshold, which on a
@@ -831,7 +689,7 @@ int RunServe(int argc, char** argv) {
         // Every tenant's round stays in flight during the churned
         // tenant's re-serve; only the churned covers print.
         serve_round(static_cast<int>(ti));
-        std::printf("  %s\n", engine.Stats().ToString().c_str());
+        std::fputs(service.RenderMetricsText().c_str(), stdout);
       }
     }
   }
@@ -850,19 +708,10 @@ int RunServe(int argc, char** argv) {
     }
   }
 
-  ServiceStatsSnapshot stats = service.Stats();
-  std::printf("== service stats ==\n");
-  for (const TenantStatsSnapshot& t : stats.tenants) {
-    std::printf("  %s\n", t.ToString().c_str());
-  }
-  std::printf("  service: tenants=%zu budget=%zu submitted=%llu "
-              "completed=%llu\n",
-              stats.tenants.size(), stats.global_cache_budget,
-              static_cast<unsigned long long>(stats.batches_submitted),
-              static_cast<unsigned long long>(stats.batches_completed));
+  const std::string metrics = service.RenderMetricsText();
+  std::printf("== metrics ==\n%s", metrics.c_str());
   if (!flags.metrics_dump.empty()) {
-    Status dumped = WriteFileText(flags.metrics_dump,
-                                  service.RenderMetricsText());
+    Status dumped = WriteFileText(flags.metrics_dump, metrics);
     if (!dumped.ok()) return Fail(dumped);
     std::printf("metrics dumped to %s\n", flags.metrics_dump.c_str());
   }
@@ -960,40 +809,13 @@ int RunListen(int argc, char** argv) {
 
   server.WaitForShutdown();
 
-  ServiceStatsSnapshot stats = service.Stats();
-  std::printf("== service stats ==\n");
-  for (const TenantStatsSnapshot& t : stats.tenants) {
-    std::printf("  %s\n", t.ToString().c_str());
-  }
-  std::printf("  service: tenants=%zu budget=%zu submitted=%llu "
-              "completed=%llu rejected=%llu\n",
-              stats.tenants.size(), stats.global_cache_budget,
-              static_cast<unsigned long long>(stats.batches_submitted),
-              static_cast<unsigned long long>(stats.batches_completed),
-              static_cast<unsigned long long>(stats.batches_rejected));
-  net::CoverServerStats net_stats = server.Stats();
-  std::printf("  net: connections=%llu frames=%llu decode_errors=%llu"
-              " deadlines_exceeded=%llu\n",
-              static_cast<unsigned long long>(net_stats.connections_accepted),
-              static_cast<unsigned long long>(net_stats.frames_served),
-              static_cast<unsigned long long>(net_stats.decode_errors),
-              static_cast<unsigned long long>(net_stats.deadlines_exceeded));
-  // Per-tenant admission outcome at a glance — the same counters the
-  // cfdprop_admitted_total / cfdprop_admission_rejected_total series
-  // export, so tests/cli/network_test.sh can diff this ledger against a
-  // metrics scrape.
-  for (const TenantStatsSnapshot& t : stats.tenants) {
-    std::printf("  tenant %s admission: admitted=%llu rejected=%llu\n",
-                t.name.c_str(),
-                static_cast<unsigned long long>(t.admitted),
-                static_cast<unsigned long long>(t.admission_rejected));
-  }
-  // The dump renders before Stop(): the server's net-layer collector
-  // (connections/frames/decode_errors, net stage histograms) is removed
-  // on Stop, and the dump should include every layer.
+  // The exposition renders before Stop(): the server's net-layer
+  // collector (connections/frames/decode_errors, net stage histograms)
+  // is removed on Stop, and the stats should include every layer.
+  const std::string metrics = service.RenderMetricsText();
+  std::printf("== metrics ==\n%s", metrics.c_str());
   if (!flags.metrics_dump.empty()) {
-    Status dumped = WriteFileText(flags.metrics_dump,
-                                  service.RenderMetricsText());
+    Status dumped = WriteFileText(flags.metrics_dump, metrics);
     if (!dumped.ok()) {
       server.Stop();
       return Fail(dumped);
@@ -1298,9 +1120,6 @@ int RunClient(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && !std::strcmp(argv[1], "batch")) {
-    return RunBatch(argc, argv);
-  }
   if (argc >= 2 && !std::strcmp(argv[1], "serve")) {
     return RunServe(argc, argv);
   }
@@ -1314,16 +1133,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s SPEC [--check|--cover|--emptiness|--validate]"
                  " [--general]\n"
-                 "       %s batch|serve|listen|client ...\n",
+                 "       %s serve|listen|client ...\n",
                  argv[0], argv[0]);
     return 1;
   }
   auto text = ReadFileText(argv[1]);
   if (!text.ok()) {
     std::fprintf(stderr,
-                 "error: '%s' is neither a mode (batch, serve, listen, "
-                 "client) nor a readable spec file\n",
-                 argv[1]);
+                 "error: '%s' is neither a mode (serve, listen, client) "
+                 "nor a readable spec file (%s)\n",
+                 argv[1], text.status().ToString().c_str());
     return 1;
   }
   auto spec = ParseSpec(*text);
