@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,11 +139,13 @@ void BM_PropagationCoverTenant(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagationCoverTenant)->Unit(benchmark::kMicrosecond);
 
-// churn-write's tenant 0 (seed 1): |Σ| = 256 minimized once, 16 SPC
-// views V0..V15 and the 16 unions U_i = V_i ∪ V_{i+1}.
+// churn-write's tenant 0 (seed 1): |Σ| = 256 minimized once (and
+// grouped, as the engine serves it), 16 SPC views V0..V15 and the 16
+// unions U_i = V_i ∪ V_{i+1}.
 struct ChurnTenant {
   Spec spec;
   std::vector<CFD> sigma;
+  std::optional<SigmaGroups> groups;  // over `sigma`
   std::vector<const SPCView*> views;
   std::vector<const SPCUView*> unions;
 };
@@ -153,10 +156,13 @@ ChurnTenant MakeChurnTenant() {
   plan.options.num_cfds = 256;
   plan.options.num_views = 16;
   plan.with_unions = true;
-  ChurnTenant t{gen::BuildTenantSpec(plan, 0), {}, {}, {}};
+  ChurnTenant t{gen::BuildTenantSpec(plan, 0), {}, {}, {}, {}};
   auto sigma = MinCoverSigma(t.spec.catalog, t.spec.source_cfds);
   if (!sigma.ok()) std::abort();
   t.sigma = std::move(sigma).value();
+  auto groups = SigmaGroups::Make(&t.spec.catalog, t.sigma);
+  if (!groups.ok()) std::abort();
+  t.groups.emplace(std::move(groups).value());
   for (const std::string& name : t.spec.view_names) {
     const SPCUView& view = t.spec.views.at(name);
     if (view.disjuncts.size() == 1) {
@@ -200,7 +206,7 @@ void BM_ComputeEQ(benchmark::State& state) {
   ChurnTenant t = MakeChurnTenant();
   size_t next = 0;
   for (auto _ : state) {
-    auto r = ComputeEQ(t.spec.catalog, *t.views[next], t.sigma);
+    auto r = ComputeEQ(t.spec.catalog, *t.views[next], *t.groups);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
@@ -217,10 +223,10 @@ void BM_RBR(benchmark::State& state) {
   ChurnTenant t = MakeChurnTenant();
   std::vector<SigmaV> inputs;
   for (const SPCView* view : t.views) {
-    auto eq = ComputeEQ(t.spec.catalog, *view, t.sigma);
+    auto eq = ComputeEQ(t.spec.catalog, *view, *t.groups);
     if (!eq.ok()) std::abort();
     if (eq->inconsistent) continue;
-    auto sv = BuildSigmaV(t.spec.catalog, *view, t.sigma, *eq);
+    auto sv = BuildSigmaV(t.spec.catalog, *view, *t.groups, *eq);
     if (!sv.ok()) std::abort();
     inputs.push_back(std::move(sv).value());
   }
@@ -249,7 +255,7 @@ void BM_AssembleUnionCover(benchmark::State& state) {
   for (const SPCUView* u : t.unions) {
     std::vector<PropCoverResult> per_disjunct;
     for (const SPCView& d : u->disjuncts) {
-      auto r = PropagationCoverSPC(t.spec.catalog, d, t.sigma, options);
+      auto r = PropagationCoverSPC(t.spec.catalog, d, *t.groups, options);
       if (!r.ok()) std::abort();
       per_disjunct.push_back(std::move(r).value());
     }
@@ -257,7 +263,7 @@ void BM_AssembleUnionCover(benchmark::State& state) {
   }
   size_t next = 0;
   for (auto _ : state) {
-    auto r = AssembleUnionCover(t.spec.catalog, *t.unions[next], t.sigma,
+    auto r = AssembleUnionCover(t.spec.catalog, *t.unions[next], *t.groups,
                                 per_union[next], options);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());

@@ -161,63 +161,4 @@ bool FlatTableau::MergeDomains(uint32_t ra, uint32_t rb, Value k) {
   return k == kNoValue ? merged.size != 0 : Admits(merged, k);
 }
 
-void RelationRules::Build(const std::vector<CFD>& sigma,
-                          const std::vector<RelationId>& relations) {
-  relations_ = relations;
-  // Relation id -> bucket, for the ids up to the largest one built.
-  const uint32_t none = static_cast<uint32_t>(relations_.size());
-  RelationId max_id = 0;
-  for (RelationId r : relations_) max_id = std::max(max_id, r);
-  std::vector<uint32_t> slot(relations_.empty() ? 0 : max_id + 1, none);
-  for (uint32_t s = 0; s < none; ++s) slot[relations_[s]] = s;
-  auto slot_of = [&](const CFD& c) {
-    return c.relation < slot.size() ? slot[c.relation] : none;
-  };
-  // A counting sort, stable in Sigma order: count into offsets_[s + 1],
-  // sum, fill (which moves each bucket's offset to its end), shift back.
-  offsets_.assign(relations_.size() + 1, 0);
-  for (const CFD& c : sigma) {
-    if (slot_of(c) != none) ++offsets_[slot_of(c) + 1];
-  }
-  for (size_t s = 1; s < offsets_.size(); ++s) offsets_[s] += offsets_[s - 1];
-  cfds_.resize(offsets_.back());
-  for (const CFD& c : sigma) {
-    if (slot_of(c) != none) cfds_[offsets_[slot_of(c)]++] = &c;
-  }
-  for (size_t s = offsets_.size() - 1; s > 0; --s) {
-    offsets_[s] = offsets_[s - 1];
-  }
-  offsets_[0] = 0;
-}
-
-size_t RelationRules::Slot(RelationId r) const {
-  return static_cast<size_t>(
-      std::find(relations_.begin(), relations_.end(), r) -
-      relations_.begin());
-}
-
-const CFD* const* RelationRules::begin(RelationId r) const {
-  const size_t s = Slot(r);
-  return s < relations_.size() ? cfds_.data() + offsets_[s] : nullptr;
-}
-
-const CFD* const* RelationRules::end(RelationId r) const {
-  const size_t s = Slot(r);
-  return s < relations_.size() ? cfds_.data() + offsets_[s + 1] : nullptr;
-}
-
-RelationRules RulesFor(const FlatTableau& t, const std::vector<CFD>& sigma) {
-  std::vector<RelationId> relations(t.num_groups());
-  for (size_t g = 0; g < relations.size(); ++g) {
-    relations[g] = t.group_relation(g);
-  }
-  RelationRules rules;
-  rules.Build(sigma, relations);
-  return rules;
-}
-
-Result<bool> ChaseToFixpoint(FlatTableau& t, const std::vector<CFD>& sigma) {
-  return ChaseToFixpoint(t, RulesFor(t, sigma));
-}
-
 }  // namespace cfdprop

@@ -40,10 +40,10 @@
 // for them.
 //
 // The chase rules are monotone, so every fair order of rule firings
-// reaches the same fixpoint, or the same contradiction. Sigma is
-// bucketed by relation first (RelationRules), so a pass applies each
-// CFD to the row group of its relation only; callers that chase many
-// tableaux against one Sigma bucket it once. Every decision procedure
+// reaches the same fixpoint, or the same contradiction. Sigma comes
+// grouped by relation (SigmaGroups), so a pass applies each CFD to the
+// row group of its relation only, and nothing is re-bucketed per chase.
+// Every decision procedure
 // runs on this one chase: Implies and IsSatisfiable (the two-row and
 // one-row templates), ComputeEQ and IsAlwaysEmpty (one row per atom) and
 // IsPropagated (two view copies plus constant summary cells), in both
@@ -60,6 +60,7 @@
 
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
+#include "src/cfd/sigma_groups.h"
 #include "src/schema/domain.h"
 
 namespace cfdprop {
@@ -290,28 +291,6 @@ inline void FlatTableau::Apply(const CFD& psi, size_t group) {
   }
 }
 
-/// Sigma bucketed by relation, in Sigma order within a bucket: the CFDs
-/// the chase can fire on rows of one relation. Holds pointers into the
-/// Sigma it was built from, which must outlive it.
-class RelationRules {
- public:
-  /// Buckets the CFDs of `sigma` on `relations` (distinct ids); CFDs on
-  /// any other relation are left out.
-  void Build(const std::vector<CFD>& sigma,
-             const std::vector<RelationId>& relations);
-
-  /// The bucket of relation r (empty when r was not built).
-  const CFD* const* begin(RelationId r) const;
-  const CFD* const* end(RelationId r) const;
-
- private:
-  size_t Slot(RelationId r) const;
-
-  std::vector<RelationId> relations_;
-  std::vector<uint32_t> offsets_;  // bucket i is [offsets_[i], offsets_[i+1])
-  std::vector<const CFD*> cfds_;
-};
-
 /// Chases `t` to a fixpoint, or until `goal()` holds after a change (the
 /// chase only adds equalities and constants, so a goal once reached
 /// stays). `for_each_rule(visit)` makes one pass: it calls visit(psi, g)
@@ -345,42 +324,30 @@ Result<bool> ChaseUntil(FlatTableau& t, const ForEachRule& for_each_rule,
 }
 
 /// The pass of ChaseUntil that visits every row group of `t` (or of a
-/// tableau with the same rows) with the CFDs `rules` holds for its
-/// relation. `t` must be grouped (FlatTableau::GroupRows).
-inline auto GroupRules(const FlatTableau& t, const RelationRules& rules) {
-  return [&t, &rules](const auto& visit) {
+/// tableau with the same rows) with Σ's group of its relation. `t` must
+/// be grouped (FlatTableau::GroupRows).
+inline auto GroupRules(const FlatTableau& t, const SigmaGroups& sigma) {
+  return [&t, &sigma](const auto& visit) {
     for (size_t g = 0; g < t.num_groups(); ++g) {
-      const RelationId r = t.group_relation(g);
-      const CFD* const* end = rules.end(r);
-      for (const CFD* const* it = rules.begin(r); it != end; ++it) {
-        if (!visit(**it, g)) return;
+      for (const CFD& psi : sigma.group(t.group_relation(g))) {
+        if (!visit(psi, g)) return;
       }
     }
   };
 }
 
-/// ChaseUntil over every row group with the CFDs `rules` holds for its
-/// relation.
+/// ChaseUntil over every row group with Σ's group of its relation.
 template <typename Goal>
-Result<bool> ChaseUntil(FlatTableau& t, const RelationRules& rules,
+Result<bool> ChaseUntil(FlatTableau& t, const SigmaGroups& sigma,
                         const Goal& goal) {
-  return ChaseUntil(t, GroupRules(t, rules), goal);
+  return ChaseUntil(t, GroupRules(t, sigma), goal);
 }
 
-/// Chases `t` to its fixpoint with `rules`; true iff it became
-/// contradictory.
-inline Result<bool> ChaseToFixpoint(FlatTableau& t,
-                                    const RelationRules& rules) {
-  return ChaseUntil(t, rules, [] { return false; });
+/// Chases `t` to its fixpoint with `sigma`; true iff it became
+/// contradictory. `t` must be grouped.
+inline Result<bool> ChaseToFixpoint(FlatTableau& t, const SigmaGroups& sigma) {
+  return ChaseUntil(t, sigma, [] { return false; });
 }
-
-/// Chases `t` to its fixpoint with the CFDs of `sigma` on its rows'
-/// relations; true iff it became contradictory. `t` must be grouped.
-Result<bool> ChaseToFixpoint(FlatTableau& t, const std::vector<CFD>& sigma);
-
-/// The CFDs of `sigma` on the relations of `t`'s rows, bucketed. `t`
-/// must be grouped.
-RelationRules RulesFor(const FlatTableau& t, const std::vector<CFD>& sigma);
 
 namespace flat_internal {
 

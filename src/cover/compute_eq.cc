@@ -8,6 +8,13 @@ namespace cfdprop {
 
 Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
                             const std::vector<CFD>& sigma) {
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups groups,
+                           SigmaGroups::Make(&catalog, sigma));
+  return ComputeEQ(catalog, view, groups);
+}
+
+Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
+                            const SigmaGroups& sigma) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
   // Ec column c is cell c, and no constant cell follows (constant output
   // columns are not Ec columns).

@@ -27,6 +27,7 @@
 #include "src/algebra/view.h"
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
+#include "src/cfd/sigma_groups.h"
 #include "src/schema/schema.h"
 
 namespace cfdprop {
@@ -52,6 +53,10 @@ class EqClasses {
 
 /// Computes the attribute equivalence classes of `view` under `sigma`
 /// (source CFDs tagged with catalog relation ids).
+Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
+                            const SigmaGroups& sigma);
+
+/// ComputeEQ on a flat Σ, grouped (and validated) first.
 Result<EqClasses> ComputeEQ(const Catalog& catalog, const SPCView& view,
                             const std::vector<CFD>& sigma);
 

@@ -100,32 +100,39 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
   return std::move(made).value();
 }
 
+/// Runs `fn` on `sigma` grouped, or, with options.input_mincover, on
+/// its MinCoverSigma grouped (Fig. 2 line 1): the flat forms' entry.
+template <typename Fn>
+Result<PropCoverResult> WithInputGroups(const Catalog& catalog,
+                                        const std::vector<CFD>& sigma,
+                                        const PropCoverOptions& options,
+                                        const Fn& fn) {
+  std::vector<CFD> minimized;
+  if (options.input_mincover) {
+    CFDPROP_ASSIGN_OR_RETURN(minimized,
+                             MinCoverSigma(catalog, sigma, options.mincover));
+  }
+  CFDPROP_ASSIGN_OR_RETURN(
+      SigmaGroups input,
+      SigmaGroups::Make(&catalog, options.input_mincover ? minimized : sigma));
+  return fn(input);
+}
+
 }  // namespace
 
 Result<std::vector<CFD>> MinCoverSigma(const Catalog& catalog,
-                                       std::vector<CFD> sigma,
+                                       const std::vector<CFD>& sigma,
                                        const MinCoverOptions& options) {
-  // Fig. 2 line 1: minimize the input per source relation, grouped in
-  // first-seen order so the output order is deterministic. `members[r]`
-  // holds the positions of relation r's CFDs in Σ order.
-  std::vector<RelationId> order;
-  std::vector<std::vector<size_t>> members(catalog.num_relations());
-  for (size_t i = 0; i < sigma.size(); ++i) {
-    const RelationId r = sigma[i].relation;
-    if (r >= members.size()) {
-      return Status::InvalidArgument("source CFD with unknown relation");
-    }
-    if (members[r].empty()) order.push_back(r);
-    members[r].push_back(i);
-  }
+  // Fig. 2 line 1: minimize the input per source relation, groups in
+  // first-seen order so the output order is deterministic.
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups groups,
+                           SigmaGroups::Make(&catalog, sigma));
   std::vector<CFD> out;
-  for (RelationId r : order) {
-    std::vector<CFD> group;
-    group.reserve(members[r].size());
-    for (size_t i : members[r]) group.push_back(std::move(sigma[i]));
+  for (RelationId r : groups.order()) {
+    const std::span<const CFD> group = groups.group(r);
     CFDPROP_ASSIGN_OR_RETURN(
         std::vector<CFD> mc,
-        MinCover(std::move(group), catalog.relation(r).arity(),
+        MinCover({group.begin(), group.end()}, catalog.relation(r).arity(),
                  /*domains=*/{}, options));
     for (CFD& c : mc) out.push_back(std::move(c));
   }
@@ -133,7 +140,7 @@ Result<std::vector<CFD>> MinCoverSigma(const Catalog& catalog,
 }
 
 Result<SigmaV> BuildSigmaV(const Catalog& catalog, const SPCView& view,
-                           const std::vector<CFD>& sigma, const EqClasses& eq,
+                           const SigmaGroups& sigma, const EqClasses& eq,
                            bool simplify_with_keys) {
   const size_t u = view.NumEcColumns(catalog);
   if (eq.inconsistent || eq.rep.size() != u || eq.key.size() != u) {
@@ -147,8 +154,7 @@ Result<SigmaV> BuildSigmaV(const Catalog& catalog, const SPCView& view,
   sv.rep = ChooseReps(catalog, view, eq);
   for (size_t j = 0; j < view.atoms.size(); ++j) {
     const ColumnId base = view.AtomBase(catalog, j);
-    for (const CFD& c : sigma) {
-      if (c.relation != view.atoms[j]) continue;
+    for (const CFD& c : sigma.group(view.atoms[j])) {
       bool unconditional = false;
       std::optional<CFD> s = SubstituteAndSimplify(
           c, base, sv.rep, eq, simplify_with_keys, &unconditional);
@@ -202,23 +208,19 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
                                             const std::vector<CFD>& sigma,
                                             const PropCoverOptions& options) {
+  return WithInputGroups(catalog, sigma, options,
+                         [&](const SigmaGroups& input) {
+                           return PropagationCoverSPC(catalog, view, input,
+                                                      options);
+                         });
+}
+
+Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
+                                            const SPCView& view,
+                                            const SigmaGroups& input,
+                                            const PropCoverOptions& options) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
-  for (const CFD& c : sigma) {
-    if (c.relation >= catalog.num_relations()) {
-      return Status::InvalidArgument("source CFD with unknown relation");
-    }
-    CFDPROP_RETURN_NOT_OK(c.Validate(catalog.relation(c.relation).arity()));
-  }
-
   PropCoverResult result;
-
-  // Line 1: Sigma := MinCover(Sigma). Without it, `sigma` is only read.
-  std::vector<CFD> minimized;
-  if (options.input_mincover) {
-    CFDPROP_ASSIGN_OR_RETURN(minimized,
-                             MinCoverSigma(catalog, sigma, options.mincover));
-  }
-  const std::vector<CFD>& input = options.input_mincover ? minimized : sigma;
   result.input_cfds = input.size();
 
   // Line 2: EQ := ComputeEQ(Es, Sigma).
@@ -305,31 +307,27 @@ Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
 
   // Line 1 hoisted above the disjunct loop: minimize once and hand every
   // disjunct (and the cross-disjunct propagation filter) the same
-  // minimized set — exactly what the engine does at registration, so the
-  // cached and one-shot paths assemble from identical per-disjunct
+  // minimized groups — exactly what the engine does at registration, so
+  // the cached and one-shot paths assemble from identical per-disjunct
   // inputs.
-  PropCoverOptions disjunct_options = options;
-  std::vector<CFD> minimized;
-  if (options.input_mincover) {
-    CFDPROP_ASSIGN_OR_RETURN(minimized,
-                             MinCoverSigma(catalog, sigma, options.mincover));
-    disjunct_options.input_mincover = false;
-  }
-  const std::vector<CFD>& input = options.input_mincover ? minimized : sigma;
-  std::vector<PropCoverResult> per_disjunct;
-  per_disjunct.reserve(view.disjuncts.size());
-  for (const SPCView& disjunct : view.disjuncts) {
-    CFDPROP_ASSIGN_OR_RETURN(
-        PropCoverResult r,
-        PropagationCoverSPC(catalog, disjunct, input, disjunct_options));
-    per_disjunct.push_back(std::move(r));
-  }
-  return AssembleUnionCover(catalog, view, input, std::move(per_disjunct),
-                            options);
+  return WithInputGroups(
+      catalog, sigma, options,
+      [&](const SigmaGroups& input) -> Result<PropCoverResult> {
+        std::vector<PropCoverResult> per_disjunct;
+        per_disjunct.reserve(view.disjuncts.size());
+        for (const SPCView& disjunct : view.disjuncts) {
+          CFDPROP_ASSIGN_OR_RETURN(
+              PropCoverResult r,
+              PropagationCoverSPC(catalog, disjunct, input, options));
+          per_disjunct.push_back(std::move(r));
+        }
+        return AssembleUnionCover(catalog, view, input,
+                                  std::move(per_disjunct), options);
+      });
 }
 
 Result<PropCoverResult> AssembleUnionCover(
-    Catalog& catalog, const SPCUView& view, const std::vector<CFD>& sigma,
+    Catalog& catalog, const SPCUView& view, const SigmaGroups& sigma,
     std::vector<PropCoverResult> per_disjunct,
     const PropCoverOptions& options) {
   if (per_disjunct.size() != view.disjuncts.size()) {
@@ -395,8 +393,8 @@ Result<PropCoverResult> AssembleUnionCover(
 
   // Keep the candidates propagated via the whole union (the cross-
   // disjunct pair checks are what per-disjunct covers cannot see). One
-  // tester validates the view and sigma once and chases each disjunct
-  // combination once for all candidates.
+  // tester validates the view once and chases each disjunct combination
+  // once for all candidates.
   std::vector<CFD> kept;
   if (!candidates.empty()) {
     CFDPROP_ASSIGN_OR_RETURN(PropagationTester tester,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <cstdio>
 #include <span>
 #include <utility>
@@ -18,18 +19,6 @@ using Clock = std::chrono::steady_clock;
 double MicrosSince(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start)
       .count();
-}
-
-/// Calls fn(relation, group) for each relation's group of `minimized`,
-/// in order: MinCoverSigma emits each group as one run.
-template <typename Fn>
-void ForEachGroup(const std::vector<CFD>& minimized, Fn&& fn) {
-  for (size_t begin = 0, end; begin < minimized.size(); begin = end) {
-    const RelationId r = minimized[begin].relation;
-    end = begin + 1;
-    while (end < minimized.size() && minimized[end].relation == r) ++end;
-    fn(r, std::span<const CFD>(minimized).subspan(begin, end - begin));
-  }
 }
 
 }  // namespace
@@ -56,42 +45,46 @@ Engine::~Engine() {
   for (std::thread& t : workers_) t.join();
 }
 
-Status Engine::ValidateSigma(const std::vector<CFD>& sigma) const {
-  for (const CFD& c : sigma) {
-    if (c.relation >= catalog_.num_relations()) {
-      return Status::InvalidArgument("source CFD with unknown relation");
-    }
-    CFDPROP_RETURN_NOT_OK(c.Validate(catalog_.relation(c.relation).arity()));
-  }
-  return Status::OK();
-}
-
-SigmaVersion Engine::VersionGroups(const std::vector<CFD>& minimized,
-                                   std::vector<SigmaVersion>* groups) const {
-  groups->assign(catalog_.num_relations(), SigmaVersion{});
+std::shared_ptr<const Engine::SigmaState> Engine::MakeState(
+    std::vector<std::shared_ptr<const Group>> groups,
+    const std::vector<RelationId>& order) {
+  std::vector<std::span<const CFD>> parts;
   SigmaVersionFold fold;
-  ForEachGroup(minimized, [&](RelationId r, std::span<const CFD> group) {
-    (*groups)[r] = SigmaGroupVersion(catalog_.pool(), group);
-    fold.Add((*groups)[r]);
-  });
-  return fold.digest();
+  for (RelationId r : order) {
+    if (groups[r] == nullptr || groups[r]->cfds.empty()) continue;
+    parts.push_back(groups[r]->cfds);
+    fold.Add(groups[r]->version);
+  }
+  // No catalog: a group's CFDs were validated on the way in, where
+  // MinCoverSigma took the registered list or AddCfd the added CFD.
+  SigmaGroups view = *SigmaGroups::Make(nullptr, parts);
+  return std::make_shared<const SigmaState>(
+      SigmaState{std::move(groups), fold.digest(), std::move(view)});
 }
 
 Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
-  CFDPROP_RETURN_NOT_OK(ValidateSigma(sigma));
   // Fig. 2 line 1, hoisted: minimize once per registration instead of
   // once per request (MinCoverSigma is the same step the one-shot
   // pipeline runs, so cached and direct results agree byte-for-byte).
   CFDPROP_ASSIGN_OR_RETURN(
       std::vector<CFD> minimized,
       MinCoverSigma(catalog_, sigma, options_.cover.mincover));
-  std::vector<SigmaVersion> groups;
-  const SigmaVersion version = VersionGroups(minimized, &groups);
+  // Each relation's minimized CFDs are one run: move each into its group.
+  const SigmaGroups runs = *SigmaGroups::Make(nullptr, minimized);
+  std::vector<std::shared_ptr<const Group>> groups(catalog_.num_relations());
+  for (RelationId r : runs.order()) {
+    const std::span<const CFD> run = runs.group(r);
+    const auto first = minimized.begin() + (run.data() - minimized.data());
+    auto group = std::make_shared<Group>();
+    group->cfds.assign(std::make_move_iterator(first),
+                       std::make_move_iterator(first + run.size()));
+    group->version = SigmaGroupVersion(catalog_.pool(), group->cfds);
+    groups[r] = std::move(group);
+  }
+  std::shared_ptr<const SigmaState> state =
+      MakeState(std::move(groups), runs.order());
   std::unique_lock<std::shared_mutex> lock(sigma_mu_);
-  sigmas_.push_back(SigmaEntry{
-      std::move(sigma),
-      std::make_shared<const std::vector<CFD>>(std::move(minimized)),
-      version, std::move(groups)});
+  sigmas_.push_back(SigmaEntry{std::move(sigma), std::move(state)});
   return static_cast<SigmaId>(sigmas_.size() - 1);
 }
 
@@ -132,28 +125,25 @@ const Engine::MemoLine* Engine::FindMemoLine(RelationId relation,
   return nullptr;
 }
 
-const Engine::MemoLine* Engine::InsertMemoLine(MemoLine line) {
+void Engine::InsertMemoLine(MemoLine line) {
   line.last_use = ++memo_clock_;
   if (memo_.size() < kSigmaMemoCapacity) {
     memo_.push_back(std::move(line));
-    return &memo_.back();
+    return;
   }
   auto lru = std::min_element(memo_.begin(), memo_.end(),
                               [](const MemoLine& a, const MemoLine& b) {
                                 return a.last_use < b.last_use;
                               });
   *lru = std::move(line);
-  return &*lru;
 }
 
 Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
-  // Serializing mutators keeps (raw, prev, groups) a consistent triple
-  // across the unlocked compute below, and owns the memo.
+  // Serializing mutators keeps (raw, prev) a consistent pair across the
+  // unlocked compute below, and owns the memo.
   std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
   const RelationId relation = cfd.relation;
-  const size_t num_relations = catalog_.num_relations();
-  std::shared_ptr<const std::vector<CFD>> prev;
-  std::vector<SigmaVersion> groups;
+  std::shared_ptr<const SigmaState> prev;
   std::vector<RelationId> order;  // groups of the edited list, first-seen
   size_t erase = SIZE_MAX;
   const MemoLine* line = nullptr;
@@ -173,12 +163,10 @@ Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
       }
       erase = static_cast<size_t>(it - entry.raw.begin());
     }
-    prev = entry.minimized;
-    groups = entry.groups;
-    groups.resize(num_relations);
+    prev = entry.state;
     const EditedList list{entry.raw, erase, add ? &cfd : nullptr};
 
-    std::vector<bool> seen(num_relations, false);
+    std::vector<bool> seen(catalog_.num_relations(), false);
     for (size_t i = 0; i < entry.raw.size(); ++i) {
       const RelationId r = entry.raw[i].relation;
       if (i != erase && !seen[r]) {
@@ -206,46 +194,31 @@ Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
       });
     }
   }
+  // The new state shares every group but `relation`'s with `prev`;
+  // that one is the memo's, a fresh one, or none when it was emptied.
+  std::vector<std::shared_ptr<const Group>> groups = prev->groups;
   if (line != nullptr) {
     stats_.RecordSigmaMemoHit();
+    groups[relation] = line->group;
   } else if (!fresh.raw.empty()) {
     // Re-minimize OUTSIDE sigma_mu_ — MinCover is the expensive step, and
-    // serving must only ever block on the O(1) snapshot swap below — and
-    // only `relation`'s group: every other group is kept from `prev`.
+    // serving must only ever block on the O(1) state swap below.
     auto minimized = MinCover(fresh.raw, catalog_.relation(relation).arity(),
                               /*domains=*/{}, options_.cover.mincover);
     if (!minimized.ok()) return minimized.status();  // sigma unchanged
-    fresh.minimized = std::move(minimized).value();
-    fresh.version = SigmaGroupVersion(catalog_.pool(), fresh.minimized);
-    line = InsertMemoLine(std::move(fresh));
+    auto group = std::make_shared<Group>();
+    group->cfds = std::move(minimized).value();
+    group->version = SigmaGroupVersion(catalog_.pool(), group->cfds);
+    fresh.group = groups[relation] = std::move(group);
+    InsertMemoLine(std::move(fresh));
+  } else {
+    groups[relation] = nullptr;
   }
   stats_.SetSigmaMemoLines(memo_.size());
+  std::shared_ptr<const SigmaState> state =
+      MakeState(std::move(groups), order);
 
-  // The new snapshot: `relation`'s new group and every other group of
-  // `prev`, in the edited list's first-seen order, empty groups skipped;
-  // the version folds the same groups' versions.
-  std::vector<std::span<const CFD>> kept(num_relations);
-  ForEachGroup(*prev, [&](RelationId r, std::span<const CFD> group) {
-    kept[r] = group;
-  });
-  if (line != nullptr) {
-    kept[relation] = line->minimized;
-    groups[relation] = line->version;
-  } else {
-    kept[relation] = {};  // the group was emptied
-  }
-  std::vector<CFD> next;
-  next.reserve(prev->size() + 1);
-  SigmaVersionFold fold;
-  for (RelationId r : order) {
-    if (kept[r].empty()) continue;
-    next.insert(next.end(), kept[r].begin(), kept[r].end());
-    fold.Add(groups[r]);
-  }
-  const SigmaVersion version = fold.digest();
-  auto snapshot = std::make_shared<const std::vector<CFD>>(std::move(next));
-
-  SigmaVersion old;
+  const SigmaVersion old = prev->version;
   bool old_live = false;
   CFD retracted;
   {
@@ -253,8 +226,7 @@ Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
     // RegisterSigma may have grown (reallocated) the vector meanwhile.
     std::unique_lock<std::shared_mutex> lock(sigma_mu_);
     SigmaEntry& entry = sigmas_[id];
-    old = entry.version;
-    // The edit lands in place; the superseded snapshot and the retracted
+    // The edit lands in place; the superseded state and the retracted
     // CFD are freed when they go out of scope, after the lock.
     if (add) {
       entry.raw.push_back(std::move(cfd));
@@ -262,11 +234,8 @@ Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
       retracted = std::move(entry.raw[erase]);
       entry.raw.erase(entry.raw.begin() + static_cast<ptrdiff_t>(erase));
     }
-    entry.minimized.swap(snapshot);
-    entry.version = version;
-    entry.groups.resize(num_relations);
-    entry.groups[relation] = groups[relation];
-    for (const SigmaEntry& e : sigmas_) old_live |= e.version == old;
+    entry.state.swap(state);
+    for (const SigmaEntry& e : sigmas_) old_live |= e.state->version == old;
   }
   // Lookups for this set now ask for the new version, so dropping the
   // old version's lines outside the lock only reclaims capacity — and
@@ -295,9 +264,21 @@ size_t Engine::num_sigmas() const {
   return sigmas_.size();
 }
 
-std::shared_ptr<const std::vector<CFD>> Engine::sigma(SigmaId id) const {
+std::shared_ptr<const Engine::SigmaState> Engine::sigma_state(
+    SigmaId id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  return sigmas_[id].minimized;
+  return sigmas_[id].state;
+}
+
+std::shared_ptr<const std::vector<CFD>> Engine::sigma(SigmaId id) const {
+  const std::shared_ptr<const SigmaState> state = sigma_state(id);
+  auto flat = std::make_shared<std::vector<CFD>>();
+  flat->reserve(state->view.size());
+  for (RelationId r : state->view.order()) {
+    const std::span<const CFD> group = state->view.group(r);
+    flat->insert(flat->end(), group.begin(), group.end());
+  }
+  return flat;
 }
 
 std::vector<CFD> Engine::sigma_raw(SigmaId id) const {
@@ -307,22 +288,22 @@ std::vector<CFD> Engine::sigma_raw(SigmaId id) const {
 
 SigmaVersion Engine::sigma_version(SigmaId id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  return sigmas_[id].version;
+  return sigmas_[id].state->version;
 }
 
-Result<std::pair<std::shared_ptr<const std::vector<CFD>>, SigmaVersion>>
-Engine::SnapshotSigma(SigmaId sigma_id) const {
+Result<std::shared_ptr<const Engine::SigmaState>> Engine::SnapshotSigma(
+    SigmaId sigma_id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
   if (sigma_id >= sigmas_.size()) {
     return Status::InvalidArgument("unknown sigma id");
   }
-  return std::make_pair(sigmas_[sigma_id].minimized,
-                        sigmas_[sigma_id].version);
+  return sigmas_[sigma_id].state;
 }
 
 Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
-  CFDPROP_ASSIGN_OR_RETURN(auto snapshot, SnapshotSigma(sigma_id));
-  const auto& [sigma, version] = snapshot;
+  CFDPROP_ASSIGN_OR_RETURN(std::shared_ptr<const SigmaState> sigma,
+                           SnapshotSigma(sigma_id));
+  const SigmaVersion& version = sigma->version;
 
   const auto start = Clock::now();
   EngineResult result;
@@ -339,9 +320,8 @@ Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
   }
 
   const auto compute_start = Clock::now();
-  PropCoverOptions cover_options = options_.cover;
-  cover_options.input_mincover = false;  // minimized at registration
-  auto computed = PropagationCoverSPC(catalog_, view, *sigma, cover_options);
+  auto computed =
+      PropagationCoverSPC(catalog_, view, sigma->view, options_.cover);
   result.timing.compute_us = MicrosSince(compute_start);
   result.timing.total_us = MicrosSince(start);
   if (!computed.ok()) {
@@ -371,8 +351,9 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   if (view.disjuncts.size() == 1) {
     return Serve(view.disjuncts.front(), sigma_id);
   }
-  CFDPROP_ASSIGN_OR_RETURN(auto snapshot, SnapshotSigma(sigma_id));
-  const auto& [sigma, version] = snapshot;
+  CFDPROP_ASSIGN_OR_RETURN(std::shared_ptr<const SigmaState> sigma,
+                           SnapshotSigma(sigma_id));
+  const SigmaVersion& version = sigma->version;
 
   const auto start = Clock::now();
   EngineResult result;
@@ -401,8 +382,6 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   // AssembleUnionCover the one-shot path runs, on the same inputs.
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog_));
   const auto compute_start = Clock::now();
-  PropCoverOptions cover_options = options_.cover;
-  cover_options.input_mincover = false;  // minimized at registration
   std::vector<PropCoverResult> per_disjunct;
   per_disjunct.reserve(view.disjuncts.size());
   for (size_t j = 0; j < view.disjuncts.size(); ++j) {
@@ -416,8 +395,8 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
       per_disjunct.push_back(std::move(r));
       continue;
     }
-    auto computed = PropagationCoverSPC(catalog_, view.disjuncts[j], *sigma,
-                                        cover_options);
+    auto computed = PropagationCoverSPC(catalog_, view.disjuncts[j],
+                                        sigma->view, options_.cover);
     if (!computed.ok()) {
       result.timing.compute_us = MicrosSince(compute_start);
       result.timing.total_us = MicrosSince(start);
@@ -438,8 +417,8 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   stats_.RecordUnion(result.disjunct_hits,
                      view.disjuncts.size() - result.disjunct_hits);
 
-  auto assembled = AssembleUnionCover(catalog_, view, *sigma,
-                                      std::move(per_disjunct), cover_options);
+  auto assembled = AssembleUnionCover(catalog_, view, sigma->view,
+                                      std::move(per_disjunct), options_.cover);
   result.timing.compute_us = MicrosSince(compute_start);
   result.timing.total_us = MicrosSince(start);
   if (!assembled.ok()) {
@@ -586,7 +565,7 @@ std::vector<Result<EngineResult>> Engine::PropagateBatch(
 std::vector<SigmaVersion> Engine::LiveVersions() const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
   std::vector<SigmaVersion> live;
-  for (const SigmaEntry& e : sigmas_) live.push_back(e.version);
+  for (const SigmaEntry& e : sigmas_) live.push_back(e.state->version);
   return live;
 }
 

@@ -57,6 +57,7 @@
 #include "src/algebra/view.h"
 #include "src/base/status.h"
 #include "src/cfd/cfd.h"
+#include "src/cfd/sigma_groups.h"
 #include "src/cover/propcfd_spc.h"
 #include "src/engine/cover_cache.h"
 #include "src/engine/fingerprint.h"
@@ -177,9 +178,33 @@ class Engine {
 
   size_t num_sigmas() const;
 
-  /// Snapshot of the minimized set served for `id`. The snapshot stays
-  /// valid (and unchanged) across later AddCfd/RetractCfd calls.
-  /// Precondition: id < num_sigmas().
+  /// One relation's minimized CFDs and their SigmaGroupVersion: what a
+  /// state shares with the states after it and with the MinCover memo.
+  struct Group {
+    std::vector<CFD> cfds;
+    SigmaVersion version;
+  };
+
+  /// A registered set as served: immutable, and replaced wholesale by a
+  /// mutation, so a request (or caller) holding it keeps reading it.
+  struct SigmaState {
+    /// Indexed by relation; null for a relation with no CFDs. A mutation
+    /// copies these pointers and swaps in one relation's group.
+    std::vector<std::shared_ptr<const Group>> groups;
+    /// The fold of the nonempty groups' versions in `view`'s order: the
+    /// SigmaVersionOf of the minimized set, bound into every cache line.
+    SigmaVersion version;
+    /// The nonempty groups, in the registered list's first-seen order.
+    SigmaGroups view;
+  };
+
+  /// The state served for `id`. It stays valid (and unchanged) across
+  /// later AddCfd/RetractCfd calls. Precondition: id < num_sigmas().
+  std::shared_ptr<const SigmaState> sigma_state(SigmaId id) const;
+
+  /// The minimized set served for `id` as one flat list — its groups in
+  /// order, which is MinCoverSigma of the registered list — copied out
+  /// of sigma_state(id). Precondition: id < num_sigmas().
   std::shared_ptr<const std::vector<CFD>> sigma(SigmaId id) const;
 
   /// Copy of the registered (pre-minimization) list, as mutated by
@@ -288,49 +313,40 @@ class Engine {
     /// As registered/churned, before minimization; AddCfd appends,
     /// RetractCfd erases the first match, both in place.
     std::vector<CFD> raw;
-    /// Min-covered serving snapshot; replaced wholesale on mutation so
-    /// in-flight requests keep their copy alive.
-    std::shared_ptr<const std::vector<CFD>> minimized;
-    /// SigmaVersionOf(*minimized); bound into every cache entry.
-    SigmaVersion version;
-    /// Indexed by relation: SigmaGroupVersion of that relation's group
-    /// of `minimized` (meaningless for a relation with no group).
-    /// `version` is their fold, so a mutation rehashes one group.
-    std::vector<SigmaVersion> groups;
+    /// The served state; replaced wholesale on mutation.
+    std::shared_ptr<const SigmaState> state;
   };
 
   /// A MinCover memo line: one relation's raw group, in order, and its
-  /// minimized form with that form's group version. MinCover is a pure
-  /// function of the ordered group (the engine's options are fixed), so
-  /// a line found by full equality on the group is the exact result.
+  /// minimized group. MinCover is a pure function of the ordered group
+  /// (the engine's options are fixed), so a line found by full equality
+  /// on the group is the exact result.
   struct MemoLine {
     RelationId relation = 0;
     uint64_t hash = 0;  // of (relation, raw): a filter, never the match
     std::vector<CFD> raw;
-    std::vector<CFD> minimized;
-    SigmaVersion version;
+    std::shared_ptr<const Group> group;
     uint64_t last_use = 0;
   };
   struct EditedList;
 
-  Status ValidateSigma(const std::vector<CFD>& sigma) const;
-
-  /// SigmaGroupVersion of each relation's group of `minimized` (a
-  /// MinCoverSigma output, so each group is one run) into `groups`, and
-  /// their fold — SigmaVersionOf(minimized).
-  SigmaVersion VersionGroups(const std::vector<CFD>& minimized,
-                             std::vector<SigmaVersion>* groups) const;
+  /// The state of `groups` (indexed by relation) in `order`, empty
+  /// groups skipped: the view over the rest and their versions' fold.
+  static std::shared_ptr<const SigmaState> MakeState(
+      std::vector<std::shared_ptr<const Group>> groups,
+      const std::vector<RelationId>& order);
 
   /// AddCfd (`add`) or RetractCfd of `cfd`, under mutation_mu_. Reads the
   /// edited relation's group off the raw list in place and looks it up
   /// in the memo; only a miss copies that group and runs MinCover on it
   /// and hashes its minimized form (outside sigma_mu_ — serving only
-  /// ever blocks on the snapshot swap). The new snapshot is that group
-  /// plus every other group of the old one, and its version refolds the
-  /// kept group versions. Under the exclusive lock the edit is applied to
-  /// the raw list in place and the entry's state swapped; the superseded
-  /// state is freed after the lock. The old version's cache lines are
-  /// dropped if no registered set still has that version.
+  /// ever blocks on the state swap). The new state shares every other
+  /// group with the old one (pointer copies, no CFD copied), and its
+  /// version refolds the group versions. Under the exclusive lock the
+  /// edit is applied to the raw list in place and the entry's state
+  /// swapped; the superseded state is freed after the lock. The old
+  /// version's cache lines are dropped if no registered set still has
+  /// that version.
   Status MutateSigma(SigmaId id, CFD cfd, bool add);
 
   /// The memo line for `relation`'s group of `list` (`hash` and `size`
@@ -340,12 +356,12 @@ class Engine {
                                size_t size, const EditedList& list);
   /// Adds `line`, evicting the least recently used line at capacity.
   /// Callers hold mutation_mu_.
-  const MemoLine* InsertMemoLine(MemoLine line);
+  void InsertMemoLine(MemoLine line);
 
-  /// Snapshots (minimized set, version) for a sigma id under the shared
-  /// lock; InvalidArgument for unknown ids.
-  Result<std::pair<std::shared_ptr<const std::vector<CFD>>, SigmaVersion>>
-  SnapshotSigma(SigmaId sigma_id) const;
+  /// The state of a sigma id, taken under the shared lock;
+  /// InvalidArgument for unknown ids.
+  Result<std::shared_ptr<const SigmaState>> SnapshotSigma(
+      SigmaId sigma_id) const;
 
   /// The versions of every registered set: the lines a snapshot load
   /// may restore.
@@ -372,8 +388,8 @@ class Engine {
   std::vector<SigmaEntry> sigmas_;
   /// Serializes AddCfd/RetractCfd against each other, so a mutation can
   /// read raw, minimize unlocked, and swap without losing a concurrent
-  /// mutator's update — and so the entry's snapshot is always the
-  /// minimized form of its raw list, which keeping the other groups
+  /// mutator's update — and so the entry's state is always the
+  /// minimized form of its raw list, which sharing the other groups
   /// needs. Also guards the memo.
   std::mutex mutation_mu_;
   /// The MinCover memo, shared by every registered set (MinCover of a

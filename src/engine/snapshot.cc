@@ -26,6 +26,7 @@
 
 #include "src/base/hash.h"
 #include "src/base/wire.h"
+#include "src/cfd/sigma_groups.h"
 #include "src/engine/cover_cache.h"
 
 namespace cfdprop {
@@ -107,27 +108,11 @@ SigmaVersion SigmaVersionFold::digest() const {
 
 SigmaVersion SigmaVersionOf(const ValuePool& pool,
                             const std::vector<CFD>& cfds) {
-  // Groups in first-seen order. A minimized Σ is already grouped, so a
-  // group is one run, hashed in place; a relation whose CFDs recur after
-  // another relation's has them gathered first.
+  // Without a catalog the grouping validates nothing, so it cannot fail.
+  const SigmaGroups groups = *SigmaGroups::Make(nullptr, cfds);
   SigmaVersionFold fold;
-  std::vector<RelationId> seen;
-  for (size_t begin = 0, end; begin < cfds.size(); begin = end) {
-    const RelationId r = cfds[begin].relation;
-    end = begin + 1;
-    while (end < cfds.size() && cfds[end].relation == r) ++end;
-    if (std::find(seen.begin(), seen.end(), r) != seen.end()) continue;
-    seen.push_back(r);
-    auto of_r = [r](const CFD& c) { return c.relation == r; };
-    if (std::none_of(cfds.begin() + end, cfds.end(), of_r)) {
-      fold.Add(SigmaGroupVersion(
-          pool, std::span<const CFD>(cfds).subspan(begin, end - begin)));
-      continue;
-    }
-    std::vector<CFD> group;
-    std::copy_if(cfds.begin() + begin, cfds.end(), std::back_inserter(group),
-                 of_r);
-    fold.Add(SigmaGroupVersion(pool, group));
+  for (RelationId r : groups.order()) {
+    fold.Add(SigmaGroupVersion(pool, groups.group(r)));
   }
   return fold.digest();
 }

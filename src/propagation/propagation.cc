@@ -1,6 +1,6 @@
 #include "src/propagation/propagation.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/tableau/tableau.h"
 
@@ -15,12 +15,12 @@ namespace {
 /// infinite-domain path too.
 template <typename Concludes>
 [[gnu::noinline]] Result<bool> NoCounterexample(
-    FlatTableau& work, const RelationRules& rules,
+    FlatTableau& work, const SigmaGroups& sigma,
     const Concludes& concludes, const InstantiationOptions& options) {
   CFDPROP_ASSIGN_OR_RETURN(
       bool counterexample,
       ExistsChaseBranch(
-          work, GroupRules(work, rules),
+          work, GroupRules(work, sigma),
           [&](const FlatTableau& leaf) { return !concludes(leaf); },
           options));
   return !counterexample;
@@ -32,13 +32,13 @@ template <typename Concludes>
 /// leaves a leaf where it fails. A contradiction means no
 /// Sigma-satisfying source produces the pair, which passes.
 template <typename Concludes>
-Result<bool> Passes(FlatTableau& work, const RelationRules& rules,
+Result<bool> Passes(FlatTableau& work, const SigmaGroups& sigma,
                     const PropagationOptions& options,
                     const Concludes& concludes) {
   if (!options.general_setting) {
-    return ChaseUntil(work, rules, [&] { return concludes(work); });
+    return ChaseUntil(work, sigma, [&] { return concludes(work); });
   }
-  return NoCounterexample(work, rules, concludes, options.instantiation);
+  return NoCounterexample(work, sigma, concludes, options.instantiation);
 }
 
 }  // namespace
@@ -55,36 +55,28 @@ PropagationOptions AutoOptions(const Catalog& catalog, const SPCUView& view) {
 }
 
 Result<PropagationTester> PropagationTester::Make(
+    const Catalog& catalog, const SPCUView& view, SigmaGroups sigma,
+    const PropagationOptions& options) {
+  CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
+  return PropagationTester(catalog, view, std::move(sigma), options);
+}
+
+Result<PropagationTester> PropagationTester::Make(
     const Catalog& catalog, const SPCUView& view,
     const std::vector<CFD>& sigma, const PropagationOptions& options) {
-  CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
-  for (const CFD& c : sigma) {
-    if (c.relation >= catalog.num_relations()) {
-      return Status::InvalidArgument("source CFD with unknown relation");
-    }
-    CFDPROP_RETURN_NOT_OK(
-        c.Validate(catalog.relation(c.relation).arity()));
-  }
-  return PropagationTester(catalog, view, sigma, options);
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups groups,
+                           SigmaGroups::Make(&catalog, sigma));
+  return Make(catalog, view, std::move(groups), options);
 }
 
 PropagationTester::PropagationTester(const Catalog& catalog,
                                      const SPCUView& view,
-                                     const std::vector<CFD>& sigma,
+                                     SigmaGroups sigma,
                                      const PropagationOptions& options)
     : catalog_(&catalog),
       view_(&view),
-      options_(options) {
-  std::vector<RelationId> relations;  // of the atoms, distinct
-  for (const SPCView& d : view.disjuncts) {
-    for (RelationId r : d.atoms) {
-      if (std::find(relations.begin(), relations.end(), r) ==
-          relations.end()) {
-        relations.push_back(r);
-      }
-    }
-  }
-  rules_.Build(sigma, relations);
+      options_(options),
+      sigma_(std::move(sigma)) {
   const size_t k = view.disjuncts.size();
   singles_.resize(k);
   pairs_.resize(k * k);
@@ -99,7 +91,7 @@ Result<PropagationTester::Base*> PropagationTester::BaseOf(size_t i,
   AddViewCopy(*catalog_, view_->disjuncts[i], t, &base.t1);
   if (!single) AddViewCopy(*catalog_, view_->disjuncts[j], t, &base.t2);
   t.GroupRows();
-  CFDPROP_ASSIGN_OR_RETURN(base.contradiction, ChaseToFixpoint(t, rules_));
+  CFDPROP_ASSIGN_OR_RETURN(base.contradiction, ChaseToFixpoint(t, sigma_));
   base.work = t;
   base.built = true;
   return &base;
@@ -129,7 +121,7 @@ Result<bool> PropagationTester::IsPropagated(const CFD& phi) {
       }
       base->work.CopyCellsFrom(base->chased);
       CFDPROP_ASSIGN_OR_RETURN(
-          bool pass, NoCounterexample(base->work, rules_, concludes,
+          bool pass, NoCounterexample(base->work, sigma_, concludes,
                                       options_.instantiation));
       if (!pass) return false;
     }
@@ -162,7 +154,7 @@ Result<bool> PropagationTester::IsPropagated(const CFD& phi) {
                c.BoundTo(b1, phi.rhs_pat.value());
       };
       CFDPROP_ASSIGN_OR_RETURN(bool pass,
-                               Passes(work, rules_, options_, concludes));
+                               Passes(work, sigma_, options_, concludes));
       if (!pass) return false;
     }
   }

@@ -22,7 +22,7 @@
 // The chase runs on the flat kernel (src/chase/flat_tableau.h): each
 // combination's two copies are built and chased once per
 // PropagationTester, and each phi then copies that fixpoint, adds its
-// LHS and chases on, with Sigma bucketed by relation, until phi's
+// LHS and chases on, with Sigma's relation groups, until phi's
 // conclusion holds (or, in the general setting, searches the
 // instantiations from there). Starting from the copies' own fixpoint
 // reaches the same fixpoint, since the chase is monotone.
@@ -55,10 +55,19 @@ PropagationOptions AutoOptions(const Catalog& catalog, const SPCUView& view);
 
 /// Decides Sigma |=_V phi for many phi against one (view, sigma), as the
 /// union assembly of PropagationCoverSPCU does: Make validates the view
-/// and Sigma once, and IsPropagated validates only phi.
+/// once (Sigma was validated when its groups were built), and
+/// IsPropagated validates only phi.
 class PropagationTester {
  public:
-  /// Validates `view` and `sigma`, which must outlive the tester.
+  /// Validates `view`; it and the CFDs `sigma` reads must outlive the
+  /// tester.
+  static Result<PropagationTester> Make(const Catalog& catalog,
+                                        const SPCUView& view,
+                                        SigmaGroups sigma,
+                                        const PropagationOptions& options =
+                                            {});
+
+  /// Make on a flat Σ, grouped (and validated) first.
   static Result<PropagationTester> Make(const Catalog& catalog,
                                         const SPCUView& view,
                                         const std::vector<CFD>& sigma,
@@ -81,14 +90,13 @@ class PropagationTester {
   };
 
   PropagationTester(const Catalog& catalog, const SPCUView& view,
-                    const std::vector<CFD>& sigma,
-                    const PropagationOptions& options);
+                    SigmaGroups sigma, const PropagationOptions& options);
   Result<Base*> BaseOf(size_t i, size_t j, bool single);
 
   const Catalog* catalog_;
   const SPCUView* view_;
   PropagationOptions options_;
-  RelationRules rules_;
+  SigmaGroups sigma_;
   std::vector<Base> singles_;  // per disjunct
   std::vector<Base> pairs_;    // per combination i <= j, row-major
 };

@@ -207,18 +207,22 @@ Result<TenantHandle> CatalogService::OpenCatalogInternal(
   if (warm != nullptr) {
     // Migration warm start: the shipped bytes win over any stale local
     // file. Any failure — version bump, changed Σ, corruption — just
-    // means a cold cache. The spill marker stays 0: unlike the file
-    // path below, these bytes are NOT this service's snapshot file, so
-    // the restored lines count as dirty and the next spill persists
-    // them locally.
-    (void)tenant->engine_->LoadSnapshotBytes(*warm);
+    // means a cold cache, and the tenant keeps the reason. The spill
+    // marker stays 0: unlike the file path below, these bytes are NOT
+    // this service's snapshot file, so the restored lines count as
+    // dirty and the next spill persists them locally.
+    tenant->snapshot_rejection_ =
+        tenant->engine_->LoadSnapshotBytes(*warm).status();
   } else if (!options_.snapshot_dir.empty()) {
-    // Warm start. Any failure — no file yet, version bump, changed Σ,
-    // corruption — just means a cold cache; LoadSnapshot already
-    // guarantees a rejected file restores nothing. Runs before the
-    // tenant is published, so the pool-interning load never races
-    // serving.
-    (void)tenant->engine_->LoadSnapshot(SnapshotPath(name));
+    // Warm start. Any failure — version bump, changed Σ, corruption —
+    // just means a cold cache (LoadSnapshot already guarantees a
+    // rejected file restores nothing), and the tenant keeps the reason;
+    // no file yet is no rejection. Runs before the tenant is published,
+    // so the pool-interning load never races serving.
+    Status loaded = tenant->engine_->LoadSnapshot(SnapshotPath(name)).status();
+    if (loaded.code() != StatusCode::kNotFound) {
+      tenant->snapshot_rejection_ = std::move(loaded);
+    }
     // A freshly restored cache is not dirty: its content IS the file.
     tenant->spill_marker.store(
         CacheChangeCounter(tenant->engine_->Stats().cache),
@@ -736,6 +740,10 @@ std::vector<obs::MetricFamilySamples> CatalogService::CollectFamilies() const {
              "Snapshot lines rejected at warm start", +[](const TS& t) {
                return static_cast<double>(t.engine.cache.rejected);
              });
+  per_tenant("cfdprop_snapshot_rejected_total", MetricType::kCounter,
+             "Warm-start snapshots rejected wholesale", +[](const TS& t) {
+               return static_cast<double>(t.snapshot_rejected);
+             });
   per_tenant("cfdprop_cache_entries", MetricType::kGauge,
              "Live cover-cache entries", +[](const TS& t) {
                return static_cast<double>(t.engine.cache.entries);
@@ -885,6 +893,7 @@ ServiceStatsSnapshot CatalogService::Stats() const {
     t.engine = tenant->engine_->Stats();
     const uint64_t changes = CacheChangeCounter(t.engine.cache);
     t.dirty_lines = changes > marker ? changes - marker : 0;
+    t.snapshot_rejected = tenant->snapshot_rejection_.ok() ? 0 : 1;
     s.tenants.push_back(std::move(t));
   }
   return s;

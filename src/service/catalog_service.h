@@ -148,6 +148,11 @@ class Tenant {
     return cache_budget_.load(std::memory_order_relaxed);
   }
 
+  /// Why the open's warm start rejected its snapshot wholesale (version
+  /// bump, truncation, corruption), so the tenant started cold; OK when
+  /// the snapshot loaded, or there was none to load (no file yet).
+  const Status& snapshot_rejection() const { return snapshot_rejection_; }
+
  private:
   friend class CatalogService;
 
@@ -157,6 +162,8 @@ class Tenant {
   std::string name_;
   std::unique_ptr<Engine> engine_;
   std::atomic<size_t> cache_budget_{0};
+  /// Set once, before the tenant is published.
+  Status snapshot_rejection_;
 
   /// Serializes spills of this tenant (policy thread vs. Drop vs.
   /// explicit SpillTenant). SaveSnapshot's temp files are now
@@ -232,6 +239,8 @@ struct TenantStatsSnapshot {
   /// dirty_line_threshold. 0 means the snapshot file is up to date (a
   /// warm-started tenant that only ever hit stays clean forever).
   uint64_t dirty_lines = 0;
+  /// Snapshot loads rejected wholesale at open (snapshot_rejection()).
+  uint64_t snapshot_rejected = 0;
   /// Admission control (see AdmissionOptions): batches admitted/rejected
   /// over the tenant's lifetime, and the current queued/running gauges.
   uint64_t admitted = 0;

@@ -7,14 +7,17 @@
 source "$(dirname "$0")/common.sh"
 
 # Persistence smoke (batch_demo).
-# Cold pass: 4 unique cover lines computed, spilled to disk.
+# Cold pass: 4 unique cover lines computed, spilled to disk. No file
+# yet is no rejection: nothing counted, no reason printed.
 rm -rf batchsnap churnsnap mismatch tampered
 "$cli" serve --tenant t=examples/specs/batch_demo.spec \
   --rounds 10 --threads 1 --snapshot-dir batchsnap --no-churn \
   | tee cold.out
 expect_lines cold.out "== base rounds ==" \
   'cfdprop_cache_hits_total{tenant="t"} 46' \
-  'cfdprop_cache_misses_total{tenant="t"} 4'
+  'cfdprop_cache_misses_total{tenant="t"} 4' \
+  'cfdprop_snapshot_rejected_total{tenant="t"} 0'
+test "$(grep -c "snapshot rejected" cold.out)" = 0
 grep -qx "spill tenant t: lines=4" cold.out
 # Warm restart: every line restores, every request hits — the
 # warm run never recomputes (misses=0; warm hits=50 >= the
@@ -27,7 +30,8 @@ expect_lines warm.out "== base rounds ==" \
   'cfdprop_cache_hits_total{tenant="t"} 50' \
   'cfdprop_cache_misses_total{tenant="t"} 0' \
   'cfdprop_cache_restored_total{tenant="t"} 4' \
-  'cfdprop_cache_rejected_total{tenant="t"} 0'
+  'cfdprop_cache_rejected_total{tenant="t"} 0' \
+  'cfdprop_snapshot_rejected_total{tenant="t"} 0'
 # Served covers must be byte-identical to the cold pass.
 diff <(grep -E '^(view|  cfd)' cold.out) \
      <(grep -E '^(view|  cfd)' warm.out)
@@ -76,14 +80,16 @@ expect_lines mismatch.out "== base rounds ==" \
   'cfdprop_cache_hits_total{tenant="t"} 6' \
   'cfdprop_cache_misses_total{tenant="t"} 4'
 # A version bump (byte 8) must reject the whole file cleanly: the
-# tenant opens with nothing restored or rejected and serves cold.
-# (The loader's "format version" reason is asserted by
-# EngineSnapshotTest.CorruptFilesRejectCleanlyWithoutRestoring.)
+# tenant opens with nothing restored or rejected and serves cold, and
+# says why on the line after its banner and in the rejection counter.
 printf '\x7f' | dd of=tampered/t.ccsnap bs=1 seek=8 conv=notrunc
 "$cli" serve --tenant t=examples/specs/batch_demo.spec \
   --rounds 2 --threads 1 --snapshot-dir tampered --no-churn \
   | tee tampered.out
 grep -Eqx "tenant t: opened examples/specs/batch_demo.spec budget=[0-9]+ restored=0 rejected=0" tampered.out
+grep -A1 -E "^tenant t: opened " tampered.out | tail -n 1 \
+  | grep -Eq "^tenant t: snapshot rejected: .*format version"
 expect_lines tampered.out "== base rounds ==" \
   'cfdprop_cache_hits_total{tenant="t"} 6' \
-  'cfdprop_cache_misses_total{tenant="t"} 4'
+  'cfdprop_cache_misses_total{tenant="t"} 4' \
+  'cfdprop_snapshot_rejected_total{tenant="t"} 1'

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/cover/propcfd_spc.h"
 #include "src/engine/cover_cache.h"
 #include "src/gen/generators.h"
@@ -422,6 +424,57 @@ SPCUView MakeUnion(Catalog& cat, const char* c1, const char* c2) {
     u.disjuncts.push_back(*v);
   }
   return u;
+}
+
+TEST(EngineTest, MemoHitMutationSharesTheUntouchedGroups) {
+  Engine engine(MakeCatalog(), {});
+  auto id = engine.RegisterSigma(MakeSigma());
+  ASSERT_TRUE(id.ok());
+  // One add/retract cycle of R: A -> D puts both of R's group states in
+  // the MinCover memo, so the next add is a memo hit.
+  const CFD a_to_d = CFD::FD(0, {0}, 3).value();
+  ASSERT_TRUE(engine.AddCfd(*id, a_to_d).ok());
+  ASSERT_TRUE(engine.RetractCfd(*id, a_to_d).ok());
+  const uint64_t hits = engine.Stats().sigma_memo_hits;
+  const SigmaVersion registered = engine.sigma_version(*id);
+  const std::shared_ptr<const Engine::SigmaState> held =
+      engine.sigma_state(*id);
+  ASSERT_EQ(held->view.group(0).size(), 2u);
+
+  ASSERT_TRUE(engine.AddCfd(*id, a_to_d).ok());
+  ASSERT_EQ(engine.Stats().sigma_memo_hits, hits + 1);
+  const std::shared_ptr<const Engine::SigmaState> added =
+      engine.sigma_state(*id);
+  EXPECT_NE(added->groups[0], held->groups[0]);
+  for (RelationId r = 1; r < engine.catalog().num_relations(); ++r) {
+    // The same object, read in place: no CFD of it was copied.
+    EXPECT_EQ(added->groups[r], held->groups[r]) << r;
+    EXPECT_EQ(added->view.group(r).data(), held->groups[r]->cfds.data());
+  }
+  EXPECT_NE(added->version, registered);
+
+  // The held state still reads its own groups and version, while other
+  // threads keep mutating and serving (the sanitizer builds race this).
+  SPCView view = MakeView(engine.catalog());
+  std::thread churn([&] {
+    for (int round = 0; round < 20; ++round) {
+      EXPECT_TRUE(engine.RetractCfd(*id, a_to_d).ok());
+      EXPECT_TRUE(engine.Propagate(view, *id).ok());
+      EXPECT_TRUE(engine.AddCfd(*id, a_to_d).ok());
+    }
+  });
+  for (int round = 0; round < 20; ++round) {
+    EXPECT_EQ(held->version, registered);
+    ASSERT_EQ(held->view.group(0).size(), 2u);
+    EXPECT_EQ(held->view.group(0).data(), held->groups[0]->cfds.data());
+    std::vector<CFD> flat;
+    for (RelationId r : held->view.order()) {
+      flat.insert(flat.end(), held->view.group(r).begin(),
+                  held->view.group(r).end());
+    }
+    EXPECT_EQ(SigmaVersionOf(engine.catalog().pool(), flat), registered);
+  }
+  churn.join();
 }
 
 TEST(EngineTest, UnionMatchesOneShotAndHitsOnRepeat) {

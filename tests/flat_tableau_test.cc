@@ -174,7 +174,7 @@ TEST_F(FlatTableauTest, BranchSearchChasesEachBranch) {
       CFD::Make(0, {0}, {PatternValue::Constant(b_)}, 1,
                 PatternValue::Constant(c_))
           .value()};
-  const RelationRules rules = RulesFor(t_, sigma);
+  const SigmaGroups rules = *SigmaGroups::Make(nullptr, sigma);
   FlatTableau chased = t_;
   ASSERT_FALSE(*ChaseToFixpoint(chased, rules));
   EXPECT_EQ(chased.ConstOf(row + 1), kNoValue);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/cfd/implication.h"
+#include "src/gen/workload.h"
 #include "src/propagation/propagation.h"
 
 namespace cfdprop {
@@ -187,7 +190,10 @@ TEST_F(PropCoverTest, SigmaVRejectsAnEqThatContradictsSigma) {
   auto view = b.Build();
   ASSERT_TRUE(view.ok());
   const Value vb = cat_.pool().Intern("b");
-  const std::vector<CFD> sigma = {CFD::ConstantColumn(0, 1, vb)};
+  const std::vector<CFD> flat = {CFD::ConstantColumn(0, 1, vb)};
+  auto grouped = SigmaGroups::Make(&cat_, flat);
+  ASSERT_TRUE(grouped.ok()) << grouped.status();
+  const SigmaGroups& sigma = *grouped;
 
   auto eq = ComputeEQ(cat_, *view, sigma);
   ASSERT_TRUE(eq.ok()) << eq.status();
@@ -406,6 +412,62 @@ TEST_F(PropCoverTest, StatsAreReported) {
   EXPECT_GE(result->rbr_output_size, 1u);
   ASSERT_EQ(result->cover.size(), 1u);  // A -> C on the view
   EXPECT_EQ(result->cover[0], CFD::FD(kViewSchemaId, {0}, 1).value());
+}
+
+TEST(PropCoverFlatSigmaTest, InterleavedSigmaMatchesItsStableGrouping) {
+  // A Σ whose relations recur after each other's CFDs (dealt round-robin
+  // over the relations) is grouped into a copy; its stable grouping is
+  // read in place. Both must give the same EQ and the same cover bytes.
+  gen::WorkloadPlan plan;
+  plan.options.seed = 3;
+  plan.options.num_cfds = 64;
+  plan.options.num_views = 16;
+  Spec spec = gen::BuildTenantSpec(plan, 0);
+  auto minimized = MinCoverSigma(spec.catalog, spec.source_cfds);
+  ASSERT_TRUE(minimized.ok()) << minimized.status();
+  std::vector<std::vector<CFD>> by_relation(spec.catalog.num_relations());
+  for (const CFD& c : *minimized) by_relation[c.relation].push_back(c);
+  std::vector<CFD> interleaved;
+  for (size_t k = 0; interleaved.size() < minimized->size(); ++k) {
+    for (const std::vector<CFD>& group : by_relation) {
+      if (k < group.size()) interleaved.push_back(group[k]);
+    }
+  }
+  std::vector<CFD> grouped;
+  for (const CFD& c : interleaved) {
+    if (std::none_of(grouped.begin(), grouped.end(), [&](const CFD& g) {
+          return g.relation == c.relation;
+        })) {
+      for (const CFD& d : interleaved) {
+        if (d.relation == c.relation) grouped.push_back(d);
+      }
+    }
+  }
+  ASSERT_NE(interleaved, grouped) << "some relation must recur";
+
+  PropCoverOptions options;
+  options.input_mincover = false;
+  size_t views = 0;
+  for (const std::string& name : spec.view_names) {
+    const SPCView& view = spec.views.at(name).disjuncts.front();
+    auto eq_flat = ComputeEQ(spec.catalog, view, interleaved);
+    auto eq_grouped = ComputeEQ(spec.catalog, view, grouped);
+    ASSERT_TRUE(eq_flat.ok() && eq_grouped.ok()) << name;
+    EXPECT_EQ(eq_flat->inconsistent, eq_grouped->inconsistent) << name;
+    EXPECT_EQ(eq_flat->rep, eq_grouped->rep) << name;
+    EXPECT_EQ(eq_flat->key, eq_grouped->key) << name;
+
+    auto flat = PropagationCoverSPC(spec.catalog, view, interleaved, options);
+    auto regrouped = PropagationCoverSPC(spec.catalog, view, grouped, options);
+    ASSERT_TRUE(flat.ok() && regrouped.ok()) << name;
+    EXPECT_EQ(flat->cover, regrouped->cover) << name;
+    EXPECT_EQ(flat->always_empty, regrouped->always_empty) << name;
+    EXPECT_EQ(flat->truncated, regrouped->truncated) << name;
+    EXPECT_EQ(flat->sigma_v_size, regrouped->sigma_v_size) << name;
+    EXPECT_EQ(flat->rbr_output_size, regrouped->rbr_output_size) << name;
+    ++views;
+  }
+  EXPECT_GT(views, 0u);
 }
 
 TEST_F(PropCoverTest, MinCoverSigmaRejectsUnknownRelation) {

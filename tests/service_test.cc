@@ -244,6 +244,47 @@ TEST(ServiceTest, DropFlushesAndReopenWarmStarts) {
   EXPECT_EQ(warm->cover->cover, cold->cover->cover);
 }
 
+TEST(ServiceTest, CorruptMigrationBytesOpenColdWithTheReason) {
+  CatalogService service;
+  auto source = service.OpenCatalog("src", MakeCatalog(), {MakeSigma()});
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE((*source)->engine().Propagate(
+      MakeView((*source)->engine().catalog()), 0).ok());
+  auto exported = service.ExportTenantSnapshot("src");
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  ASSERT_EQ(exported->lines, 1u);
+  EXPECT_TRUE((*source)->snapshot_rejection().ok());
+
+  // The intact bytes restore their line and record no rejection.
+  auto intact = service.OpenCatalogFromSnapshot("intact", MakeCatalog(),
+                                                {MakeSigma()},
+                                                exported->bytes);
+  ASSERT_TRUE(intact.ok()) << intact.status();
+  EXPECT_TRUE((*intact)->snapshot_rejection().ok());
+  EXPECT_EQ((*intact)->engine().Stats().cache.restored, 1u);
+
+  // One flipped payload byte fails the checksum: the tenant still
+  // opens, cold, and keeps the reason.
+  std::string corrupt = exported->bytes;
+  corrupt[corrupt.size() / 2] ^= 0x40;
+  auto cold = service.OpenCatalogFromSnapshot("cold", MakeCatalog(),
+                                              {MakeSigma()}, corrupt);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  const Status& rejection = (*cold)->snapshot_rejection();
+  EXPECT_EQ(rejection.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejection.message().find("checksum"), std::string::npos)
+      << rejection.message();
+  EXPECT_EQ((*cold)->engine().Stats().cache.restored, 0u);
+  auto miss = (*cold)->engine().Propagate(
+      MakeView((*cold)->engine().catalog()), 0);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss->cache_hit);
+
+  for (const TenantStatsSnapshot& t : service.Stats().tenants) {
+    EXPECT_EQ(t.snapshot_rejected, t.name == "cold" ? 1u : 0u) << t.name;
+  }
+}
+
 TEST(ServiceTest, ShutdownFlushesDirtyTenants) {
   const std::string dir = MakeSnapshotDir("shutdown_flush");
   std::vector<CFD> cold_cover;

@@ -33,7 +33,9 @@
 //                                    warm-starts each tenant from
 //                                    DIR/NAME.ccsnap (a mismatched or
 //                                    corrupt file restores nothing and the
-//                                    tenant serves cold) and spills to it
+//                                    tenant serves cold; a file rejected
+//                                    whole prints "tenant NAME: snapshot
+//                                    rejected: REASON") and spills to it
 //                                    at exit and, with --interval-ms/
 //                                    --dirty, in the background. Stats
 //                                    print as metrics exposition series
@@ -159,6 +161,14 @@ namespace {
 int Fail(const Status& s) {
   std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
   return 1;
+}
+
+/// The line after a tenant's banner when its warm start rejected the
+/// snapshot file wholesale; nothing when it loaded or there was none.
+void PrintSnapshotRejection(const Tenant& tenant) {
+  if (tenant.snapshot_rejection().ok()) return;
+  std::printf("tenant %s: snapshot rejected: %s\n", tenant.name().c_str(),
+              tenant.snapshot_rejection().message().c_str());
 }
 
 /// Reads a whole file; the network modes ship spec *text* (the server
@@ -575,6 +585,7 @@ int RunServe(int argc, char** argv) {
                 t.handle->cache_budget(),
                 static_cast<unsigned long long>(cache.restored),
                 static_cast<unsigned long long>(cache.rejected));
+    PrintSnapshotRejection(*t.handle);
   }
 
   int rc = 0;
@@ -801,6 +812,9 @@ int RunListen(int argc, char** argv) {
                 static_cast<unsigned long long>(opened->cache_budget),
                 static_cast<unsigned long long>(opened->restored),
                 static_cast<unsigned long long>(opened->rejected));
+    if (auto tenant = service.ResolveCatalog(name); tenant.ok()) {
+      PrintSnapshotRejection(**tenant);
+    }
   }
   std::printf("listening on %s:%u (max-inflight=%zu max-queue=%zu)\n",
               server_options.host.c_str(), server.port(), max_inflight,
