@@ -88,8 +88,7 @@ Status ValidateImplicationInput(const std::vector<CFD>& sigma,
   for (const CFD& c : sigma) {
     CFDPROP_RETURN_NOT_OK(c.Validate(arity));
     if (c.relation != relation) {
-      return Status::InvalidArgument(
-          "implication requires all CFDs on the same relation");
+      return Status::InvalidArgument("all CFDs must be on the same relation");
     }
   }
   return Status::OK();
@@ -119,14 +118,8 @@ Result<bool> IsSatisfiable(const std::vector<CFD>& sigma, size_t arity,
                            const AttrDomains& domains,
                            const ImplicationOptions& options) {
   if (sigma.empty()) return true;
-  RelationId rel = sigma.front().relation;
-  for (const CFD& c : sigma) {
-    CFDPROP_RETURN_NOT_OK(c.Validate(arity));
-    if (c.relation != rel) {
-      return Status::InvalidArgument(
-          "satisfiability requires all CFDs on the same relation");
-    }
-  }
+  const RelationId rel = sigma.front().relation;
+  CFDPROP_RETURN_NOT_OK(ValidateImplicationInput(sigma, rel, arity));
 
   // One generic row: sigma is satisfiable iff some tuple is.
   FlatTableau t;

@@ -59,9 +59,9 @@ Result<bool> Implies(const std::vector<CFD>& sigma, const CFD& phi,
                      size_t arity, const AttrDomains& domains = {},
                      const ImplicationOptions& options = {});
 
-/// The input check Implies runs on every call, for callers that test
-/// many phi against one sigma: every CFD passes CFD::Validate(arity) and
-/// carries `relation`.
+/// The input check Implies and IsSatisfiable run on every call, for
+/// callers that test many phi against one sigma: every CFD passes
+/// CFD::Validate(arity) and carries `relation`.
 Status ValidateImplicationInput(const std::vector<CFD>& sigma,
                                 RelationId relation, size_t arity);
 

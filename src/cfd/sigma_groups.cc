@@ -43,25 +43,19 @@ Result<SigmaGroups> SigmaGroups::Make(
   }
   if (one_run_each) return out;
 
-  // Gather each relation's CFDs, in Σ order, into one run of a copy.
+  // Gather each relation's CFDs, in Σ order, into one run of a copy,
+  // and group that in place.
   auto copy = std::make_shared<std::vector<CFD>>();
-  copy->reserve(out.size_);
-  std::vector<size_t> begins;
+  copy->reserve(size);
   for (RelationId r : out.order_) {
-    begins.push_back(copy->size());
     for (std::span<const CFD> part : parts) {
       std::copy_if(part.begin(), part.end(), std::back_inserter(*copy),
                    [r](const CFD& c) { return c.relation == r; });
     }
   }
-  begins.push_back(copy->size());
-  for (size_t g = 0; g < out.order_.size(); ++g) {
-    out.groups_[out.order_[g]] =
-        std::span<const CFD>(*copy).subspan(begins[g],
-                                            begins[g + 1] - begins[g]);
-  }
-  out.regrouped_ = std::move(copy);
-  return out;
+  SigmaGroups grouped = *Make(nullptr, *copy);
+  grouped.regrouped_ = std::move(copy);
+  return grouped;
 }
 
 }  // namespace cfdprop

@@ -1,10 +1,7 @@
-// Σ as Fig. 2 reads it: one group of CFDs per source relation.
-//
-// Line 1 minimizes Σ per relation, and every later step reads only the
-// CFDs of the view's atoms' relations: the ComputeEQ chase, Σ_V (lines
-// 5-10) and the union propagation test. SigmaGroups is that family of
-// groups, validated once when it is built; the chase kernel, Σ_V and the
-// engine's snapshots read it directly instead of re-bucketing a flat Σ.
+// Σ as Fig. 2 reads it: one group of CFDs per source relation. Line 1
+// minimizes Σ per relation, and every later step reads only the groups
+// of the view's atoms' relations: the ComputeEQ chase, Σ_V (lines 5-10)
+// and the union propagation test.
 
 #ifndef CFDPROP_CFD_SIGMA_GROUPS_H_
 #define CFDPROP_CFD_SIGMA_GROUPS_H_
@@ -24,19 +21,14 @@ namespace cfdprop {
 /// reads the same CFDs.
 class SigmaGroups {
  public:
-  /// Builds the view of `parts`, read in order as one Σ: the one
-  /// function that groups Σ, and the one place Σ is validated. With a
-  /// catalog, every CFD must be on one of its relations (InvalidArgument
-  /// otherwise) and pass CFD::Validate with that relation's arity. A
-  /// null catalog validates nothing, for a Σ that was validated on its
-  /// way in (the engine's groups) or that is only hashed
-  /// (SigmaVersionOf); the relation ids then size the index.
-  ///
-  /// When each relation's CFDs are one run inside one part — every
-  /// MinCoverSigma output, and every engine snapshot, whose parts are its
-  /// groups — the groups point into `parts`, which must outlive the view
-  /// and its copies. Otherwise Σ is copied once, stably grouped, and the
-  /// view shares that copy.
+  /// Builds the view of `parts`, read in order as one Σ: the one place Σ
+  /// is grouped and validated. With a catalog, every CFD must be on one
+  /// of its relations (InvalidArgument otherwise) and pass CFD::Validate
+  /// with that relation's arity; a null catalog validates nothing (for a
+  /// Σ validated on its way in, or only hashed). When each relation's
+  /// CFDs are one run of one part (every MinCoverSigma output, and the
+  /// engine's groups) the view points into `parts`, which must outlive
+  /// it and its copies; otherwise it shares one stably grouped copy.
   static Result<SigmaGroups> Make(
       const Catalog* catalog, std::span<const std::span<const CFD>> parts);
   static Result<SigmaGroups> Make(const Catalog* catalog,
@@ -48,17 +40,17 @@ class SigmaGroups {
   std::span<const CFD> group(RelationId r) const {
     return r < groups_.size() ? groups_[r] : std::span<const CFD>();
   }
-
   /// The relations with a nonempty group, in first-seen order.
   const std::vector<RelationId>& order() const { return order_; }
-
   /// |Σ|.
   size_t size() const { return size_; }
 
  private:
   // No default constructor, so `{}` never picks a SigmaGroups overload
   // over a std::vector<CFD> one.
-  explicit SigmaGroups(size_t num_relations) : groups_(num_relations) {}
+  explicit SigmaGroups(size_t num_relations) : groups_(num_relations) {
+    order_.reserve(num_relations);
+  }
 
   std::vector<std::span<const CFD>> groups_;  // by relation id
   std::vector<RelationId> order_;

@@ -42,10 +42,9 @@
 // The chase rules are monotone, so every fair order of rule firings
 // reaches the same fixpoint, or the same contradiction. Sigma comes
 // grouped by relation (SigmaGroups), so a pass applies each CFD to the
-// row group of its relation only, and nothing is re-bucketed per chase.
-// Every decision procedure
-// runs on this one chase: Implies and IsSatisfiable (the two-row and
-// one-row templates), ComputeEQ and IsAlwaysEmpty (one row per atom) and
+// row group of its relation only. Every decision procedure runs on this
+// one chase: Implies and IsSatisfiable (the two-row and one-row
+// templates), ComputeEQ and IsAlwaysEmpty (one row per atom) and
 // IsPropagated (two view copies plus constant summary cells), in both
 // settings.
 
@@ -336,17 +335,10 @@ inline auto GroupRules(const FlatTableau& t, const SigmaGroups& sigma) {
   };
 }
 
-/// ChaseUntil over every row group with Σ's group of its relation.
-template <typename Goal>
-Result<bool> ChaseUntil(FlatTableau& t, const SigmaGroups& sigma,
-                        const Goal& goal) {
-  return ChaseUntil(t, GroupRules(t, sigma), goal);
-}
-
 /// Chases `t` to its fixpoint with `sigma`; true iff it became
 /// contradictory. `t` must be grouped.
 inline Result<bool> ChaseToFixpoint(FlatTableau& t, const SigmaGroups& sigma) {
-  return ChaseUntil(t, sigma, [] { return false; });
+  return ChaseUntil(t, GroupRules(t, sigma), [] { return false; });
 }
 
 namespace flat_internal {

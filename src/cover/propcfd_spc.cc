@@ -100,22 +100,16 @@ std::optional<CFD> SubstituteAndSimplify(const CFD& c, ColumnId base,
   return std::move(made).value();
 }
 
-/// Runs `fn` on `sigma` grouped, or, with options.input_mincover, on
-/// its MinCoverSigma grouped (Fig. 2 line 1): the flat forms' entry.
-template <typename Fn>
-Result<PropCoverResult> WithInputGroups(const Catalog& catalog,
-                                        const std::vector<CFD>& sigma,
-                                        const PropCoverOptions& options,
-                                        const Fn& fn) {
-  std::vector<CFD> minimized;
-  if (options.input_mincover) {
-    CFDPROP_ASSIGN_OR_RETURN(minimized,
-                             MinCoverSigma(catalog, sigma, options.mincover));
-  }
-  CFDPROP_ASSIGN_OR_RETURN(
-      SigmaGroups input,
-      SigmaGroups::Make(&catalog, options.input_mincover ? minimized : sigma));
-  return fn(input);
+/// Σ as the flat forms read it: grouped, after Fig. 2 line 1 when
+/// options.input_mincover is set (the groups then point into `storage`).
+Result<SigmaGroups> InputGroups(const Catalog& catalog,
+                                const std::vector<CFD>& sigma,
+                                const PropCoverOptions& options,
+                                std::vector<CFD>& storage) {
+  if (!options.input_mincover) return SigmaGroups::Make(&catalog, sigma);
+  CFDPROP_ASSIGN_OR_RETURN(storage,
+                           MinCoverSigma(catalog, sigma, options.mincover));
+  return SigmaGroups::Make(&catalog, storage);
 }
 
 }  // namespace
@@ -208,11 +202,10 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
                                             const std::vector<CFD>& sigma,
                                             const PropCoverOptions& options) {
-  return WithInputGroups(catalog, sigma, options,
-                         [&](const SigmaGroups& input) {
-                           return PropagationCoverSPC(catalog, view, input,
-                                                      options);
-                         });
+  std::vector<CFD> minimized;
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups input,
+                           InputGroups(catalog, sigma, options, minimized));
+  return PropagationCoverSPC(catalog, view, input, options);
 }
 
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
@@ -310,20 +303,19 @@ Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
   // minimized groups — exactly what the engine does at registration, so
   // the cached and one-shot paths assemble from identical per-disjunct
   // inputs.
-  return WithInputGroups(
-      catalog, sigma, options,
-      [&](const SigmaGroups& input) -> Result<PropCoverResult> {
-        std::vector<PropCoverResult> per_disjunct;
-        per_disjunct.reserve(view.disjuncts.size());
-        for (const SPCView& disjunct : view.disjuncts) {
-          CFDPROP_ASSIGN_OR_RETURN(
-              PropCoverResult r,
-              PropagationCoverSPC(catalog, disjunct, input, options));
-          per_disjunct.push_back(std::move(r));
-        }
-        return AssembleUnionCover(catalog, view, input,
-                                  std::move(per_disjunct), options);
-      });
+  std::vector<CFD> minimized;
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups input,
+                           InputGroups(catalog, sigma, options, minimized));
+  std::vector<PropCoverResult> per_disjunct;
+  per_disjunct.reserve(view.disjuncts.size());
+  for (const SPCView& disjunct : view.disjuncts) {
+    CFDPROP_ASSIGN_OR_RETURN(
+        PropCoverResult r,
+        PropagationCoverSPC(catalog, disjunct, input, options));
+    per_disjunct.push_back(std::move(r));
+  }
+  return AssembleUnionCover(catalog, view, input, std::move(per_disjunct),
+                            options);
 }
 
 Result<PropCoverResult> AssembleUnionCover(

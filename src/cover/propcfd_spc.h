@@ -12,8 +12,7 @@
 //   2. EQ := ComputeEQ(Es, Sigma); "⊥" => Lemma 4.5 pair
 //   3. Sigma_V := Sigma renamed per product atom, with class
 //      representatives substituted (Lemma 4.3) and class keys folded
-//      in, in one pass over each atom's relation group; keep only Y
-//      attributes in classes
+//      in, one pass per atom's group; keep only Y attributes in classes
 //   5. Sigma_c := RBR(Sigma_V, attr(Es) - Y)           (projection)
 //   6. Sigma_d := EQ2CFD(EQ)                           (domain constraints)
 //   7. return MinCover(Sigma_c ++ Sigma_d)
@@ -78,9 +77,8 @@ struct PropCoverResult {
 /// Computes a minimal propagation cover of `sigma` via `view`.
 /// `sigma` holds CFDs tagged with source relation ids of `catalog`. It
 /// is borrowed, never copied: with options.input_mincover the minimized
-/// set is built in a local, and otherwise `sigma` is only read. A Σ
-/// whose relations each form one run (any MinCoverSigma output) is
-/// grouped in place; any other is grouped once into a local copy.
+/// set is built in a local, and otherwise `sigma` is only read (grouped
+/// in place when each relation's CFDs are one run, as MinCoverSigma's).
 /// The catalog is non-const only for interning the Lemma 4.5 constants.
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
@@ -88,9 +86,8 @@ Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const PropCoverOptions& options =
                                                 {});
 
-/// The grouped form the flat one and the engine's miss path run: Fig. 2
-/// from line 2 on, reading `sigma` as given (options.input_mincover is
-/// the flat forms' line 1, and is ignored here).
+/// The grouped form, which the flat one and the engine's miss path run:
+/// Fig. 2 from line 2 on (options.input_mincover is ignored).
 Result<PropCoverResult> PropagationCoverSPC(Catalog& catalog,
                                             const SPCView& view,
                                             const SigmaGroups& sigma,
@@ -111,10 +108,10 @@ struct SigmaV {
   std::vector<ColumnId> rep;
 };
 
-/// Builds Sigma_V from `sigma` and `eq`, the consistent
-/// ComputeEQ(view, sigma); PropagationCoverSPC runs it between ComputeEQ
-/// and RBR. InvalidArgument when `eq` is inconsistent
-/// or not sized to the view's Ec columns. Internal when a CFD would
+/// Builds Sigma_V from `sigma` and `eq`, the consistent ComputeEQ(view,
+/// sigma); PropagationCoverSPC runs it between ComputeEQ and RBR.
+/// InvalidArgument when `eq` is inconsistent or not sized to the view's
+/// Ec columns. Internal when a CFD would
 /// force a constant against a class key on every view tuple: the
 /// ComputeEQ chase rules that out, so such an `eq` is not sigma's.
 Result<SigmaV> BuildSigmaV(const Catalog& catalog, const SPCView& view,
@@ -133,10 +130,9 @@ Result<PropCoverResult> PropagationCoverSPCU(Catalog& catalog,
                                                  {});
 
 /// Fig. 2 line 1 as a standalone step: minimizes `sigma` per source
-/// relation (SigmaGroups: groups in first-seen order; deterministic
-/// output): the concatenation of each group's MinCover, so each
-/// relation's CFDs are one run of the output. The engine runs this once
-/// at registration, and a mutation re-runs MinCover on the one group it
+/// relation (grouped in first-seen order; deterministic output): the
+/// concatenation of each group's MinCover. The engine runs this once at
+/// registration, and a mutation re-runs MinCover on the one group it
 /// changed; the pipelines above run it when options.input_mincover is
 /// set. Both paths build from the same per-group MinCover, so cached and
 /// one-shot results come from byte-identical inputs.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <cstdio>
 #include <span>
 #include <utility>
@@ -56,33 +55,35 @@ std::shared_ptr<const Engine::SigmaState> Engine::MakeState(
     fold.Add(groups[r]->version);
   }
   // No catalog: a group's CFDs were validated on the way in, where
-  // MinCoverSigma took the registered list or AddCfd the added CFD.
-  SigmaGroups view = *SigmaGroups::Make(nullptr, parts);
+  // RegisterSigma grouped the registered list or AddCfd took the CFD.
   return std::make_shared<const SigmaState>(
-      SigmaState{std::move(groups), fold.digest(), std::move(view)});
+      std::move(groups), fold.digest(), *SigmaGroups::Make(nullptr, parts));
+}
+
+Result<std::shared_ptr<const Engine::Group>> Engine::MinimizeGroup(
+    RelationId relation, std::vector<CFD> raw) const {
+  CFDPROP_ASSIGN_OR_RETURN(
+      std::vector<CFD> cfds,
+      MinCover(std::move(raw), catalog_.relation(relation).arity(),
+               /*domains=*/{}, options_.cover.mincover));
+  const SigmaVersion version = SigmaGroupVersion(catalog_.pool(), cfds);
+  return std::make_shared<const Group>(Group{std::move(cfds), version});
 }
 
 Result<SigmaId> Engine::RegisterSigma(std::vector<CFD> sigma) {
   // Fig. 2 line 1, hoisted: minimize once per registration instead of
-  // once per request (MinCoverSigma is the same step the one-shot
-  // pipeline runs, so cached and direct results agree byte-for-byte).
-  CFDPROP_ASSIGN_OR_RETURN(
-      std::vector<CFD> minimized,
-      MinCoverSigma(catalog_, sigma, options_.cover.mincover));
-  // Each relation's minimized CFDs are one run: move each into its group.
-  const SigmaGroups runs = *SigmaGroups::Make(nullptr, minimized);
+  // once per request — each relation's group, as MinCoverSigma does, so
+  // cached and direct results agree byte-for-byte.
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups raw,
+                           SigmaGroups::Make(&catalog_, sigma));
   std::vector<std::shared_ptr<const Group>> groups(catalog_.num_relations());
-  for (RelationId r : runs.order()) {
-    const std::span<const CFD> run = runs.group(r);
-    const auto first = minimized.begin() + (run.data() - minimized.data());
-    auto group = std::make_shared<Group>();
-    group->cfds.assign(std::make_move_iterator(first),
-                       std::make_move_iterator(first + run.size()));
-    group->version = SigmaGroupVersion(catalog_.pool(), group->cfds);
-    groups[r] = std::move(group);
+  for (RelationId r : raw.order()) {
+    const std::span<const CFD> group = raw.group(r);
+    CFDPROP_ASSIGN_OR_RETURN(groups[r],
+                             MinimizeGroup(r, {group.begin(), group.end()}));
   }
   std::shared_ptr<const SigmaState> state =
-      MakeState(std::move(groups), runs.order());
+      MakeState(std::move(groups), raw.order());
   std::unique_lock<std::shared_mutex> lock(sigma_mu_);
   sigmas_.push_back(SigmaEntry{std::move(sigma), std::move(state)});
   return static_cast<SigmaId>(sigmas_.size() - 1);
@@ -197,22 +198,17 @@ Status Engine::MutateSigma(SigmaId id, CFD cfd, bool add) {
   // The new state shares every group but `relation`'s with `prev`;
   // that one is the memo's, a fresh one, or none when it was emptied.
   std::vector<std::shared_ptr<const Group>> groups = prev->groups;
+  groups[relation] = nullptr;
   if (line != nullptr) {
     stats_.RecordSigmaMemoHit();
     groups[relation] = line->group;
   } else if (!fresh.raw.empty()) {
     // Re-minimize OUTSIDE sigma_mu_ — MinCover is the expensive step, and
-    // serving must only ever block on the O(1) state swap below.
-    auto minimized = MinCover(fresh.raw, catalog_.relation(relation).arity(),
-                              /*domains=*/{}, options_.cover.mincover);
-    if (!minimized.ok()) return minimized.status();  // sigma unchanged
-    auto group = std::make_shared<Group>();
-    group->cfds = std::move(minimized).value();
-    group->version = SigmaGroupVersion(catalog_.pool(), group->cfds);
-    fresh.group = groups[relation] = std::move(group);
+    // serving must only ever block on the O(1) state swap below. A
+    // failure leaves sigma unchanged.
+    CFDPROP_ASSIGN_OR_RETURN(fresh.group, MinimizeGroup(relation, fresh.raw));
+    groups[relation] = fresh.group;
     InsertMemoLine(std::move(fresh));
-  } else {
-    groups[relation] = nullptr;
   }
   stats_.SetSigmaMemoLines(memo_.size());
   std::shared_ptr<const SigmaState> state =
@@ -267,18 +263,18 @@ size_t Engine::num_sigmas() const {
 std::shared_ptr<const Engine::SigmaState> Engine::sigma_state(
     SigmaId id) const {
   std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  return sigmas_[id].state;
+  return id < sigmas_.size() ? sigmas_[id].state : nullptr;
 }
 
 std::shared_ptr<const std::vector<CFD>> Engine::sigma(SigmaId id) const {
   const std::shared_ptr<const SigmaState> state = sigma_state(id);
-  auto flat = std::make_shared<std::vector<CFD>>();
-  flat->reserve(state->view.size());
-  for (RelationId r : state->view.order()) {
-    const std::span<const CFD> group = state->view.group(r);
-    flat->insert(flat->end(), group.begin(), group.end());
-  }
-  return flat;
+  std::call_once(state->flat_once, [&] {
+    for (RelationId r : state->view.order()) {
+      const std::span<const CFD> group = state->view.group(r);
+      state->flat.insert(state->flat.end(), group.begin(), group.end());
+    }
+  });
+  return {state, &state->flat};
 }
 
 std::vector<CFD> Engine::sigma_raw(SigmaId id) const {
@@ -287,22 +283,12 @@ std::vector<CFD> Engine::sigma_raw(SigmaId id) const {
 }
 
 SigmaVersion Engine::sigma_version(SigmaId id) const {
-  std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  return sigmas_[id].state->version;
-}
-
-Result<std::shared_ptr<const Engine::SigmaState>> Engine::SnapshotSigma(
-    SigmaId sigma_id) const {
-  std::shared_lock<std::shared_mutex> lock(sigma_mu_);
-  if (sigma_id >= sigmas_.size()) {
-    return Status::InvalidArgument("unknown sigma id");
-  }
-  return sigmas_[sigma_id].state;
+  return sigma_state(id)->version;
 }
 
 Result<EngineResult> Engine::Serve(const SPCView& view, SigmaId sigma_id) {
-  CFDPROP_ASSIGN_OR_RETURN(std::shared_ptr<const SigmaState> sigma,
-                           SnapshotSigma(sigma_id));
+  const std::shared_ptr<const SigmaState> sigma = sigma_state(sigma_id);
+  if (sigma == nullptr) return Status::InvalidArgument("unknown sigma id");
   const SigmaVersion& version = sigma->version;
 
   const auto start = Clock::now();
@@ -351,8 +337,8 @@ Result<EngineResult> Engine::ServeUnion(const SPCUView& view,
   if (view.disjuncts.size() == 1) {
     return Serve(view.disjuncts.front(), sigma_id);
   }
-  CFDPROP_ASSIGN_OR_RETURN(std::shared_ptr<const SigmaState> sigma,
-                           SnapshotSigma(sigma_id));
+  const std::shared_ptr<const SigmaState> sigma = sigma_state(sigma_id);
+  if (sigma == nullptr) return Status::InvalidArgument("unknown sigma id");
   const SigmaVersion& version = sigma->version;
 
   const auto start = Clock::now();

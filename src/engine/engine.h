@@ -85,26 +85,10 @@ struct EngineOptions {
   bool metrics = true;
 
   /// Options forwarded to PropagationCoverSPC. `input_mincover` is
-  /// ignored: registration already minimized, so requests always run
-  /// with input_mincover = false, and a miss borrows the registered Σ
-  /// without copying it. Per miss over zipf-open's 6,144 (tenant, view)
-  /// pairs (|Σ| = 120, Release, 4-CPU x86 container, median of five
-  /// interleaved runs), before and after the flat chase kernel
-  /// (ComputeEQ) and the attribute-indexed RBR; the copy-free path
-  /// before them had taken a miss from 62.1 µs and 644 allocations:
-  ///
-  ///   step (Fig. 2)                       µs           allocations
-  ///   validation of the view and Σ         2.1 → 1.9     0 → 0
-  ///   line 2: ComputeEQ                    5.6 → 1.7    66 → 8
-  ///   lines 5-10 + line 11's X: Σ_V        8.6 → 8.4    65 → 65
-  ///   line 11: RBR                        12.0 → 7.2     8 → 12
-  ///   line 12: map + EQ2CFD                1.5 → 1.4    25 → 25
-  ///   line 13: final MinCover              2.2 → 2.1     4 → 7
-  ///   total                               31.8 → 22.8  167 → 117
-  ///
-  /// A union miss then assembles the per-disjunct covers
-  /// (AssembleUnionCover): 129.7 → 27.8 µs and 606 → 79 allocations per
-  /// churn-write union (|Σ| = 256).
+  /// ignored: registration already minimized, so a miss reads the
+  /// registered groups as they are, and validates only the view (Σ was
+  /// validated when its groups were built). README.md "The miss path"
+  /// prices each step of a miss and of a union assembly.
   PropCoverOptions cover;
 };
 
@@ -162,11 +146,11 @@ class Engine {
   /// other mutations.
   ///
   /// Per add + retract of one FD on a churn-write tenant (|Σ| = 256 over
-  /// 10 relations; BM_EngineMutate, Release, 4-CPU x86): 613 µs when
-  /// each mutation ran MinCover on the group and hashed all of Σ, 77–87
-  /// µs on a memo hit (most of it copying the 256 kept CFDs into the new
-  /// snapshot and freeing the old one), and 253–283 µs when both miss
-  /// (BM_EngineMutateCold).
+  /// 10 relations; Release, 4-CPU x86, medians of five interleaved runs):
+  /// 613 µs when each mutation ran MinCover on the group and hashed all
+  /// of Σ; on a memo hit (BM_EngineMutate) 76 µs while the new snapshot
+  /// copied the 256 kept CFDs, 10 µs since it shares their groups; 212 →
+  /// 136 µs when both miss (BM_EngineMutateCold).
   Status AddCfd(SigmaId id, CFD cfd);
 
   /// Retracts the first CFD of the set's *registered* (pre-minimization)
@@ -188,23 +172,25 @@ class Engine {
   /// A registered set as served: immutable, and replaced wholesale by a
   /// mutation, so a request (or caller) holding it keeps reading it.
   struct SigmaState {
-    /// Indexed by relation; null for a relation with no CFDs. A mutation
-    /// copies these pointers and swaps in one relation's group.
+    /// By relation (null: no CFDs); a mutation swaps one pointer.
     std::vector<std::shared_ptr<const Group>> groups;
-    /// The fold of the nonempty groups' versions in `view`'s order: the
-    /// SigmaVersionOf of the minimized set, bound into every cache line.
+    /// SigmaVersionOf the minimized set: the nonempty groups' versions
+    /// folded in `view`'s order. Bound into every cache line.
     SigmaVersion version;
     /// The nonempty groups, in the registered list's first-seen order.
     SigmaGroups view;
+    /// The groups copied out in order, built by the first sigma() call.
+    mutable std::once_flag flat_once;
+    mutable std::vector<CFD> flat;
   };
 
-  /// The state served for `id`. It stays valid (and unchanged) across
-  /// later AddCfd/RetractCfd calls. Precondition: id < num_sigmas().
+  /// The state served for `id` (null for an unknown id). It stays valid
+  /// (and unchanged) across later AddCfd/RetractCfd calls.
   std::shared_ptr<const SigmaState> sigma_state(SigmaId id) const;
 
-  /// The minimized set served for `id` as one flat list — its groups in
-  /// order, which is MinCoverSigma of the registered list — copied out
-  /// of sigma_state(id). Precondition: id < num_sigmas().
+  /// sigma_state(id)'s groups copied out in order: MinCoverSigma of the
+  /// registered list. It keeps that state alive, and so stays valid
+  /// (and unchanged) too. Precondition: id < num_sigmas().
   std::shared_ptr<const std::vector<CFD>> sigma(SigmaId id) const;
 
   /// Copy of the registered (pre-minimization) list, as mutated by
@@ -330,6 +316,10 @@ class Engine {
   };
   struct EditedList;
 
+  /// MinCover of `relation`'s `raw` group, and its version.
+  Result<std::shared_ptr<const Group>> MinimizeGroup(
+      RelationId relation, std::vector<CFD> raw) const;
+
   /// The state of `groups` (indexed by relation) in `order`, empty
   /// groups skipped: the view over the rest and their versions' fold.
   static std::shared_ptr<const SigmaState> MakeState(
@@ -341,12 +331,11 @@ class Engine {
   /// in the memo; only a miss copies that group and runs MinCover on it
   /// and hashes its minimized form (outside sigma_mu_ — serving only
   /// ever blocks on the state swap). The new state shares every other
-  /// group with the old one (pointer copies, no CFD copied), and its
-  /// version refolds the group versions. Under the exclusive lock the
-  /// edit is applied to the raw list in place and the entry's state
-  /// swapped; the superseded state is freed after the lock. The old
-  /// version's cache lines are dropped if no registered set still has
-  /// that version.
+  /// group with the old one (no CFD copied), and its version refolds the
+  /// group versions. Under the exclusive lock the edit is applied to the
+  /// raw list in place and the entry's state swapped; the superseded
+  /// state is freed after the lock. The old version's cache lines are
+  /// dropped if no registered set still has that version.
   Status MutateSigma(SigmaId id, CFD cfd, bool add);
 
   /// The memo line for `relation`'s group of `list` (`hash` and `size`
@@ -357,11 +346,6 @@ class Engine {
   /// Adds `line`, evicting the least recently used line at capacity.
   /// Callers hold mutation_mu_.
   void InsertMemoLine(MemoLine line);
-
-  /// The state of a sigma id, taken under the shared lock;
-  /// InvalidArgument for unknown ids.
-  Result<std::shared_ptr<const SigmaState>> SnapshotSigma(
-      SigmaId sigma_id) const;
 
   /// The versions of every registered set: the lines a snapshot load
   /// may restore.

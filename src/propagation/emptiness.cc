@@ -27,23 +27,17 @@ Result<bool> DisjunctNonEmpty(const Catalog& catalog, const SPCView& view,
 }  // namespace
 
 Result<bool> IsAlwaysEmpty(const Catalog& catalog, const SPCUView& view,
-                           const SigmaGroups& sigma,
+                           const std::vector<CFD>& sigma,
                            const EmptinessOptions& options) {
   CFDPROP_RETURN_NOT_OK(view.Validate(catalog));
+  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups groups,
+                           SigmaGroups::Make(&catalog, sigma));
   for (const SPCView& disjunct : view.disjuncts) {
     CFDPROP_ASSIGN_OR_RETURN(
-        bool nonempty, DisjunctNonEmpty(catalog, disjunct, sigma, options));
+        bool nonempty, DisjunctNonEmpty(catalog, disjunct, groups, options));
     if (nonempty) return false;
   }
   return true;
-}
-
-Result<bool> IsAlwaysEmpty(const Catalog& catalog, const SPCUView& view,
-                           const std::vector<CFD>& sigma,
-                           const EmptinessOptions& options) {
-  CFDPROP_ASSIGN_OR_RETURN(SigmaGroups groups,
-                           SigmaGroups::Make(&catalog, sigma));
-  return IsAlwaysEmpty(catalog, view, groups, options);
 }
 
 Result<bool> IsAlwaysEmpty(const Catalog& catalog, const SPCView& view,

@@ -34,11 +34,6 @@ struct EmptinessOptions {
 
 /// True iff V(D) is empty for every D |= sigma.
 Result<bool> IsAlwaysEmpty(const Catalog& catalog, const SPCUView& view,
-                           const SigmaGroups& sigma,
-                           const EmptinessOptions& options = {});
-
-/// IsAlwaysEmpty on a flat Σ, grouped (and validated) first.
-Result<bool> IsAlwaysEmpty(const Catalog& catalog, const SPCUView& view,
                            const std::vector<CFD>& sigma,
                            const EmptinessOptions& options = {});
 

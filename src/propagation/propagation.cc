@@ -36,7 +36,8 @@ Result<bool> Passes(FlatTableau& work, const SigmaGroups& sigma,
                     const PropagationOptions& options,
                     const Concludes& concludes) {
   if (!options.general_setting) {
-    return ChaseUntil(work, sigma, [&] { return concludes(work); });
+    return ChaseUntil(work, GroupRules(work, sigma),
+                      [&] { return concludes(work); });
   }
   return NoCounterexample(work, sigma, concludes, options.instantiation);
 }
@@ -76,11 +77,9 @@ PropagationTester::PropagationTester(const Catalog& catalog,
     : catalog_(&catalog),
       view_(&view),
       options_(options),
-      sigma_(std::move(sigma)) {
-  const size_t k = view.disjuncts.size();
-  singles_.resize(k);
-  pairs_.resize(k * k);
-}
+      sigma_(std::move(sigma)),
+      singles_(view.disjuncts.size()),
+      pairs_(view.disjuncts.size() * view.disjuncts.size()) {}
 
 Result<PropagationTester::Base*> PropagationTester::BaseOf(size_t i,
                                                            size_t j,

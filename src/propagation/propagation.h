@@ -55,11 +55,10 @@ PropagationOptions AutoOptions(const Catalog& catalog, const SPCUView& view);
 
 /// Decides Sigma |=_V phi for many phi against one (view, sigma), as the
 /// union assembly of PropagationCoverSPCU does: Make validates the view
-/// once (Sigma was validated when its groups were built), and
-/// IsPropagated validates only phi.
+/// once, and IsPropagated validates only phi.
 class PropagationTester {
  public:
-  /// Validates `view`; it and the CFDs `sigma` reads must outlive the
+  /// Validates `view`, which (and what `sigma` reads) must outlive the
   /// tester.
   static Result<PropagationTester> Make(const Catalog& catalog,
                                         const SPCUView& view,

@@ -207,21 +207,21 @@ Result<TenantHandle> CatalogService::OpenCatalogInternal(
   if (warm != nullptr) {
     // Migration warm start: the shipped bytes win over any stale local
     // file. Any failure — version bump, changed Σ, corruption — just
-    // means a cold cache, and the tenant keeps the reason. The spill
-    // marker stays 0: unlike the file path below, these bytes are NOT
-    // this service's snapshot file, so the restored lines count as
-    // dirty and the next spill persists them locally.
+    // means a cold cache. The spill marker stays 0: unlike the file
+    // path below, these bytes are NOT this service's snapshot file, so
+    // the restored lines count as dirty and the next spill persists
+    // them locally.
     tenant->snapshot_rejection_ =
         tenant->engine_->LoadSnapshotBytes(*warm).status();
   } else if (!options_.snapshot_dir.empty()) {
-    // Warm start. Any failure — version bump, changed Σ, corruption —
-    // just means a cold cache (LoadSnapshot already guarantees a
-    // rejected file restores nothing), and the tenant keeps the reason;
-    // no file yet is no rejection. Runs before the tenant is published,
-    // so the pool-interning load never races serving.
-    Status loaded = tenant->engine_->LoadSnapshot(SnapshotPath(name)).status();
-    if (loaded.code() != StatusCode::kNotFound) {
-      tenant->snapshot_rejection_ = std::move(loaded);
+    // Warm start. Any failure — no file yet, version bump, changed Σ,
+    // corruption — just means a cold cache; LoadSnapshot already
+    // guarantees a rejected file restores nothing. Runs before the
+    // tenant is published, so the pool-interning load never races
+    // serving.
+    auto loaded = tenant->engine_->LoadSnapshot(SnapshotPath(name));
+    if (loaded.status().code() != StatusCode::kNotFound) {
+      tenant->snapshot_rejection_ = loaded.status();
     }
     // A freshly restored cache is not dirty: its content IS the file.
     tenant->spill_marker.store(

@@ -148,9 +148,8 @@ class Tenant {
     return cache_budget_.load(std::memory_order_relaxed);
   }
 
-  /// Why the open's warm start rejected its snapshot wholesale (version
-  /// bump, truncation, corruption), so the tenant started cold; OK when
-  /// the snapshot loaded, or there was none to load (no file yet).
+  /// Why the open's warm start rejected its snapshot whole (version bump,
+  /// truncation, corruption); OK when it loaded or there was no file.
   const Status& snapshot_rejection() const { return snapshot_rejection_; }
 
  private:
@@ -162,8 +161,7 @@ class Tenant {
   std::string name_;
   std::unique_ptr<Engine> engine_;
   std::atomic<size_t> cache_budget_{0};
-  /// Set once, before the tenant is published.
-  Status snapshot_rejection_;
+  Status snapshot_rejection_;  // set before the tenant is published
 
   /// Serializes spills of this tenant (policy thread vs. Drop vs.
   /// explicit SpillTenant). SaveSnapshot's temp files are now
