@@ -136,8 +136,9 @@ class SigmaVersionFold {
   uint64_t groups_ = 0;
 };
 
-/// The SigmaVersion of `cfds` (the minimized set): SigmaGroupVersion of
-/// each relation's group, folded in first-seen order.
+/// The SigmaVersion of `cfds` (the minimized set, on catalog relation
+/// ids): SigmaGroupVersion of each relation's group, folded in
+/// first-seen order.
 SigmaVersion SigmaVersionOf(const ValuePool& pool,
                             const std::vector<CFD>& cfds);
 

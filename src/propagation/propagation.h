@@ -66,7 +66,7 @@ class PropagationTester {
                                         const PropagationOptions& options =
                                             {});
 
-  /// Make on a flat Σ, grouped (and validated) first.
+  /// Make on a flat Σ (to outlive the tester), grouped and validated.
   static Result<PropagationTester> Make(const Catalog& catalog,
                                         const SPCUView& view,
                                         const std::vector<CFD>& sigma,
