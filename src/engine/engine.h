@@ -9,8 +9,8 @@
 //   * source CFD sets are registered once and min-covered at
 //     registration (Fig. 2 line 1 runs once, not per request), and can
 //     be *mutated* afterwards — AddCfd/RetractCfd re-minimize only the
-//     relation the CFD is on (every other relation's minimized CFDs and
-//     group versions are kept), and a group state seen before comes from
+//     relation the CFD is on (every other relation's group of minimized
+//     CFDs is shared, not copied), and a group state seen before comes from
 //     a bounded MinCover memo with no MinCover and no hashing at all;
 //     when the set's content version changes, only the old version's
 //     cache lines are invalidated (never a global Clear), and only if no
