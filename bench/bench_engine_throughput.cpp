@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -680,6 +681,89 @@ BENCHMARK(BM_NetLoopbackBatch)
     ->Args({4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// One warm batch at a time over loopback with an idle gap before each:
+/// per-batch round-trip p50/p95 (µs) as counters. With a gap the
+/// server's threads have gone idle when the batch lands, so every
+/// thread the request crosses pays a wake-up; gap_us 0 is the
+/// closed-loop rung, whose threads stay warm (BM_NetLoopbackBatch's
+/// regime). All 8 views are cache hits, so the engine's share is small.
+void BM_NetLoopbackIdleBatch(benchmark::State& state) {
+  const auto gap = std::chrono::microseconds(state.range(0));
+  constexpr size_t kBatchLen = 8;
+  ServiceOptions options;
+  options.engine.num_threads = 1;
+  options.engine.cover.rbr.on_budget = RBROptions::OnBudget::kTruncate;
+  CatalogService service(options);
+  net::CoverServer server(service);
+  if (Status started = server.Start(); !started.ok()) {
+    state.SkipWithError(started.ToString().c_str());
+    return;
+  }
+  EngineWorkload w = MakeEngineWorkload({/*num_cfds=*/160,
+                                         /*num_views=*/kBatchLen,
+                                         /*seed=*/42});
+  Spec spec;
+  spec.catalog = std::move(w.catalog);
+  spec.source_cfds = std::move(w.sigma);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < w.views.size(); ++i) {
+    names.push_back("V" + std::to_string(i));
+    spec.view_names.push_back(names.back());
+    spec.views.emplace(names.back(), SPCUView(std::move(w.views[i])));
+  }
+  if (auto opened = server.OpenParsedSpec("t", std::move(spec));
+      !opened.ok()) {
+    state.SkipWithError(opened.status().ToString().c_str());
+    return;
+  }
+  net::CoverClientOptions client_options;
+  client_options.port = server.port();
+  net::CoverClient client(client_options);
+  Catalog scratch;  // decode pool
+  if (Status connected = client.Connect(); !connected.ok()) {
+    state.SkipWithError(connected.ToString().c_str());
+    return;
+  }
+  auto submit = [&] {
+    auto reply = client.SubmitBatch("t", names, scratch.pool());
+    if (!reply.ok() || !reply->status.ok()) return false;
+    benchmark::DoNotOptimize(reply->results.data());
+    return reply->results.size() == names.size();
+  };
+  if (!submit()) {  // warms the cache: every timed request hits
+    state.SkipWithError("warm-up batch failed");
+    return;
+  }
+
+  std::vector<double> us;
+  for (auto _ : state) {
+    if (gap.count() > 0) std::this_thread::sleep_for(gap);
+    const auto start = std::chrono::steady_clock::now();
+    const bool ok = submit();
+    const std::chrono::duration<double> rtt =
+        std::chrono::steady_clock::now() - start;
+    if (!ok) {
+      state.SkipWithError("network batch failed");
+      return;
+    }
+    state.SetIterationTime(rtt.count());
+    us.push_back(rtt.count() * 1e6);
+  }
+  std::sort(us.begin(), us.end());
+  auto quantile = [&](double q) {
+    return us.empty() ? 0.0 : us[static_cast<size_t>(q * (us.size() - 1))];
+  };
+  state.counters["p50_us"] = quantile(0.50);
+  state.counters["p95_us"] = quantile(0.95);
+  server.Stop();
+}
+BENCHMARK(BM_NetLoopbackIdleBatch)
+    ->ArgNames({"gap_us"})
+    ->Args({0})
+    ->Args({1000})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseManualTime();
 
 /// Baseline: the uncached one-shot pipeline over the same stream (every
 /// request recomputes MinCover/ComputeEQ/RBR). Compare covers_per_sec

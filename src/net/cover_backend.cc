@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/net/cover_server.h"
+
 namespace cfdprop {
 namespace net {
 
@@ -68,35 +70,8 @@ Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
                             "' has no spec registered with this backend");
   }
 
-  // View-name resolution mirrors CoverServer::HandleSubmitBatch: a batch
-  // naming an unknown view fails alone with a typed NotFound and is
-  // never submitted; its siblings still run.
-  std::vector<BatchResult> outcomes(batches.size());
-  std::vector<std::vector<Engine::Request>> to_submit;
-  std::vector<size_t> submit_slot;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    std::vector<Engine::Request> requests;
-    requests.reserve(batches[i].size());
-    Status resolved = Status::OK();
-    for (const std::string& view : batches[i]) {
-      auto it = spec->views.find(view);
-      if (it == spec->views.end()) {
-        resolved = Status::NotFound("unknown view '" + view +
-                                    "' in tenant '" + tenant + "'");
-        break;
-      }
-      requests.emplace_back(it->second, /*sigma_id=*/0);
-    }
-    if (!resolved.ok()) {
-      outcomes[i].status = std::move(resolved);
-      continue;
-    }
-    submit_slot.push_back(i);
-    to_submit.push_back(std::move(requests));
-  }
-
   // This backend is the trace edge for the in-process path: the
-  // "request" span covers submit through the last future resolution —
+  // "request" span covers submit through the last batch's resolution —
   // the same window the wire path's "rpc" span covers.
   obs::Tracer* tracer = obs::ProcessTracer();
   obs::TraceContext trace;
@@ -118,17 +93,10 @@ Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
     }
   }
 
-  // One SubmitBatches call: the burst's admission is decided atomically,
-  // so the admit/reject pattern matches the wire path byte for byte.
-  auto submitted = service_.SubmitBatches(tenant, std::move(to_submit), child);
-  for (size_t k = 0; k < submitted.size(); ++k) {
-    BatchResult& out = outcomes[submit_slot[k]];
-    if (!submitted[k].ok()) {
-      out.status = submitted[k].status();
-      continue;
-    }
-    out.results = submitted[k].value().get().results;
-  }
+  // The wire path's own serving: the burst's admit/reject pattern
+  // matches it byte for byte.
+  std::vector<BatchResult> outcomes =
+      ServeViewBatches(service_, tenant, *spec, batches, child);
   if (timed) {
     tracer->RecordEdge(trace, span_id, "request", start_us,
                        tracer->NowUs() - start_us, tenant);

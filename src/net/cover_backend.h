@@ -86,10 +86,9 @@ class CoverBackend {
   virtual Status DropCatalog(const std::string& tenant) = 0;
 };
 
-/// CoverBackend over an in-process CatalogService: parses specs,
-/// resolves view names and folds the service's futures into
-/// BatchResults — everything a CoverServer does per frame, minus the
-/// frames. The service must outlive the backend. Several InProcBackend
+/// CoverBackend over an in-process CatalogService: parses specs and
+/// serves each burst on the calling thread through ServeViewBatches —
+/// everything a CoverServer does per frame, minus the frames. The service must outlive the backend. Several InProcBackend
 /// instances may share one service (each keeps only resolution state).
 class InProcBackend : public CoverBackend {
  public:

@@ -33,6 +33,40 @@ constexpr std::chrono::milliseconds kMigrationDrainDeadline{10000};
 
 }  // namespace
 
+std::vector<BatchResult> ServeViewBatches(
+    CatalogService& service, const std::string& tenant, const Spec& spec,
+    const std::vector<std::vector<std::string>>& batches,
+    const obs::TraceContext& trace) {
+  std::vector<BatchResult> outcomes(batches.size());
+  std::vector<std::vector<Engine::Request>> to_submit;
+  std::vector<size_t> submit_slot;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    std::vector<Engine::Request> requests;
+    requests.reserve(batches[i].size());
+    for (const std::string& view : batches[i]) {
+      auto it = spec.views.find(view);
+      if (it == spec.views.end()) {
+        outcomes[i].status = Status::NotFound(
+            "unknown view '" + view + "' in tenant '" + tenant + "'");
+        break;
+      }
+      requests.emplace_back(it->second, /*sigma_id=*/0);
+    }
+    if (!outcomes[i].status.ok()) continue;
+    submit_slot.push_back(i);
+    to_submit.push_back(std::move(requests));
+  }
+  // One ServeBatches call for the whole frame: admission for every
+  // batch is decided under one lock, which is what makes a pipelined
+  // burst's admit/reject pattern deterministic.
+  std::vector<BatchReply> served =
+      service.ServeBatches(tenant, std::move(to_submit), trace);
+  for (size_t k = 0; k < served.size(); ++k) {
+    outcomes[submit_slot[k]] = std::move(served[k]);
+  }
+  return outcomes;
+}
+
 CoverServer::CoverServer(CatalogService& service, CoverServerOptions options)
     : service_(service), options_(std::move(options)) {
   obs::MetricsRegistry& metrics = service_.metrics();
@@ -506,48 +540,10 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
         {}, EmptyPool());
   }
 
-  // Resolve view names per batch; a batch naming an unknown view fails
-  // alone (typed NotFound) and is never submitted — its siblings still
-  // run, so one bad name can't waste a whole pipeline.
-  std::vector<WireBatchResult> outcomes(request->batches.size());
-  std::vector<std::vector<Engine::Request>> to_submit;
-  std::vector<size_t> submit_slot;
-  for (size_t i = 0; i < request->batches.size(); ++i) {
-    std::vector<Engine::Request> requests;
-    requests.reserve(request->batches[i].size());
-    Status resolved = Status::OK();
-    for (const std::string& view : request->batches[i]) {
-      auto it = spec->views.find(view);
-      if (it == spec->views.end()) {
-        resolved = Status::NotFound("unknown view '" + view +
-                                    "' in tenant '" + request->tenant + "'");
-        break;
-      }
-      requests.emplace_back(it->second, /*sigma_id=*/0);
-    }
-    if (!resolved.ok()) {
-      outcomes[i].status = std::move(resolved);
-      continue;
-    }
-    submit_slot.push_back(i);
-    to_submit.push_back(std::move(requests));
-  }
-
-  // One SubmitBatches call for the whole frame: admission for every
-  // batch is decided under one lock, which is what makes a pipelined
-  // burst's admit/reject pattern deterministic. The in-band trace rides
-  // along so the service's stage spans join the request's tree.
-  auto submitted = service_.SubmitBatches(request->tenant,
-                                          std::move(to_submit),
-                                          trace->ctx);
-  for (size_t k = 0; k < submitted.size(); ++k) {
-    WireBatchResult& out = outcomes[submit_slot[k]];
-    if (!submitted[k].ok()) {
-      out.status = submitted[k].status();
-      continue;
-    }
-    out.results = submitted[k].value().get().results;
-  }
+  // The in-band trace rides along so the service's stage spans join
+  // the request's tree.
+  const std::vector<WireBatchResult> outcomes = ServeViewBatches(
+      service_, request->tenant, *spec, request->batches, trace->ctx);
   if (edge_tracer != nullptr) {
     edge_tracer->RecordEdge(edge_ctx, edge_span, "request", edge_start,
                             edge_tracer->NowUs() - edge_start,

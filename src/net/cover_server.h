@@ -18,10 +18,12 @@
 // encoding, so the two processes' ValuePools never need to agree.
 //
 // Admission control is the service's (AdmissionOptions): a multi-batch
-// submit frame maps onto CatalogService::SubmitBatches, whose one-lock
+// submit frame maps onto CatalogService::ServeBatches, whose one-lock
 // admission makes the admit/reject pattern of a pipelined burst
 // deterministic; rejected batches come back as typed ResourceExhausted
-// replies, and the counters land in ServiceStatsSnapshot.
+// replies, and the counters land in ServiceStatsSnapshot. The
+// connection thread runs its frame's batches itself while a running
+// slot is free, so a request on an idle server crosses no thread.
 //
 // Thread-safety: Start/Stop/WaitForShutdown are for the owning thread;
 // everything the connection threads touch is internally locked.
@@ -47,6 +49,18 @@
 
 namespace cfdprop {
 namespace net {
+
+/// Serves one submit-batch frame on `service` from the calling thread
+/// (CatalogService::ServeBatches). View names resolve against `spec`; a
+/// batch naming an unknown view fails alone with a typed NotFound and
+/// is never submitted, so one bad name cannot waste a whole pipeline.
+/// Slot i answers batches[i]. CoverServer and InProcBackend both serve
+/// through it, which keeps the wire and in-process paths
+/// byte-comparable.
+std::vector<BatchResult> ServeViewBatches(
+    CatalogService& service, const std::string& tenant, const Spec& spec,
+    const std::vector<std::vector<std::string>>& batches,
+    const obs::TraceContext& trace);
 
 struct CoverServerOptions {
   std::string host = "127.0.0.1";

@@ -374,7 +374,7 @@ Result<std::future<BatchReply>> CatalogService::SubmitBatch(
   return future;
 }
 
-std::vector<Result<std::future<BatchReply>>> CatalogService::SubmitBatches(
+std::vector<Result<std::future<BatchReply>>> CatalogService::AdmitBatches(
     const std::string& tenant,
     std::vector<std::vector<Engine::Request>> batches,
     const obs::TraceContext& trace) {
@@ -385,30 +385,80 @@ std::vector<Result<std::future<BatchReply>>> CatalogService::SubmitBatches(
     for (size_t i = 0; i < batches.size(); ++i) out.push_back(resolved.status());
     return out;
   }
-  size_t admitted = 0;
+  // One lock hold across every decision: no runner can pop or complete a
+  // batch (both need queue_mu_) between the first and the last admission
+  // check, so a burst's outcome depends only on the caps and the
+  // in-service count at entry.
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  for (auto& requests : batches) {
+    Job job;
+    job.submit_start = std::chrono::steady_clock::now();
+    job.tenant = *resolved;
+    job.trace = trace;
+    job.requests = std::move(requests);
+    std::future<BatchReply> future = job.promise.get_future();
+    Status enq = EnqueueLocked(std::move(job));
+    if (enq.ok()) {
+      out.push_back(std::move(future));
+    } else {
+      out.push_back(std::move(enq));
+    }
+  }
+  return out;
+}
+
+std::vector<Result<std::future<BatchReply>>> CatalogService::SubmitBatches(
+    const std::string& tenant,
+    std::vector<std::vector<Engine::Request>> batches,
+    const obs::TraceContext& trace) {
+  auto out = AdmitBatches(tenant, std::move(batches), trace);
+  for (const auto& slot : out) {
+    if (slot.ok()) queue_cv_.notify_one();
+  }
+  return out;
+}
+
+std::vector<BatchReply> CatalogService::ServeBatches(
+    const std::string& tenant,
+    std::vector<std::vector<Engine::Request>> batches,
+    const obs::TraceContext& trace) {
+  auto submitted = AdmitBatches(tenant, std::move(batches), trace);
+  // This thread runs one batch itself; dispatchers are woken only for
+  // the rest.
+  const auto admitted =
+      std::count_if(submitted.begin(), submitted.end(),
+                    [](const auto& slot) { return slot.ok(); });
+  for (auto i = admitted; i > 1; --i) queue_cv_.notify_one();
   {
-    // One lock hold across every decision: no dispatcher can pop or
-    // complete a batch (both need queue_mu_) between the first and the
-    // last admission check, so a burst's outcome depends only on the
-    // caps and the in-service count at entry.
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (auto& requests : batches) {
-      Job job;
-      job.submit_start = std::chrono::steady_clock::now();
-      job.tenant = *resolved;
-      job.trace = trace;
-      job.requests = std::move(requests);
-      std::future<BatchReply> future = job.promise.get_future();
-      Status enq = EnqueueLocked(std::move(job));
-      if (enq.ok()) {
-        out.push_back(std::move(future));
-        ++admitted;
-      } else {
-        out.push_back(std::move(enq));
+    // Run queued jobs until each of ours has resolved. A job that
+    // resolves ours releases its slot under queue_mu_ and then notifies
+    // (RunJob), so checking the future and waiting under the lock loses
+    // no wake-up.
+    std::unique_lock<std::mutex> lock(queue_mu_);
+    for (auto& slot : submitted) {
+      if (!slot.ok()) continue;
+      while (slot->wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+        Job job;
+        if (PopEligibleLocked(&job)) {
+          lock.unlock();
+          RunJob(std::move(job));
+          lock.lock();
+        } else {
+          queue_cv_.wait(lock);
+        }
       }
     }
   }
-  for (size_t i = 0; i < admitted; ++i) queue_cv_.notify_one();
+  std::vector<BatchReply> out(submitted.size());
+  for (size_t i = 0; i < submitted.size(); ++i) {
+    if (submitted[i].ok()) {
+      out[i] = submitted[i]->get();
+    } else {
+      out[i].tenant = tenant;
+      out[i].status = submitted[i].status();
+    }
+  }
   return out;
 }
 
@@ -425,11 +475,13 @@ Status CatalogService::SubmitBatch(const std::string& tenant,
 }
 
 bool CatalogService::PopEligibleLocked(Job* job) {
-  if (queues_.empty()) return false;
+  if (queues_.empty() || running_total_ >= options_.dispatcher_threads) {
+    return false;
+  }
   const uint64_t running_cap = options_.admission.max_inflight_batches;
   // Round-robin: scan tenant queues starting just past the last tenant
   // served, wrapping — under saturation every tenant with queued work
-  // gets a dispatcher in name order, regardless of who floods the queue.
+  // gets a runner in name order, regardless of who floods the queue.
   auto start = queues_.upper_bound(rr_cursor_);
   if (start == queues_.end()) start = queues_.begin();
   auto it = start;
@@ -438,7 +490,7 @@ bool CatalogService::PopEligibleLocked(Job* job) {
     if (!q.empty()) {
       Tenant& tenant = *q.front().tenant;
       // A tenant at its running cap keeps its queue until a completion
-      // frees a slot (the completing dispatcher notifies).
+      // frees a slot (the completing runner notifies).
       if (running_cap == 0 ||
           tenant.admission_running.load(std::memory_order_relaxed) <
               running_cap) {
@@ -447,6 +499,7 @@ bool CatalogService::PopEligibleLocked(Job* job) {
         --total_queued_;
         tenant.admission_queued.fetch_sub(1, std::memory_order_relaxed);
         tenant.admission_running.fetch_add(1, std::memory_order_relaxed);
+        ++running_total_;
         rr_cursor_ = it->first;
         if (q.empty()) queues_.erase(it);
         return true;
@@ -466,93 +519,103 @@ void CatalogService::DispatcherLoop() {
       for (;;) {
         if (PopEligibleLocked(&job)) break;
         // Drained means *empty queues*, not just "none eligible": a
-        // queued batch behind a running-cap waits for the completion
-        // notify below, even during shutdown, so no future ever breaks.
+        // queued batch behind a running cap waits for the completion
+        // notify in RunJob, even during shutdown, so no future ever
+        // breaks.
         if (stopping_ && total_queued_ == 0) return;
         queue_cv_.wait(lock);
       }
     }
-    // Lifecycle stamps: queue-wait ended at the pop above; the engine
-    // call is the propagate stage; delivering the reply is its own
-    // stage (a slow future consumer or callback shows up here, not in
-    // propagate).
-    const auto popped_at = std::chrono::steady_clock::now();
-    const Tenant::StageTimers& stages = job.tenant->stages_;
-    if (stages.queue_wait) {
-      stages.queue_wait->Record(MicrosBetween(job.admitted_at, popped_at));
-    }
-    // Stage spans ride the exact stamps the histograms read — a sampled
-    // job adds span-ring appends and one clock call (the reply hand-off).
-    obs::Tracer* tracer = job.trace.sampled ? obs::ProcessTracer() : nullptr;
-    auto span = [&](const char* name,
-                    std::chrono::steady_clock::time_point from,
-                    std::chrono::steady_clock::time_point to) {
-      if (tracer == nullptr) return;
-      tracer->Record(job.trace, tracer->NewSpanId(), job.trace.parent_span_id,
-                     name, obs::Tracer::ToUs(from),
-                     static_cast<uint64_t>(MicrosBetween(from, to)),
-                     job.tenant->name());
-    };
-    span("queue_wait", job.admitted_at, popped_at);
-    BatchReply reply;
-    reply.tenant = job.tenant->name();
-    reply.sequence = job.sequence;
-    const auto propagate_start = std::chrono::steady_clock::now();
-    if (stages.dispatch) {
-      stages.dispatch->Record(MicrosBetween(popped_at, propagate_start));
-    }
-    span("dispatch", popped_at, propagate_start);
-    // PropagateBatch already converts per-request exceptions to Status;
-    // this guard is for anything outside that contract — one tenant's
-    // failure must never std::terminate the whole service.
-    try {
-      reply.results =
-          job.tenant->engine_->PropagateBatch(job.requests, job.trace);
-    } catch (...) {
-      reply.results.clear();
-      for (size_t i = 0; i < job.requests.size(); ++i) {
-        reply.results.emplace_back(
-            Status::Internal("batch dispatch exception"));
-      }
-    }
-    const auto propagate_end = std::chrono::steady_clock::now();
-    if (stages.propagate) {
-      stages.propagate->Record(MicrosBetween(propagate_start, propagate_end));
-    }
-    span("propagate", propagate_start, propagate_end);
-    batches_completed_.fetch_add(1, std::memory_order_relaxed);
-    // The reply span closes at the hand-off, before delivery: the caller
-    // may ask for this trace (TRACE_DUMP) as soon as it holds the reply,
-    // and the span must be in the ring by then. The reply stage histogram
-    // below still times the delivery itself.
-    if (tracer != nullptr) {
-      span("reply", propagate_end, std::chrono::steady_clock::now());
-    }
-    if (!job.callback) {
-      job.promise.set_value(std::move(reply));
-    } else {
-      // A throwing callback would std::terminate the dispatcher; the
-      // contract says "must not throw", the catch makes a violation
-      // lose one reply instead of the whole service.
-      try {
-        job.callback(std::move(reply));
-      } catch (...) {
-      }
-    }
-    if (stages.reply) {
-      stages.reply->Record(
-          MicrosBetween(propagate_end, std::chrono::steady_clock::now()));
-    }
-    // Release the running slot only after the reply is delivered (a
-    // batch "in flight" admission-wise is one whose caller hasn't heard
-    // back yet), and notify: a queued batch of this tenant may have been
-    // waiting on the cap, and the shutdown drain waits on exactly this.
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      job.tenant->admission_running.fetch_sub(1, std::memory_order_relaxed);
-    }
-    queue_cv_.notify_all();
+    RunJob(std::move(job));
   }
+}
+
+void CatalogService::RunJob(Job job) {
+  // Lifecycle stamps: queue-wait ended at the caller's pop; the engine
+  // call is the propagate stage; delivering the reply is its own
+  // stage (a slow future consumer or callback shows up here, not in
+  // propagate).
+  const auto popped_at = std::chrono::steady_clock::now();
+  const Tenant::StageTimers& stages = job.tenant->stages_;
+  if (stages.queue_wait) {
+    stages.queue_wait->Record(MicrosBetween(job.admitted_at, popped_at));
+  }
+  // Stage spans ride the exact stamps the histograms read — a sampled
+  // job adds span-ring appends and one clock call (the reply hand-off).
+  obs::Tracer* tracer = job.trace.sampled ? obs::ProcessTracer() : nullptr;
+  auto span = [&](const char* name,
+                  std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+    if (tracer == nullptr) return;
+    tracer->Record(job.trace, tracer->NewSpanId(), job.trace.parent_span_id,
+                   name, obs::Tracer::ToUs(from),
+                   static_cast<uint64_t>(MicrosBetween(from, to)),
+                   job.tenant->name());
+  };
+  span("queue_wait", job.admitted_at, popped_at);
+  BatchReply reply;
+  reply.tenant = job.tenant->name();
+  reply.sequence = job.sequence;
+  const auto propagate_start = std::chrono::steady_clock::now();
+  if (stages.dispatch) {
+    stages.dispatch->Record(MicrosBetween(popped_at, propagate_start));
+  }
+  span("dispatch", popped_at, propagate_start);
+  // PropagateBatch already converts per-request exceptions to Status;
+  // this guard is for anything outside that contract — one tenant's
+  // failure must never std::terminate the whole service.
+  try {
+    reply.results =
+        job.tenant->engine_->PropagateBatch(job.requests, job.trace);
+  } catch (...) {
+    reply.results.clear();
+    for (size_t i = 0; i < job.requests.size(); ++i) {
+      reply.results.emplace_back(
+          Status::Internal("batch dispatch exception"));
+    }
+  }
+  const auto propagate_end = std::chrono::steady_clock::now();
+  if (stages.propagate) {
+    stages.propagate->Record(MicrosBetween(propagate_start, propagate_end));
+  }
+  span("propagate", propagate_start, propagate_end);
+  batches_completed_.fetch_add(1, std::memory_order_relaxed);
+  // The reply span closes at the hand-off, before delivery: the caller
+  // may ask for this trace (TRACE_DUMP) as soon as it holds the reply,
+  // and the span must be in the ring by then. The reply stage histogram
+  // below still times the delivery itself.
+  if (tracer != nullptr) {
+    span("reply", propagate_end, std::chrono::steady_clock::now());
+  }
+  if (!job.callback) {
+    job.promise.set_value(std::move(reply));
+  } else {
+    // A throwing callback would std::terminate the runner; the
+    // contract says "must not throw", the catch makes a violation
+    // lose one reply instead of the whole service.
+    try {
+      job.callback(std::move(reply));
+    } catch (...) {
+    }
+  }
+  if (stages.reply) {
+    stages.reply->Record(
+        MicrosBetween(propagate_end, std::chrono::steady_clock::now()));
+  }
+  // Release the running slot only after the reply is delivered (a
+  // batch "in flight" admission-wise is one whose caller hasn't heard
+  // back yet), and notify: a queued batch may have been waiting on a
+  // cap, a ServeBatches caller on this reply, and the shutdown drain
+  // waits on exactly this. It stays unconditional: skipping it when no
+  // one waited made zipf-open's batch_p95_us 11% worse on a 4-vCPU VM
+  // (presumably the idle dispatchers it wakes keep CPUs out of deep
+  // idle).
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    job.tenant->admission_running.fetch_sub(1, std::memory_order_relaxed);
+    --running_total_;
+  }
+  queue_cv_.notify_all();
 }
 
 Result<uint64_t> CatalogService::Spill(Tenant& tenant, bool from_policy,
@@ -601,7 +664,7 @@ Result<uint64_t> CatalogService::SpillTenant(const std::string& name) {
 Status CatalogService::DrainTenant(const std::string& name,
                                    std::chrono::milliseconds deadline) {
   CFDPROP_ASSIGN_OR_RETURN(TenantHandle tenant, ResolveCatalog(name));
-  // Both gauges only move under queue_mu_, and the dispatcher releases
+  // Both gauges only move under queue_mu_, and RunJob releases
   // the running slot (then notifies) only after the reply is delivered —
   // so "queued + running == 0" here means every submitted batch has
   // answered its caller, not merely left the queue.
@@ -808,7 +871,7 @@ std::vector<obs::MetricFamilySamples> CatalogService::CollectFamilies() const {
              "Batches waiting in the tenant queue",
              +[](const TS& t) { return static_cast<double>(t.queued); });
   per_tenant("cfdprop_running_batches", MetricType::kGauge,
-             "Batches held by a dispatcher",
+             "Batches running on a dispatcher or a serving caller",
              +[](const TS& t) { return static_cast<double>(t.running); });
   per_tenant("cfdprop_spills_total", MetricType::kCounter,
              "Cover-cache snapshot spills (policy + flush)",

@@ -13,11 +13,16 @@
 //     drops, and rolls every tenant's engine counters up into one
 //     service stats snapshot;
 //
-//   * an async front end — SubmitBatch returns a std::future<BatchReply>
-//     (or invokes a callback) and a service-level dispatcher pool fans
-//     the batches out across tenant engines, so a network front end can
-//     overlap many batches without blocking on any of them; results
-//     come back in request order within each batch, exactly as
+//   * a batch front end with one run queue — SubmitBatch returns a
+//     std::future<BatchReply> (or invokes a callback) and a
+//     service-level dispatcher pool fans the batches out across tenant
+//     engines; ServeBatches is the synchronous form, whose calling
+//     thread runs queued batches itself until its own have resolved
+//     (a connection thread that would only block on the futures saves
+//     two thread hand-offs per request). Dispatchers and serving
+//     callers pop one queue in one order under one bound
+//     (ServiceOptions::dispatcher_threads batches running at once);
+//     results come back in request order within each batch, exactly as
 //     Engine::PropagateBatch orders them;
 //
 //   * a snapshot *policy* — PR 3 built the snapshot mechanism (when
@@ -90,7 +95,8 @@ struct SnapshotPolicy {
 /// starve the others (dispatch is round-robin across tenants, and this
 /// cap bounds how much of the queue a single tenant can occupy).
 struct AdmissionOptions {
-  /// Batches of one tenant the dispatchers may be running at once.
+  /// Batches of one tenant that may be running at once (on dispatchers
+  /// and ServeBatches callers together).
   /// 0 = unlimited (admission control off; nothing is ever rejected).
   uint64_t max_inflight_batches = 0;
 
@@ -103,9 +109,11 @@ struct AdmissionOptions {
 };
 
 struct ServiceOptions {
-  /// Dispatcher pool size: how many batches can be in flight across all
-  /// tenants at once (each dispatcher blocks inside one
-  /// Engine::PropagateBatch at a time).
+  /// How many batches can be in flight across all tenants at once, and
+  /// the dispatcher pool's size. A ServeBatches caller that runs a
+  /// batch takes one of these slots too, so dispatchers and callers
+  /// together never run more than this many (each runner blocks inside
+  /// one Engine::PropagateBatch at a time).
   size_t dispatcher_threads = 2;
 
   AdmissionOptions admission;
@@ -193,7 +201,7 @@ class Tenant {
   std::atomic<uint64_t> admission_admitted{0};
   std::atomic<uint64_t> admission_rejected{0};
   std::atomic<uint64_t> admission_queued{0};   // waiting in the tenant queue
-  std::atomic<uint64_t> admission_running{0};  // held by a dispatcher
+  std::atomic<uint64_t> admission_running{0};  // held by a runner
 
   /// Per-stage latency histograms (`cfdprop_stage_latency_us{tenant=,
   /// stage=}`), owned by the service's MetricsRegistry and resolved at
@@ -201,7 +209,7 @@ class Tenant {
   /// service code records into them.
   struct StageTimers {
     obs::Histogram* admission = nullptr;   // submit entry -> enqueued
-    obs::Histogram* queue_wait = nullptr;  // enqueued -> dispatcher pop
+    obs::Histogram* queue_wait = nullptr;  // enqueued -> runner pop
     obs::Histogram* dispatch = nullptr;    // pop -> batch handed to engine
     obs::Histogram* propagate = nullptr;   // Engine::PropagateBatch wall
     obs::Histogram* reply = nullptr;       // promise/callback delivery
@@ -211,17 +219,17 @@ class Tenant {
 
 using TenantHandle = std::shared_ptr<Tenant>;
 
-/// One completed batch, delivered through the future or callback. The
-/// payload is the BatchResult shape the wire protocol also speaks
-/// (results[i] answers requests[i] of the submitted batch); `status` is
-/// always OK here — rejections surface synchronously from SubmitBatch —
-/// but lets a CoverBackend fold sync rejections and replies into one
-/// slot without a conversion.
+/// One batch's outcome. The payload is the BatchResult shape the wire
+/// protocol also speaks (results[i] answers requests[i] of the
+/// submitted batch). A reply delivered through a future or callback
+/// always has an OK `status` (SubmitBatch returns rejections
+/// synchronously); a ServeBatches slot carries its batch's rejection
+/// there, with no results.
 struct BatchReply : BatchResult {
   std::string tenant;
   /// Per-tenant submission sequence number (0-based): replies to one
-  /// tenant can be re-ordered by the dispatcher pool, the sequence says
-  /// which submit each reply answers.
+  /// tenant can complete out of order on concurrent runners, the
+  /// sequence says which submit each reply answers.
   uint64_t sequence = 0;
 };
 
@@ -313,10 +321,11 @@ class CatalogService {
   std::vector<std::string> TenantNames() const;
 
   /// Submits a batch for async serving on `tenant`'s engine; the future
-  /// resolves with results in request order once a dispatcher has run
-  /// it. Resolution failures (unknown tenant, service shutting down, an
-  /// admission rejection — ResourceExhausted, see AdmissionOptions)
-  /// surface synchronously as the Result's status.
+  /// resolves with results in request order once a dispatcher (or a
+  /// ServeBatches caller) has run it. Resolution failures (unknown
+  /// tenant, service shutting down, an admission rejection —
+  /// ResourceExhausted, see AdmissionOptions) surface synchronously as
+  /// the Result's status.
   Result<std::future<BatchReply>> SubmitBatch(
       const std::string& tenant, std::vector<Engine::Request> requests);
 
@@ -326,21 +335,34 @@ class CatalogService {
   /// caps and the tenant's in-service count at the call, never of
   /// dispatcher timing. slot i answers batches[i]: either a future (the
   /// batch was admitted and will resolve) or the synchronous rejection
-  /// Status. This is what the network front end maps a multi-batch
-  /// submit frame onto. `trace` (when sampled, with a process tracer
-  /// installed) attaches the request's trace context to every batch:
-  /// the five stage spans (admission/queue_wait/dispatch/propagate/
-  /// reply) are recorded against it, parented to
-  /// `trace.parent_span_id`, reusing the exact stamps the stage
-  /// histograms read — tracing adds no clock calls of its own.
+  /// Status. ServeBatches admits the same way. `trace` (when sampled,
+  /// with a process tracer installed) attaches the request's trace
+  /// context to every batch: the five stage spans (admission/
+  /// queue_wait/dispatch/propagate/reply) are recorded against it,
+  /// parented to `trace.parent_span_id`, reusing the exact stamps the
+  /// stage histograms read — tracing adds no clock calls of its own.
   std::vector<Result<std::future<BatchReply>>> SubmitBatches(
       const std::string& tenant,
       std::vector<std::vector<Engine::Request>> batches,
       const obs::TraceContext& trace = {});
 
-  /// Callback overload: `done` runs on a dispatcher thread when the
-  /// batch completes. It must not block for long (it occupies the
-  /// dispatcher) and must not throw.
+  /// Synchronous SubmitBatches: admits `batches` exactly as
+  /// SubmitBatches does (one queue-lock hold), then the calling thread
+  /// runs queued batches — its own or another tenant's, in dispatch
+  /// order, under the same running bounds as a dispatcher — until each
+  /// of its admitted batches has resolved. Slot i answers batches[i]:
+  /// its results, or its rejection in `status`. Failures that reject
+  /// the whole call (unknown tenant, shutdown) fill every slot. The
+  /// network front end and InProcBackend serve every frame through it.
+  std::vector<BatchReply> ServeBatches(
+      const std::string& tenant,
+      std::vector<std::vector<Engine::Request>> batches,
+      const obs::TraceContext& trace = {});
+
+  /// Callback overload: `done` runs when the batch completes, on
+  /// whichever thread ran it — a dispatcher or a ServeBatches caller.
+  /// It must not block for long (it holds one of the
+  /// dispatcher_threads running slots) and must not throw.
   Status SubmitBatch(const std::string& tenant,
                      std::vector<Engine::Request> requests,
                      std::function<void(BatchReply)> done);
@@ -395,7 +417,7 @@ class CatalogService {
     /// entered the service, and when admission accepted the batch.
     std::chrono::steady_clock::time_point submit_start{};
     std::chrono::steady_clock::time_point admitted_at{};
-    /// Trace context from the submit edge; when sampled, the dispatcher
+    /// Trace context from the submit edge; when sampled, the runner
     /// records the stage spans against it (same stamps as the
     /// histograms).
     obs::TraceContext trace;
@@ -436,12 +458,22 @@ class CatalogService {
   Status Enqueue(const std::string& tenant, Job job);
   /// Admission decision + queue insertion; caller holds queue_mu_.
   Status EnqueueLocked(Job job);
-  /// The next job a dispatcher should run, round-robin across tenant
-  /// queues starting after rr_cursor_, skipping tenants at their running
-  /// cap. Pops it (updating the admission gauges and the cursor) or
-  /// returns false when nothing is currently eligible. Caller holds
-  /// queue_mu_.
+  /// The admission SubmitBatches and ServeBatches share: every batch's
+  /// decision under one queue_mu_ hold. Wakes no runner.
+  std::vector<Result<std::future<BatchReply>>> AdmitBatches(
+      const std::string& tenant,
+      std::vector<std::vector<Engine::Request>> batches,
+      const obs::TraceContext& trace);
+  /// The next job to run, round-robin across tenant queues starting
+  /// after rr_cursor_, skipping tenants at their running cap; nothing
+  /// is eligible while dispatcher_threads jobs already run. Pops it
+  /// (updating the gauges, running_total_ and the cursor) or returns
+  /// false. Caller holds queue_mu_.
   bool PopEligibleLocked(Job* job);
+  /// Runs one popped job on the calling thread: stage stamps and
+  /// spans, the engine call, the reply, then the running slot's release
+  /// and a notify_all. Dispatchers and ServeBatches callers share it.
+  void RunJob(Job job);
   void DispatcherLoop();
   void PolicyLoop();
   /// Resolves the tenant's five stage histograms out of the registry.
@@ -466,12 +498,16 @@ class CatalogService {
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  /// One FIFO per tenant name; dispatchers drain them round-robin (see
+  /// One FIFO per tenant name; runners drain them round-robin (see
   /// PopEligibleLocked) so a flooding tenant cannot starve the others.
   /// Jobs hold their TenantHandle, so a drop + same-name reopen sharing
   /// one queue entry is benign. Guarded by queue_mu_.
   std::map<std::string, std::deque<Job>> queues_;
   size_t total_queued_ = 0;           // guarded by queue_mu_
+  /// Jobs popped and not yet released, on dispatchers and serving
+  /// callers alike; held below options_.dispatcher_threads. Guarded by
+  /// queue_mu_.
+  size_t running_total_ = 0;
   std::string rr_cursor_;             // last tenant served; guarded by queue_mu_
   std::vector<std::thread> dispatchers_;
   bool stopping_ = false;  // guarded by queue_mu_

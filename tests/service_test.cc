@@ -10,11 +10,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <latch>
 #include <thread>
 
 #include "src/cfd/cfd.h"
+#include "src/obs/exporter.h"
 
 namespace cfdprop {
 namespace {
@@ -476,6 +480,175 @@ TEST(ServiceTest, BurstAdmissionIsAtomicAndDispatchIsRoundRobin) {
   EXPECT_EQ(stats.tenants.at(0).admission_rejected, 3u);
   EXPECT_EQ(stats.tenants.at(1).admitted, 2u);
   EXPECT_EQ(stats.tenants.at(1).admission_rejected, 0u);
+}
+
+TEST(ServiceTest, ServeBatchesCallerRespectsTheRunningBound) {
+  ServiceOptions options;
+  options.dispatcher_threads = 1;
+  options.engine.num_threads = 1;
+  CatalogService service(options);
+  auto ta = service.OpenCatalog("a", MakeCatalog(), {MakeSigma()});
+  auto tb = service.OpenCatalog("b", MakeCatalog(), {MakeSigma()});
+  ASSERT_TRUE(ta.ok() && tb.ok());
+  std::vector<Engine::Request> round_a = {
+      {MakeView((*ta)->engine().catalog()), 0}};
+  std::vector<Engine::Request> round_b = {
+      {MakeView((*tb)->engine().catalog()), 0}};
+
+  // The blocker's callback holds the only running slot until `open`
+  // counts down.
+  std::latch entered(1);
+  std::latch open(1);
+  ASSERT_TRUE(service
+                  .SubmitBatch("a", round_a,
+                               [&](BatchReply) {
+                                 entered.count_down();
+                                 open.wait();
+                               })
+                  .ok());
+  entered.wait();
+
+  std::atomic<bool> returned{false};
+  std::vector<BatchReply> served;
+  std::thread caller([&] {
+    served = service.ServeBatches("b", {round_b, round_b});
+    returned.store(true);
+  });
+  // The gauge every runner moves, read the way a scrape reads it.
+  auto running = [&](const char* tenant) {
+    auto parsed = obs::ParseMetricsText(service.RenderMetricsText());
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    if (!parsed.ok()) return -1.0;
+    return parsed->Value(std::string("cfdprop_running_batches{tenant=\"") +
+                         tenant + "\"}");
+  };
+  // Both of b's batches are admitted in one lock hold; wait for that by
+  // polling the counter, not the clock.
+  while (service.Stats().tenants.at(1).admitted < 2) {
+    EXPECT_LE(running("a") + running("b"), 1.0);
+    std::this_thread::yield();
+  }
+  // With the slot held neither the caller nor the dispatcher may start a
+  // batch of b: both stay queued, b's engine serves nothing and the
+  // caller stays inside ServeBatches.
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(running("a"), 1.0);
+    EXPECT_EQ(running("b"), 0.0);
+    ServiceStatsSnapshot stats = service.Stats();
+    EXPECT_EQ(stats.tenants.at(1).queued, 2u);
+    EXPECT_EQ(stats.tenants.at(1).engine.requests, 0u);
+    EXPECT_FALSE(returned.load());
+  }
+
+  open.count_down();
+  caller.join();
+  ASSERT_EQ(served.size(), 2u);
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_TRUE(served[i].status.ok()) << served[i].status;
+    EXPECT_EQ(served[i].tenant, "b");
+    EXPECT_EQ(served[i].sequence, i);
+    ASSERT_EQ(served[i].results.size(), 1u);
+    EXPECT_TRUE(served[i].results[0].ok());
+  }
+  ASSERT_TRUE(service.DrainTenant("a", std::chrono::milliseconds(0)).ok());
+  EXPECT_EQ(running("a"), 0.0);
+  EXPECT_EQ(running("b"), 0.0);
+  EXPECT_EQ(service.Stats().batches_completed, 3u);
+}
+
+TEST(ServiceTest, MixedSubmittersResolveEveryAdmittedBatchOnce) {
+  ServiceOptions options;
+  options.dispatcher_threads = 2;
+  options.engine.num_threads = 1;
+  options.admission.max_inflight_batches = 1;
+  options.admission.max_queued_batches = 2;
+  CatalogService service(options);
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<std::vector<Engine::Request>> rounds;
+  for (const std::string& name : names) {
+    auto tenant = service.OpenCatalog(name, MakeCatalog(), {MakeSigma()});
+    ASSERT_TRUE(tenant.ok());
+    Catalog& cat = (*tenant)->engine().catalog();
+    rounds.push_back({{MakeView(cat, "7"), 0}, {MakeView(cat), 0}});
+  }
+
+  // Every delivered reply, by tenant: its sequence number.
+  std::mutex seen_mu;
+  std::vector<std::vector<uint64_t>> seen(names.size());
+  auto record = [&](size_t t, const BatchReply& reply) {
+    EXPECT_EQ(reply.tenant, names[t]);
+    EXPECT_EQ(reply.results.size(), rounds[t].size());
+    std::lock_guard<std::mutex> lock(seen_mu);
+    seen[t].push_back(reply.sequence);
+  };
+  auto expect_rejected = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  };
+
+  constexpr size_t kRounds = 40;
+  std::vector<std::thread> threads;
+  // Synchronous callers, one per tenant, each serving two-batch frames.
+  for (size_t t = 0; t < names.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kRounds; ++i) {
+        for (const BatchReply& reply :
+             service.ServeBatches(names[t], {rounds[t], rounds[t]})) {
+          if (reply.status.ok()) {
+            record(t, reply);
+          } else {
+            expect_rejected(reply.status);
+          }
+        }
+      }
+    });
+  }
+  // Async bursts across the tenants; their futures are read only after
+  // the drain below.
+  std::vector<std::pair<size_t, std::future<BatchReply>>> futures;
+  threads.emplace_back([&] {
+    for (size_t i = 0; i < kRounds; ++i) {
+      const size_t t = i % names.size();
+      for (auto& slot : service.SubmitBatches(names[t], {rounds[t], rounds[t]})) {
+        if (slot.ok()) {
+          futures.emplace_back(t, std::move(slot).value());
+        } else {
+          expect_rejected(slot.status());
+        }
+      }
+    }
+  });
+  // Callback jobs across the tenants.
+  threads.emplace_back([&] {
+    for (size_t i = 0; i < kRounds; ++i) {
+      const size_t t = (i + 1) % names.size();
+      Status submitted = service.SubmitBatch(
+          names[t], rounds[t], [&, t](BatchReply reply) { record(t, reply); });
+      if (!submitted.ok()) expect_rejected(submitted);
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (const std::string& name : names) {
+    EXPECT_TRUE(service.DrainTenant(name, std::chrono::milliseconds(0)).ok());
+  }
+  for (auto& [t, future] : futures) record(t, future.get());
+
+  ServiceStatsSnapshot stats = service.Stats();
+  uint64_t admitted = 0;
+  for (size_t t = 0; t < names.size(); ++t) {
+    const TenantStatsSnapshot& ts = stats.tenants.at(t);
+    EXPECT_EQ(ts.queued + ts.running, 0u) << names[t];
+    EXPECT_GT(ts.admitted, 0u) << names[t];
+    admitted += ts.admitted;
+    // Exactly once, with no gaps: the delivered sequences are 0..n-1.
+    std::vector<uint64_t> sequences = seen[t];
+    std::sort(sequences.begin(), sequences.end());
+    std::vector<uint64_t> expected(ts.admitted);
+    for (uint64_t k = 0; k < ts.admitted; ++k) expected[k] = k;
+    EXPECT_EQ(sequences, expected) << names[t];
+  }
+  EXPECT_EQ(stats.batches_submitted, admitted);
+  EXPECT_EQ(stats.batches_completed, admitted);
 }
 
 }  // namespace
