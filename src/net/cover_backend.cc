@@ -26,28 +26,12 @@ Result<BatchResult> CoverBackend::SubmitBatch(
 Result<OpenCatalogReplyInfo> InProcBackend::OpenCatalog(
     const std::string& tenant, const std::string& spec_text) {
   CFDPROP_ASSIGN_OR_RETURN(Spec spec, ParseSpec(spec_text));
-  return OpenParsedSpec(tenant, std::move(spec));
+  return OpenReply(service_.OpenSpec(tenant, std::move(spec), spec_text));
 }
 
 Result<OpenCatalogReplyInfo> InProcBackend::OpenParsedSpec(
     const std::string& tenant, Spec spec) {
-  // Σ 0 is the spec's source CFDs — the id every submitted batch serves
-  // against, exactly as CoverServer registers it.
-  std::vector<std::vector<CFD>> sigmas = {spec.source_cfds};
-  Catalog catalog = std::move(spec.catalog);
-  CFDPROP_ASSIGN_OR_RETURN(
-      TenantHandle handle,
-      service_.OpenCatalog(tenant, std::move(catalog), std::move(sigmas)));
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    specs_[tenant] = std::make_shared<const Spec>(std::move(spec));
-  }
-  OpenCatalogReplyInfo info;
-  const CacheStats cache = handle->engine().Stats().cache;
-  info.restored = cache.restored;
-  info.rejected = cache.rejected;
-  info.cache_budget = handle->cache_budget();
-  return info;
+  return OpenReply(service_.OpenSpec(tenant, std::move(spec)));
 }
 
 Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
@@ -58,17 +42,6 @@ Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
   (void)pool;
   CFDPROP_ASSIGN_OR_RETURN(TenantHandle handle,
                            service_.ResolveCatalog(tenant));
-  (void)handle;
-  std::shared_ptr<const Spec> spec;
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    auto it = specs_.find(tenant);
-    if (it != specs_.end()) spec = it->second;
-  }
-  if (!spec) {
-    return Status::NotFound("tenant '" + tenant +
-                            "' has no spec registered with this backend");
-  }
 
   // This backend is the trace edge for the in-process path: the
   // "request" span covers submit through the last batch's resolution —
@@ -96,7 +69,7 @@ Result<std::vector<BatchResult>> InProcBackend::SubmitBatches(
   // The wire path's own serving: the burst's admit/reject pattern
   // matches it byte for byte.
   std::vector<BatchResult> outcomes =
-      ServeViewBatches(service_, tenant, *spec, batches, child);
+      service_.ServeViewBatches(handle, batches, child);
   if (timed) {
     tracer->RecordEdge(trace, span_id, "request", start_us,
                        tracer->NowUs() - start_us, tenant);
@@ -109,12 +82,7 @@ Result<std::string> InProcBackend::Metrics() {
 }
 
 Status InProcBackend::DropCatalog(const std::string& tenant) {
-  Status dropped = service_.DropCatalog(tenant);
-  if (dropped.ok()) {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    specs_.erase(tenant);
-  }
-  return dropped;
+  return service_.DropCatalog(tenant);
 }
 
 // ---------------------------------------------------------------------------

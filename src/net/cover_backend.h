@@ -12,36 +12,37 @@
 // the covers come from.
 //
 // Three implementations:
-//   * InProcBackend  — wraps a CatalogService (plus the spec/view-name
-//     resolution a CoverServer would do), no sockets at all;
+//   * InProcBackend  — wraps a CatalogService, no sockets at all;
 //   * RemoteBackend  — wraps a CoverClient, with reconnect: a dropped
 //     connection (socket deadline, server restart of the link) is
 //     re-established on the next call and the backend *re-opens every
 //     catalog it opened*, so open-catalog state survives the drop
-//     (CoverServer's same-text re-open is idempotent);
+//     (the same-text re-open is idempotent);
 //   * CoverRouter (src/net/cover_router.h) — consistent-hashes tenants
 //     across N RemoteBackend shards.
 //
-// Semantics are aligned so the implementations are byte-comparable:
-// a multi-batch SubmitBatches decides admission atomically (slot i
-// answers batches[i], rejections are typed ResourceExhausted in the
-// slot's status), an unknown view fails its batch alone with NotFound,
-// an unknown tenant fails the whole call. Decoded covers intern into
-// the caller-supplied pool on the wire paths; the in-process path
-// serves them straight from the tenant's engine.
+// Semantics are aligned so the implementations are byte-comparable,
+// because every one of them ends in the same two CatalogService calls:
+// OpenSpec (Σ 0 = the spec's source CFDs; re-opening an open tenant
+// with the same text is idempotent, with different text
+// InvalidArgument) and ServeViewBatches (a multi-batch SubmitBatches
+// decides admission atomically — slot i answers batches[i], rejections
+// are typed ResourceExhausted in the slot's status — and an unknown
+// view fails its batch alone with NotFound). An unknown tenant fails
+// the whole call. Decoded covers intern into the caller-supplied pool
+// on the wire paths; the in-process path serves them straight from the
+// tenant's engine.
 //
 // Thread-safety: RemoteBackend is one conversation — use one per
 // worker thread (connections are cheap). InProcBackend IS safe for
-// concurrent callers: the service is thread-safe and the backend's own
-// spec registry takes a lock, so the workload runner shares a single
-// instance across its workers.
+// concurrent callers: it keeps no state beyond the thread-safe
+// service, so the workload runner shares a single instance across its
+// workers.
 
 #ifndef CFDPROP_NET_COVER_BACKEND_H_
 #define CFDPROP_NET_COVER_BACKEND_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,6 +64,8 @@ class CoverBackend {
 
   /// Opens a tenant from spec text; the spec's source CFDs become Σ 0
   /// and submit-batch view names resolve against its declared views.
+  /// Re-opening an open tenant with the same text is idempotent, with
+  /// different text InvalidArgument.
   virtual Result<OpenCatalogReplyInfo> OpenCatalog(
       const std::string& tenant, const std::string& spec_text) = 0;
 
@@ -86,10 +89,11 @@ class CoverBackend {
   virtual Status DropCatalog(const std::string& tenant) = 0;
 };
 
-/// CoverBackend over an in-process CatalogService: parses specs and
-/// serves each burst on the calling thread through ServeViewBatches —
-/// everything a CoverServer does per frame, minus the frames. The service must outlive the backend. Several InProcBackend
-/// instances may share one service (each keeps only resolution state).
+/// CoverBackend over an in-process CatalogService: parses specs, opens
+/// them with CatalogService::OpenSpec and serves each burst on the
+/// calling thread through CatalogService::ServeViewBatches — everything
+/// a CoverServer does per frame, minus the frames. The service must
+/// outlive the backend; any number of InProcBackends may share it.
 class InProcBackend : public CoverBackend {
  public:
   explicit InProcBackend(CatalogService& service) : service_(service) {}
@@ -110,14 +114,8 @@ class InProcBackend : public CoverBackend {
   Result<std::string> Metrics() override;
   Status DropCatalog(const std::string& tenant) override;
 
-  CatalogService& service() { return service_; }
-
  private:
   CatalogService& service_;
-  std::mutex specs_mu_;
-  /// Tenant -> parsed spec for view-name resolution (the InProc
-  /// counterpart of CoverServer's spec registry). Guarded by specs_mu_.
-  std::map<std::string, std::shared_ptr<const Spec>> specs_;
 };
 
 /// CoverBackend over a CoverClient. Lazily connects on first use, and
@@ -125,7 +123,7 @@ class InProcBackend : public CoverBackend {
 /// every catalog this backend opened (the server's same-text re-open is
 /// idempotent), which is the fix for the historical bug where a
 /// DeadlineExceeded drop silently lost open-catalog state and the next
-/// round died on "no spec registered".
+/// round died with NotFound.
 class RemoteBackend : public CoverBackend {
  public:
   explicit RemoteBackend(CoverClientOptions options) : client_(options) {}

@@ -23,7 +23,8 @@
 // behind the router's back have none and get typed Unsupported. Callers
 // whose specs exist only programmatically (the workload runner) use the
 // decomposed steps — Begin/FetchSnapshotFrom/Complete/Abort — and
-// warm-start the target themselves via CoverServer::OpenParsedSpecFromSnapshot.
+// warm-start the target themselves through the target shard's
+// CatalogService::OpenSpec with the fetched snapshot bytes.
 //
 // Thread-safety: unlike the single-conversation backends, the router IS
 // safe for concurrent callers — route state lives under one mutex and

@@ -33,38 +33,15 @@ constexpr std::chrono::milliseconds kMigrationDrainDeadline{10000};
 
 }  // namespace
 
-std::vector<BatchResult> ServeViewBatches(
-    CatalogService& service, const std::string& tenant, const Spec& spec,
-    const std::vector<std::vector<std::string>>& batches,
-    const obs::TraceContext& trace) {
-  std::vector<BatchResult> outcomes(batches.size());
-  std::vector<std::vector<Engine::Request>> to_submit;
-  std::vector<size_t> submit_slot;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    std::vector<Engine::Request> requests;
-    requests.reserve(batches[i].size());
-    for (const std::string& view : batches[i]) {
-      auto it = spec.views.find(view);
-      if (it == spec.views.end()) {
-        outcomes[i].status = Status::NotFound(
-            "unknown view '" + view + "' in tenant '" + tenant + "'");
-        break;
-      }
-      requests.emplace_back(it->second, /*sigma_id=*/0);
-    }
-    if (!outcomes[i].status.ok()) continue;
-    submit_slot.push_back(i);
-    to_submit.push_back(std::move(requests));
-  }
-  // One ServeBatches call for the whole frame: admission for every
-  // batch is decided under one lock, which is what makes a pipelined
-  // burst's admit/reject pattern deterministic.
-  std::vector<BatchReply> served =
-      service.ServeBatches(tenant, std::move(to_submit), trace);
-  for (size_t k = 0; k < served.size(); ++k) {
-    outcomes[submit_slot[k]] = std::move(served[k]);
-  }
-  return outcomes;
+Result<OpenCatalogReplyInfo> OpenReply(Result<TenantHandle> opened) {
+  if (!opened.ok()) return opened.status();
+  const Tenant& tenant = **opened;
+  const CacheStats cache = tenant.engine().Stats().cache;
+  OpenCatalogReplyInfo info;
+  info.restored = cache.restored;
+  info.rejected = cache.rejected;
+  info.cache_budget = tenant.cache_budget();
+  return info;
 }
 
 CoverServer::CoverServer(CatalogService& service, CoverServerOptions options)
@@ -407,92 +384,16 @@ std::string CoverServer::HandleOpenCatalog(std::string_view payload) {
 }
 
 Result<OpenCatalogReplyInfo> CoverServer::OpenSpec(
-    const std::string& tenant, const std::string& spec_text) {
-  return OpenSpecInternal(tenant, spec_text, nullptr);
-}
-
-Result<OpenCatalogReplyInfo> CoverServer::OpenSpecFromSnapshot(
     const std::string& tenant, const std::string& spec_text,
-    std::string_view snapshot) {
-  return OpenSpecInternal(tenant, spec_text, &snapshot);
-}
-
-Result<OpenCatalogReplyInfo> CoverServer::OpenSpecInternal(
-    const std::string& tenant, const std::string& spec_text,
-    const std::string_view* warm) {
-  {
-    // Idempotent reopen: an open tenant whose recorded text matches is
-    // reported as-is (a reconnecting client replays its opens; a
-    // migration retry re-lands on a target that already accepted it).
-    // Matching is byte-exact — a *different* spec on a live tenant is
-    // a real conflict and keeps the registry's duplicate error.
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    auto it = spec_texts_.find(tenant);
-    if (it != spec_texts_.end()) {
-      if (it->second != spec_text) {
-        return Status::InvalidArgument(
-            "tenant '" + tenant +
-            "' is already open with a different spec");
-      }
-      auto handle = service_.ResolveCatalog(tenant);
-      if (handle.ok()) {
-        OpenCatalogReplyInfo info;
-        const CacheStats cache = (*handle)->engine().Stats().cache;
-        info.restored = cache.restored;
-        info.rejected = cache.rejected;
-        info.cache_budget = (*handle)->cache_budget();
-        return info;
-      }
-      // Text recorded but the tenant is gone (dropped directly on the
-      // service): stale record, fall through to a fresh open.
-    }
-  }
+    std::optional<std::string_view> snapshot) {
   CFDPROP_ASSIGN_OR_RETURN(Spec spec, ParseSpec(spec_text));
-  CFDPROP_ASSIGN_OR_RETURN(OpenCatalogReplyInfo info,
-                           OpenParsedSpecInternal(tenant, std::move(spec),
-                                                  warm));
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    spec_texts_[tenant] = spec_text;
-  }
-  return info;
+  return OpenReply(
+      service_.OpenSpec(tenant, std::move(spec), spec_text, snapshot));
 }
 
 Result<OpenCatalogReplyInfo> CoverServer::OpenParsedSpec(
     const std::string& tenant, Spec spec) {
-  return OpenParsedSpecInternal(tenant, std::move(spec), nullptr);
-}
-
-Result<OpenCatalogReplyInfo> CoverServer::OpenParsedSpecFromSnapshot(
-    const std::string& tenant, Spec spec, std::string_view snapshot) {
-  return OpenParsedSpecInternal(tenant, std::move(spec), &snapshot);
-}
-
-Result<OpenCatalogReplyInfo> CoverServer::OpenParsedSpecInternal(
-    const std::string& tenant, Spec spec, const std::string_view* warm) {
-  // Σ 0 is the spec's source CFDs — the id every submit-batch request
-  // serves against. Copy them out before the catalog moves: Value ids
-  // are indices into the pool, stable across the move.
-  std::vector<std::vector<CFD>> sigmas = {spec.source_cfds};
-  Catalog catalog = std::move(spec.catalog);
-  Result<TenantHandle> opened =
-      warm != nullptr
-          ? service_.OpenCatalogFromSnapshot(tenant, std::move(catalog),
-                                             std::move(sigmas), *warm)
-          : service_.OpenCatalog(tenant, std::move(catalog),
-                                 std::move(sigmas));
-  if (!opened.ok()) return opened.status();
-  TenantHandle handle = std::move(opened).value();
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    specs_[tenant] = std::make_shared<const Spec>(std::move(spec));
-  }
-  OpenCatalogReplyInfo info;
-  const CacheStats cache = handle->engine().Stats().cache;
-  info.restored = cache.restored;
-  info.rejected = cache.rejected;
-  info.cache_budget = handle->cache_budget();
-  return info;
+  return OpenReply(service_.OpenSpec(tenant, std::move(spec)));
 }
 
 std::string CoverServer::HandleSubmitBatch(std::string_view payload,
@@ -527,23 +428,10 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
   if (!handle.ok()) {
     return EncodeSubmitBatchReply(handle.status(), {}, EmptyPool());
   }
-  std::shared_ptr<const Spec> spec;
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    auto it = specs_.find(request->tenant);
-    if (it != specs_.end()) spec = it->second;
-  }
-  if (!spec) {
-    return EncodeSubmitBatchReply(
-        Status::NotFound("tenant '" + request->tenant +
-                         "' has no spec registered with this server"),
-        {}, EmptyPool());
-  }
-
   // The in-band trace rides along so the service's stage spans join
   // the request's tree.
-  const std::vector<WireBatchResult> outcomes = ServeViewBatches(
-      service_, request->tenant, *spec, request->batches, trace->ctx);
+  const std::vector<WireBatchResult> outcomes =
+      service_.ServeViewBatches(*handle, request->batches, trace->ctx);
   if (edge_tracer != nullptr) {
     edge_tracer->RecordEdge(edge_ctx, edge_span, "request", edge_start,
                             edge_tracer->NowUs() - edge_start,
@@ -574,13 +462,7 @@ std::string CoverServer::HandleTraceDump(std::string_view payload) {
 std::string CoverServer::HandleDropCatalog(std::string_view payload) {
   auto tenant = DecodeStringRequest(payload);
   if (!tenant.ok()) return EncodeStatusReply(tenant.status());
-  Status dropped = service_.DropCatalog(*tenant);
-  if (dropped.ok()) {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    specs_.erase(*tenant);
-    spec_texts_.erase(*tenant);
-  }
-  return EncodeStatusReply(dropped);
+  return EncodeStatusReply(service_.DropCatalog(*tenant));
 }
 
 std::string CoverServer::HandleFetchSnapshot(std::string_view payload) {
@@ -601,8 +483,7 @@ std::string CoverServer::HandleFetchSnapshot(std::string_view payload) {
 std::string CoverServer::HandleOpenFromSnapshot(std::string_view payload) {
   auto request = DecodeOpenFromSnapshotRequest(payload);
   if (!request.ok()) return EncodeOpenCatalogReply(request.status(), {});
-  auto info = OpenSpecFromSnapshot(request->tenant, request->spec_text,
-                                   request->snapshot);
+  auto info = OpenSpec(request->tenant, request->spec_text, request->snapshot);
   if (!info.ok()) return EncodeOpenCatalogReply(info.status(), {});
   return EncodeOpenCatalogReply(Status::OK(), *info);
 }

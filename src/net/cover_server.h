@@ -11,14 +11,16 @@
 // other connection keep serving.
 //
 // Tenants are opened from *spec text* (the src/parser syntax): the
-// server parses it, opens the catalog on the service with the spec's
-// source CFDs as Σ 0, and keeps the parsed Spec to resolve submit-batch
-// view names against. Clients therefore never ship view structures —
-// just names — and covers travel back in the snapshot string-table
-// encoding, so the two processes' ValuePools never need to agree.
+// server parses it and hands it to CatalogService::OpenSpec, which
+// keeps the spec and its text with the tenant — the server holds no
+// tenant state. A submit-batch frame resolves the tenant once and
+// serves its view names through CatalogService::ServeViewBatches.
+// Clients therefore never ship view structures — just names — and
+// covers travel back in the snapshot string-table encoding, so the two
+// processes' ValuePools never need to agree.
 //
 // Admission control is the service's (AdmissionOptions): a multi-batch
-// submit frame maps onto CatalogService::ServeBatches, whose one-lock
+// submit frame is one ServeViewBatches call, whose one-lock
 // admission makes the admit/reject pattern of a pipelined burst
 // deterministic; rejected batches come back as typed ResourceExhausted
 // replies, and the counters land in ServiceStatsSnapshot. The
@@ -35,10 +37,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,17 +53,9 @@
 namespace cfdprop {
 namespace net {
 
-/// Serves one submit-batch frame on `service` from the calling thread
-/// (CatalogService::ServeBatches). View names resolve against `spec`; a
-/// batch naming an unknown view fails alone with a typed NotFound and
-/// is never submitted, so one bad name cannot waste a whole pipeline.
-/// Slot i answers batches[i]. CoverServer and InProcBackend both serve
-/// through it, which keeps the wire and in-process paths
-/// byte-comparable.
-std::vector<BatchResult> ServeViewBatches(
-    CatalogService& service, const std::string& tenant, const Spec& spec,
-    const std::vector<std::vector<std::string>>& batches,
-    const obs::TraceContext& trace);
+/// What an open-catalog reply reports: the opened tenant's warm-start
+/// outcome and cache budget, or the open's failure.
+Result<OpenCatalogReplyInfo> OpenReply(Result<TenantHandle> opened);
 
 struct CoverServerOptions {
   std::string host = "127.0.0.1";
@@ -118,31 +113,18 @@ class CoverServer {
   uint16_t port() const { return port_; }
 
   /// Opens a tenant from spec text through exactly the code path a
-  /// network open-catalog frame takes — the CLI listen mode preloads
-  /// its --tenant flags with this. Also the hook the benchmarks use
-  /// with a programmatically built Spec (OpenParsedSpec).
-  ///
-  /// Re-opening an already-open tenant with *identical* spec text is
-  /// idempotent — the reply reports the live tenant, nothing is rebuilt.
-  /// This is what lets a reconnecting client (RemoteBackend) replay its
-  /// opens without tearing the tenant down; different text on an open
-  /// tenant is still InvalidArgument.
-  Result<OpenCatalogReplyInfo> OpenSpec(const std::string& tenant,
-                                        const std::string& spec_text);
+  /// network open-catalog frame takes (`snapshot` set: an
+  /// open-from-snapshot frame) — the CLI listen mode preloads its
+  /// --tenant flags with this. Re-opening an open tenant with identical
+  /// text is idempotent; different text is InvalidArgument (see
+  /// CatalogService::OpenSpec).
+  Result<OpenCatalogReplyInfo> OpenSpec(
+      const std::string& tenant, const std::string& spec_text,
+      std::optional<std::string_view> snapshot = std::nullopt);
+  /// CatalogService::OpenSpec on a programmatically built spec (the
+  /// benchmarks' hook).
   Result<OpenCatalogReplyInfo> OpenParsedSpec(const std::string& tenant,
                                               Spec spec);
-
-  /// The receiving side of a tenant migration: open from spec (text or
-  /// parsed) and warm-start the cover cache from snapshot bytes shipped
-  /// over the wire (CatalogService::OpenCatalogFromSnapshot) instead of
-  /// this server's snapshot directory. The parsed-Spec variant is the
-  /// hook for callers whose specs exist only programmatically (the
-  /// workload harness).
-  Result<OpenCatalogReplyInfo> OpenSpecFromSnapshot(
-      const std::string& tenant, const std::string& spec_text,
-      std::string_view snapshot);
-  Result<OpenCatalogReplyInfo> OpenParsedSpecFromSnapshot(
-      const std::string& tenant, Spec spec, std::string_view snapshot);
 
   /// Blocks until a client's shutdown frame arrives (or Stop() runs).
   /// The frame only *requests* shutdown — the owner decides to Stop(),
@@ -190,13 +172,6 @@ class CoverServer {
   std::string HandleTraceDump(std::string_view payload);
   std::string HandleFetchSnapshot(std::string_view payload);
   std::string HandleOpenFromSnapshot(std::string_view payload);
-  /// Shared body of the OpenSpec*/OpenParsedSpec* variants: `warm`
-  /// non-null warm-starts from those snapshot bytes.
-  Result<OpenCatalogReplyInfo> OpenSpecInternal(const std::string& tenant,
-                                                const std::string& spec_text,
-                                                const std::string_view* warm);
-  Result<OpenCatalogReplyInfo> OpenParsedSpecInternal(
-      const std::string& tenant, Spec spec, const std::string_view* warm);
   void RequestShutdown();
 
   CatalogService& service_;
@@ -209,15 +184,6 @@ class CoverServer {
   std::mutex conns_mu_;
   std::vector<std::unique_ptr<Connection>> conns_;
   bool stopping_ = false;  // guarded by conns_mu_
-
-  /// Tenant name -> parsed spec, for view-name resolution. shared_ptr so
-  /// a submit in flight survives a concurrent drop of its tenant.
-  mutable std::mutex specs_mu_;
-  std::map<std::string, std::shared_ptr<const Spec>> specs_;
-  /// Tenant name -> the spec text it was opened with (text-based opens
-  /// only), for the idempotent-reopen check in OpenSpec. Guarded by
-  /// specs_mu_, erased with specs_.
-  std::map<std::string, std::string> spec_texts_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

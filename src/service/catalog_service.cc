@@ -149,28 +149,43 @@ void CatalogService::RebalanceBudgets(size_t num_tenants) {
 Result<TenantHandle> CatalogService::OpenCatalog(
     const std::string& name, Catalog catalog,
     std::vector<std::vector<CFD>> sigmas) {
-  return OpenCatalogInternal(name, std::move(catalog), std::move(sigmas),
-                             nullptr);
+  Spec spec;
+  spec.catalog = std::move(catalog);
+  return Open(name, std::move(spec), std::move(sigmas), {}, std::nullopt);
 }
 
-Result<TenantHandle> CatalogService::OpenCatalogFromSnapshot(
-    const std::string& name, Catalog catalog,
-    std::vector<std::vector<CFD>> sigmas, std::string_view snapshot) {
-  return OpenCatalogInternal(name, std::move(catalog), std::move(sigmas),
-                             &snapshot);
+Result<TenantHandle> CatalogService::OpenSpec(
+    const std::string& name, Spec spec, std::string spec_text,
+    std::optional<std::string_view> snapshot) {
+  // Σ 0 is the spec's source CFDs — the id every view-name request
+  // serves against. Copied before the catalog moves: Value ids are
+  // indices into the pool, stable across the move.
+  std::vector<std::vector<CFD>> sigmas = {spec.source_cfds};
+  return Open(name, std::move(spec), std::move(sigmas), std::move(spec_text),
+              snapshot);
 }
 
-Result<TenantHandle> CatalogService::OpenCatalogInternal(
-    const std::string& name, Catalog catalog,
-    std::vector<std::vector<CFD>> sigmas, const std::string_view* warm) {
+Result<TenantHandle> CatalogService::Open(
+    const std::string& name, Spec spec, std::vector<std::vector<CFD>> sigmas,
+    std::string spec_text, std::optional<std::string_view> snapshot) {
   CFDPROP_RETURN_NOT_OK(ValidateTenantName(name));
   // open_mu_ serializes the slow path (engine build, Σ minimization,
   // snapshot I/O) outside registry_mu_, and makes the duplicate check
-  // race-free against a concurrent open of the same name.
+  // race-free against a concurrent open or drop of the same name.
   std::lock_guard<std::mutex> open_lock(open_mu_);
   size_t tenants_after;
   {
     std::shared_lock<std::shared_mutex> lock(registry_mu_);
+    if (auto it = tenants_.find(name); it != tenants_.end()) {
+      // Matching is byte-exact: a different spec on a live tenant is a
+      // real conflict.
+      if (!spec_text.empty() && it->second->spec_text_ == spec_text) {
+        return it->second;
+      }
+      return Status::InvalidArgument(
+          "tenant '" + name + "' is already open" +
+          (spec_text.empty() ? "" : " with a different spec"));
+    }
     const std::string folded = FoldTenantName(name);
     for (const auto& [existing, tenant] : tenants_) {
       if (FoldTenantName(existing) == folded) {
@@ -185,8 +200,8 @@ Result<TenantHandle> CatalogService::OpenCatalogInternal(
 
   EngineOptions engine_options = options_.engine;
   engine_options.cache_capacity = ShareFor(tenants_after);
-  auto engine =
-      std::make_unique<Engine>(std::move(catalog), std::move(engine_options));
+  auto engine = std::make_unique<Engine>(std::move(spec.catalog),
+                                         std::move(engine_options));
   for (auto& sigma : sigmas) {
     auto id = engine->RegisterSigma(std::move(sigma));
     if (!id.ok()) return id.status();
@@ -202,9 +217,10 @@ Result<TenantHandle> CatalogService::OpenCatalogInternal(
     RebalanceBudgets(tenants_after);
   }
 
-  TenantHandle tenant(new Tenant(name, std::move(engine)));
+  TenantHandle tenant(new Tenant(name, std::move(engine), std::move(spec),
+                                 std::move(spec_text)));
   BindStageTimers(*tenant);
-  if (warm != nullptr) {
+  if (snapshot) {
     // Migration warm start: the shipped bytes win over any stale local
     // file. Any failure — version bump, changed Σ, corruption — just
     // means a cold cache. The spill marker stays 0: unlike the file
@@ -212,7 +228,7 @@ Result<TenantHandle> CatalogService::OpenCatalogInternal(
     // the restored lines count as dirty and the next spill persists
     // them locally.
     tenant->snapshot_rejection_ =
-        tenant->engine_->LoadSnapshotBytes(*warm).status();
+        tenant->engine_->LoadSnapshotBytes(*snapshot).status();
   } else if (!options_.snapshot_dir.empty()) {
     // Warm start. Any failure — no file yet, version bump, changed Σ,
     // corruption — just means a cold cache; LoadSnapshot already
@@ -375,16 +391,11 @@ Result<std::future<BatchReply>> CatalogService::SubmitBatch(
 }
 
 std::vector<Result<std::future<BatchReply>>> CatalogService::AdmitBatches(
-    const std::string& tenant,
+    const TenantHandle& tenant,
     std::vector<std::vector<Engine::Request>> batches,
     const obs::TraceContext& trace) {
   std::vector<Result<std::future<BatchReply>>> out;
   out.reserve(batches.size());
-  auto resolved = ResolveCatalog(tenant);
-  if (!resolved.ok()) {
-    for (size_t i = 0; i < batches.size(); ++i) out.push_back(resolved.status());
-    return out;
-  }
   // One lock hold across every decision: no runner can pop or complete a
   // batch (both need queue_mu_) between the first and the last admission
   // check, so a burst's outcome depends only on the caps and the
@@ -393,7 +404,7 @@ std::vector<Result<std::future<BatchReply>>> CatalogService::AdmitBatches(
   for (auto& requests : batches) {
     Job job;
     job.submit_start = std::chrono::steady_clock::now();
-    job.tenant = *resolved;
+    job.tenant = tenant;
     job.trace = trace;
     job.requests = std::move(requests);
     std::future<BatchReply> future = job.promise.get_future();
@@ -411,15 +422,57 @@ std::vector<Result<std::future<BatchReply>>> CatalogService::SubmitBatches(
     const std::string& tenant,
     std::vector<std::vector<Engine::Request>> batches,
     const obs::TraceContext& trace) {
-  auto out = AdmitBatches(tenant, std::move(batches), trace);
+  auto resolved = ResolveCatalog(tenant);
+  if (!resolved.ok()) {
+    std::vector<Result<std::future<BatchReply>>> out;
+    for (size_t i = 0; i < batches.size(); ++i) out.push_back(resolved.status());
+    return out;
+  }
+  auto out = AdmitBatches(*resolved, std::move(batches), trace);
   for (const auto& slot : out) {
     if (slot.ok()) queue_cv_.notify_one();
   }
   return out;
 }
 
+std::vector<BatchResult> CatalogService::ServeViewBatches(
+    const TenantHandle& tenant,
+    const std::vector<std::vector<std::string>>& views,
+    const obs::TraceContext& trace) {
+  const std::map<std::string, SPCUView>& known = tenant->spec_.views;
+  std::vector<BatchResult> out(views.size());
+  std::vector<std::vector<Engine::Request>> to_serve;
+  std::vector<size_t> slot_of;
+  for (size_t i = 0; i < views.size(); ++i) {
+    std::vector<Engine::Request> requests;
+    requests.reserve(views[i].size());
+    for (const std::string& view : views[i]) {
+      auto it = known.find(view);
+      if (it == known.end()) {
+        out[i].status = Status::NotFound("unknown view '" + view +
+                                         "' in tenant '" + tenant->name() +
+                                         "'");
+        break;
+      }
+      requests.emplace_back(it->second, /*sigma_id=*/0);
+    }
+    if (!out[i].status.ok()) continue;
+    slot_of.push_back(i);
+    to_serve.push_back(std::move(requests));
+  }
+  // One ServeBatches call for the whole frame: admission for every
+  // batch is decided under one lock, which is what makes a pipelined
+  // burst's admit/reject pattern deterministic.
+  std::vector<BatchReply> served =
+      ServeBatches(tenant, std::move(to_serve), trace);
+  for (size_t k = 0; k < served.size(); ++k) {
+    out[slot_of[k]] = std::move(served[k]);
+  }
+  return out;
+}
+
 std::vector<BatchReply> CatalogService::ServeBatches(
-    const std::string& tenant,
+    const TenantHandle& tenant,
     std::vector<std::vector<Engine::Request>> batches,
     const obs::TraceContext& trace) {
   auto submitted = AdmitBatches(tenant, std::move(batches), trace);
@@ -455,7 +508,7 @@ std::vector<BatchReply> CatalogService::ServeBatches(
     if (submitted[i].ok()) {
       out[i] = submitted[i]->get();
     } else {
-      out[i].tenant = tenant;
+      out[i].tenant = tenant->name();
       out[i].status = submitted[i].status();
     }
   }

@@ -6,12 +6,15 @@
 // tenants — each a catalog, its registered Σ sets and a private Engine —
 // and adds the three things the engine alone does not have:
 //
-//   * a tenant registry (OpenCatalog / DropCatalog / ResolveCatalog)
-//     that carves per-tenant cover-cache budgets out of one global
-//     entry budget, rebalancing live caches (deterministic LRU
-//     eviction, CoverCache::SetBudget) whenever a tenant opens or
+//   * a tenant registry (OpenSpec / OpenCatalog / DropCatalog /
+//     ResolveCatalog) that carves per-tenant cover-cache budgets out of
+//     one global entry budget, rebalancing live caches (deterministic
+//     LRU eviction, CoverCache::SetBudget) whenever a tenant opens or
 //     drops, and rolls every tenant's engine counters up into one
-//     service stats snapshot;
+//     service stats snapshot. A tenant keeps its spec — source Σ (as
+//     Σ 0), named SPC/SPCU views, the text it was parsed from — so the
+//     registry alone decides a same-text reopen and resolves view
+//     names; the front ends keep no tenant state;
 //
 //   * a batch front end with one run queue — SubmitBatch returns a
 //     std::future<BatchReply> (or invokes a callback) and a
@@ -30,9 +33,9 @@
 //     decides WHEN: a background thread spills each tenant's cache to
 //     <snapshot_dir>/<tenant>.ccsnap once at least
 //     SnapshotPolicy::dirty_line_threshold cache changes accrued since
-//     its last spill, checked every SnapshotPolicy::interval;
-//     OpenCatalog warm-starts a tenant from its file (after registering
-//     the Σ sets, so content fingerprints validate), and DropCatalog /
+//     its last spill, checked every SnapshotPolicy::interval; an open
+//     warm-starts a tenant from its file (after registering the Σ
+//     sets, so content fingerprints validate), and DropCatalog /
 //     service shutdown flush dirty tenants so no computed cover is
 //     lost.
 //
@@ -40,9 +43,9 @@
 // the service is constructed. Tenants are held by shared_ptr — a drop
 // never frees an engine an in-flight batch (or a caller-held handle)
 // still uses. The one caveat inherited from Engine: building the
-// Catalog and CFDs *passed to* OpenCatalog interns into that tenant's
-// pool and must happen-before the call; from then on serving never
-// mutates it.
+// Catalog, CFDs and views *passed to* an open interns into that
+// tenant's pool and must happen-before the call; from then on serving
+// never mutates it.
 
 #ifndef CFDPROP_SERVICE_CATALOG_SERVICE_H_
 #define CFDPROP_SERVICE_CATALOG_SERVICE_H_
@@ -57,6 +60,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -67,6 +71,7 @@
 #include "src/engine/engine.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/parser/parser.h"
 #include "src/service/batch_result.h"
 
 namespace cfdprop {
@@ -141,13 +146,18 @@ struct ServiceOptions {
   SnapshotPolicy policy;
 };
 
-/// One open tenant: a named catalog with its own engine. Handles are
-/// shared_ptr — they (and the covers they served) outlive DropCatalog.
+/// One open tenant: a named catalog with its own engine, and the spec
+/// it was opened with. Handles are shared_ptr — they (and the covers
+/// they served) outlive DropCatalog.
 class Tenant {
  public:
   const std::string& name() const { return name_; }
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
+
+  /// The spec the tenant was opened with (OpenSpec); its catalog has
+  /// moved into the engine. No views for a bare OpenCatalog tenant.
+  const Spec& spec() const { return spec_; }
 
   /// Current cover-cache budget (entries) as actually honored by the
   /// cache after the service's global-budget split (shares round down
@@ -163,11 +173,17 @@ class Tenant {
  private:
   friend class CatalogService;
 
-  Tenant(std::string name, std::unique_ptr<Engine> engine)
-      : name_(std::move(name)), engine_(std::move(engine)) {}
+  Tenant(std::string name, std::unique_ptr<Engine> engine, Spec spec,
+         std::string spec_text)
+      : name_(std::move(name)),
+        engine_(std::move(engine)),
+        spec_(std::move(spec)),
+        spec_text_(std::move(spec_text)) {}
 
   std::string name_;
   std::unique_ptr<Engine> engine_;
+  Spec spec_;
+  std::string spec_text_;  // empty unless opened from text
   std::atomic<size_t> cache_budget_{0};
   Status snapshot_rejection_;  // set before the tenant is published
 
@@ -205,7 +221,7 @@ class Tenant {
 
   /// Per-stage latency histograms (`cfdprop_stage_latency_us{tenant=,
   /// stage=}`), owned by the service's MetricsRegistry and resolved at
-  /// OpenCatalog — re-opening a name continues the same series. Only
+  /// open — re-opening a name continues the same series. Only
   /// service code records into them.
   struct StageTimers {
     obs::Histogram* admission = nullptr;   // submit entry -> enqueued
@@ -286,22 +302,26 @@ class CatalogService {
   /// warm-starts the cover cache from it (a rejected/corrupt file is
   /// not an error: the tenant just starts cold). Tenant names are file
   /// names, so only [A-Za-z0-9_.-] is accepted, and not starting with
-  /// '.'. Fails on duplicate names. Rebalances every tenant's cache
-  /// budget to global/N.
+  /// '.'. Fails on a name that is already open, or that differs from
+  /// an open one only in case. Rebalances every tenant's cache budget
+  /// to global/N. The tenant has no views (see OpenSpec).
   Result<TenantHandle> OpenCatalog(const std::string& name, Catalog catalog,
                                    std::vector<std::vector<CFD>> sigmas = {});
 
-  /// OpenCatalog, but warm-started from snapshot bytes shipped in
-  /// memory (the receiving side of a tenant migration) instead of this
-  /// service's snapshot directory. A rejected/corrupt snapshot is not
-  /// an error — the tenant starts cold, exactly like a failed file
-  /// warm-start; the per-line outcome is readable from the engine's
-  /// restored=/rejected= counters. Unlike the file path, the restored
-  /// cache counts as *dirty* against the tenant's own snapshot file, so
-  /// the next spill persists the migrated covers locally.
-  Result<TenantHandle> OpenCatalogFromSnapshot(
-      const std::string& name, Catalog catalog,
-      std::vector<std::vector<CFD>> sigmas, std::string_view snapshot);
+  /// Opens a tenant from a spec — the paper's propagation input: its
+  /// catalog, Σ 0 = spec.source_cfds, and the named views that
+  /// ServeViewBatches resolves. Otherwise as OpenCatalog. `spec_text`
+  /// is the text `spec` was parsed from, or empty: re-opening an open
+  /// tenant with the same non-empty text returns the live tenant
+  /// (a reconnecting client replays its opens, a migration retry
+  /// re-lands); any other open of an open name is InvalidArgument.
+  /// `snapshot` warm-starts the cache from those bytes (a migration's
+  /// target) instead of the snapshot directory's file; a rejected one
+  /// opens cold (Tenant::snapshot_rejection says why), and restored
+  /// lines count as dirty, so the next spill persists them locally.
+  Result<TenantHandle> OpenSpec(
+      const std::string& name, Spec spec, std::string spec_text = {},
+      std::optional<std::string_view> snapshot = std::nullopt);
 
   /// Closes a tenant: flushes its cache to the snapshot directory (when
   /// configured), then removes it from the registry and rebalances the
@@ -346,17 +366,27 @@ class CatalogService {
       std::vector<std::vector<Engine::Request>> batches,
       const obs::TraceContext& trace = {});
 
-  /// Synchronous SubmitBatches: admits `batches` exactly as
-  /// SubmitBatches does (one queue-lock hold), then the calling thread
-  /// runs queued batches — its own or another tenant's, in dispatch
-  /// order, under the same running bounds as a dispatcher — until each
-  /// of its admitted batches has resolved. Slot i answers batches[i]:
-  /// its results, or its rejection in `status`. Failures that reject
-  /// the whole call (unknown tenant, shutdown) fill every slot. The
-  /// network front end and InProcBackend serve every frame through it.
+  /// Synchronous SubmitBatches on a resolved tenant: admits `batches`
+  /// exactly as SubmitBatches does (one queue-lock hold), then the
+  /// calling thread runs queued batches — its own or another tenant's,
+  /// in dispatch order, under the same running bounds as a dispatcher —
+  /// until each of its admitted batches has resolved. Slot i answers
+  /// batches[i]: its results, or its rejection in `status` (a shutdown
+  /// rejects every slot).
   std::vector<BatchReply> ServeBatches(
-      const std::string& tenant,
+      const TenantHandle& tenant,
       std::vector<std::vector<Engine::Request>> batches,
+      const obs::TraceContext& trace = {});
+
+  /// ServeBatches by view name: each name resolves against the views of
+  /// the tenant's spec and is served against Σ 0. A batch naming an
+  /// unknown view fails alone with NotFound and is never admitted.
+  /// Slot i answers views[i]. The network front end and InProcBackend
+  /// serve every frame through it — one registry lookup per frame, and
+  /// the covers and the pool that encodes them come from one tenant.
+  std::vector<BatchResult> ServeViewBatches(
+      const TenantHandle& tenant,
+      const std::vector<std::vector<std::string>>& views,
       const obs::TraceContext& trace = {});
 
   /// Callback overload: `done` runs when the batch completes, on
@@ -424,13 +454,11 @@ class CatalogService {
   };
 
   std::string SnapshotPath(const std::string& name) const;
-  /// The shared body of OpenCatalog/OpenCatalogFromSnapshot: `warm`
-  /// non-null = warm-start from those bytes (migration), null = from
-  /// the snapshot directory's file when one is configured.
-  Result<TenantHandle> OpenCatalogInternal(const std::string& name,
-                                           Catalog catalog,
-                                           std::vector<std::vector<CFD>> sigmas,
-                                           const std::string_view* warm);
+  /// The shared body of OpenCatalog and OpenSpec.
+  Result<TenantHandle> Open(const std::string& name, Spec spec,
+                            std::vector<std::vector<CFD>> sigmas,
+                            std::string spec_text,
+                            std::optional<std::string_view> snapshot);
   /// The single definition of the per-tenant budget split (every site —
   /// engine construction, rebalance, the newcomer's recorded budget —
   /// must agree or cache_budget() drifts from real capacity).
@@ -447,7 +475,7 @@ class CatalogService {
   Result<uint64_t> Spill(Tenant& tenant, bool from_policy,
                          uint64_t min_dirty);
   /// Applies share = global_budget / num_tenants to every registered
-  /// tenant; `num_tenants` may be the prospective count (OpenCatalog
+  /// tenant; `num_tenants` may be the prospective count (an open
   /// shrinks existing tenants *before* the new engine fills, so the
   /// global budget holds even mid-open). Caller holds registry_mu_
   /// (shared or exclusive is fine: budgets are atomics and resize is
@@ -461,7 +489,7 @@ class CatalogService {
   /// The admission SubmitBatches and ServeBatches share: every batch's
   /// decision under one queue_mu_ hold. Wakes no runner.
   std::vector<Result<std::future<BatchReply>>> AdmitBatches(
-      const std::string& tenant,
+      const TenantHandle& tenant,
       std::vector<std::vector<Engine::Request>> batches,
       const obs::TraceContext& trace);
   /// The next job to run, round-robin across tenant queues starting
@@ -491,9 +519,10 @@ class CatalogService {
 
   mutable std::shared_mutex registry_mu_;
   std::map<std::string, TenantHandle> tenants_;
-  /// Serializes OpenCatalog/DropCatalog against each other so the slow
-  /// parts (engine construction, Σ minimization, snapshot I/O) never
-  /// run under registry_mu_.
+  /// Serializes opens and drops against each other so the slow parts
+  /// (engine construction, Σ minimization, snapshot I/O) never run
+  /// under registry_mu_, and so a same-text reopen racing a drop sees
+  /// the tenant either whole or gone.
   std::mutex open_mu_;
 
   std::mutex queue_mu_;

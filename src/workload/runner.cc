@@ -75,9 +75,6 @@ struct PathRuntime {
   CatalogService& ServiceFor(const std::string& tenant) {
     return *services[ShardFor(tenant)];
   }
-  net::CoverServer& ServerFor(const std::string& tenant) {
-    return *servers[ShardFor(tenant)];
-  }
 };
 
 /// Spins until `tenant` has no queued or running batches. Admission
@@ -274,7 +271,7 @@ class Worker {
   /// snapshot_dir configured the drop flushes and the open warm-starts,
   /// so the reopened tenant serves its old covers as hits. The drop
   /// travels through the path under test; the re-open is in-process on
-  /// the owning shard's server — generated specs have no text form for
+  /// the owning shard's service — generated specs have no text form for
   /// the wire to carry. The tenant's reopen sequence is odd from the
   /// drop's start to the open's end.
   void RunReopen(const std::string& tenant, size_t tenant_index) {
@@ -285,17 +282,15 @@ class Worker {
     if (!dropped.ok()) {
       totals_.errors.fetch_add(1, std::memory_order_relaxed);
     }
-    auto opened =
-        options_.path == RunnerPath::kInproc
-            ? rt_.inproc->OpenParsedSpec(tenant, std::move(spec))
-            : rt_.ServerFor(tenant).OpenParsedSpec(tenant, std::move(spec));
+    auto opened = rt_.ServiceFor(tenant).OpenSpec(tenant, std::move(spec));
     reopen_seq.fetch_add(1);
     if (!opened.ok()) {
       totals_.errors.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     totals_.reopens.fetch_add(1, std::memory_order_relaxed);
-    totals_.restored.fetch_add(opened->restored, std::memory_order_relaxed);
+    totals_.restored.fetch_add((*opened)->engine().Stats().cache.restored,
+                               std::memory_order_relaxed);
   }
 
   const WorkloadPlan& plan_;
@@ -414,12 +409,10 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
   // generated, so there is no text to ship over the wire.
   for (size_t t = 0; t < plan.options.tenants; ++t) {
     const std::string name = plan.TenantName(t);
-    Spec spec = gen::BuildTenantSpec(plan, t);
-    auto opened =
-        options.path == RunnerPath::kInproc
-            ? rt.inproc->OpenParsedSpec(name, std::move(spec))
-            : rt.ServerFor(name).OpenParsedSpec(name, std::move(spec));
-    CFDPROP_RETURN_NOT_OK(opened.status());
+    CFDPROP_RETURN_NOT_OK(
+        rt.ServiceFor(name)
+            .OpenSpec(name, gen::BuildTenantSpec(plan, t))
+            .status());
   }
 
   Totals totals(plan.options.tenants);
@@ -489,9 +482,8 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
         rt.router->AbortMigration(name);
         continue;
       }
-      Spec spec = gen::BuildTenantSpec(plan, t);
-      auto opened = rt.servers[dst]->OpenParsedSpecFromSnapshot(
-          name, std::move(spec), *snapshot);
+      auto opened = rt.services[dst]->OpenSpec(
+          name, gen::BuildTenantSpec(plan, t), {}, *snapshot);
       if (!opened.ok()) {
         rt.router->AbortMigration(name);
         continue;
@@ -499,7 +491,7 @@ Result<WorkloadReport> RunWorkload(const gen::WorkloadPlan& plan,
       CFDPROP_RETURN_NOT_OK(rt.router->CompleteMigration(name, dst));
       (void)rt.router->DropCatalogOn(src, name);  // route is flipped
       report.migrations++;
-      report.migrated_lines += opened->restored;
+      report.migrated_lines += (*opened)->engine().Stats().cache.restored;
     }
   }
 

@@ -3,7 +3,10 @@
 // malformed byte stream — truncations at each structural boundary, bad
 // magic, a future version, an oversized length prefix, bit flips under
 // the checksum — must surface as a clean Status, and a CoverServer fed
-// such bytes must drop that connection only, never stop serving.
+// such bytes must drop that connection only, never stop serving. The
+// server's tenant lifecycle is pinned here too: typed open/submit/drop
+// errors, one reopen rule on every CoverBackend, and a same-text reopen
+// racing a drop.
 
 #include "src/net/wire_protocol.h"
 
@@ -14,13 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/engine/engine.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_client.h"
+#include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/net/socket_io.h"
 #include "src/obs/exporter.h"
@@ -508,10 +515,97 @@ TEST(CoverServerTest, TypedErrorsAndShutdownHandshake) {
   ASSERT_FALSE(after_drop.ok());
   EXPECT_EQ(after_drop.status().code(), StatusCode::kNotFound);
 
+  // Every CoverBackend keeps the same reopen rule, on the same service:
+  // identical text is idempotent, different text InvalidArgument.
+  InProcBackend inproc(service);
+  RemoteBackend remote(options);
+  CoverRouterOptions router_options;
+  router_options.shards.push_back(options);
+  CoverRouter router(router_options);
+  CoverBackend* backends[] = {&inproc, &remote, &router};
+  for (size_t b = 0; b < std::size(backends); ++b) {
+    const std::string tenant = "reopen" + std::to_string(b);
+    ASSERT_TRUE(backends[b]->OpenCatalog(tenant, kSpecText).ok()) << b;
+    auto same = backends[b]->OpenCatalog(tenant, kSpecText);
+    EXPECT_TRUE(same.ok()) << "backend " << b << ": " << same.status();
+    auto changed = backends[b]->OpenCatalog(
+        tenant, std::string(kSpecText) + "\n# changed");
+    EXPECT_EQ(changed.status().code(), StatusCode::kInvalidArgument)
+        << "backend " << b << ": " << changed.status();
+    auto served = backends[b]->SubmitBatch(tenant, {"ByRegion"},
+                                           scratch.pool());
+    ASSERT_TRUE(served.ok()) << "backend " << b << ": " << served.status();
+    EXPECT_TRUE(served->status.ok()) << "backend " << b;
+    EXPECT_TRUE(backends[b]->DropCatalog(tenant).ok()) << "backend " << b;
+  }
+
   EXPECT_FALSE(server.shutdown_requested());
   EXPECT_TRUE(client.Shutdown().ok());
   server.WaitForShutdown();
   EXPECT_TRUE(server.shutdown_requested());
+  server.Stop();
+}
+
+/// A same-text reopen racing a drop of the same tenant, round after
+/// round, on connections kept across rounds. Whichever lands first, the
+/// tenant must end the round either serving or absent — and, when
+/// absent, open again. A tenant left open but unservable (its spec lost
+/// to the drop while the service kept the reopened tenant) is "wedged":
+/// only another drop would bring it back.
+TEST(CoverServerTest, SameTextReopenRacingDropNeverWedgesTheTenant) {
+  constexpr int kRounds = 10000;
+  CatalogService service{ServiceOptions{}};
+  CoverServer server(service);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.OpenSpec("t", kSpecText).ok());
+
+  CoverClientOptions options;
+  options.port = server.port();
+  CoverClient opener(options), dropper(options), checker(options);
+  ASSERT_TRUE(opener.Connect().ok());
+  ASSERT_TRUE(dropper.Connect().ok());
+  ASSERT_TRUE(checker.Connect().ok());
+  Catalog scratch;
+
+  // Both racers wait for the round's start, then fire at once.
+  std::barrier sync(3);
+  std::vector<Status> opened(kRounds), dropped(kRounds);
+  std::thread open_thread([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      sync.arrive_and_wait();
+      opened[r] = opener.OpenCatalog("t", kSpecText).status();
+      sync.arrive_and_wait();
+    }
+  });
+  std::thread drop_thread([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      sync.arrive_and_wait();
+      dropped[r] = dropper.DropCatalog("t");
+      sync.arrive_and_wait();
+    }
+  });
+
+  int wedged = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    sync.arrive_and_wait();  // start
+    sync.arrive_and_wait();  // both racers answered
+    EXPECT_TRUE(opened[r].ok()) << "round " << r << ": " << opened[r];
+    EXPECT_TRUE(dropped[r].ok()) << "round " << r << ": " << dropped[r];
+    auto served = checker.SubmitBatch("t", {"ByRegion"}, scratch.pool());
+    if (!served.ok() && served.status().code() == StatusCode::kNotFound &&
+        checker.OpenCatalog("t", kSpecText).ok()) {
+      served = checker.SubmitBatch("t", {"ByRegion"}, scratch.pool());
+    }
+    if (served.ok() && served->status.ok()) continue;
+    // Wedged: count it, and recover so the next round starts open.
+    ++wedged;
+    EXPECT_TRUE(checker.DropCatalog("t").ok()) << "round " << r;
+    EXPECT_TRUE(checker.OpenCatalog("t", kSpecText).ok()) << "round " << r;
+  }
+  open_thread.join();
+  drop_thread.join();
+  EXPECT_EQ(wedged, 0) << "of " << kRounds
+                       << " rounds left the tenant open but unservable";
   server.Stop();
 }
 

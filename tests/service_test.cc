@@ -1,6 +1,7 @@
-// CatalogService unit tests: tenant registry lifecycle, global-budget
-// splitting, async submission (futures + callbacks), and the snapshot
-// policy (warm starts, background spills, drop/shutdown flushes). The
+// CatalogService unit tests: tenant registry lifecycle (spec opens and
+// view-name serving included), global-budget splitting, async
+// submission (futures + callbacks), and the snapshot policy (warm
+// starts, background spills, drop/shutdown flushes). The
 // cross-checking of service results against direct per-engine serving
 // lives in service_differential_test.cc.
 
@@ -19,6 +20,7 @@
 
 #include "src/cfd/cfd.h"
 #include "src/obs/exporter.h"
+#include "src/parser/parser.h"
 
 namespace cfdprop {
 namespace {
@@ -78,6 +80,14 @@ TEST(ServiceTest, OpenResolveDropLifecycle) {
   // case-insensitive filesystem.
   EXPECT_FALSE(service.OpenCatalog("acme", MakeCatalog()).ok());
   EXPECT_FALSE(service.OpenCatalog("ACME", MakeCatalog()).ok());
+  EXPECT_EQ(service.OpenCatalog("acme", MakeCatalog()).status().message(),
+            "tenant 'acme' is already open");
+  EXPECT_NE(service.OpenCatalog("ACME", MakeCatalog())
+                .status()
+                .message()
+                .find("collides with open tenant 'acme' (names are "
+                      "case-folded"),
+            std::string::npos);
   EXPECT_FALSE(service.OpenCatalog("", MakeCatalog()).ok());
   EXPECT_FALSE(service.OpenCatalog(std::string(101, 'x'), MakeCatalog()).ok())
       << "over-long names would exceed NAME_MAX as snapshot files";
@@ -93,6 +103,56 @@ TEST(ServiceTest, OpenResolveDropLifecycle) {
   // The held handle (and its engine) outlives the drop.
   SPCView view = MakeView((*t1)->engine().catalog());
   EXPECT_TRUE((*t1)->engine().Propagate(view, 0).ok());
+}
+
+TEST(ServiceTest, OpenSpecKeepsTheViewsThatServeByName) {
+  constexpr char kText[] = R"(
+relation R(A, B, C, D)
+cfd R: [A] -> B
+cfd R: [B] -> C
+view AC = pi(0.A as A, 0.C as C) from(R)
+)";
+  auto parse = [&] {
+    auto spec = ParseSpec(kText);
+    EXPECT_TRUE(spec.ok()) << spec.status();
+    return std::move(spec).value();
+  };
+  ServiceOptions options;
+  options.engine.num_threads = 1;  // the repeated view hits in order
+  CatalogService service(options);
+  auto tenant = service.OpenSpec("t", parse(), kText);
+  ASSERT_TRUE(tenant.ok()) << tenant.status();
+  EXPECT_EQ((*tenant)->spec().view_names, std::vector<std::string>{"AC"});
+
+  // Same text: the live tenant, not a rebuild. Different text, or no
+  // text to compare: InvalidArgument.
+  auto same = service.OpenSpec("t", parse(), kText);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_EQ(same->get(), tenant->get());
+  auto changed = service.OpenSpec("t", parse(), std::string(kText) + "#\n");
+  EXPECT_EQ(changed.status().message(),
+            "tenant 't' is already open with a different spec");
+  EXPECT_EQ(service.OpenSpec("t", parse()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Names resolve against the spec's views, served on Σ 0 (the spec's
+  // source CFDs); an unknown name fails its own batch only.
+  auto served = service.ServeViewBatches(*tenant, {{"AC", "AC"}, {"Nope"}});
+  ASSERT_EQ(served.size(), 2u);
+  ASSERT_TRUE(served[0].status.ok()) << served[0].status;
+  ASSERT_EQ(served[0].results.size(), 2u);
+  ASSERT_TRUE(served[0].results[0].ok());
+  EXPECT_FALSE(served[0].results[0]->cache_hit);
+  EXPECT_TRUE(served[0].results[1]->cache_hit);
+  EXPECT_EQ(served[1].status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(service.Stats().tenants[0].admitted, 1u);
+
+  // A bare catalog has no views: each batch fails with NotFound.
+  auto bare = service.OpenCatalog("bare", MakeCatalog(), {MakeSigma()});
+  ASSERT_TRUE(bare.ok());
+  auto unnamed = service.ServeViewBatches(*bare, {{"AC"}});
+  ASSERT_EQ(unnamed.size(), 1u);
+  EXPECT_EQ(unnamed[0].status.code(), StatusCode::kNotFound);
 }
 
 TEST(ServiceTest, BudgetSplitsAndRebalances) {
@@ -259,10 +319,15 @@ TEST(ServiceTest, CorruptMigrationBytesOpenColdWithTheReason) {
   ASSERT_EQ(exported->lines, 1u);
   EXPECT_TRUE((*source)->snapshot_rejection().ok());
 
+  // A spec over the source's catalog and Σ, opened from shipped bytes.
+  auto open_from = [&](const char* name, std::string_view bytes) {
+    Spec spec;
+    spec.catalog = MakeCatalog();
+    spec.source_cfds = MakeSigma();
+    return service.OpenSpec(name, std::move(spec), {}, bytes);
+  };
   // The intact bytes restore their line and record no rejection.
-  auto intact = service.OpenCatalogFromSnapshot("intact", MakeCatalog(),
-                                                {MakeSigma()},
-                                                exported->bytes);
+  auto intact = open_from("intact", exported->bytes);
   ASSERT_TRUE(intact.ok()) << intact.status();
   EXPECT_TRUE((*intact)->snapshot_rejection().ok());
   EXPECT_EQ((*intact)->engine().Stats().cache.restored, 1u);
@@ -271,8 +336,7 @@ TEST(ServiceTest, CorruptMigrationBytesOpenColdWithTheReason) {
   // opens, cold, and keeps the reason.
   std::string corrupt = exported->bytes;
   corrupt[corrupt.size() / 2] ^= 0x40;
-  auto cold = service.OpenCatalogFromSnapshot("cold", MakeCatalog(),
-                                              {MakeSigma()}, corrupt);
+  auto cold = open_from("cold", corrupt);
   ASSERT_TRUE(cold.ok()) << cold.status();
   const Status& rejection = (*cold)->snapshot_rejection();
   EXPECT_EQ(rejection.code(), StatusCode::kInvalidArgument);
@@ -511,7 +575,7 @@ TEST(ServiceTest, ServeBatchesCallerRespectsTheRunningBound) {
   std::atomic<bool> returned{false};
   std::vector<BatchReply> served;
   std::thread caller([&] {
-    served = service.ServeBatches("b", {round_b, round_b});
+    served = service.ServeBatches(*tb, {round_b, round_b});
     returned.store(true);
   });
   // The gauge every runner moves, read the way a scrape reads it.
@@ -565,9 +629,11 @@ TEST(ServiceTest, MixedSubmittersResolveEveryAdmittedBatchOnce) {
   CatalogService service(options);
   const std::vector<std::string> names = {"a", "b", "c"};
   std::vector<std::vector<Engine::Request>> rounds;
+  std::vector<TenantHandle> handles;
   for (const std::string& name : names) {
     auto tenant = service.OpenCatalog(name, MakeCatalog(), {MakeSigma()});
     ASSERT_TRUE(tenant.ok());
+    handles.push_back(*tenant);
     Catalog& cat = (*tenant)->engine().catalog();
     rounds.push_back({{MakeView(cat, "7"), 0}, {MakeView(cat), 0}});
   }
@@ -592,7 +658,7 @@ TEST(ServiceTest, MixedSubmittersResolveEveryAdmittedBatchOnce) {
     threads.emplace_back([&, t] {
       for (size_t i = 0; i < kRounds; ++i) {
         for (const BatchReply& reply :
-             service.ServeBatches(names[t], {rounds[t], rounds[t]})) {
+             service.ServeBatches(handles[t], {rounds[t], rounds[t]})) {
           if (reply.status.ok()) {
             record(t, reply);
           } else {

@@ -505,12 +505,11 @@ struct ServiceFlags {
   }
 };
 
-/// One loaded tenant: the spec (its views stay valid after the catalog
-/// moves into the engine), the service handle, and the request round.
+/// One loaded tenant: the service handle (which keeps the spec and its
+/// views) and the request round.
 struct TenantCtx {
   std::string name;
   std::string spec_path;
-  Spec spec;
   TenantHandle handle;
   std::vector<Engine::Request> round;
   std::vector<std::string> round_names;
@@ -559,16 +558,15 @@ int RunServe(int argc, char** argv) {
   for (auto& [name, path] : flags.tenants) {
     auto spec = LoadSpec(path.c_str());
     if (!spec.ok()) return Fail(spec.status());
+    auto handle = service.OpenSpec(name, std::move(spec).value());
+    if (!handle.ok()) return Fail(handle.status());
     TenantCtx ctx;
     ctx.name = name;
     ctx.spec_path = path;
-    ctx.spec = std::move(spec).value();
-    auto handle = service.OpenCatalog(name, std::move(ctx.spec.catalog),
-                                      {ctx.spec.source_cfds});
-    if (!handle.ok()) return Fail(handle.status());
     ctx.handle = std::move(handle).value();
-    for (const std::string& view : ctx.spec.ServingRound()) {
-      ctx.round.push_back({ctx.spec.views.at(view), /*sigma_id=*/0});
+    const Spec& opened = ctx.handle->spec();
+    for (const std::string& view : opened.ServingRound()) {
+      ctx.round.push_back({opened.views.at(view), /*sigma_id=*/0});
       ctx.round_names.push_back(view);
     }
     tenants.push_back(std::move(ctx));
@@ -612,7 +610,7 @@ int RunServe(int argc, char** argv) {
       const TenantCtx& t = tenants[idx];
       if (!ReportRequestErrors(t.name, reply.results)) rc = 1;
       if (print_idx == kPrintAll || static_cast<size_t>(print_idx) == idx) {
-        PrintTenantCovers(t.name, t.round_names, t.spec,
+        PrintTenantCovers(t.name, t.round_names, t.handle->spec(),
                           t.handle->engine().catalog().pool(),
                           reply.results, quiet);
       }
@@ -679,7 +677,7 @@ int RunServe(int argc, char** argv) {
   if (!no_churn) {
     for (size_t ti = 0; ti < tenants.size(); ++ti) {
       TenantCtx& t = tenants[ti];
-      for (const SigmaMutation& m : t.spec.sigma_mutations) {
+      for (const SigmaMutation& m : t.handle->spec().sigma_mutations) {
         Engine& engine = t.handle->engine();
         const RelationSchema& rel = engine.catalog().relation(m.cfd.relation);
         std::string rendered =
