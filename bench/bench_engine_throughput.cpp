@@ -25,7 +25,7 @@
 #include "src/engine/engine.h"
 #include "src/gen/generators.h"
 #include "src/gen/workload.h"
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_server.h"
 #include "src/obs/trace.h"
 #include "src/parser/parser.h"
@@ -569,7 +569,7 @@ BENCHMARK(BM_ServiceTenantSweep)
     ->UseRealTime();
 
 /// Network serving: the BM_ServiceTenantSweep workload driven through
-/// CoverServer/CoverClient over loopback TCP — each iteration is one
+/// CoverServer/RemoteBackend over loopback TCP — each iteration is one
 /// client→server→client round-trip batch per tenant (kStreamLen
 /// requests at 95% hits), with one client thread per tenant so batches
 /// overlap exactly as the in-process sweep's futures do. The delta
@@ -625,7 +625,7 @@ void BM_NetLoopbackBatch(benchmark::State& state) {
   // One connected client (with its own decode pool) per tenant, reused
   // across iterations.
   struct ClientCtx {
-    std::unique_ptr<net::CoverClient> client;
+    std::unique_ptr<net::RemoteBackend> client;
     Catalog scratch;  // decode pool
   };
   std::vector<ClientCtx> clients(num_tenants);
@@ -633,7 +633,7 @@ void BM_NetLoopbackBatch(benchmark::State& state) {
     net::CoverClientOptions client_options;
     client_options.port = server.port();
     clients[t].client =
-        std::make_unique<net::CoverClient>(client_options);
+        std::make_unique<net::RemoteBackend>(client_options);
     if (Status connected = clients[t].client->Connect(); !connected.ok()) {
       state.SkipWithError(connected.ToString().c_str());
       return;
@@ -719,7 +719,7 @@ void BM_NetLoopbackIdleBatch(benchmark::State& state) {
   }
   net::CoverClientOptions client_options;
   client_options.port = server.port();
-  net::CoverClient client(client_options);
+  net::RemoteBackend client(client_options);
   Catalog scratch;  // decode pool
   if (Status connected = client.Connect(); !connected.ok()) {
     state.SkipWithError(connected.ToString().c_str());

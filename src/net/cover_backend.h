@@ -1,23 +1,17 @@
 // CoverBackend: the one serving surface in front of a cover catalog,
-// whether it lives in this process or behind a socket.
-//
-// Before this interface the stack had two divergent submit APIs —
-// CatalogService::SubmitBatch (future-based, in-process) and
-// CoverClient::SubmitBatch (blocking, wire) — and every caller that
-// wanted to serve "either way" (the workload runner, the CLI) carried
-// hand-rolled inproc|tcp branching. CoverBackend collapses that:
-// OpenCatalog / SubmitBatch(es) / Metrics / DropCatalog, all
-// returning the typed Result<>s whose StatusCodes survive the wire, so
-// a caller programs against one surface and an injection decides where
-// the covers come from.
+// whether it lives in this process or behind a socket: OpenCatalog /
+// SubmitBatch(es) / Metrics / DropCatalog, all returning the typed
+// Result<>s whose StatusCodes survive the wire, so a caller programs
+// against one surface and an injection decides where the covers come
+// from.
 //
 // Three implementations:
 //   * InProcBackend  — wraps a CatalogService, no sockets at all;
-//   * RemoteBackend  — wraps a CoverClient, with reconnect: a dropped
-//     connection (socket deadline, server restart of the link) is
-//     re-established on the next call and the backend *re-opens every
-//     catalog it opened*, so open-catalog state survives the drop
-//     (the same-text re-open is idempotent);
+//   * RemoteBackend  — the wire client: one TCP connection to a
+//     CoverServer, with reconnect: a dropped connection (socket
+//     deadline, server restart) is re-established on the next call and
+//     the backend *re-opens every catalog it opened*, so open-catalog
+//     state survives the drop (the same-text re-open is idempotent);
 //   * CoverRouter (src/net/cover_router.h) — consistent-hashes tenants
 //     across N RemoteBackend shards.
 //
@@ -34,22 +28,24 @@
 // tenant's engine.
 //
 // Thread-safety: RemoteBackend is one conversation — use one per
-// worker thread (connections are cheap). InProcBackend IS safe for
-// concurrent callers: it keeps no state beyond the thread-safe
-// service, so the workload runner shares a single instance across its
-// workers.
+// worker thread (connections are cheap; the server threads per
+// connection). InProcBackend IS safe for concurrent callers: it keeps
+// no state beyond the thread-safe service, so the workload runner
+// shares a single instance across its workers.
 
 #ifndef CFDPROP_NET_COVER_BACKEND_H_
 #define CFDPROP_NET_COVER_BACKEND_H_
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
 #include "src/base/value.h"
-#include "src/net/cover_client.h"
 #include "src/net/wire_protocol.h"
 #include "src/parser/parser.h"
 #include "src/service/batch_result.h"
@@ -57,6 +53,23 @@
 
 namespace cfdprop {
 namespace net {
+
+struct CoverClientOptions {
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+  /// The one bound on a connect: attempts repeat every 100 ms (scripts
+  /// start `listen` in the background and race the client against the
+  /// server's bind), each a non-blocking connect bounded by the time
+  /// left, until the bound runs out; then typed DeadlineExceeded. The
+  /// first attempt is always made.
+  std::chrono::milliseconds connect_timeout{5000};
+  /// Per-call socket send/recv deadline (SO_RCVTIMEO/SO_SNDTIMEO) armed
+  /// after a successful connect. 0 = fully blocking. When an I/O
+  /// deadline fires mid-call the call returns typed DeadlineExceeded and
+  /// the connection is dropped (the stream has no resync point), so the
+  /// next call reconnects.
+  std::chrono::milliseconds io_timeout{0};
+};
 
 class CoverBackend {
  public:
@@ -118,26 +131,45 @@ class InProcBackend : public CoverBackend {
   CatalogService& service_;
 };
 
-/// CoverBackend over a CoverClient. Lazily connects on first use, and
-/// on every call re-establishes a dropped connection first — re-opening
-/// every catalog this backend opened (the server's same-text re-open is
-/// idempotent), which is the fix for the historical bug where a
-/// DeadlineExceeded drop silently lost open-catalog state and the next
-/// round died with NotFound.
+/// CoverBackend over one TCP connection to a CoverServer: every call
+/// sends one frame and blocks for its reply. Connects lazily on first
+/// use, and on every call re-establishes a dropped connection first,
+/// re-opening every catalog this backend opened. A re-open the server
+/// refuses (another client opened the tenant with other text
+/// meanwhile) fails only the calls that name that tenant, with the
+/// server's refusal, until an explicit OpenCatalog of it succeeds;
+/// every other tenant keeps serving.
 class RemoteBackend : public CoverBackend {
  public:
-  explicit RemoteBackend(CoverClientOptions options) : client_(options) {}
+  explicit RemoteBackend(CoverClientOptions options)
+      : options_(std::move(options)) {}
+  ~RemoteBackend() override { CloseConnection(); }
+
+  RemoteBackend(const RemoteBackend&) = delete;
+  RemoteBackend& operator=(const RemoteBackend&) = delete;
 
   Result<OpenCatalogReplyInfo> OpenCatalog(
-      const std::string& tenant, const std::string& spec_text) override;
+      const std::string& tenant, const std::string& spec_text) override {
+    return OpenCatalog(tenant, spec_text, {});
+  }
+  /// Same, warm-starting the tenant's cache from .ccsnap `snapshot`
+  /// bytes (a migration's step 2); the reply reports the warm-start's
+  /// restored/rejected line counts. Empty bytes are a cold open.
+  Result<OpenCatalogReplyInfo> OpenCatalog(const std::string& tenant,
+                                           const std::string& spec_text,
+                                           std::string_view snapshot);
 
+  /// With a process tracer installed this call is the trace edge: it
+  /// starts a trace, records the "rpc" span and applies slow-request
+  /// capture to the round trip.
   Result<std::vector<BatchResult>> SubmitBatches(
       const std::string& tenant,
       const std::vector<std::vector<std::string>>& batches,
       ValuePool& pool) override;
 
-  /// Submit under a caller-started trace (the router's edge) — the rpc
-  /// span parents to `trace.parent_span_id`.
+  /// Submit under a caller-started trace (the router's edge): the rpc
+  /// span parents to `trace.parent_span_id` and the slow-capture
+  /// decision stays with the caller.
   Result<std::vector<BatchResult>> SubmitBatches(
       const std::string& tenant,
       const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
@@ -146,17 +178,16 @@ class RemoteBackend : public CoverBackend {
   Result<std::string> Metrics() override;
   Status DropCatalog(const std::string& tenant) override;
 
-  /// Reads the shard process's span rings back (see CoverClient).
+  /// Reads the server process's span rings back (main + slow), in ring
+  /// append order — the raw material for a stitched cross-process tree.
   Result<std::vector<obs::SpanRecord>> TraceDump();
 
-  /// Migration steps, forwarded to the shard with the same
-  /// reconnect-and-reopen discipline as every other call.
+  /// Migration, step 1: the server drains the tenant's in-service
+  /// batches, then ships its cover cache as .ccsnap snapshot bytes.
   Result<std::string> FetchSnapshot(const std::string& tenant);
-  Result<OpenCatalogReplyInfo> OpenFromSnapshot(const std::string& tenant,
-                                                const std::string& spec_text,
-                                                std::string_view snapshot);
 
-  /// Asks the shard's server process to wind down.
+  /// Asks the server process to wind down (it stops accepting and its
+  /// owner exits); the reply confirms receipt.
   Status Shutdown();
 
   /// Connects now (otherwise the first call connects lazily).
@@ -166,18 +197,36 @@ class RemoteBackend : public CoverBackend {
   /// hook for the reconnect path (a real drop comes from a socket
   /// deadline or a dying link). The next call reconnects and replays
   /// this backend's catalog opens.
-  void CloseConnection() { client_.Close(); }
+  void CloseConnection();
 
-  bool connected() const { return client_.connected(); }
+  bool connected() const { return fd_ >= 0; }
 
  private:
-  /// Connect + replay the remembered catalog opens when the connection
-  /// is down; no-op while it is up.
+  /// Connects, retrying every 100 ms until options_.connect_timeout.
+  Status Dial();
+  /// Dial + replay the remembered catalog opens when the connection is
+  /// down; no-op while it is up.
   Status EnsureConnected();
+  /// EnsureConnected, then the refusal of `tenant`'s replay, if any.
+  Status Ready(const std::string& tenant);
+  /// Sends one frame on the live connection and reads one reply of type
+  /// `expected_reply`. A failed write or read drops the connection: a
+  /// partial frame leaves the stream with no resync point.
+  Result<std::string> Exchange(FrameType request, std::string_view payload,
+                               FrameType expected_reply);
+  /// One SUBMIT_BATCH exchange inside `rpc`, whose child context rides
+  /// the wire.
+  Result<std::vector<BatchResult>> SubmitTraced(
+      const std::string& tenant,
+      const std::vector<std::vector<std::string>>& batches, ValuePool& pool,
+      obs::HopSpan& rpc);
 
-  CoverClient client_;
+  CoverClientOptions options_;
+  int fd_ = -1;
   /// Tenant -> spec text this backend opened, replayed on reconnect.
   std::map<std::string, std::string> opened_;
+  /// Tenant -> the server's refusal of its replayed open.
+  std::map<std::string, Status> refused_;
 };
 
 }  // namespace net

@@ -106,36 +106,13 @@ Result<std::vector<BatchResult>> CoverRouter::SubmitBatches(
   batches_routed_->Add(batches.size());
   // With a process tracer installed the router is the trace edge: the
   // "route" span encloses the whole routed round trip, the shard
-  // client's rpc span parents to it, and slow-request capture applies
+  // backend's rpc span parents to it, and slow-request capture applies
   // here — the routed request's true end-to-end latency.
-  obs::Tracer* tracer = obs::ProcessTracer();
-  if (tracer == nullptr) {
-    return WithShard(shard, [&](RemoteBackend& backend) {
-      return backend.SubmitBatches(tenant, batches, pool);
-    });
-  }
-  const obs::TraceContext trace = tracer->StartTrace();
-  const bool timed = trace.sampled || tracer->slow_enabled();
-  uint64_t span_id = 0;
-  uint64_t start_us = 0;
-  obs::TraceContext child;
-  if (timed) {
-    span_id = tracer->NewSpanId();
-    start_us = tracer->NowUs();
-  }
-  if (trace.sampled) {
-    child.trace_id = trace.trace_id;
-    child.parent_span_id = span_id;
-    child.sampled = true;
-  }
+  obs::HopSpan route;
   auto result = WithShard(shard, [&](RemoteBackend& backend) {
-    return backend.SubmitBatches(tenant, batches, pool, child);
+    return backend.SubmitBatches(tenant, batches, pool, route.child());
   });
-  if (timed) {
-    tracer->RecordEdge(trace, span_id, "route", start_us,
-                       tracer->NowUs() - start_us, tenant,
-                       static_cast<int32_t>(shard));
-  }
+  route.Finish("route", tenant, static_cast<int32_t>(shard));
   return result;
 }
 
@@ -296,12 +273,8 @@ Result<std::string> CoverRouter::FetchSnapshotFrom(size_t shard,
 Result<OpenCatalogReplyInfo> CoverRouter::OpenFromSnapshotOn(
     size_t shard, const std::string& tenant, const std::string& spec_text,
     std::string_view snapshot) {
-  if (shard >= shards_.size()) {
-    return Status::InvalidArgument("shard " + std::to_string(shard) +
-                                   " out of range");
-  }
   return WithShard(shard, [&](RemoteBackend& backend) {
-    return backend.OpenFromSnapshot(tenant, spec_text, snapshot);
+    return backend.OpenCatalog(tenant, spec_text, snapshot);
   });
 }
 

@@ -128,10 +128,6 @@ class CoverRouter : public CoverBackend {
   /// the tenant before serializing).
   Result<std::string> FetchSnapshotFrom(size_t shard,
                                         const std::string& tenant);
-  Result<OpenCatalogReplyInfo> OpenFromSnapshotOn(size_t shard,
-                                                  const std::string& tenant,
-                                                  const std::string& spec_text,
-                                                  std::string_view snapshot);
   Status DropCatalogOn(size_t shard, const std::string& tenant);
 
   /// The shard currently serving `tenant` (override if one exists, ring
@@ -147,6 +143,13 @@ class CoverRouter : public CoverBackend {
  private:
   /// Ring placement only (ignores overrides). Requires a built ring.
   size_t RingShardFor(const std::string& tenant) const;
+
+  /// MigrateTenant's warm start: opens the tenant on `shard` (in range)
+  /// from spec text plus the fetched snapshot bytes.
+  Result<OpenCatalogReplyInfo> OpenFromSnapshotOn(size_t shard,
+                                                  const std::string& tenant,
+                                                  const std::string& spec_text,
+                                                  std::string_view snapshot);
 
   /// Serialized access to one shard's single-conversation backend.
   template <typename Fn>

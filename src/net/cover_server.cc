@@ -351,10 +351,6 @@ bool CoverServer::HandleFrame(FrameType type, std::string_view payload,
       *reply = frame(FrameType::kFetchSnapshotReply,
                      HandleFetchSnapshot(payload));
       return true;
-    case FrameType::kOpenFromSnapshot:
-      *reply = frame(FrameType::kOpenFromSnapshotReply,
-                     HandleOpenFromSnapshot(payload));
-      return true;
     case FrameType::kShutdown:
       // The caller (ServeConnection) requests the actual shutdown after
       // this confirmation reply is on the wire.
@@ -378,7 +374,11 @@ std::string CoverServer::HandleOpenCatalog(std::string_view payload) {
   if (!request.ok()) {
     return EncodeOpenCatalogReply(request.status(), {});
   }
-  auto info = OpenSpec(request->tenant, request->spec_text);
+  // Empty snapshot bytes are a cold open; any others warm-start the
+  // tenant's cache (a migration's target).
+  std::optional<std::string_view> snapshot;
+  if (!request->snapshot.empty()) snapshot = request->snapshot;
+  auto info = OpenSpec(request->tenant, request->spec_text, snapshot);
   if (!info.ok()) return EncodeOpenCatalogReply(info.status(), {});
   return EncodeOpenCatalogReply(Status::OK(), *info);
 }
@@ -402,28 +402,14 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
   if (!request.ok()) {
     return EncodeSubmitBatchReply(request.status(), {}, EmptyPool());
   }
-  trace->ctx = request->trace;
-  trace->tenant = request->tenant;
   // A submit arriving with no in-band trace makes this server the edge:
   // `listen --trace-dump` / `--slow-threshold-us` then observe plain
-  // clients too, not only tracing-aware ones. The edge ctx keeps
-  // parent 0 (the "request" span is the root); the context handed
-  // downstream parents everything under that span.
-  obs::Tracer* edge_tracer = nullptr;
-  uint64_t edge_span = 0, edge_start = 0;
-  obs::TraceContext edge_ctx;
-  if (request->trace.trace_id == 0) {
-    if (obs::Tracer* tracer = obs::ProcessTracer()) {
-      edge_ctx = tracer->StartTrace();
-      if (edge_ctx.sampled || tracer->slow_enabled()) {
-        edge_tracer = tracer;
-        edge_span = tracer->NewSpanId();
-        edge_start = tracer->NowUs();
-      }
-      trace->ctx = edge_ctx;
-      trace->ctx.parent_span_id = edge_span;
-    }
-  }
+  // clients too, not only tracing-aware ones; the "request" span is the
+  // root and parents everything downstream.
+  const bool edge = request->trace.trace_id == 0;
+  obs::HopSpan span(edge ? obs::ProcessTracer() : nullptr);
+  trace->ctx = edge ? span.child() : request->trace;
+  trace->tenant = request->tenant;
   auto handle = service_.ResolveCatalog(request->tenant);
   if (!handle.ok()) {
     return EncodeSubmitBatchReply(handle.status(), {}, EmptyPool());
@@ -432,11 +418,7 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
   // the request's tree.
   const std::vector<WireBatchResult> outcomes =
       service_.ServeViewBatches(*handle, request->batches, trace->ctx);
-  if (edge_tracer != nullptr) {
-    edge_tracer->RecordEdge(edge_ctx, edge_span, "request", edge_start,
-                            edge_tracer->NowUs() - edge_start,
-                            request->tenant);
-  }
+  span.Finish("request", request->tenant);
   return EncodeSubmitBatchReply(Status::OK(), outcomes,
                                 handle.value()->engine().catalog().pool());
 }
@@ -478,14 +460,6 @@ std::string CoverServer::HandleFetchSnapshot(std::string_view payload) {
     return EncodeFetchSnapshotReply(snapshot.status(), {});
   }
   return EncodeFetchSnapshotReply(Status::OK(), snapshot->bytes);
-}
-
-std::string CoverServer::HandleOpenFromSnapshot(std::string_view payload) {
-  auto request = DecodeOpenFromSnapshotRequest(payload);
-  if (!request.ok()) return EncodeOpenCatalogReply(request.status(), {});
-  auto info = OpenSpec(request->tenant, request->spec_text, request->snapshot);
-  if (!info.ok()) return EncodeOpenCatalogReply(info.status(), {});
-  return EncodeOpenCatalogReply(Status::OK(), *info);
 }
 
 void CoverServer::RequestShutdown() {

@@ -113,11 +113,11 @@ class CoverServer {
   uint16_t port() const { return port_; }
 
   /// Opens a tenant from spec text through exactly the code path a
-  /// network open-catalog frame takes (`snapshot` set: an
-  /// open-from-snapshot frame) — the CLI listen mode preloads its
-  /// --tenant flags with this. Re-opening an open tenant with identical
-  /// text is idempotent; different text is InvalidArgument (see
-  /// CatalogService::OpenSpec).
+  /// network open-catalog frame takes (`snapshot` set: the frame's
+  /// snapshot bytes, which warm-start the cache) — the CLI listen mode
+  /// preloads its --tenant flags with this. Re-opening an open tenant
+  /// with identical text is idempotent; different text is
+  /// InvalidArgument (see CatalogService::OpenSpec).
   Result<OpenCatalogReplyInfo> OpenSpec(
       const std::string& tenant, const std::string& spec_text,
       std::optional<std::string_view> snapshot = std::nullopt);
@@ -171,7 +171,6 @@ class CoverServer {
   std::string HandleMetrics();
   std::string HandleTraceDump(std::string_view payload);
   std::string HandleFetchSnapshot(std::string_view payload);
-  std::string HandleOpenFromSnapshot(std::string_view payload);
   void RequestShutdown();
 
   CatalogService& service_;

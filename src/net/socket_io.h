@@ -1,4 +1,4 @@
-// Blocking POSIX socket I/O shared by CoverServer and CoverClient:
+// Blocking POSIX socket I/O shared by CoverServer and RemoteBackend:
 // exact-length reads/writes and whole-frame reassembly on top of the
 // wire protocol's codec.
 //

@@ -23,14 +23,16 @@ Status Malformed(const std::string& what) {
   return Status::InvalidArgument("wire frame rejected: " + what);
 }
 
-/// Type 3 carried STATS before v5; it stays unassigned.
+/// Type 3 carried STATS before v5, type 8 OPEN_FROM_SNAPSHOT before v6;
+/// both stay unassigned.
 constexpr uint8_t kRetiredStatsType = 3;
+constexpr uint8_t kRetiredOpenFromSnapshotType = 8;
 
 bool KnownFrameType(uint8_t t) {
   const uint8_t base = t & ~kReplyBit;
   return base >= static_cast<uint8_t>(FrameType::kOpenCatalog) &&
          base <= static_cast<uint8_t>(FrameType::kTraceDump) &&
-         base != kRetiredStatsType;
+         base != kRetiredStatsType && base != kRetiredOpenFromSnapshotType;
 }
 
 /// Strings travel as u32 length + raw bytes; the length is checked
@@ -173,6 +175,7 @@ std::string EncodeOpenCatalogRequest(const OpenCatalogRequest& request) {
   std::string out;
   PutString(out, request.tenant);
   PutString(out, request.spec_text);
+  PutString(out, request.snapshot);
   return out;
 }
 
@@ -181,7 +184,7 @@ Result<OpenCatalogRequest> DecodeOpenCatalogRequest(std::string_view payload) {
   size_t pos = 0;
   if (!GetString(payload, &pos, &request.tenant) ||
       !GetString(payload, &pos, &request.spec_text) ||
-      pos != payload.size()) {
+      !GetString(payload, &pos, &request.snapshot) || pos != payload.size()) {
     return Malformed("open-catalog request truncated");
   }
   return request;
@@ -463,28 +466,6 @@ Result<std::string> DecodeFetchSnapshotReply(std::string_view payload) {
     return Malformed("fetch-snapshot reply truncated");
   }
   return snapshot;
-}
-
-std::string EncodeOpenFromSnapshotRequest(
-    const OpenFromSnapshotRequest& request) {
-  std::string out;
-  PutString(out, request.tenant);
-  PutString(out, request.spec_text);
-  PutString(out, request.snapshot);
-  return out;
-}
-
-Result<OpenFromSnapshotRequest> DecodeOpenFromSnapshotRequest(
-    std::string_view payload) {
-  OpenFromSnapshotRequest request;
-  size_t pos = 0;
-  if (!GetString(payload, &pos, &request.tenant) ||
-      !GetString(payload, &pos, &request.spec_text) ||
-      !GetString(payload, &pos, &request.snapshot) ||
-      pos != payload.size()) {
-    return Malformed("open-from-snapshot request truncated");
-  }
-  return request;
 }
 
 std::string EncodeStatusReply(const Status& status) {

@@ -18,7 +18,7 @@
 //
 // Every request frame gets exactly one reply frame (type = request type
 // with kReplyBit set). Every reply payload begins with a wire-encoded
-// Status — StatusCode survives the trip, so CoverClient hands callers
+// Status — StatusCode survives the trip, so RemoteBackend hands callers
 // the same typed errors (NotFound, ResourceExhausted, ...) an
 // in-process CatalogService call would return.
 //
@@ -67,7 +67,10 @@ inline constexpr char kWireMagic[4] = {'C', 'F', 'D', 'W'};
 /// v5: the STATS frame (type 3) is gone — every stats number travels in
 /// the METRICS exposition. Type 3 stays unassigned and is refused as an
 /// unknown frame type.
-inline constexpr uint32_t kWireVersion = 5;
+/// v6: OPEN_FROM_SNAPSHOT (type 8) is folded into OPEN_CATALOG, whose
+/// request now ends in the snapshot bytes (empty = a cold open). Type 8
+/// is refused like type 3.
+inline constexpr uint32_t kWireVersion = 6;
 
 /// magic + version + type + payload length.
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 1 + 4;
@@ -91,9 +94,6 @@ enum class FrameType : uint8_t {
   /// Migration, step 1: drain the tenant's queue server-side and ship
   /// its cover cache as snapshot bytes (the .ccsnap encoding).
   kFetchSnapshot = 7,
-  /// Migration, step 2: open a tenant from spec text *plus* snapshot
-  /// bytes, warm-starting its cache on the target shard.
-  kOpenFromSnapshot = 8,
   /// Trace dump: empty request payload; the reply carries the server
   /// process's span rings (main + slow) in the string-table encoding.
   kTraceDump = 9,
@@ -104,7 +104,6 @@ enum class FrameType : uint8_t {
   kShutdownReply = kShutdown | kReplyBit,
   kMetricsReply = kMetrics | kReplyBit,
   kFetchSnapshotReply = kFetchSnapshot | kReplyBit,
-  kOpenFromSnapshotReply = kOpenFromSnapshot | kReplyBit,
   kTraceDumpReply = kTraceDump | kReplyBit,
 };
 
@@ -138,6 +137,10 @@ struct OpenCatalogRequest {
   /// tenant with the spec's source CFDs as sigma 0, and resolves later
   /// submit-batch view names against the spec's declared views.
   std::string spec_text;
+  /// .ccsnap bytes to warm-start the tenant's cover cache from (the
+  /// migration's step 2); empty = a cold open. Lines that fail the
+  /// usual Σ-fingerprint gate are rejected, not fatal.
+  std::string snapshot;
 };
 
 struct OpenCatalogReplyInfo {
@@ -207,22 +210,6 @@ Result<std::string> DecodeStringRequest(std::string_view payload);
 std::string EncodeFetchSnapshotReply(const Status& status,
                                      std::string_view snapshot);
 Result<std::string> DecodeFetchSnapshotReply(std::string_view payload);
-
-struct OpenFromSnapshotRequest {
-  std::string tenant;
-  /// Spec text, parsed exactly as an OPEN_CATALOG's would be.
-  std::string spec_text;
-  /// .ccsnap bytes to warm-start the tenant's cover cache from; lines
-  /// that fail the usual Σ-fingerprint gate are rejected, not fatal.
-  std::string snapshot;
-};
-
-/// OPEN_FROM_SNAPSHOT's reply reuses the OPEN_CATALOG reply codec
-/// (restored/rejected report the warm-start outcome).
-std::string EncodeOpenFromSnapshotRequest(
-    const OpenFromSnapshotRequest& request);
-Result<OpenFromSnapshotRequest> DecodeOpenFromSnapshotRequest(
-    std::string_view payload);
 
 std::string EncodeStatusReply(const Status& status);
 Status DecodeStatusReply(std::string_view payload);

@@ -195,6 +195,26 @@ void InstallProcessTracer(Tracer* tracer) {
   g_process_tracer.store(tracer, std::memory_order_release);
 }
 
+void HopSpan::Begin(bool timed) {
+  timed_ = timed;
+  if (!timed) return;
+  span_id_ = tracer_->NewSpanId();
+  start_us_ = tracer_->NowUs();
+  if (trace_.sampled) child_ = {trace_.trace_id, span_id_, true};
+}
+
+void HopSpan::Close(std::string_view name, std::string_view tenant,
+                    int32_t shard) {
+  const uint64_t dur_us = tracer_->NowUs() - start_us_;
+  if (edge_) {
+    tracer_->RecordEdge(trace_, span_id_, name, start_us_, dur_us, tenant,
+                        shard);
+  } else {
+    tracer_->Record(trace_, span_id_, trace_.parent_span_id, name, start_us_,
+                    dur_us, tenant, shard);
+  }
+}
+
 namespace {
 
 std::string HexId(uint64_t id) {

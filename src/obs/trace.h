@@ -1,15 +1,16 @@
 // Sampling distributed tracer: the per-request counterpart of the
 // aggregate metrics in src/obs/metrics.h.
 //
-// A request entering the system at an edge (CoverRouter, CoverClient,
-// InProcBackend) gets a TraceContext — a trace id, the id of the span
-// that encloses whatever happens next, and a sampling decision made
-// once at that edge. The context rides the wire inside the submit-batch
-// frame (src/net/wire_protocol.h), so every hop the request crosses —
-// router route, client rpc, server decode/encode/write, the service's
-// admission/queue_wait/dispatch/propagate/reply stages, the engine's
-// compute — records its span against the same trace id, and a dump
-// stitched across processes reassembles the whole tree.
+// A request entering the system at an edge (CoverRouter, RemoteBackend,
+// InProcBackend, CoverServer; see HopSpan) gets a TraceContext — a
+// trace id, the id of the span that encloses whatever happens next, and
+// a sampling decision made once at that edge. The context rides the
+// wire inside the submit-batch frame (src/net/wire_protocol.h), so
+// every hop the request crosses — router route, backend rpc, server
+// decode/encode/write, the service's admission/queue_wait/dispatch/
+// propagate/reply stages, the engine's compute — records its span
+// against the same trace id, and a dump stitched across processes
+// reassembles the whole tree.
 //
 // Hot-path discipline: recording is append-into-a-lock-free-ring — one
 // fetch_add to claim a slot, plain stores into it, one release store to
@@ -272,6 +273,49 @@ class ScopedProcessTracer {
   ~ScopedProcessTracer() { InstallProcessTracer(nullptr); }
   ScopedProcessTracer(const ScopedProcessTracer&) = delete;
   ScopedProcessTracer& operator=(const ScopedProcessTracer&) = delete;
+};
+
+/// The span one hop records around the work it hands on: the router's
+/// "route", a backend's "request" or "rpc", a server's "request". At an
+/// edge (no caller trace) it starts the trace, is timed when the trace
+/// is sampled or slow capture is armed, and closes with RecordEdge.
+/// Under a caller's `parent` it is timed only when the parent is
+/// sampled and closes with a plain Record under it. child() is the
+/// context to hand downstream: this span as parent when sampled, empty
+/// otherwise. With no tracer the constructor is one branch and Finish
+/// another.
+class HopSpan {
+ public:
+  explicit HopSpan(Tracer* tracer = ProcessTracer()) : tracer_(tracer) {
+    if (tracer_ != nullptr) {
+      trace_ = tracer_->StartTrace();
+      Begin(trace_.sampled || tracer_->slow_enabled());
+    }
+  }
+  explicit HopSpan(const TraceContext& parent,
+                   Tracer* tracer = ProcessTracer())
+      : tracer_(tracer), trace_(parent), edge_(false) {
+    if (tracer_ != nullptr && parent.sampled) Begin(true);
+  }
+
+  const TraceContext& child() const { return child_; }
+
+  void Finish(std::string_view name, std::string_view tenant,
+              int32_t shard = -1) {
+    if (timed_) Close(name, tenant, shard);
+  }
+
+ private:
+  void Begin(bool timed);
+  void Close(std::string_view name, std::string_view tenant, int32_t shard);
+
+  Tracer* tracer_;
+  TraceContext trace_;
+  TraceContext child_;
+  uint64_t span_id_ = 0;
+  uint64_t start_us_ = 0;
+  bool timed_ = false;
+  bool edge_ = true;
 };
 
 /// Renders spans as stitched trees: one block per trace (ordered by

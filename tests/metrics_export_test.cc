@@ -1,7 +1,7 @@
 // End-to-end metrics export: the in-process CatalogService render must
 // agree exactly with the service's own stats snapshot (one registry
 // snapshot per render — no torn reads), the METRICS wire frame must
-// deliver the same exposition through CoverServer/CoverClient with the
+// deliver the same exposition through CoverServer/RemoteBackend with the
 // net-layer families added, and the reply codec must survive its own
 // corruption checks.
 
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_server.h"
 #include "src/obs/exporter.h"
 #include "src/parser/parser.h"
@@ -204,7 +204,7 @@ TEST(MetricsExportTest, MetricsFrameDeliversTheExposition) {
 
   net::CoverClientOptions client_options;
   client_options.port = server.port();
-  net::CoverClient client(client_options);
+  net::RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.OpenCatalog("eu", kSpecText).ok());
 

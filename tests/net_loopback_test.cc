@@ -1,5 +1,5 @@
 // Loopback differential suite: covers served through CoverServer /
-// CoverClient over a real TCP socket must be byte-identical to direct
+// RemoteBackend over a real TCP socket must be byte-identical to direct
 // CatalogService::SubmitBatch serving of the same spec — cold and warm —
 // and per-tenant admission control must reject a pipelined burst's
 // over-limit batches deterministically, with the counters visible in
@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/net/cover_client.h"
+#include "src/net/cover_backend.h"
 #include "src/net/cover_server.h"
 #include "src/obs/exporter.h"
 #include "src/parser/parser.h"
@@ -53,7 +53,7 @@ ServiceOptions DeterministicOptions() {
 
 /// Scrapes the server through the METRICS frame and parses the
 /// exposition — the one stats surface a remote caller has.
-obs::ParsedMetrics Scrape(CoverClient& client) {
+obs::ParsedMetrics Scrape(RemoteBackend& client) {
   auto text = client.Metrics();
   EXPECT_TRUE(text.ok()) << text.status();
   auto parsed = obs::ParseMetricsText(text.ok() ? *text : std::string());
@@ -106,7 +106,7 @@ TEST(NetLoopbackTest, NetworkCoversAreByteIdenticalToDirectServing) {
 
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   auto opened = client.OpenCatalog("eu", kDemoSpec);
   ASSERT_TRUE(opened.ok()) << opened.status();
@@ -179,7 +179,7 @@ TEST(NetLoopbackTest, BurstOverInflightCapIsRejectedDeterministically) {
 
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
 
   auto client_spec = ParseSpec(kDemoSpec);

@@ -19,14 +19,16 @@
 
 #include <barrier>
 #include <chrono>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/rng.h"
+#include "src/base/wire.h"
 #include "src/engine/engine.h"
 #include "src/net/cover_backend.h"
-#include "src/net/cover_client.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/net/socket_io.h"
@@ -182,6 +184,118 @@ TEST(WireProtocolTest, RequestCodecsRoundTrip) {
   const std::string bytes = EncodeSubmitBatchRequest(submit);
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(DecodeSubmitBatchRequest(bytes.substr(0, cut)).ok());
+  }
+}
+
+TEST(WireProtocolTest, OpenCatalogRequestCarriesOptionalSnapshotBytes) {
+  const std::string snapshots[] = {std::string(),
+                                   std::string("CCSN\0\1x", 7)};
+  for (const std::string& snapshot : snapshots) {
+    const OpenCatalogRequest open{"eu", "relation R(a, b)\n", snapshot};
+    const std::string bytes = EncodeOpenCatalogRequest(open);
+    auto decoded = DecodeOpenCatalogRequest(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->tenant, open.tenant);
+    EXPECT_EQ(decoded->spec_text, open.spec_text);
+    EXPECT_EQ(decoded->snapshot, snapshot);
+
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      auto truncated = DecodeOpenCatalogRequest(bytes.substr(0, cut));
+      ASSERT_FALSE(truncated.ok()) << "cut at " << cut;
+      EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+    }
+    auto trailing = DecodeOpenCatalogRequest(bytes + "x");
+    ASSERT_FALSE(trailing.ok());
+    EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// Seeded mutants of valid OPEN_CATALOG and SUBMIT_BATCH request
+/// payloads, framed and decoded exactly as a server connection does
+/// (VerifyFrame, then the request decoder). Each must decode or reject
+/// with InvalidArgument — never crash or read out of bounds — and a
+/// mutant that decodes must re-encode to its own bytes (the encodings
+/// are canonical, so nothing was misread).
+TEST(WireProtocolFuzzTest, HostileRequestPayloadsDecodeOrRejectCleanly) {
+  constexpr int kMutants = 2000;
+  OpenCatalogRequest open{"eu", kSpecText, std::string(64, '\x5a')};
+  SubmitBatchRequest submit;
+  submit.tenant = "eu";
+  submit.batches = {{"ByRegion", "GoldReps"}, {}, {"ByRegion"}};
+  submit.trace = {0x1234, 0x5678, true};
+
+  struct Case {
+    FrameType type;
+    std::string good;
+    std::function<Result<std::string>(std::string_view)> round_trip;
+  };
+  const Case cases[] = {
+      {FrameType::kOpenCatalog, EncodeOpenCatalogRequest(open),
+       [](std::string_view p) -> Result<std::string> {
+         CFDPROP_ASSIGN_OR_RETURN(auto r, DecodeOpenCatalogRequest(p));
+         return EncodeOpenCatalogRequest(r);
+       }},
+      {FrameType::kSubmitBatch, EncodeSubmitBatchRequest(submit),
+       [](std::string_view p) -> Result<std::string> {
+         CFDPROP_ASSIGN_OR_RETURN(auto r, DecodeSubmitBatchRequest(p));
+         return EncodeSubmitBatchRequest(r);
+       }},
+  };
+  Rng rng(20261020);
+  for (const Case& c : cases) {
+    int decoded = 0, rejected = 0;
+    for (int m = 0; m < kMutants; ++m) {
+      std::string mutant = c.good;
+      switch (rng.Below(5)) {
+        case 0: {  // flip 1-4 bytes anywhere
+          const uint64_t flips = rng.Uniform(1, 4);
+          for (uint64_t f = 0; f < flips; ++f) {
+            mutant[rng.Below(mutant.size())] ^=
+                static_cast<char>(rng.Uniform(1, 255));
+          }
+          break;
+        }
+        case 1: {  // a hostile length or count over any 4 or 8 bytes
+          const uint64_t values[] = {0, 1, 0xffffffffull, 1ull << 32, ~0ull,
+                                     mutant.size(), rng.Next()};
+          std::string field;
+          wire::PutU64(field, values[rng.Below(std::size(values))]);
+          field.resize(rng.Percent(50) ? 4 : 8);
+          mutant.replace(rng.Below(mutant.size() - 8), field.size(), field);
+          break;
+        }
+        case 2:  // truncate
+          mutant.resize(rng.Below(mutant.size()));
+          break;
+        case 3: {  // trailing bytes
+          const uint64_t extra = rng.Uniform(1, 16);
+          for (uint64_t i = 0; i < extra; ++i) {
+            mutant.push_back(static_cast<char>(rng.Below(256)));
+          }
+          break;
+        }
+        default: {  // an 8-byte window of random bytes
+          std::string field;
+          wire::PutU64(field, rng.Next());
+          mutant.replace(rng.Below(mutant.size() - 8), 8, field);
+          break;
+        }
+      }
+      const std::string frame = EncodeFrame(c.type, mutant);
+      auto payload = VerifyFrame(frame);
+      ASSERT_TRUE(payload.ok()) << payload.status();
+      auto again = c.round_trip(*payload);
+      if (again.ok()) {
+        ++decoded;
+        EXPECT_EQ(*again, mutant) << "mutant " << m;
+      } else {
+        ++rejected;
+        EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument)
+            << "mutant " << m << ": " << again.status();
+      }
+    }
+    EXPECT_GT(decoded, 0) << "frame type " << static_cast<int>(c.type);
+    EXPECT_GT(rejected, 0) << "frame type " << static_cast<int>(c.type);
   }
 }
 
@@ -425,8 +539,8 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
   ASSERT_TRUE(server.OpenSpec("eu", kSpecText).ok());
 
   // Garbage, bad magic, a tampered checksum, an oversized length
-  // prefix, a mid-frame hangup, the retired STATS type: each connection
-  // dies quietly...
+  // prefix, a mid-frame hangup, the retired STATS and OPEN_FROM_SNAPSHOT
+  // types, a v5 header: each connection dies quietly...
   EXPECT_TRUE(ServerClosesOn(server.port(), "GET / HTTP/1.1\r\n\r\n"));
   std::string frame = EncodeFrame(FrameType::kMetrics, "");
   std::string bad_magic = frame;
@@ -450,11 +564,29 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
             std::string::npos)
       << retired.status();
   EXPECT_TRUE(ServerClosesOn(server.port(), retired_stats));
+  // Type 8 carried OPEN_FROM_SNAPSHOT before wire v6 (its snapshot bytes
+  // now ride OPEN_CATALOG), and a v5 header is refused by version.
+  const std::string retired_open =
+      EncodeFrame(static_cast<FrameType>(8), "");
+  auto retired8 = DecodeFrameHeader(retired_open);
+  ASSERT_FALSE(retired8.ok());
+  EXPECT_NE(retired8.status().message().find("unknown frame type 8"),
+            std::string::npos)
+      << retired8.status();
+  EXPECT_TRUE(ServerClosesOn(server.port(), retired_open));
+  std::string v5 = frame;
+  v5[4] = 5;
+  auto v5_header = DecodeFrameHeader(v5);
+  ASSERT_FALSE(v5_header.ok());
+  EXPECT_NE(v5_header.status().message().find("protocol version 5"),
+            std::string::npos)
+      << v5_header.status();
+  EXPECT_TRUE(ServerClosesOn(server.port(), v5));
 
   // ...while the server keeps serving well-formed clients.
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   auto metrics = client.Metrics();
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -469,7 +601,7 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
             static_cast<double>(Engine::kSigmaMemoCapacity));
 
   CoverServerStats net = server.Stats();
-  EXPECT_EQ(net.decode_errors, 6u);
+  EXPECT_EQ(net.decode_errors, 8u);
   EXPECT_GE(net.connections_accepted, 7u);
   server.Stop();
 }
@@ -482,7 +614,7 @@ TEST(CoverServerTest, TypedErrorsAndShutdownHandshake) {
 
   CoverClientOptions options;
   options.port = server.port();
-  CoverClient client(options);
+  RemoteBackend client(options);
   ASSERT_TRUE(client.Connect().ok());
 
   // Unparsable spec text → InvalidArgument; re-open with identical text
@@ -561,7 +693,7 @@ TEST(CoverServerTest, SameTextReopenRacingDropNeverWedgesTheTenant) {
 
   CoverClientOptions options;
   options.port = server.port();
-  CoverClient opener(options), dropper(options), checker(options);
+  RemoteBackend opener(options), dropper(options), checker(options);
   ASSERT_TRUE(opener.Connect().ok());
   ASSERT_TRUE(dropper.Connect().ok());
   ASSERT_TRUE(checker.Connect().ok());
@@ -609,7 +741,7 @@ TEST(CoverServerTest, SameTextReopenRacingDropNeverWedgesTheTenant) {
   server.Stop();
 }
 
-/// Connects a raw (non-CoverClient) socket to the server.
+/// Connects a raw (non-RemoteBackend) socket to the server.
 int RawConnect(uint16_t port, int rcvbuf_bytes = 0) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -664,7 +796,7 @@ TEST(CoverServerDeadlineTest, HungSenderMidFrameTripsTheReadDeadline) {
   ::close(fd);
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   EXPECT_TRUE(client.Metrics().ok());
   server.Stop();
@@ -714,7 +846,7 @@ TEST(CoverServerDeadlineTest, HungReaderTripsTheSendDeadlineAndFreesTheSlot) {
 
   CoverClientOptions client_options;
   client_options.port = server.port();
-  CoverClient client(client_options);
+  RemoteBackend client(client_options);
   ASSERT_TRUE(client.Connect().ok());
   Catalog scratch;
   auto served = client.SubmitBatch("eu", {"ByRegion"}, scratch.pool());
@@ -723,7 +855,7 @@ TEST(CoverServerDeadlineTest, HungReaderTripsTheSendDeadlineAndFreesTheSlot) {
   server.Stop();
 }
 
-TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
+TEST(RemoteBackendDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   // A listener that accepts and then never speaks.
   int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
@@ -739,7 +871,7 @@ TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   CoverClientOptions options;
   options.port = ntohs(addr.sin_port);
   options.io_timeout = std::chrono::milliseconds(200);
-  CoverClient client(options);
+  RemoteBackend client(options);
   ASSERT_TRUE(client.Connect().ok());
   auto scraped = client.Metrics();
   ASSERT_FALSE(scraped.ok());
@@ -749,7 +881,53 @@ TEST(CoverClientDeadlineTest, SilentServerTripsTheClientIoDeadline) {
   ::close(lfd);
 }
 
-TEST(CoverClientDeadlineTest, ConnectHonorsTheOverallDeadline) {
+/// A send that stalls mid-frame (the peer never reads) leaves a partial
+/// frame on the stream: the backend must drop the connection, so the
+/// next call reconnects instead of writing after the partial frame.
+TEST(RemoteBackendDeadlineTest, StalledSendDropsTheConnection) {
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  // Inherited by the accepted socket: a small window fills fast.
+  int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t port = ntohs(addr.sin_port);
+
+  CoverClientOptions options;
+  options.port = port;
+  options.io_timeout = std::chrono::milliseconds(200);
+  RemoteBackend client(options);
+  // 12 MiB of spec text: under the frame bound, far over the window.
+  auto opened = client.OpenCatalog("eu", std::string(12u << 20, ' '));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded)
+      << opened.status();
+  EXPECT_FALSE(client.connected());
+  ::close(lfd);
+
+  // A real server now listens on the port: the next call is served.
+  CatalogService service{ServiceOptions{}};
+  CoverServerOptions server_options;
+  server_options.port = port;
+  CoverServer server(service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.OpenSpec("eu", kSpecText).ok());
+  Catalog scratch;
+  auto served = client.SubmitBatch("eu", {"ByRegion"}, scratch.pool());
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE(served->status.ok());
+  server.Stop();
+}
+
+TEST(RemoteBackendDeadlineTest, ConnectHonorsTheOverallDeadline) {
   // Grab an ephemeral port, then close it so nothing listens there.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -762,14 +940,12 @@ TEST(CoverClientDeadlineTest, ConnectHonorsTheOverallDeadline) {
   ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
   ::close(fd);
 
-  // Attempts-only this would retry for ~100 s; the overall deadline
-  // caps it at ~300 ms with a typed verdict.
+  // Retries every 100 ms until the one bound caps it at ~300 ms with a
+  // typed verdict.
   CoverClientOptions options;
   options.port = ntohs(addr.sin_port);
-  options.connect_attempts = 1000;
-  options.retry_delay = std::chrono::milliseconds(100);
   options.connect_timeout = std::chrono::milliseconds(300);
-  CoverClient client(options);
+  RemoteBackend client(options);
   const auto t0 = std::chrono::steady_clock::now();
   Status connected = client.Connect();
   const auto elapsed = std::chrono::steady_clock::now() - t0;

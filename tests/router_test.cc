@@ -19,7 +19,6 @@
 #include "src/engine/snapshot.h"
 #include "src/net/cover_backend.h"
 #include "src/obs/exporter.h"
-#include "src/net/cover_client.h"
 #include "src/net/cover_server.h"
 #include "src/parser/parser.h"
 #include "src/service/catalog_service.h"
@@ -160,8 +159,8 @@ TEST(RemoteBackendTest, ReconnectReopensCatalogsAfterServerRestart) {
   ASSERT_TRUE(after_drop->status.ok());
 
   // The hard case — the historical bug: the server process restarts
-  // (fresh service, no catalogs) on the same port. A raw CoverClient
-  // that reconnects now gets NotFound on every submit, because its
+  // (fresh service, no catalogs) on the same port. A backend that never
+  // opened the tenant gets NotFound on every submit, because the
   // open-catalog state died with the old server.
   shard.reset();
   CatalogService fresh_service(DeterministicOptions());
@@ -170,7 +169,7 @@ TEST(RemoteBackendTest, ReconnectReopensCatalogsAfterServerRestart) {
   CoverServer fresh_server(fresh_service, sopts);
   ASSERT_TRUE(fresh_server.Start().ok());
 
-  CoverClient raw(copts);
+  RemoteBackend raw(copts);
   ASSERT_TRUE(raw.Connect().ok());
   Catalog raw_scratch;
   auto lost = raw.SubmitBatch("eu", round, raw_scratch.pool());
@@ -186,6 +185,63 @@ TEST(RemoteBackendTest, ReconnectReopensCatalogsAfterServerRestart) {
   ASSERT_TRUE(after_restart->status.ok());
   for (const auto& r : after_restart->results) ASSERT_TRUE(r.ok());
 
+  fresh_server.Stop();
+}
+
+/// After a server restart another client opens `t` with other text
+/// before this backend reconnects. The refused replay of `t` must fail
+/// only the calls that name `t`, with the server's refusal: `u` keeps
+/// serving on the same connection, and a successful explicit open of
+/// `t` clears the refusal.
+TEST(RemoteBackendTest, RefusedReplayFailsOnlyItsTenant) {
+  auto shard = std::make_unique<ShardFixture>();
+  const uint16_t port = shard->server.port();
+  CoverClientOptions copts;
+  copts.port = port;
+  RemoteBackend a(copts);
+  ASSERT_TRUE(a.OpenCatalog("t", kDemoSpec).ok());
+  ASSERT_TRUE(a.OpenCatalog("u", kDemoSpec).ok());
+
+  auto client_spec = ParseSpec(kDemoSpec);
+  ASSERT_TRUE(client_spec.ok());
+  ValuePool& pool = client_spec->catalog.pool();
+  const std::vector<std::string> round = client_spec->ServingRound();
+
+  shard.reset();
+  CatalogService fresh_service(DeterministicOptions());
+  CoverServerOptions sopts;
+  sopts.port = port;
+  CoverServer fresh_server(fresh_service, sopts);
+  ASSERT_TRUE(fresh_server.Start().ok());
+  RemoteBackend b(copts);
+  ASSERT_TRUE(b.OpenCatalog("t", std::string(kDemoSpec) + "\n# b\n").ok());
+
+  a.CloseConnection();
+  auto u = a.SubmitBatch("u", round, pool);
+  ASSERT_TRUE(u.ok()) << u.status();
+  EXPECT_TRUE(u->status.ok());
+  auto t = a.SubmitBatch("t", round, pool);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(t.status().message().find("already open with a different spec"),
+            std::string::npos)
+      << t.status();
+  EXPECT_TRUE(a.connected());
+  auto u_again = a.SubmitBatch("u", round, pool);
+  ASSERT_TRUE(u_again.ok()) << u_again.status();
+  EXPECT_TRUE(u_again->status.ok());
+
+  // An open the server refuses again keeps the refusal; once `b` drops
+  // `t`, the explicit open succeeds and clears it.
+  EXPECT_EQ(a.OpenCatalog("t", kDemoSpec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.SubmitBatch("t", round, pool).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(b.DropCatalog("t").ok());
+  ASSERT_TRUE(a.OpenCatalog("t", kDemoSpec).ok());
+  auto t_again = a.SubmitBatch("t", round, pool);
+  ASSERT_TRUE(t_again.ok()) << t_again.status();
+  EXPECT_TRUE(t_again->status.ok());
   fresh_server.Stop();
 }
 

@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/net/cover_client.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/schema/schema.h"

@@ -109,9 +109,10 @@
 //                                    then re-serves and re-prints that
 //                                    tenant's covers. --connect-timeout
 //                                    bounds each backend's retrying
-//                                    connect and --io-timeout each socket
-//                                    send/recv, both in ms (0 = no
-//                                    deadline). --metrics prints every
+//                                    connect (default 5000) and
+//                                    --io-timeout each socket send/recv
+//                                    (0 = no deadline), both in ms.
+//                                    --metrics prints every
 //                                    backend's exposition merged into one
 //                                    scrape (shard="N" labels) — the one
 //                                    stats surface; --trace samples every
@@ -145,7 +146,6 @@
 #include "src/data/eval.h"
 #include "src/data/validate.h"
 #include "src/engine/engine.h"
-#include "src/net/cover_client.h"
 #include "src/net/cover_router.h"
 #include "src/net/cover_server.h"
 #include "src/obs/trace.h"
@@ -934,7 +934,9 @@ int RunClient(int argc, char** argv) {
   TenantArgs tenant_args;
   MigrateArgs migrations;
   net::CoverRouterOptions router_options;
-  size_t rounds = 2, burst = 0, connect_timeout_ms = 0, io_timeout_ms = 0;
+  size_t rounds = 2, burst = 0, io_timeout_ms = 0;
+  size_t connect_timeout_ms = static_cast<size_t>(
+      net::CoverClientOptions{}.connect_timeout.count());
   bool quiet = false, want_metrics = false, want_trace = false;
   bool want_shutdown = false;
   for (int i = 2; i < argc; ++i) {
