@@ -1,8 +1,9 @@
 // Microbenchmarks for the substrates everything else is built on:
 // CFD implication (the O(n^2) primitive of [8]), MinCover, consistency,
 // PropCFD_SPC on the engine's miss path and its ComputeEQ and RBR
-// stages, union assembly, the emptiness test, view evaluation and CFD
-// validation on concrete data.
+// stages, union assembly, the emptiness test, view evaluation, CFD
+// validation on concrete data, and the cover byte codec (a SUBMIT_BATCH
+// reply and a snapshot of the same covers).
 
 #include <benchmark/benchmark.h>
 
@@ -19,9 +20,12 @@
 #include "src/cover/rbr.h"
 #include "src/data/eval.h"
 #include "src/data/validate.h"
+#include "src/engine/cover_cache.h"
+#include "src/engine/engine.h"
 #include "src/engine/snapshot.h"
 #include "src/gen/generators.h"
 #include "src/gen/workload.h"
+#include "src/net/wire_protocol.h"
 #include "src/propagation/emptiness.h"
 
 namespace cfdprop_bench {
@@ -380,6 +384,76 @@ BENCHMARK(BM_ValidateCFD)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The cover byte codec, one rung of the wire path: hot-read's tenant 0
+// (seed 1, |Σ| = 120, 40 views) serves each view once, and the 40 covers
+// make one SUBMIT_BATCH reply (a hot-read batch) and one snapshot of the
+// same cache lines. Each case runs one direction of one format: the
+// encoder from the serving pool, the decoder into a second pool (a
+// client's, or a restarted process's cache) that already holds the
+// texts after the first iteration, as on a long-lived connection.
+void BM_CoverCodec(benchmark::State& state) {
+  const bool snapshot = state.range(0) != 0;
+  const bool decode = state.range(1) != 0;
+  gen::WorkloadPlan plan;
+  plan.options.seed = 1;
+  plan.options.num_cfds = 120;
+  plan.options.num_views = 40;
+  Spec spec = gen::BuildTenantSpec(plan, 0);
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(std::move(spec.catalog), options);
+  if (!engine.RegisterSigma(spec.source_cfds).ok()) std::abort();
+  std::vector<BatchResult> reply(1);
+  for (const std::string& name : spec.view_names) {
+    const SPCUView& view = spec.views.at(name);
+    auto r = view.disjuncts.size() == 1
+                 ? engine.Propagate(view.disjuncts.front(), 0)
+                 : engine.PropagateUnion(view, 0);
+    if (!r.ok()) std::abort();
+    reply[0].results.push_back(std::move(r));
+  }
+  const ValuePool& pool = engine.catalog().pool();
+  const std::string payload =
+      net::EncodeSubmitBatchReply(Status::OK(), reply, pool);
+  const std::string bytes = engine.SerializeSnapshot().bytes;
+  ValuePool decode_pool;
+  CoverCache cache(reply[0].results.size());
+  const std::vector<SigmaVersion> live = {engine.sigma_version(0)};
+  for (auto _ : state) {
+    if (!snapshot && !decode) {
+      std::string out = net::EncodeSubmitBatchReply(Status::OK(), reply, pool);
+      benchmark::DoNotOptimize(out.data());
+    } else if (!snapshot) {
+      auto r = net::DecodeSubmitBatchReply(payload, decode_pool);
+      if (!r.ok()) {
+        state.SkipWithError(r.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(r->data());
+    } else if (!decode) {
+      SerializedSnapshot out = engine.SerializeSnapshot();
+      benchmark::DoNotOptimize(out.bytes.data());
+    } else {
+      auto r = cache.LoadSnapshotBytes(bytes, decode_pool, live);
+      if (!r.ok()) {
+        state.SkipWithError(r.status().ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(r->restored);
+    }
+  }
+  state.counters["covers"] = static_cast<double>(reply[0].results.size());
+  state.counters["bytes"] =
+      static_cast<double>(snapshot ? bytes.size() : payload.size());
+}
+BENCHMARK(BM_CoverCodec)
+    ->ArgNames({"snapshot", "decode"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Shared non-cryptographic hash primitives.
 //
 // One definition for the FNV-1a and SplitMix64 streaming hashers used
-// by the engine's request fingerprints (src/engine/fingerprint.cc) and
-// the snapshot checksum / Σ version (src/engine/snapshot.cc). Both
-// outputs are persisted contracts — the cover-cache wire format stores
-// them — so there must be exactly one implementation to diverge from.
+// by the engine's request fingerprints (src/engine/fingerprint.cc), the
+// Σ version (src/engine/snapshot.cc) and the byte checksum that seals
+// snapshot files and wire frames. Every output is a persisted contract —
+// the cover-cache format and the wire store them — so there must be
+// exactly one implementation to diverge from.
 
 #ifndef CFDPROP_BASE_HASH_H_
 #define CFDPROP_BASE_HASH_H_
@@ -46,6 +47,15 @@ class Fnv1aHasher : public FieldHasher<Fnv1aHasher> {
  private:
   uint64_t h_ = 14695981039346656037ull;
 };
+
+/// FNV-1a over raw bytes: the checksum trailer of snapshot files and
+/// wire frames. Not cryptographic: it catches truncation and bit rot,
+/// not an adversary.
+inline uint64_t Fnv1aChecksum(std::string_view bytes) {
+  Fnv1aHasher h;
+  for (char c : bytes) h.MixByte(static_cast<uint8_t>(c));
+  return h.digest();
+}
 
 inline uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;

@@ -50,7 +50,7 @@ struct CacheStats {
   uint64_t evictions = 0;
   /// Entries dropped by EraseVersion (Σ mutation), not by LRU pressure.
   uint64_t invalidations = 0;
-  /// Lines restored from / rejected by LoadSnapshot (warm starts).
+  /// Lines restored from / rejected by LoadSnapshotBytes (warm starts).
   uint64_t restored = 0;
   uint64_t rejected = 0;
   size_t entries = 0;
@@ -111,39 +111,21 @@ class CoverCache {
   /// the change counters registers an explicit clear).
   void Clear();
 
-  /// Spills every live line to `path` atomically (write-to-temp +
-  /// rename): the snapshot wire format of src/engine/snapshot.h, with
-  /// pattern constants exported as `pool` texts and each line carrying
-  /// its Σ version. Returns the number of lines written. Thread-safe
-  /// against concurrent serving. Implemented in snapshot.cc.
-  Result<uint64_t> SaveSnapshot(const std::string& path,
-                                const ValuePool& pool) const;
-
-  /// SaveSnapshot without the file: serializes every live line to the
-  /// snapshot wire format in memory (checksum trailer included — the
-  /// bytes are exactly what SaveSnapshot would publish). This is what
-  /// tenant migration ships over the network. Thread-safe against
-  /// concurrent serving. Implemented in snapshot.cc.
+  /// Serializes every live line to snapshot bytes (src/engine/
+  /// snapshot.h, checksum trailer included), with pattern constants
+  /// exported as `pool` texts and each line carrying its Σ version.
+  /// Thread-safe against concurrent serving. Implemented in snapshot.cc.
   SerializedSnapshot SerializeSnapshot(const ValuePool& pool) const;
 
-  /// Restores a snapshot written by SaveSnapshot: validates magic,
-  /// version and checksum (any failure rejects the whole file), and
-  /// inserts every line whose Σ version is in `live` (the versions the
-  /// loading engine serves). Restored covers' constants are interned
-  /// into `pool` lazily (remapping process-local Value ids); rejected
-  /// lines never intern, so a mismatched snapshot leaves the pool
-  /// untouched. Mismatched lines count as `rejected` and are dropped;
-  /// they can never serve a stale cover.
-  /// NOT thread-safe against serving (it interns into the shared pool);
-  /// call before traffic. Implemented in snapshot.cc.
-  Result<SnapshotLoadStats> LoadSnapshot(const std::string& path,
-                                         ValuePool& pool,
-                                         const std::vector<SigmaVersion>& live);
-
-  /// LoadSnapshot from bytes already in memory (the receiving side of a
-  /// migration): identical validation and acceptance rules, minus the
-  /// file read. NOT thread-safe against serving; call before traffic.
-  /// Implemented in snapshot.cc.
+  /// Restores snapshot bytes: validates magic, version and checksum (any
+  /// failure rejects the whole snapshot), and inserts every line whose Σ
+  /// version is in `live` (the versions the loading engine serves).
+  /// Restored covers' constants are interned into `pool` lazily
+  /// (remapping process-local Value ids); rejected lines never intern,
+  /// so a mismatched snapshot leaves the pool untouched. Mismatched
+  /// lines count as `rejected` and are dropped; they can never serve a
+  /// stale cover. NOT thread-safe against serving (it interns into the
+  /// shared pool); call before traffic. Implemented in snapshot.cc.
   Result<SnapshotLoadStats> LoadSnapshotBytes(
       std::string_view bytes, ValuePool& pool,
       const std::vector<SigmaVersion>& live);
@@ -184,8 +166,8 @@ class CoverCache {
   /// SetBudget rewrites it without holding every shard lock at once.
   std::atomic<size_t> per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// LoadSnapshot outcomes; cache-global (not per shard) because a load
-  /// happens once per process, not per lookup.
+  /// LoadSnapshotBytes outcomes; cache-global (not per shard) because a
+  /// load happens once per process, not per lookup.
   std::atomic<uint64_t> restored_{0};
   std::atomic<uint64_t> rejected_{0};
 };

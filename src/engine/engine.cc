@@ -555,14 +555,6 @@ std::vector<SigmaVersion> Engine::LiveVersions() const {
   return live;
 }
 
-Result<uint64_t> Engine::SaveSnapshot(const std::string& path) const {
-  return cache_.SaveSnapshot(path, catalog_.pool());
-}
-
-Result<SnapshotLoadStats> Engine::LoadSnapshot(const std::string& path) {
-  return cache_.LoadSnapshot(path, catalog_.pool(), LiveVersions());
-}
-
 SerializedSnapshot Engine::SerializeSnapshot() const {
   return cache_.SerializeSnapshot(catalog_.pool());
 }

@@ -247,34 +247,24 @@ class Engine {
   /// Engine + cache counters.
   EngineStatsSnapshot Stats() const;
 
-  /// Spills every live cover-cache line to `path` atomically
-  /// (write-to-temp + rename; snapshot format in src/engine/snapshot.h).
-  /// Each line carries its Σ version, so a restart whose registered
-  /// sets differ rejects it instead of serving a stale cover. Returns
-  /// the number of lines written. Thread-safe against serving and
-  /// mutation.
-  Result<uint64_t> SaveSnapshot(const std::string& path) const;
+  /// Serializes every live cover-cache line to snapshot bytes (format
+  /// in src/engine/snapshot.h). Each line carries its Σ version, so a
+  /// restart whose registered sets differ rejects it instead of serving
+  /// a stale cover. The service spills these bytes to its snapshot file;
+  /// tenant migration ships them over the wire. Thread-safe against
+  /// serving and mutation.
+  SerializedSnapshot SerializeSnapshot() const;
 
-  /// Warm-starts the cover cache from a snapshot: call it after
+  /// Warm-starts the cover cache from snapshot bytes: call it after
   /// registering the Σ sets to serve (in any order) and before serving
   /// traffic — it interns snapshot constants into the shared pool,
   /// which is not thread-safe. A line restores iff its Σ version is the
   /// version of a registered set, so later AddCfd/RetractCfd churn
   /// invalidates it exactly like a natively computed line. A
-  /// version/format mismatch or corrupt file rejects wholesale with a
-  /// Status (the cache is untouched); lines of Σ content this engine
+  /// version/format mismatch or corrupt snapshot rejects wholesale with
+  /// a Status (the cache is untouched); lines of Σ content this engine
   /// does not serve are rejected one by one (see SnapshotLoadStats and
   /// the restored=/rejected= counters in Stats()).
-  Result<SnapshotLoadStats> LoadSnapshot(const std::string& path);
-
-  /// SaveSnapshot without the file: the snapshot bytes in memory,
-  /// exactly what SaveSnapshot would publish. Tenant migration ships
-  /// these over the wire. Thread-safe against serving and mutation.
-  SerializedSnapshot SerializeSnapshot() const;
-
-  /// LoadSnapshot from bytes already in memory (the receiving side of a
-  /// migration). Same validation, acceptance and thread-safety rules as
-  /// LoadSnapshot: call before serving traffic.
   Result<SnapshotLoadStats> LoadSnapshotBytes(std::string_view bytes);
 
   /// Drops all cached covers (handed-out results stay valid).

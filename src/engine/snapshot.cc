@@ -1,26 +1,16 @@
-// Cover-cache snapshot serialization: FingerprintSigmaSet and
-// SigmaVersionOf plus the CoverCache::SaveSnapshot/LoadSnapshot
-// implementations. The wire format is documented in snapshot.h; the
-// CFD/pattern byte layout lives with the types themselves
-// (CFD::AppendSnapshotBytes).
+// The cover codec (string table + cover bodies), FingerprintSigmaSet and
+// SigmaVersionOf, and the CoverCache::SerializeSnapshot/
+// LoadSnapshotBytes implementations. The byte format is documented in
+// snapshot.h; the CFD/pattern byte layout lives with the types
+// themselves (CFD::AppendSnapshotBytes).
 
 #include "src/engine/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <functional>
-#include <iterator>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,17 +23,16 @@ namespace cfdprop {
 
 namespace {
 
-/// FNV-1a over the raw bytes: the file checksum. (Not cryptographic —
-/// snapshots guard against truncation and stale state, not an
-/// adversary; an untrusted file should simply not be loaded.)
-uint64_t Checksum(std::string_view bytes) {
-  Fnv1aHasher h;
-  for (char c : bytes) h.MixByte(static_cast<uint8_t>(c));
-  return h.digest();
-}
-
 constexpr uint8_t kFlagAlwaysEmpty = 1u << 0;
 constexpr uint8_t kFlagTruncated = 1u << 1;
+
+/// The smallest encodings the count bounds divide by: a table entry is
+/// at least its u64 length, a CFD at least relation, LHS count and RHS
+/// (u32 each) plus one pattern kind byte, and a snapshot line at least
+/// its four u64 keys, the flags byte and the u64 CFD count.
+constexpr size_t kMinStringBytes = 8;
+constexpr size_t kMinCfdBytes = 4 + 4 + 4 + 1;
+constexpr size_t kMinLineBytes = 4 * 8 + 1 + 8;
 
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("cover snapshot rejected: " + what);
@@ -117,6 +106,109 @@ SigmaVersion SigmaVersionOf(const ValuePool& pool,
   return fold.digest();
 }
 
+bool ReadStringTable(std::string_view bytes, size_t* pos,
+                     std::vector<std::string_view>* texts) {
+  uint64_t count = 0;
+  if (!wire::GetU64(bytes, pos, &count) ||
+      count > (bytes.size() - *pos) / kMinStringBytes) {
+    return false;
+  }
+  texts->clear();
+  texts->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t len = 0;
+    std::string_view text;
+    if (!wire::GetU64(bytes, pos, &len) ||
+        !wire::GetBytes(bytes, pos, len, &text)) {
+      return false;
+    }
+    texts->push_back(text);
+  }
+  return true;
+}
+
+CoverEncoder::CoverEncoder(const ValuePool& pool)
+    : pool_(pool), slot_([this](Value v) { return table_.Slot(v); }) {}
+
+void CoverEncoder::AppendCover(std::string& out, const CachedCover& cover) {
+  uint8_t flags = 0;
+  if (cover.always_empty) flags |= kFlagAlwaysEmpty;
+  if (cover.truncated) flags |= kFlagTruncated;
+  wire::PutU8(out, flags);
+  wire::PutU64(out, cover.cover.size());
+  for (const CFD& c : cover.cover) c.AppendSnapshotBytes(out, slot_);
+}
+
+void CoverEncoder::AppendStringTable(std::string& out) const {
+  table_.AppendTo(out, [&](Value v) -> std::string_view {
+    return pool_.Text(v);
+  });
+}
+
+CoverDecoder::CoverDecoder(ValuePool& pool)
+    : pool_(pool), value_at_([this](uint32_t index) -> Result<Value> {
+        if (index >= texts_.size()) {
+          return Status::InvalidArgument(
+              "pattern constant index out of string-table range");
+        }
+        if (index > used_) {
+          return Status::InvalidArgument(
+              "pattern constant index out of first-use order");
+        }
+        if (index == used_) ++used_;
+        if (!keep_) return kNoValue;
+        if (interned_[index] == kNoValue) {
+          interned_[index] = pool_.Intern(texts_[index]);
+        }
+        return interned_[index];
+      }) {}
+
+Status CoverDecoder::ReadStringTable(std::string_view bytes, size_t* pos) {
+  if (!cfdprop::ReadStringTable(bytes, pos, &texts_)) {
+    return Status::InvalidArgument("string table truncated");
+  }
+  interned_.assign(texts_.size(), kNoValue);
+  used_ = 0;
+  return Status::OK();
+}
+
+Result<std::shared_ptr<CachedCover>> CoverDecoder::ReadCover(
+    std::string_view bytes, size_t* pos, bool keep) {
+  uint8_t flags = 0;
+  uint64_t count = 0;
+  if (!wire::GetU8(bytes, pos, &flags) ||
+      (flags & ~(kFlagAlwaysEmpty | kFlagTruncated)) != 0 ||
+      !wire::GetU64(bytes, pos, &count) ||
+      count > (bytes.size() - *pos) / kMinCfdBytes) {
+    return Status::InvalidArgument("cover truncated");
+  }
+  keep_ = keep;
+  auto cover = std::make_shared<CachedCover>();
+  cover->always_empty = (flags & kFlagAlwaysEmpty) != 0;
+  cover->truncated = (flags & kFlagTruncated) != 0;
+  cover->cover.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    CFDPROP_ASSIGN_OR_RETURN(CFD cfd,
+                             CFD::FromSnapshotBytes(bytes, pos, value_at_));
+    cover->cover.push_back(std::move(cfd));
+  }
+  return cover;
+}
+
+Status CoverDecoder::Finish() {
+  if (used_ != texts_.size()) {
+    return Status::InvalidArgument("string table holds an unused entry");
+  }
+  // Distinct texts intern to distinct Values; entries only skipped
+  // covers used never interned and stay kNoValue.
+  std::sort(interned_.begin(), interned_.end());
+  auto repeat = std::adjacent_find(interned_.begin(), interned_.end());
+  if (repeat != interned_.end() && *repeat != kNoValue) {
+    return Status::InvalidArgument("string table repeats a text");
+  }
+  return Status::OK();
+}
+
 SerializedSnapshot CoverCache::SerializeSnapshot(const ValuePool& pool) const {
   // Copy the live lines shard by shard (shared_ptr copies, never the
   // covers themselves); serving proceeds on the other shards meanwhile.
@@ -131,16 +223,7 @@ SerializedSnapshot CoverCache::SerializeSnapshot(const ValuePool& pool) const {
     return a.fingerprint < b.fingerprint;
   });
 
-  // Serialize the lines first: the string table is collected lazily in
-  // first-use order, but the format places it before the lines.
-  std::unordered_map<Value, uint32_t> value_slot;
-  std::vector<Value> table_values;
-  auto value_index = [&](Value v) {
-    auto [it, inserted] =
-        value_slot.emplace(v, static_cast<uint32_t>(table_values.size()));
-    if (inserted) table_values.push_back(v);
-    return it->second;
-  };
+  CoverEncoder encoder(pool);
   std::string body;
   wire::PutU64(body, lines.size());
   for (const Entry& line : lines) {
@@ -148,89 +231,18 @@ SerializedSnapshot CoverCache::SerializeSnapshot(const ValuePool& pool) const {
     wire::PutU64(body, line.check);
     wire::PutU64(body, line.version.key);
     wire::PutU64(body, line.version.check);
-    uint8_t flags = 0;
-    if (line.cover->always_empty) flags |= kFlagAlwaysEmpty;
-    if (line.cover->truncated) flags |= kFlagTruncated;
-    wire::PutU8(body, flags);
-    wire::PutU64(body, line.cover->cover.size());
-    for (const CFD& c : line.cover->cover) {
-      c.AppendSnapshotBytes(body, value_index);
-    }
+    encoder.AppendCover(body, *line.cover);
   }
 
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   wire::PutU32(out, kSnapshotVersion);
   wire::PutU32(out, 0);  // reserved
-  wire::PutU64(out, table_values.size());
-  for (Value v : table_values) {
-    const std::string& text = pool.Text(v);
-    wire::PutU64(out, text.size());
-    out.append(text);
-  }
+  encoder.AppendStringTable(out);
   out.append(body);
-  wire::PutU64(out, Checksum(out));
+  wire::PutU64(out, Fnv1aChecksum(out));
   return SerializedSnapshot{std::move(out),
                             static_cast<uint64_t>(lines.size())};
-}
-
-Result<uint64_t> CoverCache::SaveSnapshot(const std::string& path,
-                                          const ValuePool& pool) const {
-  SerializedSnapshot snapshot = SerializeSnapshot(pool);
-  const std::string& out = snapshot.bytes;
-
-  // Atomic publish: write a *writer-unique* sibling temp file, fsync
-  // it, then rename over the target — a reader never observes a
-  // half-written snapshot, a crash can't publish unsynced bytes (the
-  // rename is ordered after the data reaches disk), and concurrent
-  // savers to the same path (background spill policy racing a
-  // DropCatalog flush, or two engines sharing a path) each own their
-  // temp file instead of clobbering or remove()-ing each other's
-  // in-flight write. Last rename wins, and every published file is a
-  // complete, checksummed snapshot.
-  static std::atomic<uint64_t> save_seq{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(save_seq.fetch_add(1));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) return Status::InvalidArgument("cannot open " + tmp);
-  size_t written = 0;
-  while (written < out.size()) {
-    const ssize_t w = ::write(fd, out.data() + written, out.size() - written);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      std::remove(tmp.c_str());
-      return Status::InvalidArgument("short write to " + tmp);
-    }
-    written += static_cast<size_t>(w);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    std::remove(tmp.c_str());
-    return Status::InvalidArgument("fsync failed on " + tmp);
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::InvalidArgument("cannot rename " + tmp + " to " + path);
-  }
-  return snapshot.lines;
-}
-
-Result<SnapshotLoadStats> CoverCache::LoadSnapshot(
-    const std::string& path, ValuePool& pool,
-    const std::vector<SigmaVersion>& live) {
-  std::string bytes;
-  {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) return Status::NotFound("cannot open " + path);
-    std::string buf((std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-    if (!f.eof() && !f) return Corrupt("read error on " + path);
-    bytes = std::move(buf);
-  }
-  return LoadSnapshotBytes(bytes, pool, live);
 }
 
 Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
@@ -259,54 +271,15 @@ Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
   size_t checksum_pos = bytes.size() - 8;
   uint64_t stored_checksum = 0;
   wire::GetU64(bytes, &checksum_pos, &stored_checksum);
-  if (Checksum(std::string_view(bytes).substr(0, bytes.size() - 8)) !=
-      stored_checksum) {
+  if (Fnv1aChecksum(bytes.substr(0, bytes.size() - 8)) != stored_checksum) {
     return Corrupt("checksum mismatch (truncated or corrupt)");
   }
   std::string_view payload(bytes.data(), bytes.size() - 8);
 
-  uint64_t num_strings = 0;
-  if (!wire::GetU64(payload, &pos, &num_strings) ||
-      num_strings > (payload.size() - pos) / 8) {
-    return Corrupt("string table truncated");
+  CoverDecoder decoder(pool);
+  if (Status table = decoder.ReadStringTable(payload, &pos); !table.ok()) {
+    return Corrupt(table.message());
   }
-  // Texts stay views into the file bytes; interning is lazy (below), so
-  // a rejected line's constants never pollute the append-only pool —
-  // loading a fully mismatched snapshot leaves the pool untouched.
-  std::vector<std::string_view> texts;
-  texts.reserve(num_strings);
-  for (uint64_t i = 0; i < num_strings; ++i) {
-    uint64_t len = 0;
-    std::string_view text;
-    if (!wire::GetU64(payload, &pos, &len) ||
-        !wire::GetBytes(payload, &pos, len, &text)) {
-      return Corrupt("string table entry truncated");
-    }
-    texts.push_back(text);
-  }
-  std::vector<Value> interned(texts.size(), kNoValue);
-  std::function<Result<Value>(uint32_t)> intern_at =
-      [&](uint32_t index) -> Result<Value> {
-    if (index >= texts.size()) {
-      return Status::InvalidArgument(
-          "pattern constant index out of string-table range");
-    }
-    if (interned[index] == kNoValue) {
-      interned[index] = pool.Intern(texts[index]);
-    }
-    return interned[index];
-  };
-  // Rejected lines still parse (the format has no per-line length to
-  // skip by) but resolve to a placeholder: bounds are checked, nothing
-  // interns, and the decoded cover is discarded.
-  std::function<Result<Value>(uint32_t)> skip_at =
-      [&](uint32_t index) -> Result<Value> {
-    if (index >= texts.size()) {
-      return Status::InvalidArgument(
-          "pattern constant index out of string-table range");
-    }
-    return kNoValue;
-  };
 
   // Parse every line before inserting any: a structurally bad file is
   // rejected whole, never half-restored. (Constants of lines accepted
@@ -315,52 +288,41 @@ Result<SnapshotLoadStats> CoverCache::LoadSnapshotBytes(
   // extra texts are harmless, unlike half a cache.)
   uint64_t num_lines = 0;
   if (!wire::GetU64(payload, &pos, &num_lines) ||
-      num_lines > (payload.size() - pos) / 41) {
+      num_lines > (payload.size() - pos) / kMinLineBytes) {
     return Corrupt("line table truncated");
   }
   std::vector<Entry> accepted;
   SnapshotLoadStats stats;
   for (uint64_t i = 0; i < num_lines; ++i) {
     Entry line{};
-    uint8_t flags = 0;
-    uint64_t cover_size = 0;
     if (!wire::GetU64(payload, &pos, &line.fingerprint) ||
         !wire::GetU64(payload, &pos, &line.check) ||
         !wire::GetU64(payload, &pos, &line.version.key) ||
-        !wire::GetU64(payload, &pos, &line.version.check) ||
-        !wire::GetU8(payload, &pos, &flags) ||
-        !wire::GetU64(payload, &pos, &cover_size) ||
-        cover_size > (payload.size() - pos) / 9) {
+        !wire::GetU64(payload, &pos, &line.version.check)) {
       return Corrupt("line " + std::to_string(i) + " truncated");
     }
     // Accept only lines computed against a Σ content the loader serves:
-    // everything else is a stale cover. The check runs before the cover
-    // decodes so rejected lines resolve through skip_at and never
-    // intern their constants.
+    // everything else is a stale cover, decoded in skip mode so its
+    // constants never intern.
     const bool accept =
         std::find(live.begin(), live.end(), line.version) != live.end();
-    auto cover = std::make_shared<CachedCover>();
-    cover->always_empty = (flags & kFlagAlwaysEmpty) != 0;
-    cover->truncated = (flags & kFlagTruncated) != 0;
-    cover->cover.reserve(cover_size);
-    for (uint64_t j = 0; j < cover_size; ++j) {
-      auto cfd =
-          CFD::FromSnapshotBytes(payload, &pos, accept ? intern_at : skip_at);
-      if (!cfd.ok()) {
-        return Corrupt("line " + std::to_string(i) + ": " +
-                       cfd.status().message());
-      }
-      cover->cover.push_back(std::move(cfd).value());
+    auto cover = decoder.ReadCover(payload, &pos, accept);
+    if (!cover.ok()) {
+      return Corrupt("line " + std::to_string(i) + ": " +
+                     cover.status().message());
     }
     if (!accept) {
       ++stats.rejected;
       continue;
     }
-    line.cover = std::move(cover);
+    line.cover = std::move(cover).value();
     accepted.push_back(std::move(line));
   }
   if (pos != payload.size()) {
     return Corrupt("trailing bytes after line table");
+  }
+  if (Status table = decoder.Finish(); !table.ok()) {
+    return Corrupt(table.message());
   }
 
   for (Entry& line : accepted) {

@@ -1,66 +1,75 @@
-// Persistent cover-cache snapshots: the versioned, self-validating wire
-// format behind CoverCache::SaveSnapshot/LoadSnapshot and
-// Engine::SaveSnapshot/LoadSnapshot.
+// The cover byte format: the one encoding of a propagation cover, shared
+// by cover-cache snapshots (CoverCache::SerializeSnapshot /
+// LoadSnapshotBytes) and the wire's SUBMIT_BATCH reply
+// (src/net/wire_protocol.h), both through CoverEncoder/CoverDecoder.
 //
-// The engine's sharded LRU dies with the process, so every restart used
-// to pay the full one-shot propagation cost per request. A snapshot
-// spills every live cache line — fingerprint, check word, Σ version and
-// the CachedCover payload — to one file that a restart restores
-// atomically, serving warm covers byte-identical to what the cold
-// process computed.
+// A snapshot holds every live cache line — fingerprint, check word, Σ
+// version and the CachedCover payload — as bytes a restart restores, so
+// it serves warm covers byte-identical to what the cold process
+// computed. Only CatalogService reads and writes snapshot files; below
+// it a snapshot is bytes.
 //
-// Wire format (all integers fixed-width little-endian, see
-// src/base/wire.h):
+// Cover codec (integers fixed-width little-endian, src/base/wire.h):
 //
-//   magic[8]            "CFDPSNP1"
-//   version   u32       kSnapshotVersion; any other value rejects
-//   reserved  u32       0
-//   string table:
-//     count   u64
-//     per string: len u64 + raw bytes — every pattern-constant text the
-//              spilled covers reference, in first-use order
-//   lines:
-//     count   u64
-//     per line (sorted by fingerprint, so identical cache content
-//              serializes to identical bytes):
-//       fingerprint u64, check u64,
-//       sigma version u64 key + u64 check (SigmaVersionOf the minimized
-//              Σ the cover was computed against; its definition is part
-//              of the format),
-//       flags u8 (bit0 always_empty, bit1 truncated),
-//       cover count u64, then each CFD via CFD::AppendSnapshotBytes
-//       (pattern constants as string-table indices, never Value ids —
-//       ids are process-local and are remapped through the table on
-//       load)
-//   checksum  u64       FNV-1a over every preceding byte; catches
-//                       truncation and bit rot before any line parses
+//   string table: count u64, then per string len u64 + raw bytes — each
+//                 pattern-constant text the covers that follow use, once,
+//                 in first-use order
+//   cover body:   flags u8 (bit0 always_empty, bit1 truncated; any other
+//                 bit rejects), CFD count u64, then each CFD via
+//                 CFD::AppendSnapshotBytes with its constants as
+//                 string-table indices (Value ids are process-local;
+//                 decoding re-interns the texts)
 //
-// Validation on load, in order: magic, version, checksum, then per
-// line: the line restores iff its Σ version is the version of some Σ
-// registered in the loading engine — whatever the registration order or
-// mutation history that produced it. A changed Σ rejects its lines
-// (they would be stale covers) while other lines still restore. Any
-// structural failure rejects the whole file with a Status; nothing is
-// ever partially trusted.
+// The decoder accepts one encoding per cover set: an index that skips
+// ahead of first-use order, an entry no cover uses or a repeated text
+// rejects. Every count is bounded by the bytes left before it sizes an
+// allocation.
 //
-// Versioning policy: kSnapshotVersion bumps on ANY layout change — the
-// format carries no compatibility shims, a version mismatch simply
-// rejects and the restart recomputes (a snapshot is a cache, losing it
-// is never incorrect).
+// Snapshot format:
+//
+//   magic[8] "CFDPSNP1", version u32 (kSnapshotVersion), reserved u32 0
+//   string table
+//   lines: count u64, then per line (sorted by fingerprint, so equal
+//          cache content serializes to equal bytes): fingerprint u64,
+//          check u64, Σ version key u64 + check u64 (SigmaVersionOf the
+//          minimized Σ the cover was computed against; its definition
+//          is part of the format), cover body
+//   checksum u64: Fnv1aChecksum (src/base/hash.h) of every preceding
+//          byte; catches truncation and bit rot before any line parses
+//
+// Load validates magic, version and checksum, then restores a line iff
+// its Σ version is that of some Σ registered in the loading engine,
+// whatever the registration order or mutation history. Other lines are
+// rejected (they would be stale covers) and decode in skip mode, so
+// their constants never intern. Any structural failure rejects the whole
+// snapshot; nothing is ever partially trusted.
+//
+// Versioning policy: kSnapshotVersion bumps on ANY layout change, with
+// no compatibility shims — a mismatch rejects and the restart
+// recomputes (a snapshot is a cache). A cover codec change also bumps
+// the wire's kWireVersion.
 
 #ifndef CFDPROP_ENGINE_SNAPSHOT_H_
 #define CFDPROP_ENGINE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/hash.h"
+#include "src/base/status.h"
 #include "src/base/value.h"
+#include "src/base/wire.h"
 #include "src/cfd/cfd.h"
 
 namespace cfdprop {
+
+struct CachedCover;  // src/engine/cover_cache.h
 
 /// First bytes of every cover snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'C', 'F', 'D', 'P',
@@ -93,16 +102,16 @@ struct SigmaVersion {
   bool operator==(const SigmaVersion&) const = default;
 };
 
-/// A snapshot serialized to memory: the exact bytes SaveSnapshot would
-/// publish to a file, plus the line count it would report. Migration
-/// ships these bytes over the wire instead of through the filesystem.
+/// A snapshot serialized to memory, plus its line count. The service
+/// spills these bytes to its snapshot file; migration ships them over
+/// the wire.
 struct SerializedSnapshot {
   std::string bytes;
   /// Live lines serialized.
   uint64_t lines = 0;
 };
 
-/// Outcome of a LoadSnapshot call.
+/// Outcome of a LoadSnapshotBytes call.
 struct SnapshotLoadStats {
   /// Lines inserted into the cache.
   uint64_t restored = 0;
@@ -141,6 +150,94 @@ class SigmaVersionFold {
 /// first-seen order.
 SigmaVersion SigmaVersionOf(const ValuePool& pool,
                             const std::vector<CFD>& cfds);
+
+/// The string-table writer: Slot numbers keys in first-use order, and
+/// AppendTo writes the table (count u64, then len u64 + bytes per key).
+/// The cover codec keys it by Value; the wire's TRACE_DUMP reply by
+/// span text.
+template <typename Key>
+class StringTableWriter {
+ public:
+  uint32_t Slot(Key key) {
+    auto [it, inserted] =
+        slot_.emplace(key, static_cast<uint32_t>(keys_.size()));
+    if (inserted) keys_.push_back(key);
+    return it->second;
+  }
+
+  /// `text_of` maps a key to its text.
+  template <typename TextOf>
+  void AppendTo(std::string& out, TextOf text_of) const {
+    wire::PutU64(out, keys_.size());
+    for (const Key& key : keys_) {
+      const std::string_view text = text_of(key);
+      wire::PutU64(out, text.size());
+      out.append(text);
+    }
+  }
+
+ private:
+  std::unordered_map<Key, uint32_t> slot_;
+  std::vector<Key> keys_;
+};
+
+/// The string-table reader: the texts of a table written by
+/// StringTableWriter::AppendTo, as views into `bytes`. False on
+/// truncation, before any count sizes an allocation.
+bool ReadStringTable(std::string_view bytes, size_t* pos,
+                     std::vector<std::string_view>* texts);
+
+/// Writes cover bodies, collecting their constants into one string
+/// table. The table precedes the bodies on the wire, so callers append
+/// bodies to a scratch string first and the table to the output after.
+class CoverEncoder {
+ public:
+  explicit CoverEncoder(const ValuePool& pool);
+  CoverEncoder(const CoverEncoder&) = delete;
+  CoverEncoder& operator=(const CoverEncoder&) = delete;
+
+  /// Appends one cover body to `out`.
+  void AppendCover(std::string& out, const CachedCover& cover);
+  /// Appends the string table of every constant the bodies so far use.
+  void AppendStringTable(std::string& out) const;
+
+ private:
+  const ValuePool& pool_;
+  StringTableWriter<Value> table_;
+  const std::function<uint32_t(Value)> slot_;
+};
+
+/// Reads a string table and the cover bodies that follow it. Constants
+/// intern into `pool` lazily, on first use by a kept cover, so a
+/// skipped cover never grows the append-only pool.
+class CoverDecoder {
+ public:
+  explicit CoverDecoder(ValuePool& pool);
+  CoverDecoder(const CoverDecoder&) = delete;
+  CoverDecoder& operator=(const CoverDecoder&) = delete;
+
+  /// Reads the table at bytes[*pos..]. The texts stay views into
+  /// `bytes`, which must outlive every ReadCover call.
+  Status ReadStringTable(std::string_view bytes, size_t* pos);
+  /// Decodes one cover body. `keep` false is skip mode (a snapshot line
+  /// of a Σ the loader does not serve): indices are still checked, but
+  /// nothing interns and the constants decode as kNoValue.
+  Result<std::shared_ptr<CachedCover>> ReadCover(std::string_view bytes,
+                                                 size_t* pos,
+                                                 bool keep = true);
+  /// Call once, after the last cover: rejects a table with an entry no
+  /// cover referenced or a text that two kept entries share.
+  Status Finish();
+
+ private:
+  ValuePool& pool_;
+  std::vector<std::string_view> texts_;
+  std::vector<Value> interned_;
+  /// Entries referenced so far; the next new index must equal it.
+  uint32_t used_ = 0;
+  bool keep_ = true;
+  const std::function<Result<Value>(uint32_t)> value_at_;
+};
 
 }  // namespace cfdprop
 

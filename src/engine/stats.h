@@ -53,9 +53,10 @@ struct EngineStatsSnapshot {
   double compute_us = 0;
   /// PropagateBatch accounting: wall-clock time spent inside batch calls
   /// and the sum of the per-request serve times within them. Their ratio
-  /// is the *effective* parallelism actually achieved — on a 1-CPU box it
-  /// honestly reports ~1.0 no matter how many workers are configured
-  /// (ROADMAP "Multi-core validation").
+  /// is the *effective* parallelism actually achieved: ~1.0 on one CPU
+  /// or with one worker. perfbench, the workload runner and the CLI
+  /// (unless --threads asks for more) serve with one engine worker, so
+  /// there it reads ~1.0 on any machine.
   double batch_wall_us = 0;
   double batch_busy_us = 0;
   /// Latency distributions behind the sums above (empty buckets when the

@@ -291,7 +291,7 @@ Result<std::string> RemoteBackend::Metrics() {
   CFDPROP_ASSIGN_OR_RETURN(
       std::string payload,
       Exchange(FrameType::kMetrics, "", FrameType::kMetricsReply));
-  return DecodeMetricsReply(payload);
+  return DecodeBytesReply(payload);
 }
 
 Result<std::vector<obs::SpanRecord>> RemoteBackend::TraceDump() {
@@ -319,7 +319,7 @@ Result<std::string> RemoteBackend::FetchSnapshot(const std::string& tenant) {
       std::string payload,
       Exchange(FrameType::kFetchSnapshot, EncodeStringRequest(tenant),
                FrameType::kFetchSnapshotReply));
-  return DecodeFetchSnapshotReply(payload);
+  return DecodeBytesReply(payload);
 }
 
 Status RemoteBackend::Shutdown() {

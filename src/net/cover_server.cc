@@ -426,7 +426,7 @@ std::string CoverServer::HandleSubmitBatch(std::string_view payload,
 std::string CoverServer::HandleMetrics() {
   // The render walks the service's registry, which includes this
   // server's net-counter collector — so one scrape covers every layer.
-  return EncodeMetricsReply(Status::OK(), service_.RenderMetricsText());
+  return EncodeBytesReply(Status::OK(), service_.RenderMetricsText());
 }
 
 std::string CoverServer::HandleTraceDump(std::string_view payload) {
@@ -449,17 +449,17 @@ std::string CoverServer::HandleDropCatalog(std::string_view payload) {
 
 std::string CoverServer::HandleFetchSnapshot(std::string_view payload) {
   auto tenant = DecodeStringRequest(payload);
-  if (!tenant.ok()) return EncodeFetchSnapshotReply(tenant.status(), {});
+  if (!tenant.ok()) return EncodeBytesReply(tenant.status(), {});
   // Quiesce first so the serialized bytes are the settled cache — every
   // admitted batch has delivered its reply (and taken its cache
   // insertions) before the serialization walks the shards.
   Status drained = service_.DrainTenant(*tenant, kMigrationDrainDeadline);
-  if (!drained.ok()) return EncodeFetchSnapshotReply(drained, {});
+  if (!drained.ok()) return EncodeBytesReply(drained, {});
   auto snapshot = service_.ExportTenantSnapshot(*tenant);
   if (!snapshot.ok()) {
-    return EncodeFetchSnapshotReply(snapshot.status(), {});
+    return EncodeBytesReply(snapshot.status(), {});
   }
-  return EncodeFetchSnapshotReply(Status::OK(), snapshot->bytes);
+  return EncodeBytesReply(Status::OK(), snapshot->bytes);
 }
 
 void CoverServer::RequestShutdown() {

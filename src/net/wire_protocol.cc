@@ -1,23 +1,17 @@
 #include "src/net/wire_protocol.h"
 
-#include <functional>
-#include <unordered_map>
+#include <iterator>
 #include <utility>
 
 #include "src/base/hash.h"
 #include "src/base/wire.h"
 #include "src/engine/cover_cache.h"
+#include "src/engine/snapshot.h"
 
 namespace cfdprop {
 namespace net {
 
 namespace {
-
-uint64_t Checksum(std::string_view bytes) {
-  Fnv1aHasher h;
-  for (char c : bytes) h.MixByte(static_cast<uint8_t>(c));
-  return h.digest();
-}
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("wire frame rejected: " + what);
@@ -60,8 +54,15 @@ Status DecodeStatusAt(std::string_view in, size_t* pos, Status* status) {
   return Status::OK();
 }
 
-constexpr uint8_t kFlagAlwaysEmpty = 1u << 0;
-constexpr uint8_t kFlagTruncated = 1u << 1;
+/// The smallest encodings the count bounds divide by, so no decoded
+/// count can size an allocation past what the bytes left could hold: a
+/// status is its code byte and u32 message length, a request batch its
+/// u64 view count, a view name its u32 length, and a span its five u64
+/// ids and times, u32 shard, slow byte and three u32 string indices.
+constexpr size_t kMinStatusBytes = 1 + 4;
+constexpr size_t kMinBatchBytes = 8;
+constexpr size_t kMinViewBytes = 4;
+constexpr size_t kMinSpanBytes = 5 * 8 + 4 + 1 + 3 * 4;
 
 }  // namespace
 
@@ -73,7 +74,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
   wire::PutU8(out, static_cast<uint8_t>(type));
   wire::PutU32(out, static_cast<uint32_t>(payload.size()));
   out.append(payload);
-  wire::PutU64(out, Checksum(out));
+  wire::PutU64(out, Fnv1aChecksum(out));
   return out;
 }
 
@@ -120,7 +121,8 @@ Result<std::string_view> VerifyFrame(std::string_view frame) {
   size_t trailer_pos = frame.size() - kFrameTrailerBytes;
   uint64_t stored = 0;
   wire::GetU64(frame, &trailer_pos, &stored);
-  if (Checksum(frame.substr(0, frame.size() - kFrameTrailerBytes)) != stored) {
+  if (Fnv1aChecksum(frame.substr(0, frame.size() - kFrameTrailerBytes)) !=
+      stored) {
     return Malformed("checksum mismatch (truncated or corrupt)");
   }
   return frame.substr(kFrameHeaderBytes, header.payload_len);
@@ -132,42 +134,24 @@ void EncodeStatus(std::string& out, const Status& status) {
 }
 
 bool DecodeStatus(std::string_view in, size_t* pos, Status* status) {
+  // Indexed by the StatusCode byte; kOk carries no message.
+  static Status (*const kTyped[])(std::string) = {
+      nullptr, Status::InvalidArgument, Status::NotFound,
+      Status::Inconsistent, Status::ResourceExhausted, Status::Unsupported,
+      Status::Internal, Status::DeadlineExceeded, Status::Unavailable};
+  static_assert(std::size(kTyped) ==
+                static_cast<size_t>(StatusCode::kUnavailable) + 1);
   uint8_t code = 0;
   std::string message;
-  if (!wire::GetU8(in, pos, &code) || !GetString(in, pos, &message)) {
-    return false;
+  if (!wire::GetU8(in, pos, &code) || !GetString(in, pos, &message) ||
+      code >= std::size(kTyped)) {
+    return false;  // truncated, or a code of another protocol
   }
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      *status = Status::OK();
-      return true;
-    case StatusCode::kInvalidArgument:
-      *status = Status::InvalidArgument(std::move(message));
-      return true;
-    case StatusCode::kNotFound:
-      *status = Status::NotFound(std::move(message));
-      return true;
-    case StatusCode::kInconsistent:
-      *status = Status::Inconsistent(std::move(message));
-      return true;
-    case StatusCode::kResourceExhausted:
-      *status = Status::ResourceExhausted(std::move(message));
-      return true;
-    case StatusCode::kUnsupported:
-      *status = Status::Unsupported(std::move(message));
-      return true;
-    case StatusCode::kInternal:
-      *status = Status::Internal(std::move(message));
-      return true;
-    case StatusCode::kDeadlineExceeded:
-      *status = Status::DeadlineExceeded(std::move(message));
-      return true;
-    case StatusCode::kUnavailable:
-      *status = Status::Unavailable(std::move(message));
-      return true;
+  if (code == static_cast<uint8_t>(StatusCode::kOk)) {
+    *status = Status::OK();
+    return message.empty();
   }
-  *status = Status::Internal("unknown wire status code " +
-                             std::to_string(code) + ": " + message);
+  *status = kTyped[code](std::move(message));
   return true;
 }
 
@@ -242,14 +226,14 @@ Result<SubmitBatchRequest> DecodeSubmitBatchRequest(
   uint64_t num_batches = 0;
   if (!GetString(payload, &pos, &request.tenant) ||
       !wire::GetU64(payload, &pos, &num_batches) ||
-      num_batches > (payload.size() - pos)) {
+      num_batches > (payload.size() - pos) / kMinBatchBytes) {
     return Malformed("submit-batch request truncated");
   }
   request.batches.reserve(num_batches);
   for (uint64_t i = 0; i < num_batches; ++i) {
     uint64_t num_views = 0;
     if (!wire::GetU64(payload, &pos, &num_views) ||
-        num_views > (payload.size() - pos)) {
+        num_views > (payload.size() - pos) / kMinViewBytes) {
       return Malformed("submit-batch request truncated");
     }
     std::vector<std::string> views;
@@ -284,18 +268,9 @@ Result<SubmitBatchRequest> DecodeSubmitBatchRequest(
 std::string EncodeSubmitBatchReply(const Status& status,
                                    const std::vector<WireBatchResult>& batches,
                                    const ValuePool& pool) {
-  // Serialize the result body first: the string table is collected in
-  // first-use order of the cover content (exactly the snapshot format's
-  // discipline — equal covers, equal bytes), but travels before it.
-  std::unordered_map<Value, uint32_t> value_slot;
-  std::vector<Value> table_values;
-  auto value_index = [&](Value v) {
-    auto [it, inserted] =
-        value_slot.emplace(v, static_cast<uint32_t>(table_values.size()));
-    if (inserted) table_values.push_back(v);
-    return it->second;
-  };
-
+  // The results encode first: the cover string table collects in
+  // first-use order while they do, but travels before them.
+  CoverEncoder covers(pool);
   std::string body;
   wire::PutU64(body, batches.size());
   for (const WireBatchResult& batch : batches) {
@@ -310,23 +285,15 @@ std::string EncodeSubmitBatchReply(const Status& status,
       EncodeStatus(body, Status::OK());
       wire::PutU64(body, r->fingerprint);
       wire::PutU8(body, r->cache_hit ? 1 : 0);
-      uint8_t flags = 0;
-      if (r->cover->always_empty) flags |= kFlagAlwaysEmpty;
-      if (r->cover->truncated) flags |= kFlagTruncated;
-      wire::PutU8(body, flags);
       wire::PutU64(body, r->disjunct_hits);
       wire::PutU64(body, r->disjunct_count);
-      wire::PutU64(body, r->cover->cover.size());
-      for (const CFD& c : r->cover->cover) {
-        c.AppendSnapshotBytes(body, value_index);
-      }
+      covers.AppendCover(body, *r->cover);
     }
   }
 
   std::string out;
   EncodeStatus(out, status);
-  wire::PutU64(out, table_values.size());
-  for (Value v : table_values) PutString(out, pool.Text(v));
+  covers.AppendStringTable(out);
   out.append(body);
   return out;
 }
@@ -337,41 +304,14 @@ Result<std::vector<WireBatchResult>> DecodeSubmitBatchReply(
   Status status;
   CFDPROP_RETURN_NOT_OK(DecodeStatusAt(payload, &pos, &status));
   CFDPROP_RETURN_NOT_OK(status);
-
-  uint64_t num_strings = 0;
-  if (!wire::GetU64(payload, &pos, &num_strings) ||
-      num_strings > (payload.size() - pos)) {
-    return Malformed("reply string table truncated");
+  CoverDecoder covers(pool);
+  if (Status table = covers.ReadStringTable(payload, &pos); !table.ok()) {
+    return Malformed("reply " + table.message());
   }
-  std::vector<std::string_view> texts;
-  texts.reserve(num_strings);
-  for (uint64_t i = 0; i < num_strings; ++i) {
-    uint32_t len = 0;
-    std::string_view text;
-    if (!wire::GetU32(payload, &pos, &len) ||
-        !wire::GetBytes(payload, &pos, len, &text)) {
-      return Malformed("reply string table truncated");
-    }
-    texts.push_back(text);
-  }
-  // Lazy interning, as in snapshot load: only constants a decoded cover
-  // actually references enter the caller's append-only pool.
-  std::vector<Value> interned(texts.size(), kNoValue);
-  std::function<Result<Value>(uint32_t)> intern_at =
-      [&](uint32_t index) -> Result<Value> {
-    if (index >= texts.size()) {
-      return Status::InvalidArgument(
-          "pattern constant index out of string-table range");
-    }
-    if (interned[index] == kNoValue) {
-      interned[index] = pool.Intern(texts[index]);
-    }
-    return interned[index];
-  };
 
   uint64_t num_batches = 0;
   if (!wire::GetU64(payload, &pos, &num_batches) ||
-      num_batches > (payload.size() - pos)) {
+      num_batches > (payload.size() - pos) / kMinStatusBytes) {
     return Malformed("reply batch table truncated");
   }
   std::vector<WireBatchResult> batches;
@@ -385,7 +325,7 @@ Result<std::vector<WireBatchResult>> DecodeSubmitBatchReply(
     }
     uint64_t num_results = 0;
     if (!wire::GetU64(payload, &pos, &num_results) ||
-        num_results > (payload.size() - pos)) {
+        num_results > (payload.size() - pos) / kMinStatusBytes) {
       return Malformed("reply result table truncated");
     }
     batch.results.reserve(num_results);
@@ -397,38 +337,32 @@ Result<std::vector<WireBatchResult>> DecodeSubmitBatchReply(
         continue;
       }
       EngineResult result;
-      uint8_t cache_hit = 0, flags = 0;
-      uint64_t disjunct_hits = 0, disjunct_count = 0, cover_size = 0;
+      uint8_t cache_hit = 0;
+      uint64_t disjunct_hits = 0, disjunct_count = 0;
       if (!wire::GetU64(payload, &pos, &result.fingerprint) ||
-          !wire::GetU8(payload, &pos, &cache_hit) ||
-          !wire::GetU8(payload, &pos, &flags) ||
+          !wire::GetU8(payload, &pos, &cache_hit) || cache_hit > 1 ||
           !wire::GetU64(payload, &pos, &disjunct_hits) ||
-          !wire::GetU64(payload, &pos, &disjunct_count) ||
-          !wire::GetU64(payload, &pos, &cover_size) ||
-          cover_size > (payload.size() - pos)) {
+          !wire::GetU64(payload, &pos, &disjunct_count)) {
         return Malformed("reply result " + std::to_string(j) + " truncated");
+      }
+      auto cover = covers.ReadCover(payload, &pos);
+      if (!cover.ok()) {
+        return Malformed("reply result " + std::to_string(j) + ": " +
+                         cover.status().message());
       }
       result.cache_hit = cache_hit != 0;
       result.disjunct_hits = static_cast<size_t>(disjunct_hits);
       result.disjunct_count = static_cast<size_t>(disjunct_count);
-      auto cover = std::make_shared<CachedCover>();
-      cover->always_empty = (flags & kFlagAlwaysEmpty) != 0;
-      cover->truncated = (flags & kFlagTruncated) != 0;
-      cover->cover.reserve(cover_size);
-      for (uint64_t k = 0; k < cover_size; ++k) {
-        auto cfd = CFD::FromSnapshotBytes(payload, &pos, intern_at);
-        if (!cfd.ok()) {
-          return Malformed("reply cover CFD: " + cfd.status().message());
-        }
-        cover->cover.push_back(std::move(cfd).value());
-      }
-      result.cover = std::move(cover);
+      result.cover = std::move(cover).value();
       batch.results.emplace_back(std::move(result));
     }
     batches.push_back(std::move(batch));
   }
   if (pos != payload.size()) {
     return Malformed("trailing bytes after reply batches");
+  }
+  if (Status table = covers.Finish(); !table.ok()) {
+    return Malformed("reply " + table.message());
   }
   return batches;
 }
@@ -448,24 +382,23 @@ Result<std::string> DecodeStringRequest(std::string_view payload) {
   return text;
 }
 
-std::string EncodeFetchSnapshotReply(const Status& status,
-                                     std::string_view snapshot) {
+std::string EncodeBytesReply(const Status& status, std::string_view bytes) {
   std::string out;
   EncodeStatus(out, status);
-  PutString(out, snapshot);
+  PutString(out, bytes);
   return out;
 }
 
-Result<std::string> DecodeFetchSnapshotReply(std::string_view payload) {
+Result<std::string> DecodeBytesReply(std::string_view payload) {
   size_t pos = 0;
   Status status;
   CFDPROP_RETURN_NOT_OK(DecodeStatusAt(payload, &pos, &status));
   CFDPROP_RETURN_NOT_OK(status);
-  std::string snapshot;
-  if (!GetString(payload, &pos, &snapshot) || pos != payload.size()) {
-    return Malformed("fetch-snapshot reply truncated");
+  std::string bytes;
+  if (!GetString(payload, &pos, &bytes) || pos != payload.size()) {
+    return Malformed("reply truncated");
   }
-  return snapshot;
+  return bytes;
 }
 
 std::string EncodeStatusReply(const Status& status) {
@@ -484,25 +417,6 @@ Status DecodeStatusReply(std::string_view payload) {
   return status;
 }
 
-std::string EncodeMetricsReply(const Status& status, std::string_view text) {
-  std::string out;
-  EncodeStatus(out, status);
-  PutString(out, text);
-  return out;
-}
-
-Result<std::string> DecodeMetricsReply(std::string_view payload) {
-  size_t pos = 0;
-  Status status;
-  CFDPROP_RETURN_NOT_OK(DecodeStatusAt(payload, &pos, &status));
-  CFDPROP_RETURN_NOT_OK(status);
-  std::string text;
-  if (!GetString(payload, &pos, &text) || pos != payload.size()) {
-    return Malformed("metrics reply truncated");
-  }
-  return text;
-}
-
 Status DecodeTraceDumpRequest(std::string_view payload) {
   if (!payload.empty()) {
     return Malformed("trace-dump request carries unexpected payload");
@@ -513,15 +427,8 @@ Status DecodeTraceDumpRequest(std::string_view payload) {
 std::string EncodeTraceDumpReply(const Status& status,
                                  const std::vector<obs::SpanRecord>& spans) {
   // String table in first-use order over names, tenants and annotations
-  // (the snapshot discipline): equal span sets encode to equal bytes.
-  std::unordered_map<std::string_view, uint32_t> string_slot;
-  std::vector<std::string_view> table;
-  auto string_index = [&](std::string_view s) {
-    auto [it, inserted] =
-        string_slot.emplace(s, static_cast<uint32_t>(table.size()));
-    if (inserted) table.push_back(s);
-    return it->second;
-  };
+  // (the cover codec's writer): equal span sets encode to equal bytes.
+  StringTableWriter<std::string_view> table;
 
   std::string body;
   wire::PutU64(body, spans.size());
@@ -533,15 +440,14 @@ std::string EncodeTraceDumpReply(const Status& status,
     wire::PutU64(body, span.dur_us);
     wire::PutU32(body, static_cast<uint32_t>(span.shard));
     wire::PutU8(body, span.slow ? 1 : 0);
-    wire::PutU32(body, string_index(span.name));
-    wire::PutU32(body, string_index(span.tenant));
-    wire::PutU32(body, string_index(span.annot));
+    wire::PutU32(body, table.Slot(span.name));
+    wire::PutU32(body, table.Slot(span.tenant));
+    wire::PutU32(body, table.Slot(span.annot));
   }
 
   std::string out;
   EncodeStatus(out, status);
-  wire::PutU64(out, table.size());
-  for (std::string_view s : table) PutString(out, s);
+  table.AppendTo(out, [](std::string_view s) { return s; });
   out.append(body);
   return out;
 }
@@ -553,21 +459,9 @@ Result<std::vector<obs::SpanRecord>> DecodeTraceDumpReply(
   CFDPROP_RETURN_NOT_OK(DecodeStatusAt(payload, &pos, &status));
   CFDPROP_RETURN_NOT_OK(status);
 
-  uint64_t num_strings = 0;
-  if (!wire::GetU64(payload, &pos, &num_strings) ||
-      num_strings > (payload.size() - pos)) {
-    return Malformed("trace-dump string table truncated");
-  }
   std::vector<std::string_view> table;
-  table.reserve(num_strings);
-  for (uint64_t i = 0; i < num_strings; ++i) {
-    uint32_t len = 0;
-    std::string_view s;
-    if (!wire::GetU32(payload, &pos, &len) ||
-        !wire::GetBytes(payload, &pos, len, &s)) {
-      return Malformed("trace-dump string table truncated");
-    }
-    table.push_back(s);
+  if (!ReadStringTable(payload, &pos, &table)) {
+    return Malformed("trace-dump string table truncated");
   }
   auto string_at = [&](uint32_t index, std::string* out) {
     if (index >= table.size()) return false;
@@ -577,7 +471,7 @@ Result<std::vector<obs::SpanRecord>> DecodeTraceDumpReply(
 
   uint64_t num_spans = 0;
   if (!wire::GetU64(payload, &pos, &num_spans) ||
-      num_spans > (payload.size() - pos)) {
+      num_spans > (payload.size() - pos) / kMinSpanBytes) {
     return Malformed("trace-dump span table truncated");
   }
   std::vector<obs::SpanRecord> spans;

@@ -22,17 +22,22 @@
 // the same typed errors (NotFound, ResourceExhausted, ...) an
 // in-process CatalogService call would return.
 //
-// Covers travel in the PR 3 snapshot encoding: pattern constants are
-// string-table indices into a per-reply first-use-ordered table, never
-// process-local Value ids — the decoding side re-interns into its own
-// ValuePool (CFD::FromSnapshotBytes), so client and server pools need
-// share nothing. Equal covers encode to equal bytes, which is what the
-// loopback differential test diffs.
+// Covers travel in the cover codec of src/engine/snapshot.h, the one the
+// .ccsnap snapshot uses: a SUBMIT_BATCH reply holds one string table of
+// pattern constants, then each result's cover body (flags, CFD count,
+// CFDs whose constants are table indices, never process-local Value
+// ids). The decoding side re-interns into its own ValuePool, so client
+// and server pools need share nothing. The table is canonical, so equal
+// covers encode to equal bytes, which is what the loopback differential
+// test diffs.
 //
 // Decode discipline: every reader is bounds-checked and returns a clean
 // Status on malformed input (oversized length, truncation, bad
-// magic/version, checksum mismatch). A server maps such a Status to
-// "close this connection"; it never crashes or trusts a partial frame.
+// magic/version, checksum mismatch, an unknown status code). Every
+// decoded count is bounded by the bytes left divided by its element's
+// smallest encoding before it sizes an allocation. A server maps such a
+// Status to "close this connection"; it never crashes or trusts a
+// partial frame.
 //
 // Versioning policy matches the snapshot format: kWireVersion bumps on
 // ANY layout change, no compatibility shims — a version-mismatched peer
@@ -70,7 +75,11 @@ inline constexpr char kWireMagic[4] = {'C', 'F', 'D', 'W'};
 /// v6: OPEN_FROM_SNAPSHOT (type 8) is folded into OPEN_CATALOG, whose
 /// request now ends in the snapshot bytes (empty = a cold open). Type 8
 /// is refused like type 3.
-inline constexpr uint32_t kWireVersion = 6;
+/// v7: the SUBMIT_BATCH reply speaks the snapshot's cover codec (u64
+/// string-table lengths; each result's flags, CFD count and CFDs are
+/// one contiguous cover body), and the TRACE_DUMP reply's string table
+/// takes the same u64 lengths.
+inline constexpr uint32_t kWireVersion = 7;
 
 /// magic + version + type + payload length.
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 1 + 4;
@@ -173,6 +182,7 @@ using WireBatchResult = ::cfdprop::BatchResult;
 
 void EncodeStatus(std::string& out, const Status& status);
 /// Bounds-checked; decodes the StatusCode back to the typed Status.
+/// False on truncation, an unknown code or an OK status with a message.
 bool DecodeStatus(std::string_view in, size_t* pos, Status* status);
 
 std::string EncodeOpenCatalogRequest(const OpenCatalogRequest& request);
@@ -189,7 +199,10 @@ Result<SubmitBatchRequest> DecodeSubmitBatchRequest(std::string_view payload);
 /// per-batch admission rejections ride inside `batches`. `pool` is the
 /// serving tenant's pool, used to export pattern-constant texts into
 /// the reply's string table. Deterministic: equal outcomes and covers
-/// encode to equal bytes.
+/// encode to equal bytes. Layout: status, the cover string table, then
+/// per batch its status and, when OK, a u64 result count and per result
+/// its status and, when OK, fingerprint u64, cache_hit u8,
+/// disjunct_hits u64, disjunct_count u64 and the cover body.
 std::string EncodeSubmitBatchReply(const Status& status,
                                    const std::vector<WireBatchResult>& batches,
                                    const ValuePool& pool);
@@ -202,29 +215,23 @@ Result<std::vector<WireBatchResult>> DecodeSubmitBatchReply(
 std::string EncodeStringRequest(std::string_view text);
 Result<std::string> DecodeStringRequest(std::string_view payload);
 
-// Migration frames. FETCH_SNAPSHOT's request is EncodeStringRequest
-// (the tenant name); the server drains the tenant's queue and replies
-// with its cover cache serialized in the .ccsnap format. A snapshot
-// too large to frame (past kMaxFramePayload) degrades to a typed
-// ResourceExhausted reply, like any oversized reply.
-std::string EncodeFetchSnapshotReply(const Status& status,
-                                     std::string_view snapshot);
-Result<std::string> DecodeFetchSnapshotReply(std::string_view payload);
+/// A reply carrying one blob: Status, then u32 length + bytes. The
+/// FETCH_SNAPSHOT reply ships a tenant's .ccsnap bytes (the migration's
+/// step 1; its request is EncodeStringRequest of the tenant name), the
+/// METRICS reply the exposition text. A blob too large to frame (past
+/// kMaxFramePayload) degrades to a typed ResourceExhausted reply, like
+/// any oversized reply.
+std::string EncodeBytesReply(const Status& status, std::string_view bytes);
+Result<std::string> DecodeBytesReply(std::string_view payload);
 
 std::string EncodeStatusReply(const Status& status);
 Status DecodeStatusReply(std::string_view payload);
 
-/// METRICS reply: Status + the exposition text. Oversized scrapes (past
-/// kMaxFramePayload once framed) must be degraded by the caller like
-/// any other reply.
-std::string EncodeMetricsReply(const Status& status, std::string_view text);
-Result<std::string> DecodeMetricsReply(std::string_view payload);
-
 // TRACE_DUMP: empty request payload; the reply carries every published
 // span of the server's rings. Span names/tenants/annotations travel as
-// indices into a first-use-ordered string table (the snapshot format's
-// discipline — equal span sets encode to equal bytes, which is what the
-// deterministic-dump test diffs).
+// indices into a first-use-ordered string table (the cover codec's
+// StringTableWriter and ReadStringTable — equal span sets encode to
+// equal bytes, which is what the deterministic-dump test diffs).
 Status DecodeTraceDumpRequest(std::string_view payload);
 std::string EncodeTraceDumpReply(const Status& status,
                                  const std::vector<obs::SpanRecord>& spans);

@@ -1,8 +1,14 @@
 #include "src/service/catalog_service.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <utility>
 
 namespace cfdprop {
@@ -12,6 +18,55 @@ namespace {
 double MicrosBetween(std::chrono::steady_clock::time_point from,
                      std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
+/// Reads a whole snapshot file; NotFound when there is none.
+Result<std::string> ReadSnapshotFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return Status::NotFound("cannot open " + path);
+  std::string bytes((std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+  if (!f.eof() && !f) {
+    return Status::InvalidArgument("cover snapshot rejected: read error on " +
+                                   path);
+  }
+  return bytes;
+}
+
+/// Publishes `bytes` at `path` atomically: write a *writer-unique*
+/// sibling temp file, fsync it, then rename over the target — a reader
+/// never observes a half-written snapshot, a crash can't publish
+/// unsynced bytes (the rename is ordered after the data reaches disk),
+/// and concurrent writers to one path (a policy spill racing a
+/// DropCatalog flush, or two services sharing a directory) each own
+/// their temp file instead of clobbering or remove()-ing each other's
+/// in-flight write. Last rename wins, and every published file is a
+/// complete, checksummed snapshot.
+Status WriteSnapshotFile(const std::string& path, std::string_view bytes) {
+  static std::atomic<uint64_t> write_seq{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(write_seq.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return Status::InvalidArgument("cannot open " + tmp);
+  auto fail = [&](const std::string& what) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return Status::InvalidArgument(what + tmp);
+  };
+  for (size_t written = 0; written < bytes.size();) {
+    const ssize_t w =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (w < 0 && errno != EINTR) return fail("short write to ");
+    if (w > 0) written += static_cast<size_t>(w);
+  }
+  if (::fsync(fd) != 0) return fail("fsync failed on ");
+  ::close(fd);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::InvalidArgument("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
 }
 
 /// Tenant names become snapshot file names, so the alphabet is locked
@@ -220,26 +275,30 @@ Result<TenantHandle> CatalogService::Open(
   TenantHandle tenant(new Tenant(name, std::move(engine), std::move(spec),
                                  std::move(spec_text)));
   BindStageTimers(*tenant);
+  // Warm start, before the tenant is published, so the pool-interning
+  // load never races serving. A migration's shipped bytes win over any
+  // stale local file. Any failure — no file yet, version bump, changed
+  // Σ, corruption — just means a cold cache: a rejected snapshot
+  // restores nothing.
+  const bool from_file = !snapshot && !options_.snapshot_dir.empty();
+  std::string file;
+  if (from_file) {
+    auto read = ReadSnapshotFile(SnapshotPath(name));
+    if (read.ok()) {
+      file = std::move(read).value();
+      snapshot = file;
+    } else if (read.status().code() != StatusCode::kNotFound) {
+      tenant->snapshot_rejection_ = read.status();
+    }
+  }
   if (snapshot) {
-    // Migration warm start: the shipped bytes win over any stale local
-    // file. Any failure — version bump, changed Σ, corruption — just
-    // means a cold cache. The spill marker stays 0: unlike the file
-    // path below, these bytes are NOT this service's snapshot file, so
-    // the restored lines count as dirty and the next spill persists
-    // them locally.
     tenant->snapshot_rejection_ =
         tenant->engine_->LoadSnapshotBytes(*snapshot).status();
-  } else if (!options_.snapshot_dir.empty()) {
-    // Warm start. Any failure — no file yet, version bump, changed Σ,
-    // corruption — just means a cold cache; LoadSnapshot already
-    // guarantees a rejected file restores nothing. Runs before the
-    // tenant is published, so the pool-interning load never races
-    // serving.
-    auto loaded = tenant->engine_->LoadSnapshot(SnapshotPath(name));
-    if (loaded.status().code() != StatusCode::kNotFound) {
-      tenant->snapshot_rejection_ = loaded.status();
-    }
-    // A freshly restored cache is not dirty: its content IS the file.
+  }
+  if (from_file) {
+    // A cache restored from the file is not dirty: its content IS the
+    // file. Migration bytes are not this service's file, so their
+    // restored lines stay dirty and the next spill persists them.
     tenant->spill_marker.store(
         CacheChangeCounter(tenant->engine_->Stats().cache),
         std::memory_order_relaxed);
@@ -344,10 +403,9 @@ Status CatalogService::EnqueueLocked(Job job) {
   // Counters and the per-tenant sequence move only once the batch is
   // definitely accepted (and under queue_mu_, so a rejected submit
   // can never skew them or leave a sequence gap).
-  tenant.admission_admitted.fetch_add(1, std::memory_order_relaxed);
-  tenant.admission_queued.fetch_add(1, std::memory_order_relaxed);
   job.sequence =
-      tenant.batches_submitted.fetch_add(1, std::memory_order_relaxed);
+      tenant.admission_admitted.fetch_add(1, std::memory_order_relaxed);
+  tenant.admission_queued.fetch_add(1, std::memory_order_relaxed);
   // Lifecycle stamp: queue-wait is measured from here, and the submit
   // entry -> admitted span is the "admission" stage.
   job.admitted_at = std::chrono::steady_clock::now();
@@ -690,8 +748,10 @@ Result<uint64_t> CatalogService::Spill(Tenant& tenant, bool from_policy,
   if (dirty < min_dirty) {
     return tenant.last_spill_lines.load(std::memory_order_relaxed);
   }
-  CFDPROP_ASSIGN_OR_RETURN(
-      uint64_t lines, tenant.engine_->SaveSnapshot(SnapshotPath(tenant.name_)));
+  const SerializedSnapshot snapshot = tenant.engine_->SerializeSnapshot();
+  CFDPROP_RETURN_NOT_OK(
+      WriteSnapshotFile(SnapshotPath(tenant.name_), snapshot.bytes));
+  const uint64_t lines = snapshot.lines;
   // Counters first, marker last with release ordering: a Stats() reader
   // that observes the new marker (dirty == 0, "settled") is then
   // guaranteed to also see the spill counters this spill bumped — so
@@ -988,15 +1048,13 @@ ServiceStatsSnapshot CatalogService::Stats() const {
   for (const auto& [name, tenant] : tenants_) {
     TenantStatsSnapshot t;
     t.name = name;
-    // Lock-free reads: the spill thread may be mid-SaveSnapshot holding
+    // Lock-free reads: the spill thread may be mid-write holding
     // spill_mu, and stats must not wait out the disk write. The marker
     // loads FIRST (acquire, pairing with Spill's release store): seeing
     // a spill's marker implies seeing its counter bumps below.
     const uint64_t marker =
         tenant->spill_marker.load(std::memory_order_acquire);
     t.cache_budget = tenant->cache_budget();
-    t.batches_submitted =
-        tenant->batches_submitted.load(std::memory_order_relaxed);
     t.spills = tenant->spills.load(std::memory_order_relaxed);
     t.policy_spills = tenant->policy_spills.load(std::memory_order_relaxed);
     t.last_spill_lines =

@@ -188,9 +188,9 @@ class Tenant {
   Status snapshot_rejection_;  // set before the tenant is published
 
   /// Serializes spills of this tenant (policy thread vs. Drop vs.
-  /// explicit SpillTenant). SaveSnapshot's temp files are now
+  /// explicit SpillTenant). The file writer's temp files are
   /// writer-unique (pid + counter, last rename wins), so concurrent
-  /// saves can no longer clobber each other's bytes — this lock is
+  /// writes can never clobber each other's bytes — this lock is
   /// about *ordering*: without it a stale policy spill could rename
   /// over a newer flush. Held across the disk write — which is why the
   /// counters below are atomics: Stats() must never stall behind
@@ -208,12 +208,12 @@ class Tenant {
   /// same-name tenant may have re-opened and own it now.
   std::atomic<bool> dropped{false};
   std::atomic<uint64_t> policy_spills{0};  // spills by the background thread
-  std::atomic<uint64_t> batches_submitted{0};
 
-  /// Admission state. The gauges (queued/running) are only ever written
-  /// under the service's queue_mu_ — which is what makes burst admission
-  /// decisions deterministic — but are atomics so Stats() can read them
-  /// without taking the queue lock.
+  /// Admission state; `admission_admitted` also numbers the tenant's
+  /// batches (BatchReply::sequence). The gauges (queued/running) are
+  /// only ever written under the service's queue_mu_ — which is what
+  /// makes burst admission decisions deterministic — but are atomics so
+  /// Stats() can read them without taking the queue lock.
   std::atomic<uint64_t> admission_admitted{0};
   std::atomic<uint64_t> admission_rejected{0};
   std::atomic<uint64_t> admission_queued{0};   // waiting in the tenant queue
@@ -253,7 +253,6 @@ struct BatchReply : BatchResult {
 struct TenantStatsSnapshot {
   std::string name;
   size_t cache_budget = 0;
-  uint64_t batches_submitted = 0;
   uint64_t spills = 0;         // all snapshot spills (policy + flush)
   uint64_t policy_spills = 0;  // spills initiated by the background thread
   uint64_t last_spill_lines = 0;

@@ -3,21 +3,21 @@
 //
 // Round trips run on randomized generator workloads (the
 // engine_differential_test setup): a cold engine serves every view,
-// spills its cache, and a fresh engine restored from the file must
-// serve every request as a cache hit with a byte-identical cover.
-// Corruption tests mangle the file every way a disk can — truncation
+// serializes its cache, and a fresh engine restored from those bytes
+// must serve every request as a cache hit with a byte-identical cover.
+// Corruption tests mangle the bytes every way a disk can — truncation
 // at every boundary, bad magic, a version bump, bit rot — and demand a
 // clean rejection: an error Status, an untouched cache, no crash. A
 // seeded sweep then re-seals hostile mutants behind a valid checksum so
 // the line-table parser itself sees them (the suite also runs under the
-// ASan/TSan/UBSan CI matrix).
+// ASan/TSan/UBSan CI matrix). Snapshot files belong to CatalogService;
+// the file cases (a missing file, concurrent spills of one tenant) are
+// at the end.
 
-#include <cstdio>
 #include <unistd.h>
-#include <fstream>
-#include <iterator>
+
+#include <filesystem>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +30,7 @@
 #include "src/engine/engine.h"
 #include "src/engine/snapshot.h"
 #include "src/gen/generators.h"
+#include "src/service/catalog_service.h"
 
 namespace cfdprop {
 namespace {
@@ -45,23 +46,52 @@ struct Workload {
 enum class SecondSigma { kNone, kAfter, kBefore };
 
 /// Same construction as engine_differential_test: catalog, sigma and
-/// views are all deterministic in the seed, so two MakeEngine calls
-/// with one seed model "the same deployment restarted".
-std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w,
-                                   SecondSigma second = SecondSigma::kNone) {
+/// views are all deterministic in the seed, so two calls with one seed
+/// model "the same deployment restarted".
+Catalog DeploymentCatalog(uint64_t seed) {
   SchemaGenOptions so;
   so.num_relations = 4;
   so.min_arity = 6;
   so.max_arity = 8;
-  Catalog cat = GenerateSchema(so, seed);
+  return GenerateSchema(so, seed);
+}
 
+std::vector<CFD> DeploymentSigma(Catalog& cat, uint64_t seed) {
   CFDGenOptions co;
   co.count = 32;
   co.min_lhs = 1;
   co.max_lhs = 3;
-  std::vector<CFD> sigma = GenerateCFDs(cat, co, seed + 1);
+  return GenerateCFDs(cat, co, seed);
+}
+
+/// Adds the deployment's views to `w`; false (with a test failure) when
+/// the generator fails.
+bool AddViews(Catalog& cat, uint64_t seed, Workload* w) {
+  ViewGenOptions vo;
+  vo.num_projection = 5;
+  vo.num_selections = 3;
+  vo.num_atoms = 2;
+  for (size_t i = 0; i < 6; ++i) {
+    auto v = GenerateSPCView(cat, vo, seed + 10 + i);
+    EXPECT_TRUE(v.ok()) << v.status();
+    if (!v.ok()) return false;
+    w->spc_views.push_back(std::move(v).value());
+  }
+  for (size_t i = 0; i + 1 < w->spc_views.size(); i += 2) {
+    SPCUView u;
+    u.disjuncts = {w->spc_views[i], w->spc_views[i + 1]};
+    EXPECT_TRUE(u.Validate(cat).ok());
+    w->spcu_views.push_back(std::move(u));
+  }
+  return true;
+}
+
+std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w,
+                                   SecondSigma second = SecondSigma::kNone) {
+  Catalog cat = DeploymentCatalog(seed);
+  std::vector<CFD> sigma = DeploymentSigma(cat, seed + 1);
   std::vector<CFD> other;
-  if (second != SecondSigma::kNone) other = GenerateCFDs(cat, co, seed + 2);
+  if (second != SecondSigma::kNone) other = DeploymentSigma(cat, seed + 2);
 
   auto engine = std::make_unique<Engine>(std::move(cat), w->options);
   if (second == SecondSigma::kBefore) {
@@ -71,23 +101,7 @@ std::unique_ptr<Engine> MakeEngine(uint64_t seed, Workload* w,
   if (second == SecondSigma::kAfter) {
     EXPECT_TRUE(engine->RegisterSigma(other).ok());
   }
-
-  ViewGenOptions vo;
-  vo.num_projection = 5;
-  vo.num_selections = 3;
-  vo.num_atoms = 2;
-  for (size_t i = 0; i < 6; ++i) {
-    auto v = GenerateSPCView(engine->catalog(), vo, seed + 10 + i);
-    EXPECT_TRUE(v.ok()) << v.status();
-    if (!v.ok()) return nullptr;
-    w->spc_views.push_back(std::move(v).value());
-  }
-  for (size_t i = 0; i + 1 < w->spc_views.size(); i += 2) {
-    SPCUView u;
-    u.disjuncts = {w->spc_views[i], w->spc_views[i + 1]};
-    EXPECT_TRUE(u.Validate(engine->catalog()).ok());
-    w->spcu_views.push_back(std::move(u));
-  }
+  if (!AddViews(engine->catalog(), seed, w)) return nullptr;
   return engine;
 }
 
@@ -119,50 +133,29 @@ std::vector<std::vector<CFD>> ServeAll(Engine& engine, const Workload& w,
   return covers;
 }
 
-std::string SnapshotPath(const char* name) {
-  return ::testing::TempDir() + "cfdprop_" + name + "_" +
-         std::to_string(::getpid()) + ".ccsnap";
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  EXPECT_TRUE(f.good()) << path;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(f.good()) << path;
-}
-
 class EngineSnapshotTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EngineSnapshotTest, WarmRestartServesByteIdenticalCovers) {
-  const std::string path = SnapshotPath("roundtrip");
   Workload cold_w;
   cold_w.options.num_threads = 1;
   auto cold = MakeEngine(GetParam(), &cold_w);
   ASSERT_NE(cold, nullptr);
   auto cold_covers = ServeAll(*cold, cold_w, false, "cold");
 
-  auto saved = cold->SaveSnapshot(path);
-  ASSERT_TRUE(saved.ok()) << saved.status();
-  EXPECT_EQ(*saved, cold->Stats().cache.entries);
-  EXPECT_GT(*saved, 0u);
+  const SerializedSnapshot saved = cold->SerializeSnapshot();
+  EXPECT_EQ(saved.lines, cold->Stats().cache.entries);
+  EXPECT_GT(saved.lines, 0u);
 
   // "Restart": a fresh engine built from the same deployment spec.
   Workload warm_w;
   warm_w.options.num_threads = 1;
   auto warm = MakeEngine(GetParam(), &warm_w);
   ASSERT_NE(warm, nullptr);
-  auto loaded = warm->LoadSnapshot(path);
+  auto loaded = warm->LoadSnapshotBytes(saved.bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->restored, *saved);
+  EXPECT_EQ(loaded->restored, saved.lines);
   EXPECT_EQ(loaded->rejected, 0u);
-  EXPECT_EQ(warm->Stats().cache.restored, *saved);
+  EXPECT_EQ(warm->Stats().cache.restored, saved.lines);
 
   // Every request is a hit, and every cover is byte-identical to what
   // the cold process computed.
@@ -172,7 +165,6 @@ TEST_P(EngineSnapshotTest, WarmRestartServesByteIdenticalCovers) {
     EXPECT_EQ(warm_covers[i], cold_covers[i]) << "request " << i;
   }
   EXPECT_EQ(warm->Stats().cache.misses, 0u);
-  std::remove(path.c_str());
 }
 
 TEST_P(EngineSnapshotTest, SaveLoadSaveIsByteIdentical) {
@@ -180,8 +172,6 @@ TEST_P(EngineSnapshotTest, SaveLoadSaveIsByteIdentical) {
   // bit-for-bit: lines are sorted and the string table is first-use
   // ordered, so equal cache content means equal bytes — the property
   // that makes tests/cli/persistence_test.sh's diff meaningful.
-  const std::string path1 = SnapshotPath("bytes1");
-  const std::string path2 = SnapshotPath("bytes2");
   Workload w1, w2;
   w1.options.num_threads = 1;
   w2.options.num_threads = 1;
@@ -191,20 +181,16 @@ TEST_P(EngineSnapshotTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_NE(b, nullptr);
   ServeAll(*a, w1, false, "populate");
 
-  ASSERT_TRUE(a->SaveSnapshot(path1).ok());
-  auto loaded = b->LoadSnapshot(path1);
+  const std::string bytes1 = a->SerializeSnapshot().bytes;
+  auto loaded = b->LoadSnapshotBytes(bytes1);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(b->SaveSnapshot(path2).ok());
-  EXPECT_EQ(ReadFile(path1), ReadFile(path2));
-  std::remove(path1.c_str());
-  std::remove(path2.c_str());
+  EXPECT_EQ(b->SerializeSnapshot().bytes, bytes1);
 }
 
 TEST_P(EngineSnapshotTest, ChurnedAndRevertedSigmaStillRestores) {
   // AddCfd + RetractCfd back to the registered content: the minimized
   // set — and so its version — is the registration-time one again. A
   // restart that only registered the set must restore every line.
-  const std::string path = SnapshotPath("churned");
   Workload w;
   w.options.num_threads = 1;
   auto engine = MakeEngine(GetParam(), &w);
@@ -222,60 +208,53 @@ TEST_P(EngineSnapshotTest, ChurnedAndRevertedSigmaStillRestores) {
   ASSERT_TRUE(engine->RetractCfd(0, churn[0]).ok());
   ASSERT_EQ(engine->sigma_version(0), registered);
   auto covers = ServeAll(*engine, w, false, "post-churn");
-  auto saved = engine->SaveSnapshot(path);
-  ASSERT_TRUE(saved.ok()) << saved.status();
+  const SerializedSnapshot saved = engine->SerializeSnapshot();
 
   Workload warm_w;
   warm_w.options.num_threads = 1;
   auto warm = MakeEngine(GetParam(), &warm_w);
   ASSERT_NE(warm, nullptr);
   ASSERT_EQ(warm->sigma_version(0), registered);
-  auto loaded = warm->LoadSnapshot(path);
+  auto loaded = warm->LoadSnapshotBytes(saved.bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->restored, *saved);
+  EXPECT_EQ(loaded->restored, saved.lines);
   EXPECT_EQ(loaded->rejected, 0u);
   auto warm_covers = ServeAll(*warm, warm_w, true, "warm");
   EXPECT_EQ(warm_covers, covers);
-  std::remove(path.c_str());
 }
 
 TEST_P(EngineSnapshotTest, RestoresWhateverTheRegistrationOrder) {
   // Lines carry their Σ version, not a registration slot: a loader that
   // registers the same two Σ sets in the opposite order restores every
   // line and serves only hits.
-  const std::string path = SnapshotPath("order");
   Workload cold_w;
   cold_w.options.num_threads = 1;
   auto cold = MakeEngine(GetParam(), &cold_w, SecondSigma::kAfter);
   ASSERT_NE(cold, nullptr);
   auto first = ServeAll(*cold, cold_w, false, "cold first", 0);
   auto second = ServeAll(*cold, cold_w, false, "cold second", 1);
-  auto saved = cold->SaveSnapshot(path);
-  ASSERT_TRUE(saved.ok()) << saved.status();
+  const SerializedSnapshot saved = cold->SerializeSnapshot();
 
   Workload warm_w;
   warm_w.options.num_threads = 1;
   auto warm = MakeEngine(GetParam(), &warm_w, SecondSigma::kBefore);
   ASSERT_NE(warm, nullptr);
-  auto loaded = warm->LoadSnapshot(path);
+  auto loaded = warm->LoadSnapshotBytes(saved.bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->restored, *saved);
+  EXPECT_EQ(loaded->restored, saved.lines);
   EXPECT_EQ(loaded->rejected, 0u);
   EXPECT_EQ(ServeAll(*warm, warm_w, true, "warm first", 1), first);
   EXPECT_EQ(ServeAll(*warm, warm_w, true, "warm second", 0), second);
   EXPECT_EQ(warm->Stats().cache.misses, 0u);
-  std::remove(path.c_str());
 }
 
 TEST_P(EngineSnapshotTest, ChangedSigmaRejectsEveryLine) {
-  const std::string path = SnapshotPath("mismatch");
   Workload w;
   w.options.num_threads = 1;
   auto engine = MakeEngine(GetParam(), &w);
   ASSERT_NE(engine, nullptr);
   ServeAll(*engine, w, false, "populate");
-  auto saved = engine->SaveSnapshot(path);
-  ASSERT_TRUE(saved.ok());
+  const SerializedSnapshot saved = engine->SerializeSnapshot();
 
   // A different seed registers a different sigma over a same-shaped
   // schema: content fingerprints differ, so nothing may restore.
@@ -284,37 +263,33 @@ TEST_P(EngineSnapshotTest, ChangedSigmaRejectsEveryLine) {
   auto other = MakeEngine(GetParam() + 7777, &other_w);
   ASSERT_NE(other, nullptr);
   const size_t pool_size_before = other->catalog().pool().size();
-  auto loaded = other->LoadSnapshot(path);
+  auto loaded = other->LoadSnapshotBytes(saved.bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->restored, 0u);
-  EXPECT_EQ(loaded->rejected, *saved);
+  EXPECT_EQ(loaded->rejected, saved.lines);
   EXPECT_EQ(other->Stats().cache.entries, 0u);
-  EXPECT_EQ(other->Stats().cache.rejected, *saved);
+  EXPECT_EQ(other->Stats().cache.rejected, saved.lines);
   // Rejected lines intern nothing: the append-only pool is unpolluted.
   EXPECT_EQ(other->catalog().pool().size(), pool_size_before);
-  std::remove(path.c_str());
 }
 
 TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
-  const std::string path = SnapshotPath("corrupt");
   Workload w;
   w.options.num_threads = 1;
   auto engine = MakeEngine(GetParam(), &w);
   ASSERT_NE(engine, nullptr);
   ServeAll(*engine, w, false, "populate");
-  ASSERT_TRUE(engine->SaveSnapshot(path).ok());
-  const std::string good = ReadFile(path);
+  const std::string good = engine->SerializeSnapshot().bytes;
   ASSERT_GT(good.size(), 24u);
 
   // `reason`, when given, must appear in the rejection's message.
   auto expect_rejected = [&](const std::string& bytes, const char* what,
                              const char* reason = nullptr) {
-    WriteFile(path, bytes);
     Workload fresh_w;
     fresh_w.options.num_threads = 1;
     auto fresh = MakeEngine(GetParam(), &fresh_w);
     ASSERT_NE(fresh, nullptr);
-    auto loaded = fresh->LoadSnapshot(path);
+    auto loaded = fresh->LoadSnapshotBytes(bytes);
     EXPECT_FALSE(loaded.ok()) << what;
     if (reason != nullptr) {
       EXPECT_NE(loaded.status().ToString().find(reason), std::string::npos)
@@ -351,17 +326,15 @@ TEST_P(EngineSnapshotTest, CorruptFilesRejectCleanlyWithoutRestoring) {
     bad[good.size() / 2] ^= 0x01;
     expect_rejected(bad, "payload bit flip");
   }
-  // The original bytes still load after all that (the tamper helper
-  // rewrote the file each time).
-  WriteFile(path, good);
+  // The original bytes still load after all that (every tamper worked
+  // on a copy).
   Workload ok_w;
   ok_w.options.num_threads = 1;
   auto ok_engine = MakeEngine(GetParam(), &ok_w);
   ASSERT_NE(ok_engine, nullptr);
-  auto loaded = ok_engine->LoadSnapshot(path);
+  auto loaded = ok_engine->LoadSnapshotBytes(good);
   EXPECT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_GT(loaded->restored, 0u);
-  std::remove(path.c_str());
 }
 
 /// Offset of the line count in a (possibly hostile) snapshot, found the
@@ -509,8 +482,7 @@ TEST(EngineSnapshotValuePoolTest, ConstantsRemapAcrossDifferentPools) {
   auto served = save_engine.Propagate(view, 0);
   ASSERT_TRUE(served.ok()) << served.status();
   ASSERT_FALSE(served->cover->cover.empty());
-  const std::string path = SnapshotPath("pools");
-  ASSERT_TRUE(save_engine.SaveSnapshot(path).ok());
+  const std::string bytes = save_engine.SerializeSnapshot().bytes;
 
   Catalog load_cat = build(true);  // different interning order
   Value lnd2 = load_cat.pool().Intern("LND");
@@ -524,7 +496,7 @@ TEST(EngineSnapshotValuePoolTest, ConstantsRemapAcrossDifferentPools) {
   Engine load_engine(std::move(load_cat), EngineOptions{.num_threads = 1});
   ASSERT_TRUE(load_engine.RegisterSigma(sigma2).ok());
 
-  auto loaded = load_engine.LoadSnapshot(path);
+  auto loaded = load_engine.LoadSnapshotBytes(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->restored, 1u);
   auto warm = load_engine.Propagate(view, 0);
@@ -537,7 +509,6 @@ TEST(EngineSnapshotValuePoolTest, ConstantsRemapAcrossDifferentPools) {
               served->cover->cover[i].ToString(save_engine.catalog()))
         << "cover CFD " << i;
   }
-  std::remove(path.c_str());
 }
 
 TEST(SigmaVersionTest, FoldsRelationGroupsInFirstSeenOrder) {
@@ -563,49 +534,112 @@ TEST(SigmaVersionTest, FoldsRelationGroupsInFirstSeenOrder) {
   EXPECT_NE(SigmaVersionOf(pool, {}), grouped);
 }
 
-TEST(EngineSnapshotEdgeTest, MissingFileIsNotFoundAndEmptyCacheRoundTrips) {
+TEST(EngineSnapshotEdgeTest, EmptyCacheRoundTrips) {
+  // An empty cache serializes to a valid snapshot that restores zero
+  // lines.
   Workload w;
   w.options.num_threads = 1;
   auto engine = MakeEngine(3, &w);
   ASSERT_NE(engine, nullptr);
-  auto missing = engine->LoadSnapshot(SnapshotPath("does_not_exist"));
-  EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-
-  // An empty cache snapshots to a valid file that restores zero lines.
-  const std::string path = SnapshotPath("empty");
-  auto saved = engine->SaveSnapshot(path);
-  ASSERT_TRUE(saved.ok()) << saved.status();
-  EXPECT_EQ(*saved, 0u);
-  auto loaded = engine->LoadSnapshot(path);
+  const SerializedSnapshot saved = engine->SerializeSnapshot();
+  EXPECT_EQ(saved.lines, 0u);
+  auto loaded = engine->LoadSnapshotBytes(saved.bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->restored, 0u);
   EXPECT_EQ(loaded->rejected, 0u);
-  std::remove(path.c_str());
 }
 
-TEST(EngineSnapshotEdgeTest, ConcurrentSavesToOnePathAllSucceed) {
-  // Regression: SaveSnapshot used a fixed `path + ".tmp"` staging file,
-  // so two concurrent spills of the same tenant raced — one rename
-  // could publish the other's half-written bytes, or fail outright on
-  // the vanished tmp. Staging names are now writer-unique, so every
-  // save must succeed and the survivor must be one complete snapshot.
-  Workload w;
-  w.options.num_threads = 1;
-  auto engine = MakeEngine(17, &w);
-  ASSERT_NE(engine, nullptr);
-  ServeAll(*engine, w, false, "warmup");
+/// A fresh snapshot directory for one service-level test, removed with
+/// everything in it when the test ends.
+class SnapshotDir {
+ public:
+  explicit SnapshotDir(const char* name)
+      : path_(::testing::TempDir() + "cfdprop_" + name + "_" +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~SnapshotDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
 
-  const std::string path = SnapshotPath("concurrent");
+ private:
+  std::string path_;
+};
+
+/// The deployment of `seed` (MakeEngine's, one Σ) opened as tenant "t"
+/// of `service`; nullptr (with a test failure) when the open fails.
+TenantHandle OpenTenant(CatalogService& service, uint64_t seed,
+                        Workload* w) {
+  Catalog cat = DeploymentCatalog(seed);
+  std::vector<CFD> sigma = DeploymentSigma(cat, seed + 1);
+  auto tenant = service.OpenCatalog("t", std::move(cat), {std::move(sigma)});
+  EXPECT_TRUE(tenant.ok()) << tenant.status();
+  if (!tenant.ok() || !AddViews((*tenant)->engine().catalog(), seed, w)) {
+    return nullptr;
+  }
+  return *tenant;
+}
+
+ServiceOptions SpillingOptions(const SnapshotDir& dir) {
+  ServiceOptions options;
+  options.snapshot_dir = dir.path();
+  options.engine.num_threads = 1;
+  return options;
+}
+
+TEST(ServiceSnapshotFileTest, MissingFileOpensColdAndEmptyCacheRoundTrips) {
+  const SnapshotDir dir("missing");
+  CatalogService service(SpillingOptions(dir));
+  Workload w;
+  TenantHandle tenant = OpenTenant(service, 3, &w);
+  ASSERT_NE(tenant, nullptr);
+  // No file yet: the open is cold, and a missing file is no rejection.
+  EXPECT_TRUE(tenant->snapshot_rejection().ok())
+      << tenant->snapshot_rejection();
+  EXPECT_EQ(tenant->engine().Stats().cache.restored, 0u);
+
+  // An empty cache spills to a valid file that restores zero lines.
+  auto spilled = service.SpillTenant("t");
+  ASSERT_TRUE(spilled.ok()) << spilled.status();
+  EXPECT_EQ(*spilled, 0u);
+  ASSERT_TRUE(service.DropCatalog("t").ok());
+  Workload again_w;
+  TenantHandle again = OpenTenant(service, 3, &again_w);
+  ASSERT_NE(again, nullptr);
+  EXPECT_TRUE(again->snapshot_rejection().ok()) << again->snapshot_rejection();
+  EXPECT_EQ(again->engine().Stats().cache.restored, 0u);
+  EXPECT_EQ(again->engine().Stats().cache.rejected, 0u);
+}
+
+TEST(ServiceSnapshotFileTest, ConcurrentSpillsToOnePathAllSucceed) {
+  // Regression: the snapshot writer used a fixed `path + ".tmp"` staging
+  // file, so two concurrent spills to one path raced — one rename could
+  // publish the other's half-written bytes, or fail outright on the
+  // vanished tmp. Staging names are writer-unique, so every spill must
+  // succeed and the survivor must be one complete snapshot. The writers
+  // are four services sharing one directory (one service serializes
+  // its own tenant's spills), each holding the same deployment.
+  const SnapshotDir dir("concurrent");
   constexpr int kThreads = 4;
   constexpr int kSavesPerThread = 8;
+  std::vector<std::unique_ptr<CatalogService>> services;
+  uint64_t entries = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    services.push_back(
+        std::make_unique<CatalogService>(SpillingOptions(dir)));
+    Workload w;
+    TenantHandle tenant = OpenTenant(*services.back(), 17, &w);
+    ASSERT_NE(tenant, nullptr);
+    ServeAll(tenant->engine(), w, false, "warmup");
+    entries = tenant->engine().Stats().cache.entries;
+  }
   std::vector<Status> failures[kThreads];
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < kSavesPerThread; ++i) {
-          auto saved = engine->SaveSnapshot(path);
+          auto saved = services[t]->SpillTenant("t");
           if (!saved.ok()) failures[t].push_back(saved.status());
         }
       });
@@ -617,18 +651,21 @@ TEST(EngineSnapshotEdgeTest, ConcurrentSavesToOnePathAllSucceed) {
       ADD_FAILURE() << "thread " << t << ": " << s;
     }
   }
+  // Closing the writers flushes nothing new: none is dirty since its
+  // last spill.
+  services.clear();
 
-  // Whichever save won the last rename, the published file is whole.
+  // Whichever spill won the last rename, the published file is whole.
+  CatalogService warm(SpillingOptions(dir));
   Workload warm_w;
-  warm_w.options.num_threads = 1;
-  auto warm = MakeEngine(17, &warm_w);
-  ASSERT_NE(warm, nullptr);
-  auto loaded = warm->LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->restored, engine->Stats().cache.entries);
-  EXPECT_GT(loaded->restored, 0u);
-  EXPECT_EQ(loaded->rejected, 0u);
-  std::remove(path.c_str());
+  TenantHandle tenant = OpenTenant(warm, 17, &warm_w);
+  ASSERT_NE(tenant, nullptr);
+  EXPECT_TRUE(tenant->snapshot_rejection().ok())
+      << tenant->snapshot_rejection();
+  const CacheStats loaded = tenant->engine().Stats().cache;
+  EXPECT_EQ(loaded.restored, entries);
+  EXPECT_GT(loaded.restored, 0u);
+  EXPECT_EQ(loaded.rejected, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineSnapshotTest,

@@ -248,23 +248,23 @@ TEST(MetricsExportTest, MetricsFrameDeliversTheExposition) {
 TEST(MetricsExportTest, MetricsReplyCodec) {
   const std::string text = "# TYPE a counter\na 1\n";
   auto decoded =
-      net::DecodeMetricsReply(net::EncodeMetricsReply(Status::OK(), text));
+      net::DecodeBytesReply(net::EncodeBytesReply(Status::OK(), text));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(*decoded, text);
 
   // A typed error Status survives the wire.
-  auto failed = net::DecodeMetricsReply(
-      net::EncodeMetricsReply(Status::Internal("render failed"), ""));
+  auto failed = net::DecodeBytesReply(
+      net::EncodeBytesReply(Status::Internal("render failed"), ""));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
 
   // Truncation and trailing garbage are both malformed.
-  std::string payload = net::EncodeMetricsReply(Status::OK(), text);
+  std::string payload = net::EncodeBytesReply(Status::OK(), text);
   EXPECT_FALSE(
-      net::DecodeMetricsReply(
+      net::DecodeBytesReply(
           std::string_view(payload).substr(0, payload.size() - 3))
           .ok());
-  EXPECT_FALSE(net::DecodeMetricsReply(payload + "x").ok());
+  EXPECT_FALSE(net::DecodeBytesReply(payload + "x").ok());
 }
 
 }  // namespace

@@ -216,6 +216,48 @@ TEST(WireProtocolTest, OpenCatalogRequestCarriesOptionalSnapshotBytes) {
 /// with InvalidArgument — never crash or read out of bounds — and a
 /// mutant that decodes must re-encode to its own bytes (the encodings
 /// are canonical, so nothing was misread).
+/// One seeded mutant of `good`: byte flips, a hostile 4- or 8-byte
+/// length or count, truncation, trailing bytes or a random window.
+std::string Mutate(const std::string& good, Rng& rng) {
+  std::string mutant = good;
+  switch (rng.Below(5)) {
+    case 0: {  // flip 1-4 bytes anywhere
+      const uint64_t flips = rng.Uniform(1, 4);
+      for (uint64_t f = 0; f < flips; ++f) {
+        mutant[rng.Below(mutant.size())] ^=
+            static_cast<char>(rng.Uniform(1, 255));
+      }
+      break;
+    }
+    case 1: {  // a hostile length or count over any 4 or 8 bytes
+      const uint64_t values[] = {0, 1, 0xffffffffull, 1ull << 32, ~0ull,
+                                 mutant.size(), rng.Next()};
+      std::string field;
+      wire::PutU64(field, values[rng.Below(std::size(values))]);
+      field.resize(rng.Percent(50) ? 4 : 8);
+      mutant.replace(rng.Below(mutant.size() - 8), field.size(), field);
+      break;
+    }
+    case 2:  // truncate
+      mutant.resize(rng.Below(mutant.size()));
+      break;
+    case 3: {  // trailing bytes
+      const uint64_t extra = rng.Uniform(1, 16);
+      for (uint64_t i = 0; i < extra; ++i) {
+        mutant.push_back(static_cast<char>(rng.Below(256)));
+      }
+      break;
+    }
+    default: {  // an 8-byte window of random bytes
+      std::string field;
+      wire::PutU64(field, rng.Next());
+      mutant.replace(rng.Below(mutant.size() - 8), 8, field);
+      break;
+    }
+  }
+  return mutant;
+}
+
 TEST(WireProtocolFuzzTest, HostileRequestPayloadsDecodeOrRejectCleanly) {
   constexpr int kMutants = 2000;
   OpenCatalogRequest open{"eu", kSpecText, std::string(64, '\x5a')};
@@ -245,42 +287,7 @@ TEST(WireProtocolFuzzTest, HostileRequestPayloadsDecodeOrRejectCleanly) {
   for (const Case& c : cases) {
     int decoded = 0, rejected = 0;
     for (int m = 0; m < kMutants; ++m) {
-      std::string mutant = c.good;
-      switch (rng.Below(5)) {
-        case 0: {  // flip 1-4 bytes anywhere
-          const uint64_t flips = rng.Uniform(1, 4);
-          for (uint64_t f = 0; f < flips; ++f) {
-            mutant[rng.Below(mutant.size())] ^=
-                static_cast<char>(rng.Uniform(1, 255));
-          }
-          break;
-        }
-        case 1: {  // a hostile length or count over any 4 or 8 bytes
-          const uint64_t values[] = {0, 1, 0xffffffffull, 1ull << 32, ~0ull,
-                                     mutant.size(), rng.Next()};
-          std::string field;
-          wire::PutU64(field, values[rng.Below(std::size(values))]);
-          field.resize(rng.Percent(50) ? 4 : 8);
-          mutant.replace(rng.Below(mutant.size() - 8), field.size(), field);
-          break;
-        }
-        case 2:  // truncate
-          mutant.resize(rng.Below(mutant.size()));
-          break;
-        case 3: {  // trailing bytes
-          const uint64_t extra = rng.Uniform(1, 16);
-          for (uint64_t i = 0; i < extra; ++i) {
-            mutant.push_back(static_cast<char>(rng.Below(256)));
-          }
-          break;
-        }
-        default: {  // an 8-byte window of random bytes
-          std::string field;
-          wire::PutU64(field, rng.Next());
-          mutant.replace(rng.Below(mutant.size() - 8), 8, field);
-          break;
-        }
-      }
+      const std::string mutant = Mutate(c.good, rng);
       const std::string frame = EncodeFrame(c.type, mutant);
       auto payload = VerifyFrame(frame);
       ASSERT_TRUE(payload.ok()) << payload.status();
@@ -290,6 +297,127 @@ TEST(WireProtocolFuzzTest, HostileRequestPayloadsDecodeOrRejectCleanly) {
         EXPECT_EQ(*again, mutant) << "mutant " << m;
       } else {
         ++rejected;
+        EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument)
+            << "mutant " << m << ": " << again.status();
+      }
+    }
+    EXPECT_GT(decoded, 0) << "frame type " << static_cast<int>(c.type);
+    EXPECT_GT(rejected, 0) << "frame type " << static_cast<int>(c.type);
+  }
+}
+
+/// A SUBMIT_BATCH reply with every shape the codec knows: covers with
+/// shared and distinct constants, wildcard and special patterns, both
+/// cover flags, a failed request and a rejected batch.
+std::string SampleSubmitReply() {
+  Catalog cat;
+  EXPECT_TRUE(cat.AddRelation("R", {"A", "B", "C"}).ok());
+  const Value lion = cat.pool().Intern("lion");
+  const Value puma = cat.pool().Intern("puma");
+  const Value lynx = cat.pool().Intern("lynx");
+  CFD a = CFD::Make(0, {0}, {PatternValue::Constant(lion)}, 1,
+                    PatternValue::Constant(puma))
+              .value();
+  CFD b = CFD::Make(0, {0, 1},
+                    {PatternValue::Wildcard(), PatternValue::Constant(lynx)},
+                    2, PatternValue::Wildcard())
+              .value();
+  CFD x = a;
+  x.rhs_pat = PatternValue::SpecialX();
+
+  auto first = std::make_shared<CachedCover>();
+  first->cover = {a, b};
+  first->truncated = true;
+  auto second = std::make_shared<CachedCover>();
+  second->cover = {x, a};
+  auto empty = std::make_shared<CachedCover>();
+  empty->always_empty = true;
+
+  std::vector<WireBatchResult> batches(3);
+  for (const auto& cover : {first, second}) {
+    EngineResult r;
+    r.cover = cover;
+    r.fingerprint = 0x1234567890abcdefull ^ cover->cover.size();
+    r.cache_hit = cover == first;
+    r.disjunct_hits = 1;
+    r.disjunct_count = 2;
+    batches[0].results.emplace_back(std::move(r));
+  }
+  batches[0].results.emplace_back(Status::Internal("request blew up"));
+  EngineResult e;
+  e.cover = empty;
+  batches[1].results.emplace_back(std::move(e));
+  batches[2].status = Status::ResourceExhausted("admission: over cap");
+  return EncodeSubmitBatchReply(Status::OK(), batches, cat.pool());
+}
+
+std::vector<obs::SpanRecord> SampleSpans() {
+  std::vector<obs::SpanRecord> spans;
+  for (int i = 0; i < 3; ++i) {
+    obs::SpanRecord span;
+    span.trace_id = 0x1000 + static_cast<uint64_t>(i / 2);
+    span.span_id = 0x2000 + static_cast<uint64_t>(i);
+    span.parent_id = i == 0 ? 0 : 0x2000;
+    span.start_us = 100 + static_cast<uint64_t>(i);
+    span.dur_us = 50;
+    span.name = i == 0 ? "rpc" : "compute";
+    span.tenant = "eu";
+    span.annot = i == 2 ? "hits=4,misses=1" : "";
+    span.shard = i;
+    span.slow = i == 1;
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+TEST(WireProtocolFuzzTest, HostileReplyPayloadsDecodeOrRejectCleanly) {
+  // A reply decodes OK or is InvalidArgument — unless the mutation left
+  // a typed error in the reply's own leading status, which the decoder
+  // hands back as it must. An OK SUBMIT_BATCH reply re-encodes, against
+  // the pool it decoded into, to its own bytes: the cover codec accepts
+  // exactly one encoding per reply.
+  constexpr int kMutants = 2000;
+  struct Case {
+    FrameType type;
+    std::string good;
+    std::function<Result<std::string>(std::string_view)> round_trip;
+  };
+  const Case cases[] = {
+      {FrameType::kSubmitBatchReply, SampleSubmitReply(),
+       [](std::string_view p) -> Result<std::string> {
+         Catalog decode;
+         CFDPROP_ASSIGN_OR_RETURN(auto r,
+                                  DecodeSubmitBatchReply(p, decode.pool()));
+         return EncodeSubmitBatchReply(Status::OK(), r, decode.pool());
+       }},
+      {FrameType::kTraceDumpReply,
+       EncodeTraceDumpReply(Status::OK(), SampleSpans()),
+       [](std::string_view p) -> Result<std::string> {
+         CFDPROP_RETURN_NOT_OK(DecodeTraceDumpReply(p).status());
+         return std::string(p);
+       }},
+  };
+  Rng rng(20261021);
+  for (const Case& c : cases) {
+    int decoded = 0, rejected = 0;
+    for (int m = 0; m < kMutants; ++m) {
+      const std::string mutant = Mutate(c.good, rng);
+      const std::string frame = EncodeFrame(c.type, mutant);
+      auto payload = VerifyFrame(frame);
+      ASSERT_TRUE(payload.ok()) << payload.status();
+      auto again = c.round_trip(*payload);
+      if (again.ok()) {
+        ++decoded;
+        EXPECT_EQ(*again, mutant) << "mutant " << m;
+        continue;
+      }
+      ++rejected;
+      Status carried;
+      size_t pos = 0;
+      if (DecodeStatus(mutant, &pos, &carried) && !carried.ok()) {
+        EXPECT_EQ(again.status().code(), carried.code())
+            << "mutant " << m << ": " << again.status();
+      } else {
         EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument)
             << "mutant " << m << ": " << again.status();
       }
@@ -540,7 +668,7 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
 
   // Garbage, bad magic, a tampered checksum, an oversized length
   // prefix, a mid-frame hangup, the retired STATS and OPEN_FROM_SNAPSHOT
-  // types, a v5 header: each connection dies quietly...
+  // types, a v5 and a v6 header: each connection dies quietly...
   EXPECT_TRUE(ServerClosesOn(server.port(), "GET / HTTP/1.1\r\n\r\n"));
   std::string frame = EncodeFrame(FrameType::kMetrics, "");
   std::string bad_magic = frame;
@@ -582,6 +710,15 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
             std::string::npos)
       << v5_header.status();
   EXPECT_TRUE(ServerClosesOn(server.port(), v5));
+  // A v6 peer speaks the SUBMIT_BATCH reply's retired cover layout.
+  std::string v6 = frame;
+  v6[4] = 6;
+  auto v6_header = DecodeFrameHeader(v6);
+  ASSERT_FALSE(v6_header.ok());
+  EXPECT_NE(v6_header.status().message().find("protocol version 6"),
+            std::string::npos)
+      << v6_header.status();
+  EXPECT_TRUE(ServerClosesOn(server.port(), v6));
 
   // ...while the server keeps serving well-formed clients.
   CoverClientOptions client_options;
@@ -601,7 +738,7 @@ TEST(CoverServerTest, MalformedFramesCloseOnlyTheirConnection) {
             static_cast<double>(Engine::kSigmaMemoCapacity));
 
   CoverServerStats net = server.Stats();
-  EXPECT_EQ(net.decode_errors, 8u);
+  EXPECT_EQ(net.decode_errors, 9u);
   EXPECT_GE(net.connections_accepted, 7u);
   server.Stop();
 }

@@ -272,7 +272,7 @@ TEST(ServiceTest, OverlappingBatchesAllResolve) {
   // starts after any other completed must hit, and every request is
   // accounted for.
   for (const TenantStatsSnapshot& t : stats.tenants) {
-    EXPECT_EQ(t.batches_submitted, 5u);
+    EXPECT_EQ(t.admitted, 5u);
     EXPECT_EQ(t.engine.cache.hits + t.engine.cache.misses, 5u) << t.name;
     EXPECT_GE(t.engine.cache.hits, 1u) << t.name;
     EXPECT_GE(t.engine.cache.misses, 1u) << t.name;
